@@ -1,9 +1,11 @@
 """Cluster world model: nodes, star topology, pods, placements, snapshots.
 
 All mutation goes through :class:`ClusterState`, which keeps CPU allocation
-bookkeeping consistent with pod status transitions.  Consumers that must not
-observe later mutations (scheduler plugins, the rescheduling monitor) work on
-:class:`ClusterSnapshot` values produced by :meth:`ClusterState.snapshot`.
+bookkeeping consistent with pod status transitions and caches the running
+pods and RT utilization per node.  The scheduler and the monitor's dry run
+read a :meth:`ClusterState.view`, which shares the live objects and caches
+and must not outlive the next mutation.  Anything held across mutations (the
+load-balancer refresh, tests, hashes) takes an isolated :meth:`snapshot`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import copy as _copy
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 DEFAULT_CORES = 4
@@ -65,6 +68,20 @@ class RtProcessSpec:
     policy: DeadlinePolicy | FifoPolicy
     pid: Optional[int] = None
     name_substring: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class RtUtilization:
+    deadline_sum: float = 0.0
+    fifo_sum: float = 0.0
+
+    @property
+    def value(self) -> float:
+        return self.deadline_sum + self.fifo_sum
+
+    def __add__(self, other: "RtUtilization") -> "RtUtilization":
+        return RtUtilization(self.deadline_sum + other.deadline_sum,
+                             self.fifo_sum + other.fifo_sum)
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,18 @@ class PodInstance:
         # rt_processes/dependencies are immutable tuples and safe to share
         return _copy.copy(self)
 
+    @cached_property
+    def rt_utilization(self) -> RtUtilization:
+        # deadline `runtime/period` plus FIFO core fractions; rt_processes is immutable
+        deadline_sum = 0.0
+        fifo_sum = 0.0
+        for proc in self.rt_processes:
+            if isinstance(proc.policy, DeadlinePolicy):
+                deadline_sum += proc.policy.utilization
+            elif isinstance(proc.policy, FifoPolicy):
+                fifo_sum += proc.policy.cpu_request
+        return RtUtilization(deadline_sum, fifo_sum)
+
 
 @dataclass(frozen=True)
 class EvictionEvent:
@@ -168,24 +197,12 @@ class EvictionEvent:
     reason: str
 
 
-class ClusterSnapshot:
-    """Point-in-time copy of the cluster, isolated from later mutations."""
-
-    def __init__(self, nodes, topology, pods, allocated_m, queue, now,
-                 metrics_view=None, metric_specs=None, scoreboard_view=None):
-        self.nodes: dict[str, Node] = nodes
-        self.topology: Topology = topology
-        self.pods: dict[str, PodInstance] = pods
-        self.allocated_m: dict[str, int] = allocated_m
-        self.queue: tuple[str, ...] = queue
-        self.now = now
-        self.metrics_view = metrics_view or {}
-        self.metric_specs = metric_specs or {}
-        self.scoreboard_view = scoreboard_view or {}
-        self._by_node: Optional[dict[str, list[PodInstance]]] = None
+class _RunningIndex:
+    """Running pods per node and their RT utilization, memoized in `pods`
+    order, so a memo has the float bits of a fresh sum.  Subclasses set
+    `nodes`, `pods`, `_by_node` and `_rt`; callers must not mutate lists."""
 
     def _node_index(self) -> dict[str, list[PodInstance]]:
-        # snapshots are immutable, so the index is computed once
         if self._by_node is None:
             index = {n: [] for n in self.nodes}
             for pod in self.pods.values():
@@ -197,8 +214,14 @@ class ClusterSnapshot:
     def running_on(self, node_id: str) -> list[PodInstance]:
         return self._node_index()[node_id]
 
-    def pod_counts(self) -> dict[str, int]:
-        return {n: len(pods) for n, pods in self._node_index().items()}
+    def rt_utilization(self, node_id: str) -> RtUtilization:
+        total = self._rt.get(node_id)
+        if total is None:
+            total = RtUtilization()
+            for pod in self.running_on(node_id):
+                total = total + pod.rt_utilization
+            self._rt[node_id] = total
+        return total
 
     def running_of_service(self, service: str) -> list[PodInstance]:
         pods = [p for p in self.pods.values()
@@ -212,8 +235,35 @@ class ClusterSnapshot:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-class ClusterState:
+class ClusterSnapshot(_RunningIndex):
+    """Read-only cluster picture for scheduler plugins: an isolated copy from
+    :meth:`ClusterState.snapshot` or a live view from :meth:`ClusterState.view`."""
+
+    def __init__(self, nodes, topology, pods, allocated_m, queue, now,
+                 metrics_view=None, metric_specs=None, by_node=None, rt=None):
+        self.nodes: dict[str, Node] = nodes
+        self.topology: Topology = topology
+        self.pods: dict[str, PodInstance] = pods
+        self.allocated_m: dict[str, int] = allocated_m
+        self.queue: tuple[str, ...] = queue
+        self.now = now
+        self.metrics_view = metrics_view or {}
+        self.metric_specs = metric_specs or {}
+        self._by_node: Optional[dict[str, list[PodInstance]]] = by_node
+        self._rt: dict[str, RtUtilization] = {} if rt is None else rt
+
+    def pod_counts(self) -> dict[str, int]:
+        return {n: len(pods) for n, pods in self._node_index().items()}
+
+    @cached_property
+    def max_pod_count(self) -> int:
+        return max(self.pod_counts().values())
+
+
+class ClusterState(_RunningIndex):
     """Single-writer world model.  All mutations happen on the event loop."""
+
+    now = None  # the state has no clock; its text carries no time line
 
     def __init__(self, nodes: Iterable[Node], topology: Topology):
         self.topology = topology
@@ -233,7 +283,8 @@ class ClusterState:
         # telemetry attachments, wired up by the simulator
         self.metric_store = None
         self.metric_specs: dict = {}
-        self.scoreboard = None
+        self._by_node: Optional[dict[str, list[PodInstance]]] = None
+        self._rt: dict[str, RtUtilization] = {}
 
     # -- pod lifecycle -----------------------------------------------------
 
@@ -243,6 +294,7 @@ class ClusterState:
         self.pods[pod.id] = pod
         if pod.status is PodStatus.PENDING:
             self.queue.append(pod.id)
+        self._by_node, self._rt = None, {}
         self.version += 1
 
     def add_pods(self, pods: Iterable[PodInstance]) -> None:
@@ -261,6 +313,7 @@ class ClusterState:
         self.allocated_m[node_id] += pod.cpu_request
         if pod_id in self.queue:
             self.queue.remove(pod_id)
+        self._by_node, self._rt = None, {}
         self.version += 1
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
@@ -274,6 +327,7 @@ class ClusterState:
         pod.assignment = None
         self.queue.append(pod_id)
         self.eviction_log.append(EvictionEvent(time, pod_id, node_id, target_node, reason))
+        self._by_node, self._rt = None, {}
         self.version += 1
 
     def mark_unschedulable(self, pod_id: str) -> None:
@@ -303,38 +357,59 @@ class ClusterState:
 
     # -- views ---------------------------------------------------------------
 
-    def running_on(self, node_id: str) -> list[PodInstance]:
-        return [p for p in self.pods.values()
-                if p.status is PodStatus.RUNNING and p.assignment == node_id]
-
-    def running_of_service(self, service: str) -> list[PodInstance]:
-        pods = [p for p in self.pods.values()
-                if p.status is PodStatus.RUNNING and p.service == service]
-        return sorted(pods, key=lambda p: p.id)
-
-    def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        if exclude is not None and exclude not in self.pods:
-            raise KeyError(f"pod not found: {exclude}")
-        pods = {}
-        allocated = dict(self.allocated_m)
-        for pod_id, pod in self.pods.items():
-            if pod_id == exclude:
-                if pod.status is PodStatus.RUNNING:
-                    allocated[pod.assignment] -= pod.cpu_request
-                continue
-            pods[pod_id] = pod.copy()
-        nodes = {nid: replace(n, labels=dict(n.labels)) for nid, n in self.nodes.items()}
+    def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
+        """Snapshot sharing this state's objects and caches, valid until the
+        next mutation.  Only the excluded pod's node gets its own index
+        entry and RT sum; its CPU is released by integer subtraction."""
+        index, rt = self._node_index(), self._rt
+        for node_id in self.nodes:
+            self.rt_utilization(node_id)
+        pods, allocated = self.pods, dict(self.allocated_m)
+        if exclude is not None:
+            pod = self._pod(exclude)
+            pods = dict(pods)
+            del pods[exclude]
+            if pod.status is PodStatus.RUNNING:
+                node_id = pod.assignment
+                allocated[node_id] -= pod.cpu_request
+                index = {**index, node_id: [p for p in index[node_id] if p is not pod]}
+                rt = {n: u for n, u in rt.items() if n != node_id}
         queue = tuple(p for p in self.queue if p != exclude)
         metrics_view = self.metric_store.view() if self.metric_store is not None else {}
-        board_view = self.scoreboard.view() if self.scoreboard is not None else {}
-        return ClusterSnapshot(nodes, self.topology.copy(), pods, allocated, queue, now,
-                               metrics_view, dict(self.metric_specs), board_view)
+        return ClusterSnapshot(self.nodes, self.topology, pods, allocated, queue, now,
+                               metrics_view, self.metric_specs, index, rt)
 
-    def to_text(self) -> str:
-        return _state_text(self.topology, self.nodes, self.pods, None)
+    def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
+        """Like :meth:`view`, but copies pods, nodes and topology, so later
+        mutations never reach it."""
+        view = self.view(exclude, now)
+        pods = {pod_id: pod.copy() for pod_id, pod in view.pods.items()}
+        nodes = {nid: replace(n, labels=dict(n.labels)) for nid, n in self.nodes.items()}
+        return ClusterSnapshot(nodes, self.topology.copy(), pods, view.allocated_m,
+                               view.queue, now, view.metrics_view, dict(self.metric_specs))
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the allocation map, the caches, the
+        queue and pod statuses agree with a recount from `pods`."""
+        fresh = ClusterSnapshot(self.nodes, self.topology, self.pods, {}, (), None)
+        problems = [f"{p}: queued but unknown"
+                    for p in set(self.queue + self.unschedulable) - self.pods.keys()]
+        for n in self.nodes:
+            running, rt = fresh.running_on(n), fresh.rt_utilization(n)
+            if self.allocated_m[n] != sum(p.cpu_request for p in running):
+                problems.append(f"{n}: allocated_m is not the running requests")
+            if (self._by_node or fresh._by_node)[n] != running or self._rt.get(n, rt) != rt:
+                problems.append(f"{n}: stale running index or RT utilization")
+        where = {PodStatus.PENDING: (1, 0, False), PodStatus.UNSCHEDULABLE: (0, 1, False),
+                 PodStatus.RUNNING: (0, 0, True)}
+        for pod_id, pod in self.pods.items():
+            seen = (self.queue.count(pod_id), self.unschedulable.count(pod_id),
+                    pod.assignment in self.nodes)
+            if seen != where.get(pod.status, (0, 0, False)):
+                problems.append(f"{pod_id}: {pod.status.value} but (queued, "
+                                f"unschedulable, placed) = {seen}")
+        if problems:
+            raise AssertionError("; ".join(problems))
 
     def _pod(self, pod_id: str) -> PodInstance:
         try:

@@ -92,7 +92,7 @@ class LoadBalancer:
     """Per-client-node balancer.
 
     Each refresh cycle pulls the service's replica scores (recomputed from
-    this client's vantage point into the shared score board, then read back
+    this client's vantage point into its own score board, then read back
     in one lookup) and rebuilds the rule chains.  Chains are immutable;
     request handling always sees either the old or the new chain, never a
     partial one.
@@ -136,9 +136,3 @@ class LoadBalancer:
 
     def chain_for(self, service: str) -> Optional[RuleChain]:
         return self.chains.get(service)
-
-    def select(self, service: str, rng: random.Random) -> str:
-        chain = self.chains.get(service)
-        if chain is None:
-            raise KeyError(f"no chain for service {service}")
-        return select_replica(chain, rng)

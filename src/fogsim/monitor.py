@@ -2,7 +2,7 @@
 eviction of pods whose best node has drifted away from their current one.
 
 Each pass walks the nodes and their pods in a fixed order, re-runs the full
-scheduler against a snapshot that excludes the pod under evaluation, and
+scheduler against a view that excludes the pod under evaluation, and
 evicts the pod when the simulated result names a different node -- gated by
 a minimum pod age (grace) and a per-pod eviction backoff.  Evaluation is
 sequential with immediate eviction, so a pass can transiently overshoot;
@@ -36,16 +36,16 @@ def simulate_scheduling(state: ClusterState, pod_id: str,
                         config: SchedulerConfig, now: float = 0.0) -> Optional[str]:
     """Where would the scheduler put this pod if it were not already placed?
 
-    Runs the live scheduler configuration against a self-excluding snapshot;
-    nothing is mutated and preemption plans are only inspected, never
-    applied.  Returns the chosen node id, or None when the dry run deems the
-    pod unschedulable.
+    Runs the live scheduler configuration against a self-excluding view,
+    which shares the state's pods and caches, so it is dropped here before
+    the caller mutates anything.  Nothing is mutated and preemption plans
+    are only inspected, never applied.  Returns the chosen node id, or None
+    when the dry run deems the pod unschedulable.
     """
     pod = state.pods[pod_id]
     if pod.status is not PodStatus.RUNNING:
         raise ValueError(f"pod {pod_id} is not running")
-    snapshot = state.snapshot(exclude=pod_id, now=now)
-    outcome = schedule_one(snapshot, pod, config, rng=None)
+    outcome = schedule_one(state.view(exclude=pod_id, now=now), pod, config, rng=None)
     if isinstance(outcome, Assigned):
         return outcome.node
     if isinstance(outcome, Preempted):

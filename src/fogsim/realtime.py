@@ -14,42 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import (DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
-                      RT_PERIOD_LABEL, RT_RUNTIME_LABEL, ClusterSnapshot,
-                      DeadlinePolicy, FifoPolicy, Node, PodInstance)
+                      RT_PERIOD_LABEL, RT_RUNTIME_LABEL, ClusterSnapshot, Node,
+                      PodInstance, RtUtilization)
 
 FEASIBILITY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class RtUtilization:
-    deadline_sum: float = 0.0
-    fifo_sum: float = 0.0
-
-    @property
-    def value(self) -> float:
-        return self.deadline_sum + self.fifo_sum
-
-    def __add__(self, other: "RtUtilization") -> "RtUtilization":
-        return RtUtilization(self.deadline_sum + other.deadline_sum,
-                             self.fifo_sum + other.fifo_sum)
-
-
 def pod_rt_utilization(pod: PodInstance) -> RtUtilization:
-    deadline_sum = 0.0
-    fifo_sum = 0.0
-    for proc in pod.rt_processes:
-        if isinstance(proc.policy, DeadlinePolicy):
-            deadline_sum += proc.policy.utilization
-        elif isinstance(proc.policy, FifoPolicy):
-            fifo_sum += proc.policy.cpu_request
-    return RtUtilization(deadline_sum, fifo_sum)
+    return pod.rt_utilization
 
 
 def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> RtUtilization:
-    total = RtUtilization()
-    for pod in snapshot.running_on(node_id):
-        total = total + pod_rt_utilization(pod)
-    return total
+    """Sum over the node's running pods, memoized by the snapshot."""
+    return snapshot.rt_utilization(node_id)
 
 
 def rt_capacity(node: Node) -> float:

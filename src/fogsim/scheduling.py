@@ -51,9 +51,8 @@ class BaselinePlugin:
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         node = snapshot.nodes[node_id]
         cpu_after = (snapshot.allocated_m[node_id] + pod.cpu_request) / node.cpu_capacity
-        counts = snapshot.pod_counts()
-        max_count = max(counts.values())
-        count_frac = counts[node_id] / max_count if max_count > 0 else 0.0
+        max_count = snapshot.max_pod_count
+        count_frac = len(snapshot.running_on(node_id)) / max_count if max_count > 0 else 0.0
         score = (self.cpu_weight * (1.0 - cpu_after)
                  + self.count_weight * (1.0 - count_frac))
         return min(max(score, 0.0), 1.0)
@@ -193,10 +192,10 @@ def run_queue(state: ClusterState, config: SchedulerConfig, now: float,
               rng: Optional[random.Random] = None) -> list[tuple[str, ScheduleOutcome]]:
     """Drain the pending queue, scheduling pods one at a time.
 
-    Each pod is scheduled against a snapshot reflecting the outcomes of the
-    pods before it.  Preemption victims re-enter the queue tail and get
-    their turn in the same drain; unschedulable pods are retried only after
-    some other pod made progress.
+    Each pod is scheduled against a fresh view of the state, reflecting the
+    outcomes of the pods before it.  Preemption victims re-enter the queue
+    tail and get their turn in the same drain; unschedulable pods are
+    retried only after some other pod made progress.
     """
     outcomes = []
     while True:
@@ -208,7 +207,7 @@ def run_queue(state: ClusterState, config: SchedulerConfig, now: float,
             pod = state.pods[pod_id]
             if pod.status is not PodStatus.PENDING:
                 continue
-            outcome = schedule_one(state.snapshot(now=now), pod, config, rng)
+            outcome = schedule_one(state.view(now=now), pod, config, rng)
             outcomes.append((pod_id, outcome))
             if isinstance(outcome, Assigned):
                 state.apply_placement(pod_id, outcome.node, now)

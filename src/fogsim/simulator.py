@@ -23,7 +23,7 @@ from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, RuleChain, select_repli
 from .monitor import ClusterMonitor, MonitorConfig
 from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
-from .telemetry import MetricStore, ReplicaScoreBoard, path_latency
+from .telemetry import MetricStore, path_latency
 
 
 class EventKind(IntEnum):
@@ -222,7 +222,6 @@ class _Run:
         self.state.metric_store = MetricStore()
         self.state.metric_specs = {s.name: s.metric for s in config.services
                                    if s.metric is not None}
-        self.state.scoreboard = ReplicaScoreBoard()
         self.services = {s.name: s for s in config.services}
         self.sched_config = arm.scheduler_config()
         self.alt_configs = {a.name: a.scheduler_config()

@@ -92,9 +92,6 @@ class MetricStore:
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 
-    def drop_pod(self, service: str, pod: str) -> None:
-        self._samples.pop((service, pod), None)
-
     def view(self) -> dict:
         return dict(self._samples)
 
@@ -139,9 +136,6 @@ class ReplicaScoreBoard:
 
     def services(self) -> list[str]:
         return sorted(self._entries)
-
-    def view(self) -> dict:
-        return dict(self._entries)
 
     def put(self, service: str, scores: Mapping[str, float], now: float) -> ScoreboardEntry:
         entry = ScoreboardEntry(dict(scores), now)

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from fogsim.cluster import (ClusterState, Node, PodInstance, PodStatus,
-                            Topology, state_from_text)
+from fogsim.cluster import (ClusterState, DeadlinePolicy, FifoPolicy, Node,
+                            PodInstance, PodStatus, RtProcessSpec, Topology,
+                            state_from_text)
+from fogsim.realtime import node_rt_utilization
+from fogsim.scheduling import SchedulerConfig, schedule_one
 
 from conftest import make_state
 
@@ -107,6 +110,110 @@ def test_conservation_over_random_sequences():
             assert sum(state.allocated_m.values()) == total_running
         for node_id, alloc in state.allocated_m.items():
             assert alloc == sum(p.cpu_request for p in state.running_on(node_id))
+
+
+RT_FIRST = SchedulerConfig(plugins=(("realtime", 10.0), ("baseline", 1.0)))
+
+
+def random_pod(rng, pod_id):
+    """A regular pod, or an RT pod with deadline and FIFO budgets whose sums
+    are inexact in binary floating point."""
+    procs = []
+    if rng.random() < 0.6:
+        procs.append(RtProcessSpec(DeadlinePolicy(rng.choice([233_333, 300_001, 450_001]),
+                                                  1_000_000)))
+        if rng.random() < 0.5:
+            procs.append(RtProcessSpec(FifoPolicy(1, rng.choice([0.1, 0.15, 0.07]))))
+    return pod(pod_id, request=rng.choice([50, 100, 250]), rt_processes=tuple(procs),
+               priority_class=rng.choice([0, 1, 5]))
+
+
+def step(state, rng, next_id):
+    """Apply one random lifecycle mutation; return the next free pod number."""
+    by_status = {s: [p.id for p in state.pods.values() if p.status is s] for s in PodStatus}
+    pending, running = by_status[PodStatus.PENDING], by_status[PodStatus.RUNNING]
+    roll = rng.random()
+    if roll < 0.35 or not state.pods:
+        state.add_pod(random_pod(rng, f"p{next_id}"))
+        return next_id + 1
+    if roll < 0.75 and pending:
+        state.apply_placement(rng.choice(pending), rng.choice(sorted(state.nodes)), 1.0)
+    elif roll < 0.85 and running:
+        state.evict(rng.choice(running), 2.0)
+    elif roll < 0.93 and pending:
+        state.mark_unschedulable(rng.choice(pending))
+    else:
+        state.reactivate_unschedulable()
+    return next_id
+
+
+def test_view_agrees_with_isolated_snapshot_over_random_sequences():
+    rng = random.Random(2024)
+    for _ in range(6):
+        # three one-core nodes fill up fast: filters reject and RT pods preempt
+        state = ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
+                              for n, z in (("n1", "z1"), ("n2", "z1"), ("n3", "z2"))],
+                             Topology({"z1": ["n1", "n2"], "z2": ["n3"]},
+                                      {"z1": 0.5, "z2": 0.8}))
+        next_id = 0
+        for _ in range(60):
+            next_id = step(state, rng, next_id)
+            state.check_invariants()
+            digest = state.content_hash()
+            running = [p.id for p in state.pods.values() if p.status is PodStatus.RUNNING]
+            for exclude in [None, *running]:
+                view = state.view(exclude=exclude, now=3.0)
+                snap = state.snapshot(exclude=exclude, now=3.0)
+                for n in state.nodes:
+                    assert ([p.id for p in view.running_on(n)]
+                            == [p.id for p in snap.running_on(n)])
+                    assert node_rt_utilization(n, view) == node_rt_utilization(n, snap)
+                # snapshot() shares view()'s exclusion; recount independently
+                assert set(view.pods) == set(state.pods) - {exclude}
+                assert view.allocated_m == snap.allocated_m == {
+                    n: sum(p.cpu_request for p in snap.running_on(n)) for n in state.nodes}
+                assert view.pod_counts() == snap.pod_counts()
+                candidate = (state.pods[exclude] if exclude is not None
+                             else random_pod(rng, "candidate"))
+                assert (schedule_one(view, candidate, RT_FIRST)
+                        == schedule_one(snap, candidate, RT_FIRST))
+            assert state.content_hash() == digest
+            state.check_invariants()
+
+
+class TestInvariants:
+    def test_hold_through_lifecycle(self, state):
+        state.add_pods([pod("a"), pod("b")])
+        state.apply_placement("a", "P1-A", 0.0)
+        state.view(exclude="a")
+        state.mark_unschedulable("b")
+        state.check_invariants()
+        state.reactivate_unschedulable()
+        state.evict("a", 1.0)
+        state.check_invariants()
+
+    def test_detects_allocation_drift(self, state):
+        state.add_pod(pod("a"))
+        state.apply_placement("a", "P1-A", 0.0)
+        state.allocated_m["P1-A"] += 1
+        with pytest.raises(AssertionError, match="P1-A: allocated_m"):
+            state.check_invariants()
+
+    def test_detects_stale_cache(self, state):
+        state.add_pod(pod("a"))
+        state.apply_placement("a", "P1-A", 0.0)
+        state.view()
+        state.pods["a"].status = PodStatus.PENDING  # bypasses evict()
+        state.queue.append("a")
+        state.allocated_m["P1-A"] = 0
+        with pytest.raises(AssertionError, match="stale running index"):
+            state.check_invariants()
+
+    def test_detects_queue_inconsistency(self, state):
+        state.add_pod(pod("a"))
+        state.queue.append("a")
+        with pytest.raises(AssertionError, match=r"a: Pending but \(queued"):
+            state.check_invariants()
 
 
 def test_running_pods_have_valid_nodes_in_one_zone(state):

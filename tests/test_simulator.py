@@ -3,13 +3,14 @@ import dataclasses
 import pytest
 
 from fogsim.loadbalancer import chain_probabilities
+from fogsim import simulator
 from fogsim.scenarios import load_bundled
 from fogsim.simulator import (ArmSpec, EventKind, LbSettings, MonitorSettings,
                               NodeSettings, ScenarioConfig, TopologySpec,
                               WorkloadEvent, generate_requests,
                               inject_link_latency, request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec
-from fogsim.cluster import DependencyRef
+from fogsim.cluster import DependencyRef, PodInstance, Topology
 
 from conftest import UPLINKS, ZONES, make_topology
 
@@ -173,3 +174,30 @@ class TestLinkInjection:
         assert float(t) > 120.0
         final = {r[2]: r[4] for r in res.placements}
         assert final["app-0"] == "P4-A"
+
+
+@pytest.mark.parametrize("name", ["fig6-realtime", "fig7-monitor"])
+def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
+    dispatch = simulator._Run.dispatch
+    seen = set()
+
+    def checked(self, now, kind, payload, timeseries):
+        dispatch(self, now, kind, payload, timeseries)
+        self.state.check_invariants()
+        seen.add(kind)
+
+    monkeypatch.setattr(simulator._Run, "dispatch", checked)
+    results = run_scenario(load_bundled(name), profile="ci")
+    assert EventKind.SCHED in seen and results.placements
+    if name == "fig7-monitor":
+        assert EventKind.MONITOR in seen and results.evictions
+
+
+def test_scheduler_and_monitor_read_views_not_copies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("copied on the scheduling or monitor path")
+
+    monkeypatch.setattr(PodInstance, "copy", refuse)
+    monkeypatch.setattr(Topology, "copy", refuse)
+    results = run_scenario(load_bundled("fig7-monitor"), repetitions=1)
+    assert results.placements and results.evictions
