@@ -9,7 +9,8 @@ normalized score's share of requests.
 
 import random
 
-from fogsim import Topology, chain_probabilities, generate_requests, uniform_chain
+from fogsim import (Topology, chain_probabilities, request_rtt, select_replica,
+                    uniform_chain)
 
 ZONES = {"P1": ["P1-A", "P1-B"], "P2": ["P2-A", "P2-B"],
          "P3": ["P3-A", "P3-B"], "P4": ["P4-A", "P4-B"]}
@@ -25,6 +26,16 @@ def mean(values):
     return sum(values) / len(values)
 
 
+def issue(topology, chain, count, rng):
+    """(replica, rtt_ms) of `count` requests from P1-A through one chain."""
+    log = []
+    for _ in range(count):
+        replica = select_replica(chain, rng)
+        log.append((replica, request_rtt(topology, "P1-A", REPLICA_NODES[replica],
+                                         processing_delay_ms=0.005)))
+    return log
+
+
 def main():
     topology = Topology(ZONES, UPLINKS)
     chain = chain_probabilities(SCORES)
@@ -33,19 +44,16 @@ def main():
                                       chain.selection_probabilities):
         print(f"  {replica}: accept={accept:.3f} -> overall share {share:.3f}")
 
-    weighted = generate_requests(topology, "P1-A", REPLICA_NODES, rate_hz=10,
-                                 duration_s=1000, chain=chain,
-                                 rng=random.Random(42))
-    fair = generate_requests(topology, "P1-A", REPLICA_NODES, rate_hz=10,
-                             duration_s=1000, chain=uniform_chain(sorted(SCORES)),
-                             rng=random.Random(42))
+    # 10 requests per second for 1000 s
+    weighted = issue(topology, chain, 10_000, random.Random(42))
+    fair = issue(topology, uniform_chain(sorted(SCORES)), 10_000, random.Random(42))
 
     for label, log in (("weighted", weighted), ("uniform", fair)):
         counts = {}
-        for r in log:
-            counts[r.replica] = counts.get(r.replica, 0) + 1
+        for replica, _ in log:
+            counts[replica] = counts.get(replica, 0) + 1
         print(f"\n{label}: {len(log)} requests, "
-              f"mean rtt {mean([r.rtt_ms for r in log]):.3f} ms")
+              f"mean rtt {mean([rtt for _, rtt in log]):.3f} ms")
         for replica in sorted(REPLICA_NODES):
             print(f"  {replica} ({REPLICA_NODES[replica]}): {counts.get(replica, 0)}")
 

@@ -15,9 +15,8 @@ from .runtime import (RtPriorityManager, RuntimeDispatcher,
                       SimulatedProcessHost, rt_group_limits)
 from .scheduling import (Assigned, Preempted, SchedulerConfig, Unschedulable,
                          run_queue, schedule_one)
-from .simulator import (ArmSpec, ScenarioConfig, generate_requests,
-                        inject_link_latency, run_scenario)
-from .telemetry import (MetricSpec, MetricStore, ReplicaScoreBoard, normalize,
-                        path_latency, refresh_scoreboard)
+from .simulator import ArmSpec, ScenarioConfig, request_rtt, run_scenario
+from .telemetry import (MetricSpec, MetricStore, normalize, path_latency,
+                        refresh_scoreboard)
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 All mutation goes through :class:`ClusterState`, which keeps CPU allocation
 bookkeeping consistent with pod status transitions and caches the running
 pods and RT utilization per node.  The scheduler and the monitor's dry run
-read a :meth:`ClusterState.view`, which shares the live objects and caches
-and must not outlive the next mutation.  Anything held across mutations (the
-load-balancer refresh, tests, hashes) takes an isolated :meth:`snapshot`.
+and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
+the live objects and caches and must not outlive the next mutation.
+Anything held across mutations (tests, hashes) takes an isolated
+:meth:`snapshot`.
 """
 
 from __future__ import annotations
@@ -279,7 +280,6 @@ class ClusterState(_RunningIndex):
         self.queue: list[str] = []
         self.unschedulable: list[str] = []
         self.eviction_log: list[EvictionEvent] = []
-        self.version = 0
         # telemetry attachments, wired up by the simulator
         self.metric_store = None
         self.metric_specs: dict = {}
@@ -295,7 +295,6 @@ class ClusterState(_RunningIndex):
         if pod.status is PodStatus.PENDING:
             self.queue.append(pod.id)
         self._by_node, self._rt = None, {}
-        self.version += 1
 
     def add_pods(self, pods: Iterable[PodInstance]) -> None:
         for pod in pods:
@@ -314,7 +313,6 @@ class ClusterState(_RunningIndex):
         if pod_id in self.queue:
             self.queue.remove(pod_id)
         self._by_node, self._rt = None, {}
-        self.version += 1
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -328,7 +326,6 @@ class ClusterState(_RunningIndex):
         self.queue.append(pod_id)
         self.eviction_log.append(EvictionEvent(time, pod_id, node_id, target_node, reason))
         self._by_node, self._rt = None, {}
-        self.version += 1
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -339,20 +336,15 @@ class ClusterState(_RunningIndex):
             self.queue.remove(pod_id)
         if pod_id not in self.unschedulable:
             self.unschedulable.append(pod_id)
-        self.version += 1
 
     def reactivate_unschedulable(self) -> list[str]:
         """Give previously unschedulable pods another chance after the
         cluster changed (new placements, evictions, topology updates)."""
-        woken = []
-        for pod_id in self.unschedulable:
-            pod = self.pods[pod_id]
-            pod.status = PodStatus.PENDING
-            self.queue.append(pod_id)
-            woken.append(pod_id)
+        woken = list(self.unschedulable)
+        for pod_id in woken:
+            self.pods[pod_id].status = PodStatus.PENDING
+        self.queue.extend(woken)
         self.unschedulable.clear()
-        if woken:
-            self.version += 1
         return woken
 
     # -- views ---------------------------------------------------------------

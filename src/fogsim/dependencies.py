@@ -3,15 +3,20 @@
 For each dependency of a candidate pod, every running replica gets a quality
 score combining normalized latency (from the candidate node) and normalized
 application metrics.  The balancer sends each replica a share of requests
-equal to its normalized score, which we model as a Markov chain over the
-replicas whose stationary distribution gives the long-run request shares.
-The node score is then the dependency-weighted average of each dependency's
-expected per-request quality.
+equal to its normalized score.  The paper models this as a Markov chain over
+the replicas whose stationary distribution gives the long-run request
+shares; that chain is rank-1, so its stationary vector is the normalized
+score vector itself and a dependency's expected per-request quality is
+exactly sum(s^2) / sum(s).  :func:`score_dependencies` uses that closed form;
+:func:`markov_matrix` and :func:`stationary_distribution` stay as the stated
+mechanism and the oracle the closed form is tested against.  The node score
+is the dependency-weighted average of each dependency's expected quality.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Iterable
 
 import numpy as np
 
@@ -78,6 +83,14 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"power iteration did not converge (residual {residual:.3e})")
 
 
+def expected_quality(scores: Iterable[float]) -> float:
+    """Mean score of the replica a request lands on when each replica gets
+    its normalized share: sum(s^2) / sum(s), and 0 when every score is 0."""
+    scores = list(scores)
+    total = sum(scores)
+    return sum(s * s for s in scores) / total if total > 0 else 0.0
+
+
 def replica_scores(pod: PodInstance, node_id: str, dep: DependencyRef,
                    snapshot: ClusterSnapshot) -> dict[str, float]:
     """Quality score in [0, 1] for each running replica of one dependency.
@@ -127,11 +140,7 @@ def score_dependencies(pod: PodInstance, node_id: str,
             log.warning("dependency %s of %s has no running replicas",
                         dep.target_service, pod.id)
             continue
-        ordered = sorted(per_replica)
-        scores = [per_replica[r] for r in ordered]
-        pi = stationary_distribution(markov_matrix(scores))
-        avg_score = float(pi @ np.asarray(scores))
-        node_score += avg_score * weight
+        node_score += expected_quality(per_replica.values()) * weight
     return min(max(node_score, 0.0), 1.0)
 
 

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .telemetry import (MetricStore, ReplicaScoreBoard, path_latency,
-                        refresh_scoreboard)
+from .telemetry import MetricStore, path_latency, refresh_scoreboard
 
 POLICY_WEIGHTED = "weighted"
 POLICY_UNIFORM = "uniform"
@@ -91,48 +90,40 @@ def uniform_chain(replicas: Sequence[str], now: float = 0.0) -> RuleChain:
 class LoadBalancer:
     """Per-client-node balancer.
 
-    Each refresh cycle pulls the service's replica scores (recomputed from
-    this client's vantage point into its own score board, then read back
-    in one lookup) and rebuilds the rule chains.  Chains are immutable;
-    request handling always sees either the old or the new chain, never a
-    partial one.
+    Each refresh cycle recomputes every service's replica scores from this
+    client's vantage point and rebuilds the rule chains, which are the one
+    record of the refresh.  Chains are immutable; request handling always
+    sees either the old or the new chain, never a partial one.
     """
 
     def __init__(self, client_node: str, policy: str = POLICY_WEIGHTED,
-                 refresh_period_s: float = 30.0, staleness_s: float = 90.0):
+                 staleness_s: float = 90.0):
         if policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
             raise ValueError(f"unknown balancing policy: {policy}")
         self.client_node = client_node
         self.policy = policy
-        self.refresh_period_s = refresh_period_s
         self.staleness_s = staleness_s
-        self.board = ReplicaScoreBoard()
         self.chains: dict[str, RuleChain] = {}
 
-    def refresh(self, snapshot, now: float) -> dict[str, RuleChain]:
-        """Rebuild every service's chain from the current cluster snapshot."""
-        services = sorted({p.service for p in snapshot.pods.values()})
-        store = MetricStore.from_view(snapshot.metrics_view)
-        for service in services:
+    def refresh(self, view, now: float) -> None:
+        """Rebuild every service's chain from the current cluster view; a
+        service without running replicas gets no chain."""
+        store = MetricStore.from_view(view.metrics_view)
+        chains = {}
+        for service in sorted({p.service for p in view.pods.values()}):
             replica_nodes = {p.id: p.assignment
-                             for p in snapshot.running_of_service(service)}
+                             for p in view.running_of_service(service)}
             if not replica_nodes:
-                self.board.remove(service)
-                self.chains.pop(service, None)
                 continue
             if self.policy == POLICY_UNIFORM:
-                self.chains[service] = uniform_chain(sorted(replica_nodes), now)
+                chains[service] = uniform_chain(sorted(replica_nodes), now)
                 continue
-            entry = refresh_scoreboard(
-                self.board, service, replica_nodes,
-                lambda node: path_latency(snapshot.topology, self.client_node, node),
-                store, snapshot.metric_specs.get(service), now, self.staleness_s)
-            self.chains[service] = chain_probabilities(entry.scores, now)
-        for service in list(self.chains):
-            if service not in services:
-                self.chains.pop(service)
-                self.board.remove(service)
-        return dict(self.chains)
+            scores = refresh_scoreboard(
+                service, replica_nodes,
+                lambda node: path_latency(view.topology, self.client_node, node),
+                store, view.metric_specs.get(service), now, self.staleness_s)
+            chains[service] = chain_probabilities(scores, now)
+        self.chains = chains
 
     def chain_for(self, service: str) -> Optional[RuleChain]:
         return self.chains.get(service)

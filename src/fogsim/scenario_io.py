@@ -119,13 +119,16 @@ def _parse_arm(name: str, section) -> ArmSpec:
                    lb_policy=section.get("lb_policy", "weighted"))
 
 
+REQUEST_KEYS = ("client", "service", "rate_hz", "count")
+ARITY = {"pin": 2, "metric": 3, "link": 2}
+
+
 def _parse_workload_line(line: str) -> WorkloadEvent:
+    """One directive's event; any malformed field raises ValueError."""
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != "at":
-        raise ScenarioParseError(f"workload line must start with 'at <t>': {line!r}")
-    at = float(tokens[1])
-    action = tokens[2]
-    rest = tokens[3:]
+        raise ValueError("must start with 'at <t>'")
+    at, action, rest = float(tokens[1]), tokens[2], tokens[3:]
     if action == "deploy":
         using = None
         names = []
@@ -135,23 +138,40 @@ def _parse_workload_line(line: str) -> WorkloadEvent:
             else:
                 names.append(tok)
         if not names:
-            raise ScenarioParseError(f"deploy needs at least one service: {line!r}")
+            raise ValueError("deploy needs at least one service")
         return WorkloadEvent(at, "deploy", (tuple(names), using))
+    if action == "requests":
+        kwargs = _tokens_to_kwargs(rest)
+        if sorted(kwargs) != sorted(REQUEST_KEYS):
+            raise ValueError("requests takes " + " ".join(f"{k}=" for k in REQUEST_KEYS))
+        return WorkloadEvent(at, "requests", (kwargs["client"], kwargs["service"],
+                                              float(kwargs["rate_hz"]),
+                                              int(kwargs["count"])))
+    if action not in ARITY:
+        raise ValueError(f"unknown workload action: {action}")
+    if len(rest) != ARITY[action]:
+        raise ValueError(f"{action} takes {ARITY[action]} arguments, got {len(rest)}")
     if action == "pin":
         return WorkloadEvent(at, "pin", (rest[0], rest[1]))
     if action == "metric":
         return WorkloadEvent(at, "metric", (rest[0], rest[1], float(rest[2])))
-    if action == "requests":
-        kwargs = _tokens_to_kwargs(rest)
-        return WorkloadEvent(at, "requests", (kwargs["client"], kwargs["service"],
-                                              float(kwargs["rate_hz"]),
-                                              int(kwargs["count"])))
-    if action == "link":
-        return WorkloadEvent(at, "link", (rest[0], float(rest[1])))
-    raise ScenarioParseError(f"unknown workload action: {action}")
+    return WorkloadEvent(at, "link", (rest[0], float(rest[1])))
 
 
 def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
+    """Parse and validate a scenario; any malformed or inconsistent input
+    raises ScenarioParseError."""
+    try:
+        return _parse_scenario(text, name_hint)
+    except ScenarioParseError:
+        raise
+    except KeyError as exc:
+        raise ScenarioParseError(f"missing field {exc}") from None
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc)) from None
+
+
+def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # zone and node names are case-sensitive
     try:
@@ -221,9 +241,13 @@ def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
                         processing_delay_ms=sect.getfloat("processing_delay_ms", 0.005),
                         staleness_periods=sect.getint("staleness_periods", 3))
 
-    workload = tuple(_parse_workload_line(line)
-                     for line in parser["workload"].get("events", "").splitlines()
-                     if line.strip())
+    workload = []
+    for line in parser["workload"].get("events", "").splitlines():
+        if line.strip():
+            try:
+                workload.append(_parse_workload_line(line))
+            except ValueError as exc:
+                raise ScenarioParseError(f"workload line {line.strip()!r}: {exc}") from None
 
     config = ScenarioConfig(
         name=meta.get("name", name_hint or "scenario"),
@@ -235,7 +259,7 @@ def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
         sample_period_s=meta.getfloat("sample_period_s", 0.0),
         topology=topology, nodes=nodes, services=tuple(services),
         arms=tuple(arms), named_configs=tuple(named),
-        monitor=monitor, lb=lb, workload=workload)
+        monitor=monitor, lb=lb, workload=tuple(workload))
     problems = config.validate()
     if problems:
         raise ScenarioParseError("; ".join(problems))

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 from .cluster import ClusterState, Node, PodStatus, Topology
 from .fogservice import FogServiceSpec, expand
-from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, RuleChain, select_replica
+from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
@@ -118,6 +118,8 @@ class ScenarioConfig:
         problems = []
         if self.duration_s <= 0:
             problems.append("duration_s must be positive")
+        if not (self.monitor.loop_period_s > 0 and self.lb.refresh_period_s > 0):
+            problems.append("loop_period_s and refresh_period_s must be positive")
         if self.repetitions < 1 or self.ci_repetitions < 1:
             problems.append("repetitions must be >= 1")
         if not self.arms:
@@ -132,6 +134,34 @@ class ScenarioConfig:
             self.topology.build()
         except (ValueError, KeyError) as exc:
             problems.append(f"topology: {exc}")
+        return problems + self._workload_problems(set(service_names))
+
+    def _workload_problems(self, services: set[str]) -> list[str]:
+        """Names in the workload script that nothing defines, and request
+        streams that would issue nothing or divide by a zero rate."""
+        configs = {a.name for a in (*self.arms, *self.named_configs)}
+        nodes = {n for zone in self.topology.zones.values() for n in zone}
+        problems = []
+        for e in self.workload:
+            where = f"at {e.at:g} {e.action}"
+            if e.action == "deploy":
+                names, using = e.args
+                problems += [f"{where}: unknown service {n!r}"
+                             for n in names if n not in services]
+                if using is not None and using not in configs:
+                    problems.append(f"{where}: unknown config {using!r}")
+            elif e.action == "pin" and e.args[1] not in nodes:
+                problems.append(f"{where}: unknown node {e.args[1]!r}")
+            elif e.action == "link" and e.args[0] not in self.topology.zones:
+                problems.append(f"{where}: unknown zone {e.args[0]!r}")
+            elif e.action == "requests":
+                client, service, rate_hz, count = e.args
+                if client not in nodes:
+                    problems.append(f"{where}: unknown client node {client!r}")
+                if service not in services:
+                    problems.append(f"{where}: unknown service {service!r}")
+                if not (rate_hz > 0 and count > 0):
+                    problems.append(f"{where}: rate_hz and count must be positive")
         return problems
 
 
@@ -180,32 +210,6 @@ class RequestRecord:
     rtt_ms: float
 
 
-def generate_requests(topology: Topology, client_node: str,
-                      replica_nodes: Mapping[str, str], rate_hz: float,
-                      duration_s: float, chain: RuleChain, rng: random.Random,
-                      processing_delay_ms: float = 0.005,
-                      start: float = 0.0) -> list[RequestRecord]:
-    """Issue one request every 1/rate_hz against a fixed rule chain."""
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    count = int(round(rate_hz * duration_s))
-    records = []
-    for i in range(count):
-        t = start + i / rate_hz
-        replica = select_replica(chain, rng)
-        node = replica_nodes[replica]
-        records.append(RequestRecord(t, client_node, "-", replica, node,
-                                     request_rtt(topology, client_node, node,
-                                                 processing_delay_ms)))
-    return records
-
-
-def inject_link_latency(topology: Topology, link: str, latency_ms: float) -> Topology:
-    """Point a zone's core-switch uplink at a new one-way latency."""
-    topology.set_uplink(link, latency_ms)
-    return topology
-
-
 class _Run:
     """One (arm, repetition) execution of a scenario."""
 
@@ -235,8 +239,8 @@ class _Run:
         for event in config.workload:
             if event.action == "requests":
                 client = event.args[0]
-                self.balancers.setdefault(client, LoadBalancer(
-                    client, arm.lb_policy, config.lb.refresh_period_s, staleness))
+                self.balancers.setdefault(
+                    client, LoadBalancer(client, arm.lb_policy, staleness))
         self.heap: list = []
         self.seq = 0
         self.requests: list[RequestRecord] = []
@@ -302,9 +306,9 @@ class _Run:
         elif kind == EventKind.LB_REFRESH:
             for (service, pod_id), value in self.static_metrics.items():
                 self.state.metric_store.ingest(service, pod_id, value, now)
-            snapshot = self.state.snapshot(now=now)
+            view = self.state.view(now=now)
             for client in sorted(self.balancers):
-                self.balancers[client].refresh(snapshot, now)
+                self.balancers[client].refresh(view, now)
         elif kind == EventKind.REQUEST:
             self.handle_request(now, payload)
         elif kind == EventKind.SAMPLE:
@@ -326,11 +330,8 @@ class _Run:
 
     def handle_request(self, now: float, payload) -> None:
         if isinstance(payload, WorkloadEvent):
-            client, service, rate_hz, count = payload.args
-            payload = (client, service, float(rate_hz), int(count))
+            payload = payload.args
         client, service, rate_hz, remaining = payload
-        if remaining <= 0:
-            return
         balancer = self.balancers[client]
         chain = balancer.chain_for(service)
         if chain is not None:

@@ -1,8 +1,7 @@
-"""Latency view, application metric store, and the per-service score board."""
+"""Latency paths, application metric store, and replica scoring."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -116,59 +115,20 @@ def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],
     return {pod: norm.get(pod, 0.0) for pod in replicas}
 
 
-@dataclass(frozen=True)
-class ScoreboardEntry:
-    scores: Mapping[str, float]
-    refreshed_at: float
-
-
-class ReplicaScoreBoard:
-    """Per-service normalized replica scores, refreshed periodically."""
-
-    def __init__(self):
-        self._entries: dict[str, ScoreboardEntry] = {}
-
-    def get(self, service: str) -> Optional[ScoreboardEntry]:
-        return self._entries.get(service)
-
-    def remove(self, service: str) -> None:
-        self._entries.pop(service, None)
-
-    def services(self) -> list[str]:
-        return sorted(self._entries)
-
-    def put(self, service: str, scores: Mapping[str, float], now: float) -> ScoreboardEntry:
-        entry = ScoreboardEntry(dict(scores), now)
-        self._entries[service] = entry
-        return entry
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["service", "pod", "score", "timestamp"])
-            for service in self.services():
-                entry = self._entries[service]
-                for pod in sorted(entry.scores):
-                    writer.writerow([service, pod, repr(entry.scores[pod]),
-                                     repr(entry.refreshed_at)])
-
-
-def refresh_scoreboard(board: ReplicaScoreBoard, service: str,
-                       replica_nodes: Mapping[str, str],
+def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],
                        latency_of: Callable[[str], float],
                        store: MetricStore, spec: Optional[MetricSpec],
-                       now: float, staleness_s: float = 90.0) -> Optional[ScoreboardEntry]:
+                       now: float, staleness_s: float = 90.0) -> Optional[dict[str, float]]:
     """Recompute one service's replica scores from a reference point.
 
     `replica_nodes` maps the service's running replicas to their nodes and
     `latency_of` gives the one-way latency from the reference point to a
     node.  Scores combine the normalized metric and latency values with the
     service's configured weights; with no metric configured the score is the
-    latency component alone.  A service without running replicas is dropped
-    from the board.
+    latency component alone.  Returns None for a service without running
+    replicas.
     """
     if not replica_nodes:
-        board.remove(service)
         return None
     replicas = sorted(replica_nodes)
     lat = normalize({pod: latency_of(replica_nodes[pod]) for pod in replicas},
@@ -180,5 +140,4 @@ def refresh_scoreboard(board: ReplicaScoreBoard, service: str,
         mv = metric_scores(store.service_samples(service), replicas,
                            spec.direction, now, staleness_s)
         mw, lw = spec.metric_weight, spec.latency_weight
-    scores = {pod: mv[pod] * mw + lat[pod] * lw for pod in replicas}
-    return board.put(service, scores, now)
+    return {pod: mv[pod] * mw + lat[pod] * lw for pod in replicas}

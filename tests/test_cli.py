@@ -55,6 +55,71 @@ class TestRun:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+MALFORMED_BASE = """
+[scenario]
+name = malformed
+duration_s = 5
+
+[topology]
+zone.A = a1 a2
+zone.B = b1
+uplink.A = 0.5
+uplink.B = 1.5
+
+[service web]
+replicas = 2
+
+[arm custom]
+plugins = baseline:1.0
+
+[workload]
+events =
+    at 0 deploy web
+    {line}
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "at 1 pin web-0",
+    "at 1 link A",
+    "at 1 metric web web-0 abc",
+    "at soon deploy web",
+    "at 1 requests client=a1 service=web rate_hz=fast count=10",
+    "at 1 requests client=a1 service=web rate_hz=5 count=ten",
+    "at 1 requests client=a1 service=web rate_hz=5",
+    "at 0 deploy nosuch",
+    "at 0 deploy web using=nosuch",
+    "at 0 pin web-0 Z9",
+    "at 1 link P9 1.0",
+    "at 1 requests client=Z service=web rate_hz=5 count=10",
+    "at 1 requests client=a1 service=nosuch rate_hz=5 count=10",
+    "at 1 requests client=a1 service=web rate_hz=0 count=10",
+    "at 1 requests client=a1 service=web rate_hz=5 count=0",
+])
+def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line=line))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert " ".join(line.split()[:3]) in err  # names the offending directive
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("duration_s = 5", "duration_s = soon"),
+    ("uplink.B = 1.5", "uplink.B = far"),
+    ("replicas = 2", "replicas = two"),
+    ("replicas = 2", "replicas = 2\nrt_processes =\n    deadline period_us=1000"),
+])
+def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="").replace(field, bad))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 class TestReport:
     def test_report_after_run(self, tmp_path, capsys):
         out = tmp_path / "results"

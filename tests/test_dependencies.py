@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogsim.cluster import DependencyRef, PodInstance
-from fogsim.dependencies import (markov_matrix, replica_scores,
+from fogsim.dependencies import (expected_quality, markov_matrix, replica_scores,
                                  score_dependencies, stationary_distribution)
 from fogsim.loadbalancer import chain_probabilities
 from fogsim.telemetry import LOWER_IS_BETTER, MetricSpec, MetricStore
@@ -98,6 +98,35 @@ class TestStationaryDistribution:
             pi = stationary_distribution(markov_matrix(scores))
             expected = np.array(scores) / sum(scores)
             assert np.max(np.abs(pi - expected)) < 1e-6
+
+
+class TestExpectedQuality:
+    def test_closed_form_matches_stationary_oracle(self):
+        rng = random.Random(11)
+        vectors = [[0.0] * 3, [0.0], [1.0]]
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            vectors.append([0.0 if rng.random() < 0.3 else rng.random()
+                            for _ in range(n)])
+        for scores in vectors:
+            oracle = float(stationary_distribution(markov_matrix(scores))
+                           @ np.asarray(scores))
+            # the oracle smooths zero entries with 1e-9
+            assert expected_quality(scores) == pytest.approx(oracle, abs=1e-8)
+
+    def test_all_zero_scores_give_zero(self):
+        assert expected_quality([0.0, 0.0]) == 0.0
+
+    def test_table_fixture_node_scores_match_oracle(self):
+        state, candidate, dep = table_fixture()
+        snap = state.snapshot(now=1.0)
+        for node in snap.nodes:
+            per_replica = replica_scores(candidate, node, dep, snap)
+            scores = [per_replica[r] for r in sorted(per_replica)]
+            oracle = float(stationary_distribution(markov_matrix(scores))
+                           @ np.asarray(scores))
+            assert score_dependencies(candidate, node, snap) == pytest.approx(
+                oracle, abs=1e-8)
 
 
 class TestReplicaScores:

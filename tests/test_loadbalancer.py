@@ -154,7 +154,7 @@ class TestLoadBalancerRefresh:
         assert balancer.chain_for("svc") is not None
         balancer.refresh(FakeSnapshot({"svc": {}}, topology), 30.0)
         assert balancer.chain_for("svc") is None
-        assert balancer.board.get("svc") is None
+        assert balancer.chains == {}
 
     def test_uniform_policy_ignores_scores(self, topology):
         balancer = LoadBalancer("P1-A", policy=POLICY_UNIFORM)

@@ -103,6 +103,13 @@ class TestParse:
         with pytest.raises(ScenarioParseError, match="workload line"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("setting", ["refresh_period_s = 15", "loop_period_s = 5"])
+    def test_zero_period_rejected(self, setting):
+        # a zero period would schedule periodic events forever
+        bad = MINIMAL.replace(setting, setting.split("=")[0] + "= 0")
+        with pytest.raises(ScenarioParseError, match="must be positive"):
+            parse_scenario(bad)
+
     def test_unknown_action(self):
         bad = MINIMAL.replace("at 3 link A 2.0", "at 3 reboot A")
         with pytest.raises(ScenarioParseError, match="unknown workload action"):

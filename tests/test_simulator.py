@@ -2,13 +2,11 @@ import dataclasses
 
 import pytest
 
-from fogsim.loadbalancer import chain_probabilities
 from fogsim import simulator
 from fogsim.scenarios import load_bundled
 from fogsim.simulator import (ArmSpec, EventKind, LbSettings, MonitorSettings,
                               NodeSettings, ScenarioConfig, TopologySpec,
-                              WorkloadEvent, generate_requests,
-                              inject_link_latency, request_rtt, run_scenario)
+                              WorkloadEvent, request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec
 from fogsim.cluster import DependencyRef, PodInstance, Topology
 
@@ -88,13 +86,19 @@ class TestEventOrdering:
         assert len([r for r in res.placements if int(r[1]) == 0]) == 6
 
 
+def request_scenario(rate_hz: float, count: int) -> ScenarioConfig:
+    return small_scenario(
+        workload=(WorkloadEvent(0.0, "deploy", (("web",), None)),
+                  WorkloadEvent(1.0, "requests", ("P1-A", "web", rate_hz, count))),
+        duration_s=1000.0, repetitions=1, ci_repetitions=1)
+
+
 class TestRequests:
-    def test_rate_times_duration(self, topology):
-        chain = chain_probabilities({"r0": 1.0})
-        records = generate_requests(topology, "P1-A", {"r0": "P1-A"},
-                                    rate_hz=10.0, duration_s=1000.0,
-                                    chain=chain, rng=__import__("random").Random(1))
-        assert len(records) == 10_000
+    def test_rate_times_duration(self):
+        res = run_scenario(request_scenario(rate_hz=10.0, count=9000))
+        times = [float(r[2]) for r in res.requests]
+        assert len(times) == 9000
+        assert times[0] == 1.0 and times[-1] == pytest.approx(900.9)
 
     def test_same_node_rtt_close_to_calibration(self, topology):
         rtt = request_rtt(topology, "P1-A", "P1-A", processing_delay_ms=0.005)
@@ -106,33 +110,33 @@ class TestRequests:
         assert rtt == pytest.approx(2 * (0.5 + 1.2) + 0.005)
         assert abs(rtt - 3.578) < 0.2
 
-    def test_zero_rate_rejected(self, topology):
-        chain = chain_probabilities({"r0": 1.0})
+    def test_zero_rate_rejected(self):
+        cfg = request_scenario(rate_hz=0.0, count=10)
+        assert cfg.validate() == ["at 1 requests: rate_hz and count must be positive"]
         with pytest.raises(ValueError):
-            generate_requests(topology, "P1-A", {"r0": "P1-A"}, 0.0, 10.0,
-                              chain, __import__("random").Random(1))
+            run_scenario(cfg)
 
 
 class TestLinkInjection:
     def test_uplink_change_reflected_in_paths(self):
         from fogsim.telemetry import path_latency
         topology = make_topology()
-        inject_link_latency(topology, "P2", 0.8)
+        topology.set_uplink("P2", 0.8)
         assert path_latency(topology, "P1-A", "P2-A") == pytest.approx(1.3)
-        inject_link_latency(topology, "P2", 2.0)
+        topology.set_uplink("P2", 2.0)
         assert path_latency(topology, "P1-A", "P2-A") == pytest.approx(2.5)
 
     def test_zero_latency_collapses_to_hop_bases(self):
         from fogsim.telemetry import path_latency
         topology = make_topology()
-        inject_link_latency(topology, "P1", 0.0)
-        inject_link_latency(topology, "P2", 0.0)
+        topology.set_uplink("P1", 0.0)
+        topology.set_uplink("P2", 0.0)
         assert path_latency(topology, "P1-A", "P2-A") == 0.0
 
     def test_unknown_link_rejected(self):
         topology = make_topology()
         with pytest.raises(KeyError):
-            inject_link_latency(topology, "P9", 1.0)
+            topology.set_uplink("P9", 1.0)
 
     def test_mid_run_change_triggers_monitor_migration(self):
         # An app depends on a service with replicas pinned on two capacity-

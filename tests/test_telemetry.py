@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fogsim.telemetry import (HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSpec,
-                              MetricStore, ReplicaScoreBoard, metric_scores,
-                              normalize, path_latency, refresh_scoreboard)
+                              MetricStore, metric_scores, normalize,
+                              path_latency, refresh_scoreboard)
 
 
 
@@ -82,56 +82,36 @@ class TestMetricStore:
 
 
 class TestScoreboard:
-    def entry(self, mv, lv, mw, lw, now=0.0):
-        board = ReplicaScoreBoard()
+    def scores(self, mv, lv, mw, lw, now=0.0):
         store = MetricStore()
         # invert lower-is-better inputs so the normalized values equal mv
         for pod, value in mv.items():
             store.ingest("svc", pod, value, now)
         spec = MetricSpec("m", HIGHER_IS_BETTER, metric_weight=mw, latency_weight=lw)
         nodes = {pod: pod for pod in mv}
-        return refresh_scoreboard(board, "svc", nodes, lv.get, store, spec, now), board
+        return refresh_scoreboard("svc", nodes, lv.get, store, spec, now)
 
     def test_endpoint_scores(self):
-        entry, _ = self.entry(mv={"a": 1.0, "b": 0.0}, lv={"a": 0.0, "b": 1.0},
-                              mw=0.5, lw=0.5)
-        assert entry.scores == {"a": 1.0, "b": 0.0}
+        scores = self.scores(mv={"a": 1.0, "b": 0.0}, lv={"a": 0.0, "b": 1.0},
+                             mw=0.5, lw=0.5)
+        assert scores == {"a": 1.0, "b": 0.0}
 
     def test_direct_formula(self):
         # mv 0.6 and lv 0.2 after normalization, weights 0.75/0.25 -> 0.5
-        entry, _ = self.entry(mv={"a": 0.6, "b": 0.0, "c": 1.0},
-                              lv={"a": 0.8, "b": 0.0, "c": 1.0}, mw=0.75, lw=0.25)
-        assert entry.scores["a"] == pytest.approx(0.75 * 0.6 + 0.25 * 0.2)
+        scores = self.scores(mv={"a": 0.6, "b": 0.0, "c": 1.0},
+                             lv={"a": 0.8, "b": 0.0, "c": 1.0}, mw=0.75, lw=0.25)
+        assert scores["a"] == pytest.approx(0.75 * 0.6 + 0.25 * 0.2)
 
-    def test_no_replicas_removes_entry(self):
-        board = ReplicaScoreBoard()
-        board.put("svc", {"a": 1.0}, 0.0)
-        out = refresh_scoreboard(board, "svc", {}, lambda n: 0.0,
-                                 MetricStore(), None, 1.0)
-        assert out is None and board.get("svc") is None
+    def test_no_replicas_returns_none(self):
+        assert refresh_scoreboard("svc", {}, lambda n: 0.0,
+                                  MetricStore(), None, 1.0) is None
 
     def test_refresh_idempotent(self):
-        entry1, board = self.entry(mv={"a": 1.0, "b": 0.5}, lv={"a": 0.0, "b": 1.0},
-                                   mw=0.5, lw=0.5)
-        store = MetricStore()
-        store.ingest("svc", "a", 1.0, 0.0)
-        store.ingest("svc", "b", 0.5, 0.0)
-        spec = MetricSpec("m", HIGHER_IS_BETTER, 0.5, 0.5)
-        entry2 = refresh_scoreboard(board, "svc", {"a": "a", "b": "b"},
-                                    {"a": 0.0, "b": 1.0}.get, store, spec, 0.0)
-        assert entry2.scores == entry1.scores
+        args = dict(mv={"a": 1.0, "b": 0.5}, lv={"a": 0.0, "b": 1.0}, mw=0.5, lw=0.5)
+        assert self.scores(**args) == self.scores(**args)
 
     def test_scores_cover_running_replicas_in_unit_range(self):
-        entry, _ = self.entry(mv={"a": 3.0, "b": 7.0, "c": 5.0},
-                              lv={"a": 0.1, "b": 0.5, "c": 0.9}, mw=0.4, lw=0.6)
-        assert set(entry.scores) == {"a", "b", "c"}
-        assert all(0.0 <= s <= 1.0 for s in entry.scores.values())
-
-    def test_csv_dump(self, tmp_path):
-        _, board = self.entry(mv={"a": 1.0, "b": 0.0}, lv={"a": 1.0, "b": 0.0},
-                              mw=0.5, lw=0.5)
-        path = tmp_path / "scores.csv"
-        board.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "service,pod,score,timestamp"
-        assert len(lines) == 3
+        scores = self.scores(mv={"a": 3.0, "b": 7.0, "c": 5.0},
+                             lv={"a": 0.1, "b": 0.5, "c": 0.9}, mw=0.4, lw=0.6)
+        assert set(scores) == {"a", "b", "c"}
+        assert all(0.0 <= s <= 1.0 for s in scores.values())
