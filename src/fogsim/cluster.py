@@ -1,21 +1,25 @@
 """Cluster world model: nodes, star topology, pods, placements, snapshots.
 
 All mutation goes through :class:`ClusterState`, which keeps CPU allocation
-bookkeeping consistent with pod status transitions and caches the running
-pods and RT utilization per node.  The scheduler and the monitor's dry run
+bookkeeping consistent with pod status transitions and indexes the running
+pods per node and per service.  Each placement or eviction updates that
+index in place, touching only its own node's and service's lists, and drops
+only its node's cached RT utilization.  The scheduler, the monitor's dry run
 and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
-the live objects and caches and must not outlive the next mutation.
-Anything held across mutations (tests, hashes) takes an isolated
-:meth:`snapshot`.
+the live objects and index lists, so a view and any list it or the state
+hands out are invalid after the next mutation.  Anything held across
+mutations (tests, hashes) takes an isolated :meth:`snapshot`.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 DEFAULT_CORES = 4
@@ -198,18 +202,27 @@ class EvictionEvent:
     reason: str
 
 
+_pod_id = attrgetter("id")
+
+
 class _RunningIndex:
-    """Running pods per node and their RT utilization, memoized in `pods`
-    order, so a memo has the float bits of a fresh sum.  Subclasses set
-    `nodes`, `pods`, `_by_node` and `_rt`; callers must not mutate lists."""
+    """Running pods per node in `pods` order and per service in id order,
+    with each node's RT utilization memoized as a sum in list order, so a
+    memo has the float bits of a fresh sum.  Subclasses set `nodes`, `pods`,
+    `_by_node`, `_by_service` and `_rt`; a None index is built from `pods`
+    on first use.  Callers must not mutate the lists."""
 
     def _node_index(self) -> dict[str, list[PodInstance]]:
         if self._by_node is None:
-            index = {n: [] for n in self.nodes}
+            by_node = {n: [] for n in self.nodes}
+            by_service = {}
             for pod in self.pods.values():
                 if pod.status is PodStatus.RUNNING:
-                    index[pod.assignment].append(pod)
-            self._by_node = index
+                    by_node[pod.assignment].append(pod)
+                    by_service.setdefault(pod.service, []).append(pod)
+            for pods in by_service.values():
+                pods.sort(key=_pod_id)
+            self._by_node, self._by_service = by_node, by_service
         return self._by_node
 
     def running_on(self, node_id: str) -> list[PodInstance]:
@@ -225,9 +238,8 @@ class _RunningIndex:
         return total
 
     def running_of_service(self, service: str) -> list[PodInstance]:
-        pods = [p for p in self.pods.values()
-                if p.status is PodStatus.RUNNING and p.service == service]
-        return sorted(pods, key=lambda p: p.id)
+        self._node_index()
+        return self._by_service.get(service, [])
 
     def to_text(self) -> str:
         return _state_text(self.topology, self.nodes, self.pods, self.now)
@@ -241,7 +253,8 @@ class ClusterSnapshot(_RunningIndex):
     :meth:`ClusterState.snapshot` or a live view from :meth:`ClusterState.view`."""
 
     def __init__(self, nodes, topology, pods, allocated_m, queue, now,
-                 metrics_view=None, metric_specs=None, by_node=None, rt=None):
+                 metrics_view=None, metric_specs=None, by_node=None,
+                 by_service=None, rt=None):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
@@ -251,6 +264,7 @@ class ClusterSnapshot(_RunningIndex):
         self.metrics_view = metrics_view or {}
         self.metric_specs = metric_specs or {}
         self._by_node: Optional[dict[str, list[PodInstance]]] = by_node
+        self._by_service: Optional[dict[str, list[PodInstance]]] = by_service
         self._rt: dict[str, RtUtilization] = {} if rt is None else rt
 
     def pod_counts(self) -> dict[str, int]:
@@ -283,18 +297,20 @@ class ClusterState(_RunningIndex):
         # telemetry attachments, wired up by the simulator
         self.metric_store = None
         self.metric_specs: dict = {}
-        self._by_node: Optional[dict[str, list[PodInstance]]] = None
+        self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
+        self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, RtUtilization] = {}
+        self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
 
     # -- pod lifecycle -----------------------------------------------------
 
     def add_pod(self, pod: PodInstance) -> None:
         if pod.id in self.pods:
             raise ValueError(f"duplicate pod id {pod.id}")
+        self._ordinal[pod.id] = len(self.pods)
         self.pods[pod.id] = pod
         if pod.status is PodStatus.PENDING:
             self.queue.append(pod.id)
-        self._by_node, self._rt = None, {}
 
     def add_pods(self, pods: Iterable[PodInstance]) -> None:
         for pod in pods:
@@ -312,7 +328,9 @@ class ClusterState(_RunningIndex):
         self.allocated_m[node_id] += pod.cpu_request
         if pod_id in self.queue:
             self.queue.remove(pod_id)
-        self._by_node, self._rt = None, {}
+        insort(self._by_node[node_id], pod, key=self._ordinal_of)
+        insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
+        self._rt.pop(node_id, None)
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -325,7 +343,10 @@ class ClusterState(_RunningIndex):
         pod.assignment = None
         self.queue.append(pod_id)
         self.eviction_log.append(EvictionEvent(time, pod_id, node_id, target_node, reason))
-        self._by_node, self._rt = None, {}
+        for pods, key in ((self._by_node[node_id], self._ordinal_of),
+                          (self._by_service[pod.service], _pod_id)):
+            del pods[bisect_left(pods, key(pod), key=key)]
+        self._rt.pop(node_id, None)
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -350,10 +371,12 @@ class ClusterState(_RunningIndex):
     # -- views ---------------------------------------------------------------
 
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Snapshot sharing this state's objects and caches, valid until the
-        next mutation.  Only the excluded pod's node gets its own index
-        entry and RT sum; its CPU is released by integer subtraction."""
-        index, rt = self._node_index(), self._rt
+        """Snapshot sharing this state's objects, index lists and RT sums.
+        Mutations update those lists in place, so the view is invalid after
+        the next one.  Only the excluded pod's node and service get their
+        own lists, and its node its own RT sum; its CPU is released by
+        integer subtraction."""
+        by_node, by_service, rt = self._by_node, self._by_service, self._rt
         for node_id in self.nodes:
             self.rt_utilization(node_id)
         pods, allocated = self.pods, dict(self.allocated_m)
@@ -362,14 +385,16 @@ class ClusterState(_RunningIndex):
             pods = dict(pods)
             del pods[exclude]
             if pod.status is PodStatus.RUNNING:
-                node_id = pod.assignment
+                node_id, service = pod.assignment, pod.service
                 allocated[node_id] -= pod.cpu_request
-                index = {**index, node_id: [p for p in index[node_id] if p is not pod]}
+                by_node = {**by_node, node_id: [p for p in by_node[node_id] if p is not pod]}
+                by_service = {**by_service,
+                              service: [p for p in by_service[service] if p is not pod]}
                 rt = {n: u for n, u in rt.items() if n != node_id}
         queue = tuple(p for p in self.queue if p != exclude)
         metrics_view = self.metric_store.view() if self.metric_store is not None else {}
         return ClusterSnapshot(self.nodes, self.topology, pods, allocated, queue, now,
-                               metrics_view, self.metric_specs, index, rt)
+                               metrics_view, self.metric_specs, by_node, by_service, rt)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """Like :meth:`view`, but copies pods, nodes and topology, so later
@@ -381,8 +406,9 @@ class ClusterState(_RunningIndex):
                                view.queue, now, view.metrics_view, dict(self.metric_specs))
 
     def check_invariants(self) -> None:
-        """Raise AssertionError unless the allocation map, the caches, the
-        queue and pod statuses agree with a recount from `pods`."""
+        """Raise AssertionError unless the allocation map, the running index,
+        the RT sums, the queue and pod statuses agree with a recount from
+        `pods`."""
         fresh = ClusterSnapshot(self.nodes, self.topology, self.pods, {}, (), None)
         problems = [f"{p}: queued but unknown"
                     for p in set(self.queue + self.unschedulable) - self.pods.keys()]
@@ -390,8 +416,12 @@ class ClusterState(_RunningIndex):
             running, rt = fresh.running_on(n), fresh.rt_utilization(n)
             if self.allocated_m[n] != sum(p.cpu_request for p in running):
                 problems.append(f"{n}: allocated_m is not the running requests")
-            if (self._by_node or fresh._by_node)[n] != running or self._rt.get(n, rt) != rt:
+            if self._by_node[n] != running or self._rt.get(n, rt) != rt:
                 problems.append(f"{n}: stale running index or RT utilization")
+        problems += [f"{s}: stale per-service index"
+                     for s in sorted(self._by_service.keys()
+                                     | {p.service for p in self.pods.values()})
+                     if self.running_of_service(s) != fresh.running_of_service(s)]
         where = {PodStatus.PENDING: (1, 0, False), PodStatus.UNSCHEDULABLE: (0, 1, False),
                  PodStatus.RUNNING: (0, 0, True)}
         for pod_id, pod in self.pods.items():
@@ -402,6 +432,9 @@ class ClusterState(_RunningIndex):
                                 f"unschedulable, placed) = {seen}")
         if problems:
             raise AssertionError("; ".join(problems))
+
+    def _ordinal_of(self, pod: PodInstance) -> int:
+        return self._ordinal[pod.id]
 
     def _pod(self, pod_id: str) -> PodInstance:
         try:

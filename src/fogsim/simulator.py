@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 from .cluster import ClusterState, Node, PodStatus, Topology
 from .fogservice import FogServiceSpec, expand
-from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, select_replica
+from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
@@ -134,13 +134,26 @@ class ScenarioConfig:
             self.topology.build()
         except (ValueError, KeyError) as exc:
             problems.append(f"topology: {exc}")
+        for kind, arms in (("arm", self.arms), ("config", self.named_configs)):
+            for arm in arms:
+                try:
+                    arm.scheduler_config().instances()
+                except ValueError as exc:
+                    problems.append(f"{kind} {arm.name}: {exc}")
+                if arm.lb_policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
+                    problems.append(f"{kind} {arm.name}: unknown balancing policy: "
+                                    f"{arm.lb_policy}")
         return problems + self._workload_problems(set(service_names))
 
     def _workload_problems(self, services: set[str]) -> list[str]:
-        """Names in the workload script that nothing defines, and request
-        streams that would issue nothing or divide by a zero rate."""
+        """Names in the workload script that nothing defines, pins of pods
+        that no deploy has created by then, and request streams that would
+        issue nothing or divide by a zero rate."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         nodes = {n for zone in self.topology.zones.values() for n in zone}
+        specs = {s.name: s for s in self.services}
+        deploys = [(e.at, specs[n]) for e in self.workload if e.action == "deploy"
+                   for n in e.args[0] if n in specs]
         problems = []
         for e in self.workload:
             where = f"at {e.at:g} {e.action}"
@@ -150,8 +163,14 @@ class ScenarioConfig:
                              for n in names if n not in services]
                 if using is not None and using not in configs:
                     problems.append(f"{where}: unknown config {using!r}")
-            elif e.action == "pin" and e.args[1] not in nodes:
-                problems.append(f"{where}: unknown node {e.args[1]!r}")
+            elif e.action == "pin":
+                pod_id, node_id = e.args
+                if node_id not in nodes:
+                    problems.append(f"{where}: unknown node {node_id!r}")
+                # a deploy at the pin's own time is submitted before it
+                if not any(p.id == pod_id for at, spec in deploys if at <= e.at
+                           for p in expand(spec, at)):
+                    problems.append(f"{where}: no deploy by then creates pod {pod_id!r}")
             elif e.action == "link" and e.args[0] not in self.topology.zones:
                 problems.append(f"{where}: unknown zone {e.args[0]!r}")
             elif e.action == "requests":

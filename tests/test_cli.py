@@ -79,6 +79,12 @@ events =
 """
 
 
+CAMERA_SERVICE = """
+[service cam]
+locations = a1 b1:2
+"""
+
+
 @pytest.mark.parametrize("line", [
     "at 1 pin web-0",
     "at 1 link A",
@@ -95,10 +101,14 @@ events =
     "at 1 requests client=a1 service=nosuch rate_hz=5 count=10",
     "at 1 requests client=a1 service=web rate_hz=0 count=10",
     "at 1 requests client=a1 service=web rate_hz=5 count=0",
+    "at 1 pin nosuch-0 a1",
+    # a location-scoped service yields <name>-<location>-<i>; b1 holds -0 and -1
+    "at 1 pin cam-b1-2 b1\n    at 1 deploy cam",
+    "at 1 pin cam-b1-1 b1\n    at 2 deploy cam",
 ])
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
     path = tmp_path / "bad.ini"
-    path.write_text(MALFORMED_BASE.format(line=line))
+    path.write_text(MALFORMED_BASE.format(line=line) + CAMERA_SERVICE)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -106,11 +116,23 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, capsys):
+    path = tmp_path / "ok.ini"
+    path.write_text(MALFORMED_BASE.format(line="at 1 pin cam-b1-1 b1\n    at 1 deploy cam")
+                    + CAMERA_SERVICE)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "placements.csv").read_text().splitlines()
+    assert any(",cam-b1-1,cam,b1," in row for row in rows)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("duration_s = 5", "duration_s = soon"),
     ("uplink.B = 1.5", "uplink.B = far"),
     ("replicas = 2", "replicas = two"),
     ("replicas = 2", "replicas = 2\nrt_processes =\n    deadline period_us=1000"),
+    ("plugins = baseline:1.0", "plugins = nosuch:1.0"),
+    ("plugins = baseline:1.0", "plugins = baseline:1.0\ntie_break = bogus"),
+    ("plugins = baseline:1.0", "plugins = baseline:1.0\nlb_policy = bogus"),
 ])
 def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
     path = tmp_path / "bad.ini"

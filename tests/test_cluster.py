@@ -115,7 +115,7 @@ def test_conservation_over_random_sequences():
 RT_FIRST = SchedulerConfig(plugins=(("realtime", 10.0), ("baseline", 1.0)))
 
 
-def random_pod(rng, pod_id):
+def random_pod(rng, pod_id, service="svc"):
     """A regular pod, or an RT pod with deadline and FIFO budgets whose sums
     are inexact in binary floating point."""
     procs = []
@@ -125,7 +125,7 @@ def random_pod(rng, pod_id):
         if rng.random() < 0.5:
             procs.append(RtProcessSpec(FifoPolicy(1, rng.choice([0.1, 0.15, 0.07]))))
     return pod(pod_id, request=rng.choice([50, 100, 250]), rt_processes=tuple(procs),
-               priority_class=rng.choice([0, 1, 5]))
+               priority_class=rng.choice([0, 1, 5]), service=service)
 
 
 def step(state, rng, next_id):
@@ -134,7 +134,8 @@ def step(state, rng, next_id):
     pending, running = by_status[PodStatus.PENDING], by_status[PodStatus.RUNNING]
     roll = rng.random()
     if roll < 0.35 or not state.pods:
-        state.add_pod(random_pod(rng, f"p{next_id}"))
+        # the service comes from the id, so the rng draws are the same as with one service
+        state.add_pod(random_pod(rng, f"p{next_id}", service=f"s{next_id % 3}"))
         return next_id + 1
     if roll < 0.75 and pending:
         state.apply_placement(rng.choice(pending), rng.choice(sorted(state.nodes)), 1.0)
@@ -168,6 +169,9 @@ def test_view_agrees_with_isolated_snapshot_over_random_sequences():
                     assert ([p.id for p in view.running_on(n)]
                             == [p.id for p in snap.running_on(n)])
                     assert node_rt_utilization(n, view) == node_rt_utilization(n, snap)
+                for s in ("s0", "s1", "s2"):
+                    assert ([p.id for p in view.running_of_service(s)]
+                            == [p.id for p in snap.running_of_service(s)])
                 # snapshot() shares view()'s exclusion; recount independently
                 assert set(view.pods) == set(state.pods) - {exclude}
                 assert view.allocated_m == snap.allocated_m == {
@@ -207,6 +211,14 @@ class TestInvariants:
         state.queue.append("a")
         state.allocated_m["P1-A"] = 0
         with pytest.raises(AssertionError, match="stale running index"):
+            state.check_invariants()
+
+    def test_detects_stale_service_index(self, state):
+        state.add_pods([pod("a"), pod("b", service="db")])
+        state.apply_placement("a", "P1-A", 0.0)
+        state.apply_placement("b", "P2-A", 0.0)
+        state.running_of_service("svc").append(state.pods["b"])
+        with pytest.raises(AssertionError, match="^svc: stale per-service index$"):
             state.check_invariants()
 
     def test_detects_queue_inconsistency(self, state):

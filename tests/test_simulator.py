@@ -180,7 +180,7 @@ class TestLinkInjection:
         assert final["app-0"] == "P4-A"
 
 
-@pytest.mark.parametrize("name", ["fig6-realtime", "fig7-monitor"])
+@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig7-monitor"])
 def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
     dispatch = simulator._Run.dispatch
     seen = set()
