@@ -6,8 +6,8 @@ pod should land where the traffic it will generate experiences the best mix
 of low latency and healthy replicas, which is next to the good replica.
 """
 
-from fogsim import (ClusterState, DependencyRef, MetricSpec, MetricStore,
-                    Node, PodInstance, SchedulerConfig, Topology,
+from fogsim import (ClusterState, DependencyRef, MetricSpec, Node,
+                    PodInstance, SchedulerConfig, Topology,
                     markov_matrix, replica_scores, schedule_one,
                     stationary_distribution)
 from fogsim.telemetry import LOWER_IS_BETTER
@@ -21,7 +21,6 @@ def main():
     topology = Topology(ZONES, UPLINKS)
     state = ClusterState([Node(id=n, zone=z) for z, ns in ZONES.items() for n in ns],
                          topology)
-    state.metric_store = MetricStore()
     state.metric_specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
 
     state.add_pods([PodInstance(id="dependency-0", service="dependency"),

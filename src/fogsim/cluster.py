@@ -6,9 +6,10 @@ pods per node and per service.  Each placement or eviction updates that
 index in place, touching only its own node's and service's lists, and drops
 only its node's cached RT utilization.  The scheduler, the monitor's dry run
 and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
-the live objects and index lists, so a view and any list it or the state
-hands out are invalid after the next mutation.  Anything held across
-mutations (tests, hashes) takes an isolated :meth:`snapshot`.
+the live objects, index lists, allocation map and metric store, so a view
+and any list it or the state hands out are invalid after the next mutation.
+Anything held across mutations (tests, hashes) takes an isolated
+:meth:`snapshot`.
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ from __future__ import annotations
 import copy as _copy
 import hashlib
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
+from .telemetry import MetricStore
+
 DEFAULT_CORES = 4
 DEFAULT_CPU_CAPACITY_M = 4000
 DEFAULT_RT_PERIOD_US = 1_000_000
 DEFAULT_RT_RUNTIME_US = 950_000
-
-RT_PERIOD_LABEL = "sched_rt_period_us"
-RT_RUNTIME_LABEL = "sched_rt_runtime_us"
 
 DEFAULT_INTRA_NODE_MS = 0.02
 DEFAULT_INTRA_ZONE_MS = 0.01
@@ -105,17 +105,12 @@ class Node:
     cpu_capacity: int = DEFAULT_CPU_CAPACITY_M
     rt_period_us: int = DEFAULT_RT_PERIOD_US
     rt_runtime_us: int = DEFAULT_RT_RUNTIME_US
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.cores < 1:
             raise ValueError(f"node {self.id}: cores must be >= 1")
         if not 0 < self.rt_runtime_us <= self.rt_period_us:
             raise ValueError(f"node {self.id}: need 0 < rt_runtime_us <= rt_period_us")
-        # The RT quota is advertised through labels, mirroring how worker
-        # nodes expose their kernel parameters to the scheduler.
-        self.labels.setdefault(RT_PERIOD_LABEL, str(self.rt_period_us))
-        self.labels.setdefault(RT_RUNTIME_LABEL, str(self.rt_runtime_us))
 
 
 class Topology:
@@ -169,9 +164,7 @@ class PodInstance:
     rt_processes: tuple[RtProcessSpec, ...] = ()
     dependencies: tuple[DependencyRef, ...] = ()
     runtime_class: str = "container"
-    rt_limit: float = 0.0
     config: Mapping[str, str] = field(default_factory=dict)
-    submitted_at: float = 0.0
     assignment: Optional[str] = None
     start_time: float = 0.0
     status: PodStatus = PodStatus.PENDING
@@ -252,17 +245,15 @@ class ClusterSnapshot(_RunningIndex):
     """Read-only cluster picture for scheduler plugins: an isolated copy from
     :meth:`ClusterState.snapshot` or a live view from :meth:`ClusterState.view`."""
 
-    def __init__(self, nodes, topology, pods, allocated_m, queue, now,
-                 metrics_view=None, metric_specs=None, by_node=None,
-                 by_service=None, rt=None):
+    def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
+                 metric_specs, by_node=None, by_service=None, rt=None):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
         self.allocated_m: dict[str, int] = allocated_m
-        self.queue: tuple[str, ...] = queue
         self.now = now
-        self.metrics_view = metrics_view or {}
-        self.metric_specs = metric_specs or {}
+        self.metric_store: MetricStore = metric_store
+        self.metric_specs: dict = metric_specs
         self._by_node: Optional[dict[str, list[PodInstance]]] = by_node
         self._by_service: Optional[dict[str, list[PodInstance]]] = by_service
         self._rt: dict[str, RtUtilization] = {} if rt is None else rt
@@ -294,9 +285,8 @@ class ClusterState(_RunningIndex):
         self.queue: list[str] = []
         self.unschedulable: list[str] = []
         self.eviction_log: list[EvictionEvent] = []
-        # telemetry attachments, wired up by the simulator
-        self.metric_store = None
-        self.metric_specs: dict = {}
+        self.metric_store = MetricStore()
+        self.metric_specs: dict = {}  # service -> MetricSpec, set by the simulator
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, RtUtilization] = {}
@@ -371,45 +361,46 @@ class ClusterState(_RunningIndex):
     # -- views ---------------------------------------------------------------
 
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Snapshot sharing this state's objects, index lists and RT sums.
-        Mutations update those lists in place, so the view is invalid after
-        the next one.  Only the excluded pod's node and service get their
-        own lists, and its node its own RT sum; its CPU is released by
-        integer subtraction."""
+        """Snapshot sharing this state's objects, index lists, allocation
+        map, RT sums and metric store.  Mutations update them in place, so
+        the view is invalid after the next one.  An excluded running pod's
+        node and service get their own lists and its node its own RT sum,
+        and the allocation map is copied to release its CPU by integer
+        subtraction."""
         by_node, by_service, rt = self._by_node, self._by_service, self._rt
         for node_id in self.nodes:
             self.rt_utilization(node_id)
-        pods, allocated = self.pods, dict(self.allocated_m)
+        pods, allocated = self.pods, self.allocated_m
         if exclude is not None:
             pod = self._pod(exclude)
             pods = dict(pods)
             del pods[exclude]
             if pod.status is PodStatus.RUNNING:
                 node_id, service = pod.assignment, pod.service
-                allocated[node_id] -= pod.cpu_request
+                allocated = {**allocated, node_id: allocated[node_id] - pod.cpu_request}
                 by_node = {**by_node, node_id: [p for p in by_node[node_id] if p is not pod]}
                 by_service = {**by_service,
                               service: [p for p in by_service[service] if p is not pod]}
                 rt = {n: u for n, u in rt.items() if n != node_id}
-        queue = tuple(p for p in self.queue if p != exclude)
-        metrics_view = self.metric_store.view() if self.metric_store is not None else {}
-        return ClusterSnapshot(self.nodes, self.topology, pods, allocated, queue, now,
-                               metrics_view, self.metric_specs, by_node, by_service, rt)
+        return ClusterSnapshot(self.nodes, self.topology, pods, allocated, now,
+                               self.metric_store, self.metric_specs, by_node, by_service, rt)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Like :meth:`view`, but copies pods, nodes and topology, so later
-        mutations never reach it."""
+        """Like :meth:`view`, but copies pods, nodes, topology, the
+        allocation map and the metric store, so later mutations never reach
+        it."""
         view = self.view(exclude, now)
         pods = {pod_id: pod.copy() for pod_id, pod in view.pods.items()}
-        nodes = {nid: replace(n, labels=dict(n.labels)) for nid, n in self.nodes.items()}
-        return ClusterSnapshot(nodes, self.topology.copy(), pods, view.allocated_m,
-                               view.queue, now, view.metrics_view, dict(self.metric_specs))
+        nodes = {nid: _copy.copy(n) for nid, n in self.nodes.items()}
+        return ClusterSnapshot(nodes, self.topology.copy(), pods, dict(view.allocated_m),
+                               now, self.metric_store.copy(), dict(self.metric_specs))
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the allocation map, the running index,
         the RT sums, the queue and pod statuses agree with a recount from
         `pods`."""
-        fresh = ClusterSnapshot(self.nodes, self.topology, self.pods, {}, (), None)
+        fresh = ClusterSnapshot(self.nodes, self.topology, self.pods, {}, None,
+                                self.metric_store, self.metric_specs)
         problems = [f"{p}: queued but unknown"
                     for p in set(self.queue + self.unschedulable) - self.pods.keys()]
         for n in self.nodes:
@@ -474,8 +465,8 @@ def _state_text(topology: Topology, nodes: Mapping[str, Node],
         n = nodes[nid]
         lines.extend(["", f"[node {nid}]", f"zone = {n.zone}", f"cores = {n.cores}",
                       f"cpu_capacity = {n.cpu_capacity}",
-                      f"rt_period_us = {n.labels[RT_PERIOD_LABEL]}",
-                      f"rt_runtime_us = {n.labels[RT_RUNTIME_LABEL]}"])
+                      f"rt_period_us = {n.rt_period_us}",
+                      f"rt_runtime_us = {n.rt_runtime_us}"])
     for pid in sorted(pods):
         p = pods[pid]
         lines.extend(["", f"[pod {pid}]", f"service = {p.service}",

@@ -116,8 +116,7 @@ def replica_scores(pod: PodInstance, node_id: str, dep: DependencyRef,
     if spec is None:
         mv = {r: 1.0 for r in replica_ids}
     else:
-        samples = {p: s for (svc, p), s in snapshot.metrics_view.items()
-                   if svc == dep.target_service}
+        samples = snapshot.metric_store.service_samples(dep.target_service)
         mv = metric_scores(samples, replica_ids, spec.direction,
                            snapshot.now, staleness_s=90.0)
     return {r.id: lat_norm[r.assignment] * dep.latency_weight

@@ -107,7 +107,7 @@ def _normalized_deps(deps: tuple[DependencyRef, ...]) -> tuple[DependencyRef, ..
     return tuple(replace(d, dep_weight=d.dep_weight / total) for d in deps)
 
 
-def expand(spec: FogServiceSpec, now: float = 0.0) -> list[PodInstance]:
+def expand(spec: FogServiceSpec) -> list[PodInstance]:
     """Expand a validated descriptor into its pod instances.
 
     Cluster-scoped services yield `name-0 .. name-(n-1)`.  Location-scoped
@@ -127,8 +127,7 @@ def expand(spec: FogServiceSpec, now: float = 0.0) -> list[PodInstance]:
             cpu_request=spec.cpu_request, cpu_limit=spec.cpu_limit,
             priority_class=spec.priority_class, location_scope=scope,
             rt_processes=spec.rt_processes, dependencies=deps,
-            runtime_class=spec.runtime_class, rt_limit=spec.rt_limit,
-            config=config, submitted_at=now)
+            runtime_class=spec.runtime_class, config=config)
 
     if spec.locations is None:
         for i in range(spec.replicas):

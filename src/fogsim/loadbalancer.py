@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .telemetry import MetricStore, path_latency, refresh_scoreboard
+from .telemetry import path_latency, refresh_scoreboard
 
 POLICY_WEIGHTED = "weighted"
 POLICY_UNIFORM = "uniform"
@@ -34,10 +34,9 @@ class RuleChain:
     replicas: tuple[str, ...]
     accept_probabilities: tuple[float, ...]
     selection_probabilities: tuple[float, ...]
-    refreshed_at: float = 0.0
 
 
-def chain_probabilities(scores: Mapping[str, float], now: float = 0.0) -> RuleChain:
+def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
     """Build the rule chain for a replica score map.
 
     Scores are normalized to sum 1 first (an all-zero vector falls back to
@@ -66,8 +65,7 @@ def chain_probabilities(scores: Mapping[str, float], now: float = 0.0) -> RuleCh
         p = min(p, 1.0)
         probs.append(p)
         remaining *= 1.0 - p
-    return RuleChain(tuple(ordered), tuple(probs),
-                     tuple(share[r] for r in ordered), now)
+    return RuleChain(tuple(ordered), tuple(probs), tuple(share[r] for r in ordered))
 
 
 def select_replica(chain: RuleChain, rng: random.Random) -> str:
@@ -80,11 +78,11 @@ def select_replica(chain: RuleChain, rng: random.Random) -> str:
     return chain.replicas[-1]
 
 
-def uniform_chain(replicas: Sequence[str], now: float = 0.0) -> RuleChain:
+def uniform_chain(replicas: Sequence[str]) -> RuleChain:
     """Maximum-fairness baseline: every replica equally likely."""
     if not replicas:
         raise ValueError("cannot build a chain without replicas")
-    return chain_probabilities({r: 1.0 for r in replicas}, now)
+    return chain_probabilities({r: 1.0 for r in replicas})
 
 
 class LoadBalancer:
@@ -108,7 +106,6 @@ class LoadBalancer:
     def refresh(self, view, now: float) -> None:
         """Rebuild every service's chain from the current cluster view; a
         service without running replicas gets no chain."""
-        store = MetricStore.from_view(view.metrics_view)
         chains = {}
         for service in sorted({p.service for p in view.pods.values()}):
             replica_nodes = {p.id: p.assignment
@@ -116,13 +113,13 @@ class LoadBalancer:
             if not replica_nodes:
                 continue
             if self.policy == POLICY_UNIFORM:
-                chains[service] = uniform_chain(sorted(replica_nodes), now)
+                chains[service] = uniform_chain(sorted(replica_nodes))
                 continue
             scores = refresh_scoreboard(
                 service, replica_nodes,
                 lambda node: path_latency(view.topology, self.client_node, node),
-                store, view.metric_specs.get(service), now, self.staleness_s)
-            chains[service] = chain_probabilities(scores, now)
+                view.metric_store, view.metric_specs.get(service), now, self.staleness_s)
+            chains[service] = chain_probabilities(scores)
         self.chains = chains
 
     def chain_for(self, service: str) -> Optional[RuleChain]:

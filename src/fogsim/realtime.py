@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import (DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
-                      RT_PERIOD_LABEL, RT_RUNTIME_LABEL, ClusterSnapshot, Node,
-                      PodInstance, RtUtilization)
+from .cluster import ClusterSnapshot, Node, PodInstance, RtUtilization
 
 FEASIBILITY_EPS = 1e-9
 
@@ -30,10 +28,9 @@ def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> RtUtilizatio
 
 
 def rt_capacity(node: Node) -> float:
-    """Node-level RT quota in core-fractions, read from the node labels."""
-    period = int(node.labels.get(RT_PERIOD_LABEL, DEFAULT_RT_PERIOD_US))
-    runtime = int(node.labels.get(RT_RUNTIME_LABEL, DEFAULT_RT_RUNTIME_US))
-    return node.cores * runtime / period
+    """Node-level RT quota in core-fractions, from the node's RT period and
+    runtime."""
+    return node.cores * node.rt_runtime_us / node.rt_period_us
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class RealtimePlugin:
         node = snapshot.nodes[node_id]
         capacity = rt_capacity(node)
         running = snapshot.running_on(node_id)
-        current = sum(pod_rt_utilization(p).value for p in running)
+        current = node_rt_utilization(node_id, snapshot).value
         allocated = snapshot.allocated_m[node_id]
         candidates = [p for p in running
                       if p.priority_class < pod.priority_class

@@ -23,7 +23,7 @@ from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_
 from .monitor import ClusterMonitor, MonitorConfig
 from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
-from .telemetry import MetricStore, path_latency
+from .telemetry import path_latency
 
 
 class EventKind(IntEnum):
@@ -146,16 +146,18 @@ class ScenarioConfig:
         return problems + self._workload_problems(set(service_names))
 
     def _workload_problems(self, services: set[str]) -> list[str]:
-        """Names in the workload script that nothing defines, pins of pods
-        that no deploy has created by then, and request streams that would
-        issue nothing or divide by a zero rate."""
+        """Names in the workload script that nothing defines, deploys that
+        re-create a pod id, pins of a pod not created at the pin's own time
+        (earlier, the scheduler has placed it) or pinned twice, and request
+        streams that would issue nothing or divide by a zero rate.  Events
+        after `duration_s` are dropped unrun, so they create and pin nothing."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         nodes = {n for zone in self.topology.zones.values() for n in zone}
         specs = {s.name: s for s in self.services}
-        deploys = [(e.at, specs[n]) for e in self.workload if e.action == "deploy"
-                   for n in e.args[0] if n in specs]
-        problems = []
-        for e in self.workload:
+        problems, created, pinned = [], {}, set()
+        # the event loop runs deploys before pins of the same time (SUBMIT
+        # sorts before PIN) and script order within a kind
+        for e in sorted(self.workload, key=lambda e: (e.at, e.action != "deploy")):
             where = f"at {e.at:g} {e.action}"
             if e.action == "deploy":
                 names, using = e.args
@@ -163,14 +165,27 @@ class ScenarioConfig:
                              for n in names if n not in services]
                 if using is not None and using not in configs:
                     problems.append(f"{where}: unknown config {using!r}")
+                if e.at > self.duration_s:
+                    continue
+                for pod in (p for n in names if n in specs for p in expand(specs[n])):
+                    if pod.id in created:
+                        problems.append(f"{where}: pod {pod.id!r} already deployed "
+                                        f"at {created[pod.id]:g}")
+                    created.setdefault(pod.id, e.at)
             elif e.action == "pin":
                 pod_id, node_id = e.args
                 if node_id not in nodes:
                     problems.append(f"{where}: unknown node {node_id!r}")
-                # a deploy at the pin's own time is submitted before it
-                if not any(p.id == pod_id for at, spec in deploys if at <= e.at
-                           for p in expand(spec, at)):
+                if e.at > self.duration_s:
+                    continue
+                if pod_id not in created:
                     problems.append(f"{where}: no deploy by then creates pod {pod_id!r}")
+                elif created[pod_id] != e.at:
+                    problems.append(f"{where}: pod {pod_id!r} was deployed at "
+                                    f"{created[pod_id]:g} and is scheduled by then")
+                elif pod_id in pinned:
+                    problems.append(f"{where}: pod {pod_id!r} is pinned twice")
+                pinned.add(pod_id)
             elif e.action == "link" and e.args[0] not in self.topology.zones:
                 problems.append(f"{where}: unknown zone {e.args[0]!r}")
             elif e.action == "requests":
@@ -242,7 +257,6 @@ class _Run:
         self.topology = config.topology.build()
         self.state = ClusterState(build_nodes(config.topology, config.nodes),
                                   self.topology)
-        self.state.metric_store = MetricStore()
         self.state.metric_specs = {s.name: s.metric for s in config.services
                                    if s.metric is not None}
         self.services = {s.name: s for s in config.services}
@@ -268,8 +282,16 @@ class _Run:
         self.static_metrics: dict[tuple[str, str], float] = {}
 
     def push(self, time: float, kind: EventKind, payload=None) -> None:
-        heapq.heappush(self.heap, (time, int(kind), self.seq, payload))
+        heapq.heappush(self.heap, (time, kind, self.seq, payload))
         self.seq += 1
+
+    def push_periodic(self, start: float, period: float, kind: EventKind) -> None:
+        """Push `kind` at `start + k * period` up to the scenario duration;
+        multiplying, not accumulating, keeps late times free of float drift."""
+        k = 0
+        while start + k * period <= self.config.duration_s:
+            self.push(start + k * period, kind)
+            k += 1
 
     def execute(self):
         cfg = self.config
@@ -277,41 +299,33 @@ class _Run:
             kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
                     "pin": EventKind.PIN, "metric": EventKind.METRIC,
                     "requests": EventKind.REQUEST}[event.action]
-            self.push(event.at, kind, event)
+            self.push(event.at, kind, event.args)
         if self.monitor is not None:
-            t = cfg.monitor.loop_period_s
-            while t <= cfg.duration_s:
-                self.push(t, EventKind.MONITOR)
-                t += cfg.monitor.loop_period_s
+            self.push_periodic(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
+                               EventKind.MONITOR)
         if self.balancers:
-            t = 0.0
-            while t <= cfg.duration_s:
-                self.push(t, EventKind.LB_REFRESH)
-                t += cfg.lb.refresh_period_s
+            self.push_periodic(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH)
         if cfg.sample_period_s > 0:
-            t = 0.0
-            while t <= cfg.duration_s:
-                self.push(t, EventKind.SAMPLE)
-                t += cfg.sample_period_s
+            self.push_periodic(0.0, cfg.sample_period_s, EventKind.SAMPLE)
         timeseries = []
         while self.heap:
             time, kind, _, payload = heapq.heappop(self.heap)
             if time > cfg.duration_s:
                 break
-            self.dispatch(time, EventKind(kind), payload, timeseries)
+            self.dispatch(time, kind, payload, timeseries)
         return self.collect(timeseries)
 
     def dispatch(self, now: float, kind: EventKind, payload, timeseries) -> None:
         if kind == EventKind.LINK:
-            zone, latency_ms = payload.args
+            zone, latency_ms = payload
             self.topology.set_uplink(zone, latency_ms)
         elif kind == EventKind.SUBMIT:
             self.handle_deploy(now, payload)
         elif kind == EventKind.PIN:
-            pod_id, node_id = payload.args
+            pod_id, node_id = payload
             self.state.apply_placement(pod_id, node_id, now)
         elif kind == EventKind.METRIC:
-            service, pod_id, value = payload.args
+            service, pod_id, value = payload
             self.static_metrics[(service, pod_id)] = value
             self.state.metric_store.ingest(service, pod_id, value, now)
         elif kind == EventKind.SCHED:
@@ -336,21 +350,18 @@ class _Run:
                 rt = sum(1 for p in pods if pod_rt_utilization(p).value > 0)
                 timeseries.append((now, node_id, rt, len(pods) - rt, len(pods)))
 
-    def handle_deploy(self, now: float, event: WorkloadEvent) -> None:
-        names = list(event.args[0])
-        using = event.args[1] if len(event.args) > 1 else None
+    def handle_deploy(self, now: float, args: tuple) -> None:
+        names, using = args
         pods = []
         for name in names:
-            pods.extend(expand(self.services[name], now))
+            pods.extend(expand(self.services[name]))
         self.rng_workload.shuffle(pods)
         self.state.add_pods(pods)
         self.state.reactivate_unschedulable()
         self.push(now, EventKind.SCHED, using)
 
-    def handle_request(self, now: float, payload) -> None:
-        if isinstance(payload, WorkloadEvent):
-            payload = payload.args
-        client, service, rate_hz, remaining = payload
+    def handle_request(self, now: float, args: tuple) -> None:
+        client, service, rate_hz, remaining = args
         balancer = self.balancers[client]
         chain = balancer.chain_for(service)
         if chain is not None:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from .cluster import Topology
+if TYPE_CHECKING:
+    from .cluster import Topology
 
 LOWER_IS_BETTER = "lower-is-better"
 HIGHER_IS_BETTER = "higher-is-better"
-
-DEFAULT_STALENESS_PERIODS = 3
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,6 @@ class MetricStore:
     def __init__(self):
         self._samples: dict[tuple[str, str], MetricSample] = {}
 
-    @classmethod
-    def from_view(cls, view: Mapping) -> "MetricStore":
-        store = cls()
-        store._samples = dict(view)
-        return store
-
     def ingest(self, service: str, pod: str, value: float, timestamp: float) -> None:
         key = (service, pod)
         prev = self._samples.get(key)
@@ -91,8 +84,10 @@ class MetricStore:
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 
-    def view(self) -> dict:
-        return dict(self._samples)
+    def copy(self) -> "MetricStore":
+        store = MetricStore()
+        store._samples = dict(self._samples)  # samples are immutable
+        return store
 
 
 def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],

@@ -105,6 +105,10 @@ locations = a1 b1:2
     # a location-scoped service yields <name>-<location>-<i>; b1 holds -0 and -1
     "at 1 pin cam-b1-2 b1\n    at 1 deploy cam",
     "at 1 pin cam-b1-1 b1\n    at 2 deploy cam",
+    # a pin shares its pod's deploy time (by t=1 web-0 is placed); an id is created once
+    "at 1 pin web-0 a2",
+    "at 0 pin web-0 a1\n    at 0 pin web-0 a2",
+    "at 5 deploy web",
 ])
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
     path = tmp_path / "bad.ini"

@@ -5,8 +5,9 @@ import pytest
 from fogsim.cluster import (ClusterState, DeadlinePolicy, FifoPolicy, Node,
                             PodInstance, PodStatus, RtProcessSpec, Topology,
                             state_from_text)
-from fogsim.realtime import node_rt_utilization
+from fogsim.realtime import RealtimePlugin, node_rt_utilization
 from fogsim.scheduling import SchedulerConfig, schedule_one
+from fogsim.telemetry import MetricSample
 
 from conftest import make_state
 
@@ -33,18 +34,51 @@ class TestSnapshot:
     def test_isolation_from_later_mutations(self, state):
         state.add_pods([pod("a"), pod("b")])
         state.apply_placement("a", "P1-A", 1.0)
+        state.metric_store.ingest("svc", "a", 1.0, 1.0)
         snap = state.snapshot()
         digest = snap.content_hash()
         state.apply_placement("b", "P2-A", 2.0)
         state.evict("a", 3.0)
+        state.metric_store.ingest("svc", "a", 2.0, 4.0)
+        state.metric_store.ingest("svc", "b", 3.0, 4.0)
         assert snap.content_hash() == digest
         assert snap.pods["a"].status is PodStatus.RUNNING
+        assert snap.allocated_m["P1-A"] == 100
+        assert snap.metric_store.service_samples("svc") == {"a": MetricSample(1.0, 1.0)}
 
     def test_exclude_releases_allocation_in_view(self, state):
         state.add_pod(pod("a", request=300))
         state.apply_placement("a", "P1-A", 0.0)
         snap = state.snapshot(exclude="a")
         assert snap.allocated_m["P1-A"] == 0
+
+
+class TestViewSharing:
+    def test_view_shares_allocation_and_metric_store(self, state):
+        state.add_pods([pod("a"), pod("b")])
+        state.apply_placement("a", "P1-A", 0.0)
+        for view in (state.view(), state.view(exclude="b")):  # b is pending
+            assert view.allocated_m is state.allocated_m
+            assert view.metric_store is state.metric_store
+            assert all(view.running_on(n) is state.running_on(n) for n in state.nodes)
+
+    def test_exclude_copies_only_the_excluded_node(self, state):
+        state.add_pods([pod("a", request=300), pod("b", service="db"), pod("c")])
+        state.apply_placement("a", "P1-A", 0.0)
+        state.apply_placement("b", "P1-A", 0.0)
+        state.apply_placement("c", "P2-A", 0.0)
+        view = state.view(exclude="a")
+        assert view.metric_store is state.metric_store
+        assert view.allocated_m is not state.allocated_m
+        assert {n: a for n, a in view.allocated_m.items()
+                if a != state.allocated_m[n]} == {"P1-A": 100}
+        assert state.allocated_m["P1-A"] == 400
+        assert [p.id for p in view.running_on("P1-A")] == ["b"]
+        assert [p.id for p in state.running_on("P1-A")] == ["a", "b"]
+        assert all(view.running_on(n) is state.running_on(n)
+                   for n in state.nodes if n != "P1-A")
+        assert [p.id for p in view.running_of_service("svc")] == ["c"]
+        assert view.running_of_service("db") is state.running_of_service("db")
 
 
 class TestPlacementLifecycle:
@@ -150,6 +184,7 @@ def step(state, rng, next_id):
 
 def test_view_agrees_with_isolated_snapshot_over_random_sequences():
     rng = random.Random(2024)
+    plans = 0
     for _ in range(6):
         # three one-core nodes fill up fast: filters reject and RT pods preempt
         state = ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
@@ -181,8 +216,12 @@ def test_view_agrees_with_isolated_snapshot_over_random_sequences():
                              else random_pod(rng, "candidate"))
                 assert (schedule_one(view, candidate, RT_FIRST)
                         == schedule_one(snap, candidate, RT_FIRST))
+                plan = RealtimePlugin().post_filter(candidate, view)
+                assert plan == RealtimePlugin().post_filter(candidate, snap)
+                plans += plan is not None
             assert state.content_hash() == digest
             state.check_invariants()
+    assert plans > 0  # some candidates could preempt
 
 
 class TestInvariants:

@@ -7,7 +7,7 @@ from fogsim.cluster import DependencyRef, PodInstance
 from fogsim.dependencies import (expected_quality, markov_matrix, replica_scores,
                                  score_dependencies, stationary_distribution)
 from fogsim.loadbalancer import chain_probabilities
-from fogsim.telemetry import LOWER_IS_BETTER, MetricSpec, MetricStore
+from fogsim.telemetry import LOWER_IS_BETTER, MetricSpec
 
 from conftest import make_state, walk_frequencies
 
@@ -16,7 +16,6 @@ def table_fixture():
     """Two dependency replicas on P1-A/P2-A with static metrics 5.0/1.0."""
     state = make_state()
     state.metric_specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
-    state.metric_store = MetricStore()
     state.add_pods([
         PodInstance(id="dependency-0", service="dependency"),
         PodInstance(id="dependency-1", service="dependency"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer,
                                  chain_probabilities, replica_score,
                                  select_replica, uniform_chain)
+from fogsim.telemetry import MetricStore
 
 from conftest import walk_frequencies
 
@@ -117,7 +118,7 @@ def test_uniform_chain_is_exactly_fair():
 class FakeSnapshot:
     """Minimal snapshot stand-in for balancer refresh tests."""
 
-    def __init__(self, replica_nodes, topology, metrics=None, specs=None, now=0.0):
+    def __init__(self, replica_nodes, topology, specs=None, now=0.0):
         from fogsim.cluster import PodInstance, PodStatus
         self.topology = topology
         self.pods = {}
@@ -126,7 +127,7 @@ class FakeSnapshot:
                 self.pods[pod_id] = PodInstance(
                     id=pod_id, service=service, assignment=node,
                     status=PodStatus.RUNNING)
-        self.metrics_view = metrics or {}
+        self.metric_store = MetricStore()
         self.metric_specs = specs or {}
         self.now = now
 

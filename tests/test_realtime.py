@@ -74,14 +74,11 @@ class TestNodeUtilization:
 
 
 class TestCapacityAndFilter:
-    def test_capacity_from_labels(self):
+    def test_capacity_from_node_fields(self):
         node = Node(id="n", zone="z", cores=4, rt_runtime_us=950_000)
         assert rt_capacity(node) == pytest.approx(3.8)
-
-    def test_default_quota_when_labels_absent(self):
-        node = Node(id="n", zone="z", cores=2)
-        node.labels.clear()
-        assert rt_capacity(node) == pytest.approx(1.9)
+        node = Node(id="m", zone="z", cores=2, rt_period_us=500_000, rt_runtime_us=200_000)
+        assert rt_capacity(node) == pytest.approx(0.8)
 
     def test_two_high_utilization_pods_infeasible(self):
         state = single_node_state()
