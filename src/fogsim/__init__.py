@@ -7,7 +7,7 @@ from .dependencies import (markov_matrix, replica_scores, score_dependencies,
                            stationary_distribution)
 from .fogservice import FogServiceSpec, LocationScope, expand, validate
 from .loadbalancer import (LoadBalancer, RuleChain, chain_probabilities,
-                           replica_score, select_replica, uniform_chain)
+                           select_replica, uniform_chain)
 from .monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from .realtime import (RealtimePlugin, RtUtilization, node_rt_utilization,
                        pod_rt_utilization, rt_capacity)

@@ -12,8 +12,25 @@ from .scenario_io import ScenarioParseError
 from .simulator import run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a one-line message, like a bad scenario."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fogsim",
         description="Edge-cluster orchestration simulator and experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -21,10 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a bundled scenario or a scenario file")
     run_p.add_argument("scenario", help="bundled scenario name or path to an .ini file")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--reps", type=int, default=None, help="override repetitions")
+    run_p.add_argument("--reps", type=_at_least_one, default=None,
+                       help="override repetitions")
     run_p.add_argument("--out", default="results", help="output directory")
     run_p.add_argument("--profile", choices=("paper", "ci"), default="paper")
-    run_p.add_argument("--jobs", type=int, default=1,
+    run_p.add_argument("--jobs", type=_at_least_one, default=1,
                        help="parallel repetitions (default 1)")
 
     sub.add_parser("list", help="list the bundled scenarios")

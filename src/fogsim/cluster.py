@@ -8,14 +8,12 @@ only its node's cached RT utilization.  The scheduler, the monitor's dry run
 and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
 the live objects, index lists, allocation map and metric store, so a view
 and any list it or the state hands out are invalid after the next mutation.
-Anything held across mutations (tests, hashes) takes an isolated
-:meth:`snapshot`.
+Anything held across mutations takes an isolated :meth:`snapshot`.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,12 +134,6 @@ class Topology:
             if lat < 0:
                 raise ValueError("latency must be non-negative")
 
-    def node_ids(self) -> list[str]:
-        return sorted(self.zone_of)
-
-    def links(self) -> list[tuple[str, str, float]]:
-        return [(zone, "core", self.uplinks_ms[zone]) for zone in sorted(self.uplinks_ms)]
-
     def set_uplink(self, zone: str, latency_ms: float) -> None:
         if zone not in self.uplinks_ms:
             raise KeyError(f"unknown link: {zone}")
@@ -234,12 +226,6 @@ class _RunningIndex:
         self._node_index()
         return self._by_service.get(service, [])
 
-    def to_text(self) -> str:
-        return _state_text(self.topology, self.nodes, self.pods, self.now)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
-
 
 class ClusterSnapshot(_RunningIndex):
     """Read-only cluster picture for scheduler plugins: an isolated copy from
@@ -258,18 +244,13 @@ class ClusterSnapshot(_RunningIndex):
         self._by_service: Optional[dict[str, list[PodInstance]]] = by_service
         self._rt: dict[str, RtUtilization] = {} if rt is None else rt
 
-    def pod_counts(self) -> dict[str, int]:
-        return {n: len(pods) for n, pods in self._node_index().items()}
-
     @cached_property
     def max_pod_count(self) -> int:
-        return max(self.pod_counts().values())
+        return max(len(pods) for pods in self._node_index().values())
 
 
 class ClusterState(_RunningIndex):
     """Single-writer world model.  All mutations happen on the event loop."""
-
-    now = None  # the state has no clock; its text carries no time line
 
     def __init__(self, nodes: Iterable[Node], topology: Topology):
         self.topology = topology
@@ -361,20 +342,18 @@ class ClusterState(_RunningIndex):
     # -- views ---------------------------------------------------------------
 
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Snapshot sharing this state's objects, index lists, allocation
-        map, RT sums and metric store.  Mutations update them in place, so
-        the view is invalid after the next one.  An excluded running pod's
-        node and service get their own lists and its node its own RT sum,
-        and the allocation map is copied to release its CPU by integer
-        subtraction."""
+        """Snapshot sharing this state's pods, index lists, allocation map,
+        RT sums and metric store.  Mutations update them in place, so the
+        view is invalid after the next one.  An excluded running pod's node
+        and service get their own lists and its node its own RT sum, and the
+        allocation map is copied to release its CPU by integer subtraction;
+        the shared `pods` map still holds the excluded pod."""
         by_node, by_service, rt = self._by_node, self._by_service, self._rt
         for node_id in self.nodes:
             self.rt_utilization(node_id)
-        pods, allocated = self.pods, self.allocated_m
+        allocated = self.allocated_m
         if exclude is not None:
             pod = self._pod(exclude)
-            pods = dict(pods)
-            del pods[exclude]
             if pod.status is PodStatus.RUNNING:
                 node_id, service = pod.assignment, pod.service
                 allocated = {**allocated, node_id: allocated[node_id] - pod.cpu_request}
@@ -382,15 +361,15 @@ class ClusterState(_RunningIndex):
                 by_service = {**by_service,
                               service: [p for p in by_service[service] if p is not pod]}
                 rt = {n: u for n, u in rt.items() if n != node_id}
-        return ClusterSnapshot(self.nodes, self.topology, pods, allocated, now,
+        return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
                                self.metric_store, self.metric_specs, by_node, by_service, rt)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Like :meth:`view`, but copies pods, nodes, topology, the
-        allocation map and the metric store, so later mutations never reach
-        it."""
+        """Like :meth:`view`, but copies pods (leaving out the excluded
+        one), nodes, topology, the allocation map and the metric store, so
+        later mutations never reach it."""
         view = self.view(exclude, now)
-        pods = {pod_id: pod.copy() for pod_id, pod in view.pods.items()}
+        pods = {pod_id: pod.copy() for pod_id, pod in self.pods.items() if pod_id != exclude}
         nodes = {nid: _copy.copy(n) for nid, n in self.nodes.items()}
         return ClusterSnapshot(nodes, self.topology.copy(), pods, dict(view.allocated_m),
                                now, self.metric_store.copy(), dict(self.metric_specs))
@@ -432,132 +411,3 @@ class ClusterState(_RunningIndex):
             return self.pods[pod_id]
         except KeyError:
             raise KeyError(f"pod not found: {pod_id}") from None
-
-
-# -- structured text serialization ------------------------------------------
-#
-# One section per link, node, and pod.  The same document both seeds test
-# clusters and backs golden-file comparisons; `content_hash` hashes it.
-
-
-def _rt_spec_text(spec: RtProcessSpec) -> str:
-    sel = f"pid={spec.pid}" if spec.pid is not None else f"name={spec.name_substring}"
-    if isinstance(spec.policy, DeadlinePolicy):
-        pol = f"deadline:{spec.policy.runtime_us}:{spec.policy.period_us}:{spec.policy.deadline_us}"
-    else:
-        pol = f"fifo:{spec.policy.priority}:{spec.policy.cpu_request}"
-    return f"{sel} {pol}"
-
-
-def _state_text(topology: Topology, nodes: Mapping[str, Node],
-                pods: Mapping[str, PodInstance], now) -> str:
-    lines = ["[cluster]"]
-    if now is not None:
-        lines.append(f"time = {now}")
-    lines.append(f"intra_node_ms = {topology.intra_node_ms}")
-    lines.append(f"intra_zone_ms = {topology.intra_zone_ms}")
-    for zone, _, lat in topology.links():
-        lines.append("")
-        lines.append(f"[link {zone}]")
-        lines.append(f"uplink_ms = {lat}")
-        lines.append(f"nodes = {' '.join(topology.zones[zone])}")
-    for nid in sorted(nodes):
-        n = nodes[nid]
-        lines.extend(["", f"[node {nid}]", f"zone = {n.zone}", f"cores = {n.cores}",
-                      f"cpu_capacity = {n.cpu_capacity}",
-                      f"rt_period_us = {n.rt_period_us}",
-                      f"rt_runtime_us = {n.rt_runtime_us}"])
-    for pid in sorted(pods):
-        p = pods[pid]
-        lines.extend(["", f"[pod {pid}]", f"service = {p.service}",
-                      f"status = {p.status.value}",
-                      f"node = {p.assignment or '-'}",
-                      f"start_time = {p.start_time}",
-                      f"priority_class = {p.priority_class}",
-                      f"cpu_request = {p.cpu_request}",
-                      f"cpu_limit = {p.cpu_limit}",
-                      f"location_scope = {p.location_scope or '-'}",
-                      f"runtime_class = {p.runtime_class}"])
-        if p.rt_processes:
-            lines.append("rt_processes = " + "; ".join(_rt_spec_text(s) for s in p.rt_processes))
-        if p.dependencies:
-            deps = "; ".join(f"{d.target_service}:{d.dep_weight}:{d.latency_weight}:{d.metric_weight}"
-                             for d in p.dependencies)
-            lines.append("dependencies = " + deps)
-    return "\n".join(lines) + "\n"
-
-
-def _rt_spec_from_text(text: str) -> RtProcessSpec:
-    sel, pol = text.split(" ", 1)
-    key, value = sel.split("=", 1)
-    pid = int(value) if key == "pid" else None
-    name = value if key == "name" else None
-    parts = pol.split(":")
-    if parts[0] == "deadline":
-        policy = DeadlinePolicy(int(parts[1]), int(parts[2]), int(parts[3]))
-    else:
-        policy = FifoPolicy(int(parts[1]), float(parts[2]))
-    return RtProcessSpec(policy=policy, pid=pid, name_substring=name)
-
-
-def state_from_text(text: str) -> ClusterState:
-    """Rebuild a cluster from its structured text document."""
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str
-    parser.read_string(text)
-    meta = parser["cluster"]
-    zones: dict[str, list[str]] = {}
-    uplinks: dict[str, float] = {}
-    nodes = []
-    pods = []
-    for section in parser.sections():
-        if section.startswith("link "):
-            zone = section.split(" ", 1)[1]
-            uplinks[zone] = float(parser[section]["uplink_ms"])
-            zones[zone] = parser[section]["nodes"].split()
-        elif section.startswith("node "):
-            sect = parser[section]
-            nodes.append(Node(id=section.split(" ", 1)[1], zone=sect["zone"],
-                              cores=int(sect["cores"]),
-                              cpu_capacity=int(sect["cpu_capacity"]),
-                              rt_period_us=int(sect["rt_period_us"]),
-                              rt_runtime_us=int(sect["rt_runtime_us"])))
-        elif section.startswith("pod "):
-            sect = parser[section]
-            procs = tuple(_rt_spec_from_text(part.strip())
-                          for part in sect.get("rt_processes", "").split(";") if part.strip())
-            deps = []
-            for part in sect.get("dependencies", "").split(";"):
-                if not part.strip():
-                    continue
-                svc, w, lw, mw = part.strip().split(":")
-                deps.append(DependencyRef(svc, float(w), float(lw), float(mw)))
-            node = sect["node"]
-            pods.append(PodInstance(
-                id=section.split(" ", 1)[1], service=sect["service"],
-                cpu_request=int(sect["cpu_request"]), cpu_limit=int(sect["cpu_limit"]),
-                priority_class=int(sect["priority_class"]),
-                location_scope=None if sect["location_scope"] == "-" else sect["location_scope"],
-                rt_processes=procs, dependencies=tuple(deps),
-                runtime_class=sect["runtime_class"],
-                assignment=None if node == "-" else node,
-                start_time=float(sect["start_time"]),
-                status=PodStatus(sect["status"])))
-    topology = Topology(zones, uplinks,
-                        intra_node_ms=float(meta.get("intra_node_ms", DEFAULT_INTRA_NODE_MS)),
-                        intra_zone_ms=float(meta.get("intra_zone_ms", DEFAULT_INTRA_ZONE_MS)))
-    state = ClusterState(nodes, topology)
-    for pod in pods:
-        placed_on = pod.assignment
-        if pod.status is PodStatus.RUNNING:
-            pod.status = PodStatus.PENDING
-            pod.assignment = None
-            state.add_pod(pod)
-            state.apply_placement(pod.id, placed_on, pod.start_time)
-        else:
-            state.add_pod(pod)
-            if pod.status is PodStatus.UNSCHEDULABLE:
-                state.unschedulable.append(pod.id)
-    return state

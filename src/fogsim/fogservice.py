@@ -138,81 +138,3 @@ def expand(spec: FogServiceSpec) -> list[PodInstance]:
                 pods.append(make(f"{spec.name}-{scope.location}-{i}",
                                  scope.location, dict(scope.config)))
     return pods
-
-
-# -- canonical JSON form ------------------------------------------------------
-
-
-def spec_to_json(spec: FogServiceSpec) -> dict:
-    doc = {
-        "name": spec.name,
-        "cpu_request": spec.cpu_request,
-        "cpu_limit": spec.cpu_limit,
-        "rt_limit": spec.rt_limit,
-        "priority_class": spec.priority_class,
-        "runtime_class": spec.runtime_class,
-    }
-    if spec.locations is None:
-        doc["replicas"] = spec.replicas
-    else:
-        doc["locations"] = [{"location": s.location, "replicas": s.replicas,
-                             "config": dict(s.config)} for s in spec.locations]
-    if spec.rt_processes:
-        procs = []
-        for proc in spec.rt_processes:
-            selector = ({"pid": proc.pid} if proc.pid is not None
-                        else {"name_substring": proc.name_substring})
-            if isinstance(proc.policy, DeadlinePolicy):
-                policy = {"kind": "deadline", "runtime_us": proc.policy.runtime_us,
-                          "period_us": proc.policy.period_us,
-                          "deadline_us": proc.policy.deadline_us}
-            else:
-                policy = {"kind": "fifo", "priority": proc.policy.priority,
-                          "cpu_request": proc.policy.cpu_request}
-            procs.append({"selector": selector, "policy": policy})
-        doc["rt_processes"] = procs
-    if spec.dependencies:
-        doc["dependencies"] = [
-            {"service": d.target_service, "weight": d.dep_weight,
-             "latency_weight": d.latency_weight, "metric_weight": d.metric_weight}
-            for d in spec.dependencies]
-    if spec.metric is not None:
-        doc["metric"] = {"name": spec.metric.name, "direction": spec.metric.direction,
-                         "metric_weight": spec.metric.metric_weight,
-                         "latency_weight": spec.metric.latency_weight}
-    return doc
-
-
-def spec_from_json(doc: Mapping) -> FogServiceSpec:
-    locations = None
-    if "locations" in doc:
-        locations = [LocationScope(item["location"], item.get("replicas", 1),
-                                   dict(item.get("config", {})))
-                     for item in doc["locations"]]
-    procs = []
-    for item in doc.get("rt_processes", ()):
-        pol = item["policy"]
-        if pol["kind"] == "deadline":
-            policy = DeadlinePolicy(pol["runtime_us"], pol["period_us"],
-                                    pol.get("deadline_us", 0))
-        elif pol["kind"] == "fifo":
-            policy = FifoPolicy(pol["priority"], pol["cpu_request"])
-        else:
-            raise ValueError(f"unknown policy kind: {pol['kind']}")
-        sel = item.get("selector", {})
-        procs.append(RtProcessSpec(policy=policy, pid=sel.get("pid"),
-                                   name_substring=sel.get("name_substring")))
-    deps = tuple(DependencyRef(d["service"], d.get("weight", 1.0),
-                               d.get("latency_weight", 0.5), d.get("metric_weight", 0.5))
-                 for d in doc.get("dependencies", ()))
-    metric = None
-    if "metric" in doc:
-        m = doc["metric"]
-        metric = MetricSpec(m["name"], m.get("direction", LOWER_IS_BETTER),
-                            m.get("metric_weight", 0.5), m.get("latency_weight", 0.5))
-    return FogServiceSpec(
-        name=doc["name"], replicas=doc.get("replicas", 1), locations=locations,
-        cpu_request=doc.get("cpu_request", 100), cpu_limit=doc.get("cpu_limit", 100),
-        rt_limit=doc.get("rt_limit", 0.0), rt_processes=tuple(procs),
-        priority_class=doc.get("priority_class", 0), dependencies=deps,
-        metric=metric, runtime_class=doc.get("runtime_class", "container"))

@@ -20,13 +20,6 @@ POLICY_WEIGHTED = "weighted"
 POLICY_UNIFORM = "uniform"
 
 
-def replica_score(mv: float, lv: float, mw: float, lw: float) -> float:
-    """Combine a replica's normalized metric and latency values."""
-    if abs(mw + lw - 1.0) > 1e-9:
-        raise ValueError("metric and latency weights must sum to 1")
-    return mv * mw + lv * lw
-
-
 @dataclass(frozen=True)
 class RuleChain:
     """Replicas in ascending score order with per-rule accept probabilities."""

@@ -12,7 +12,6 @@ where no pod would be placed elsewhere.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .realtime import pod_rt_utilization
 from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorConfig:
     loop_period_s: float = 10.0
     grace_s: float = 120.0
@@ -86,23 +85,3 @@ class ClusterMonitor:
                 self.backoff[pod.id] = now
                 evictions.append(state.eviction_log[-1])
         return evictions
-
-
-def run_monitor(state: ClusterState, monitor: ClusterMonitor, until: float,
-                reschedule=None, rng: Optional[random.Random] = None) -> list[EvictionEvent]:
-    """Drive monitor passes at the configured period up to `until` seconds.
-
-    Convenience driver for tests and scripts; the simulator interleaves the
-    same passes with its other event types instead.  `reschedule(state, now,
-    rng)` is invoked after any pass that evicted pods.
-    """
-    events = []
-    t = monitor.config.loop_period_s
-    while t <= until:
-        evicted = monitor.pass_once(state, t)
-        events.extend(evicted)
-        if evicted and reschedule is not None:
-            state.reactivate_unschedulable()
-            reschedule(state, t, rng)
-        t += monitor.config.loop_period_s
-    return events

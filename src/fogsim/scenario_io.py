@@ -16,12 +16,14 @@ service, one [arm <name>] per scheduler configuration to run, optional
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from pathlib import Path
 
 from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, RtProcessSpec
 from .fogservice import FogServiceSpec, LocationScope, validate
-from .simulator import (ArmSpec, LbSettings, MonitorSettings, NodeSettings,
-                        ScenarioConfig, TopologySpec, WorkloadEvent)
+from .monitor import MonitorConfig
+from .simulator import (ArmSpec, LbSettings, NodeSettings, ScenarioConfig,
+                        TopologySpec, WorkloadEvent)
 from .telemetry import MetricSpec
 
 
@@ -37,6 +39,14 @@ def _tokens_to_kwargs(tokens: list[str]) -> dict[str, str]:
         key, value = tok.split("=", 1)
         out[key] = value
     return out
+
+
+def _settings(section, cls) -> dict:
+    """The fields of `cls` that `section` sets, each parsed as the type of
+    its default; absent keys keep the dataclass default."""
+    getters = {int: section.getint, float: section.getfloat}
+    return {f.name: getters[type(f.default)](f.name) for f in dataclasses.fields(cls)
+            if f.name in section and type(f.default) in getters}
 
 
 def _parse_rt_process(line: str) -> RtProcessSpec:
@@ -195,8 +205,7 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     if not zones:
         raise ScenarioParseError("topology defines no zones")
     topology = TopologySpec(zones=zones, uplinks_ms=uplinks,
-                            intra_node_ms=topo.getfloat("intra_node_ms", 0.02),
-                            intra_zone_ms=topo.getfloat("intra_zone_ms", 0.01))
+                            **_settings(topo, TopologySpec))
 
     nodes = NodeSettings()
     if "nodes" in parser:
@@ -206,11 +215,7 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
             if key.startswith("override."):
                 _, node_id, attr = key.split(".", 2)
                 overrides.setdefault(node_id, {})[attr] = int(value)
-        nodes = NodeSettings(cores=sect.getint("cores", 4),
-                             cpu_capacity=sect.getint("cpu_capacity", 4000),
-                             rt_period_us=sect.getint("rt_period_us", 1_000_000),
-                             rt_runtime_us=sect.getint("rt_runtime_us", 950_000),
-                             overrides=overrides)
+        nodes = NodeSettings(overrides=overrides, **_settings(sect, NodeSettings))
 
     services = []
     arms = []
@@ -226,20 +231,17 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
             named.append(_parse_arm(section_name.split(" ", 1)[1],
                                     parser[section_name]))
 
-    monitor = MonitorSettings()
+    monitor = None
     if "monitor" in parser:
+        # built, and so checked, even when the monitor is off
         sect = parser["monitor"]
-        monitor = MonitorSettings(enabled=sect.getboolean("enabled", False),
-                                  loop_period_s=sect.getfloat("loop_period_s", 10.0),
-                                  grace_s=sect.getfloat("grace_s", 120.0),
-                                  backoff_s=sect.getfloat("backoff_s", 120.0))
+        monitor = MonitorConfig(**_settings(sect, MonitorConfig))
+        if not sect.getboolean("enabled", False):
+            monitor = None
 
     lb = LbSettings()
     if "loadbalancer" in parser:
-        sect = parser["loadbalancer"]
-        lb = LbSettings(refresh_period_s=sect.getfloat("refresh_period_s", 30.0),
-                        processing_delay_ms=sect.getfloat("processing_delay_ms", 0.005),
-                        staleness_periods=sect.getint("staleness_periods", 3))
+        lb = LbSettings(**_settings(parser["loadbalancer"], LbSettings))
 
     workload = []
     for line in parser["workload"].get("events", "").splitlines():

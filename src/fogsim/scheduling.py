@@ -44,17 +44,12 @@ class BaselinePlugin:
 
     name = "baseline"
 
-    def __init__(self, cpu_weight: float = 0.5, count_weight: float = 0.5):
-        self.cpu_weight = cpu_weight
-        self.count_weight = count_weight
-
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         node = snapshot.nodes[node_id]
         cpu_after = (snapshot.allocated_m[node_id] + pod.cpu_request) / node.cpu_capacity
         max_count = snapshot.max_pod_count
         count_frac = len(snapshot.running_on(node_id)) / max_count if max_count > 0 else 0.0
-        score = (self.cpu_weight * (1.0 - cpu_after)
-                 + self.count_weight * (1.0 - count_frac))
+        score = 0.5 * (1.0 - cpu_after) + 0.5 * (1.0 - count_frac)
         return min(max(score, 0.0), 1.0)
 
 

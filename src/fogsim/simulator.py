@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping, Optional
 
-from .cluster import ClusterState, Node, PodStatus, Topology
+from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
+                      DEFAULT_INTRA_ZONE_MS, DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
+                      ClusterState, Node, PodStatus, Topology)
 from .fogservice import FogServiceSpec, expand
 from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
@@ -59,14 +61,6 @@ class ArmSpec:
 
 
 @dataclass(frozen=True)
-class MonitorSettings:
-    enabled: bool = False
-    loop_period_s: float = 10.0
-    grace_s: float = 120.0
-    backoff_s: float = 120.0
-
-
-@dataclass(frozen=True)
 class LbSettings:
     refresh_period_s: float = 30.0
     processing_delay_ms: float = 0.005
@@ -75,19 +69,22 @@ class LbSettings:
 
 @dataclass(frozen=True)
 class NodeSettings:
-    cores: int = 4
-    cpu_capacity: int = 4000
-    rt_period_us: int = 1_000_000
-    rt_runtime_us: int = 950_000
+    cores: int = DEFAULT_CORES
+    cpu_capacity: int = DEFAULT_CPU_CAPACITY_M
+    rt_period_us: int = DEFAULT_RT_PERIOD_US
+    rt_runtime_us: int = DEFAULT_RT_RUNTIME_US
     overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+
+
+NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # overridable
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     zones: Mapping[str, tuple[str, ...]]
     uplinks_ms: Mapping[str, float]
-    intra_node_ms: float = 0.02
-    intra_zone_ms: float = 0.01
+    intra_node_ms: float = DEFAULT_INTRA_NODE_MS
+    intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS
 
     def build(self) -> Topology:
         return Topology(self.zones, self.uplinks_ms,
@@ -107,7 +104,7 @@ class ScenarioConfig:
     repetitions: int = 1
     ci_repetitions: int = 1
     nodes: NodeSettings = NodeSettings()
-    monitor: MonitorSettings = MonitorSettings()
+    monitor: Optional[MonitorConfig] = None  # None: no monitor passes
     lb: LbSettings = LbSettings()
     sample_period_s: float = 0.0
     # extra scheduler configs addressable from `deploy ... using=<name>`
@@ -118,8 +115,8 @@ class ScenarioConfig:
         problems = []
         if self.duration_s <= 0:
             problems.append("duration_s must be positive")
-        if not (self.monitor.loop_period_s > 0 and self.lb.refresh_period_s > 0):
-            problems.append("loop_period_s and refresh_period_s must be positive")
+        if not self.lb.refresh_period_s > 0:
+            problems.append("refresh_period_s must be positive")
         if self.repetitions < 1 or self.ci_repetitions < 1:
             problems.append("repetitions must be >= 1")
         if not self.arms:
@@ -134,6 +131,16 @@ class ScenarioConfig:
             self.topology.build()
         except (ValueError, KeyError) as exc:
             problems.append(f"topology: {exc}")
+        try:
+            build_nodes(self.topology, self.nodes)
+        except ValueError as exc:
+            problems.append(str(exc))
+        nodes = {n for zone in self.topology.zones.values() for n in zone}
+        for node_id, over in self.nodes.overrides.items():
+            if node_id not in nodes:
+                problems.append(f"override.{node_id}: unknown node")
+            problems += [f"override.{node_id}.{key}: unknown node setting"
+                         for key in over if key not in NODE_FIELDS]
         for kind, arms in (("arm", self.arms), ("config", self.named_configs)):
             for arm in arms:
                 try:
@@ -143,16 +150,15 @@ class ScenarioConfig:
                 if arm.lb_policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
                     problems.append(f"{kind} {arm.name}: unknown balancing policy: "
                                     f"{arm.lb_policy}")
-        return problems + self._workload_problems(set(service_names))
+        return problems + self._workload_problems(set(service_names), nodes)
 
-    def _workload_problems(self, services: set[str]) -> list[str]:
+    def _workload_problems(self, services: set[str], nodes: set[str]) -> list[str]:
         """Names in the workload script that nothing defines, deploys that
         re-create a pod id, pins of a pod not created at the pin's own time
         (earlier, the scheduler has placed it) or pinned twice, and request
         streams that would issue nothing or divide by a zero rate.  Events
         after `duration_s` are dropped unrun, so they create and pin nothing."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
-        nodes = {n for zone in self.topology.zones.values() for n in zone}
         specs = {s.name: s for s in self.services}
         problems, created, pinned = [], {}, set()
         # the event loop runs deploys before pins of the same time (SUBMIT
@@ -220,12 +226,8 @@ def build_nodes(topology_spec: TopologySpec, settings: NodeSettings) -> list[Nod
     for zone in sorted(topology_spec.zones):
         for node_id in topology_spec.zones[zone]:
             over = settings.overrides.get(node_id, {})
-            nodes.append(Node(
-                id=node_id, zone=zone,
-                cores=over.get("cores", settings.cores),
-                cpu_capacity=over.get("cpu_capacity", settings.cpu_capacity),
-                rt_period_us=over.get("rt_period_us", settings.rt_period_us),
-                rt_runtime_us=over.get("rt_runtime_us", settings.rt_runtime_us)))
+            nodes.append(Node(node_id, zone, **{f: over.get(f, getattr(settings, f))
+                                               for f in NODE_FIELDS}))
     return nodes
 
 
@@ -263,10 +265,8 @@ class _Run:
         self.sched_config = arm.scheduler_config()
         self.alt_configs = {a.name: a.scheduler_config()
                             for a in (*config.arms, *config.named_configs)}
-        self.monitor = ClusterMonitor(
-            MonitorConfig(config.monitor.loop_period_s, config.monitor.grace_s,
-                          config.monitor.backoff_s),
-            self.sched_config) if config.monitor.enabled else None
+        self.monitor = (ClusterMonitor(config.monitor, self.sched_config)
+                        if config.monitor is not None else None)
         staleness = config.lb.refresh_period_s * config.lb.staleness_periods
         self.balancers: dict[str, LoadBalancer] = {}
         for event in config.workload:

@@ -78,9 +78,6 @@ class MetricStore:
             raise ValueError(f"timestamp went backwards for {key}")
         self._samples[key] = MetricSample(value, timestamp)
 
-    def latest(self, service: str, pod: str) -> Optional[MetricSample]:
-        return self._samples.get((service, pod))
-
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,27 @@ def make_state(cores: int = 4, cpu_capacity: int = 4000,
                   rt_runtime_us=rt_runtime_us)
              for z, ns in ZONES.items() for n in ns]
     return ClusterState(nodes, topology)
+
+
+def record(cluster) -> dict:
+    """A deep, comparable record of a ClusterState or ClusterSnapshot: every
+    pod and node field, the topology's zones, uplinks and base latencies,
+    the allocation map, the queue, the unschedulable list and the metric
+    samples.  It shares nothing with the cluster, so a record taken before
+    an operation equals one taken after it iff the operation changed none
+    of these."""
+    topology = cluster.topology
+    return {
+        "pods": {pod_id: dataclasses.asdict(pod) for pod_id, pod in cluster.pods.items()},
+        "nodes": {node_id: dataclasses.asdict(node) for node_id, node in cluster.nodes.items()},
+        "zones": {zone: list(nodes) for zone, nodes in topology.zones.items()},
+        "uplinks_ms": dict(topology.uplinks_ms),
+        "base_ms": (topology.intra_node_ms, topology.intra_zone_ms),
+        "allocated_m": dict(cluster.allocated_m),
+        "queue": list(getattr(cluster, "queue", ())),
+        "unschedulable": list(getattr(cluster, "unschedulable", ())),
+        "samples": dict(cluster.metric_store._samples),
+    }
 
 
 @pytest.fixture

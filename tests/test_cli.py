@@ -137,6 +137,14 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     ("plugins = baseline:1.0", "plugins = nosuch:1.0"),
     ("plugins = baseline:1.0", "plugins = baseline:1.0\ntie_break = bogus"),
     ("plugins = baseline:1.0", "plugins = baseline:1.0\nlb_policy = bogus"),
+    # settings sections are checked at parse time, even a monitor that is off
+    ("duration_s = 5", "duration_s = 5\n[monitor]\nenabled = true\ngrace_s = 0"),
+    ("duration_s = 5", "duration_s = 5\n[monitor]\nenabled = true\nbackoff_s = -5"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\ncores = 0"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\nrt_runtime_us = 2000000"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = 0"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.ZZ.cores = 2"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.corez = 2"),
 ])
 def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
     path = tmp_path / "bad.ini"
@@ -144,6 +152,17 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_one_exit_2_with_one_line(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fig6-deadline", flag, value, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and flag in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestReport:

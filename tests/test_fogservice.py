@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from fogsim.cluster import (DeadlinePolicy, DependencyRef, FifoPolicy,
                             RtProcessSpec)
-from fogsim.fogservice import (FogServiceSpec, LocationScope, expand,
-                               spec_from_json, spec_to_json, validate)
+from fogsim.fogservice import FogServiceSpec, LocationScope, expand, validate
 from fogsim.telemetry import MetricSpec
 
 from conftest import make_state
@@ -107,41 +106,3 @@ def test_location_scope_survives_eviction():
     state.evict(pod_id, 200.0)
     assert state.pods[pod_id].location_scope == "P2-A"
 
-
-def test_json_round_trip():
-    spec = FogServiceSpec(
-        name="detector", replicas=3, cpu_request=250, cpu_limit=500,
-        rt_limit=0.4, priority_class=7, runtime_class="legacy",
-        rt_processes=(rt(DeadlinePolicy(100_000, 1_000_000)),
-                      RtProcessSpec(policy=FifoPolicy(50, 0.25), pid=1)),
-        dependencies=(DependencyRef("db", 1.0, 0.6, 0.4),),
-        metric=MetricSpec("fps", "higher-is-better", 0.3, 0.7))
-    assert spec_from_json(spec_to_json(spec)) == spec
-
-
-def test_json_golden_form():
-    spec = FogServiceSpec(
-        name="detector", locations=[LocationScope("P2-A", 2, {"res": "hd"})],
-        cpu_request=250, cpu_limit=500, rt_limit=0.4, priority_class=7,
-        runtime_class="legacy",
-        rt_processes=(rt(DeadlinePolicy(100_000, 1_000_000)),),
-        dependencies=(DependencyRef("db", 1.0, 0.6, 0.4),),
-        metric=MetricSpec("fps", "higher-is-better", 0.3, 0.7))
-    assert spec_to_json(spec) == {
-        "name": "detector",
-        "cpu_request": 250,
-        "cpu_limit": 500,
-        "rt_limit": 0.4,
-        "priority_class": 7,
-        "runtime_class": "legacy",
-        "locations": [{"location": "P2-A", "replicas": 2,
-                       "config": {"res": "hd"}}],
-        "rt_processes": [{"selector": {"name_substring": "worker"},
-                          "policy": {"kind": "deadline", "runtime_us": 100_000,
-                                     "period_us": 1_000_000,
-                                     "deadline_us": 1_000_000}}],
-        "dependencies": [{"service": "db", "weight": 1.0,
-                          "latency_weight": 0.6, "metric_weight": 0.4}],
-        "metric": {"name": "fps", "direction": "higher-is-better",
-                   "metric_weight": 0.3, "latency_weight": 0.7},
-    }

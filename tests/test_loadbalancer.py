@@ -4,26 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer,
-                                 chain_probabilities, replica_score,
-                                 select_replica, uniform_chain)
+                                 chain_probabilities, select_replica,
+                                 uniform_chain)
 from fogsim.telemetry import MetricStore
 
 from conftest import walk_frequencies
-
-
-class TestReplicaScore:
-    def test_saturated(self):
-        assert replica_score(1.0, 1.0, 0.3, 0.7) == pytest.approx(1.0)
-
-    def test_latency_only(self):
-        assert replica_score(0.0, 1.0, 0.5, 0.5) == pytest.approx(0.5)
-
-    def test_direct_formula(self):
-        assert replica_score(0.6, 0.2, 0.75, 0.25) == pytest.approx(0.5)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            replica_score(0.5, 0.5, 0.6, 0.6)
 
 
 class TestChainProbabilities:

@@ -1,11 +1,10 @@
 import pytest
 
 from fogsim.cluster import ClusterState, Node, PodInstance, PodStatus, Topology
-from fogsim.monitor import (ClusterMonitor, MonitorConfig, run_monitor,
-                            simulate_scheduling)
+from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
 
-from conftest import make_state
+from conftest import make_state, record
 
 BASELINE = SchedulerConfig(plugins=(("baseline", 1.0),))
 # location affinity keeps the anchor pod in place so only the drifting pod
@@ -48,9 +47,9 @@ class TestSimulateScheduling:
         state.add_pods([pod("heavy", request=800), pod("p")])
         state.apply_placement("heavy", "n1", 0.0)
         state.apply_placement("p", "n1", 0.0)
-        digest = state.content_hash()
-        simulate_scheduling(state, "p", BASELINE)
-        assert state.content_hash() == digest
+        before = record(state)
+        assert simulate_scheduling(state, "p", BASELINE, now=500.0) == "n2"
+        assert record(state) == before
 
     def test_requires_running_pod(self):
         state = two_node_state()
@@ -112,21 +111,35 @@ class TestMonitorPass:
             assert event.target_node != event.from_node
 
 
+def monitor_loop(state, monitor, until):
+    """Monitor passes every loop period up to `until`; after a pass that
+    evicted, wake the unschedulable pods and drain the queue, as the
+    simulator does.  Returns every eviction."""
+    config = monitor.scheduler_config
+    events = []
+    t = monitor.config.loop_period_s
+    while t <= until:
+        evicted = monitor.pass_once(state, t)
+        if evicted:
+            state.reactivate_unschedulable()
+            run_queue(state, config, t)
+        events += evicted
+        t += monitor.config.loop_period_s
+    return events
+
+
 def test_fixed_point_has_no_evictions():
     state = make_state()
     state.add_pods([pod(f"p{i}") for i in range(16)])
     run_queue(state, BASELINE, 0.0)  # balanced 2 per node
     monitor = ClusterMonitor(MonitorConfig(10.0, 120.0, 120.0), BASELINE)
-    events = run_monitor(state, monitor, until=1000.0,
-                         reschedule=lambda s, t, rng: run_queue(s, BASELINE, t, rng))
-    assert events == []
+    assert monitor_loop(state, monitor, until=1000.0) == []
 
 
-def test_run_monitor_drives_periodic_passes_and_reschedules():
+def test_periodic_passes_evict_after_grace_and_reschedule():
     state = drifted_state()
     monitor = ClusterMonitor(MonitorConfig(10.0, 120.0, 120.0), ANCHORED)
-    events = run_monitor(state, monitor, until=300.0,
-                         reschedule=lambda s, t, rng: run_queue(s, ANCHORED, t, rng))
+    events = monitor_loop(state, monitor, until=300.0)
     assert [e.pod for e in events] == ["p"]
     assert events[0].time == 130.0  # first pass after the grace period
     assert state.pods["p"].assignment == "n2"

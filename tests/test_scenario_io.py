@@ -1,5 +1,6 @@
 import pytest
 
+from fogsim.monitor import MonitorConfig
 from fogsim.scenario_io import ScenarioParseError, parse_scenario
 from fogsim.scenarios import BUNDLED, deadline_preemption_variant, load_bundled
 
@@ -82,7 +83,7 @@ class TestParse:
         assert worker.dependencies[0].latency_weight == 0.7
         assert [a.name for a in cfg.arms] == ["custom", "baseline"]
         assert cfg.arms[0].plugins == (("realtime", 2.0), ("baseline", 1.0))
-        assert cfg.monitor.enabled and cfg.monitor.grace_s == 60
+        assert cfg.monitor == MonitorConfig(loop_period_s=5, grace_s=60, backoff_s=30)
         assert cfg.lb.refresh_period_s == 15
         assert len(cfg.workload) == 5
         assert cfg.workload[4].action == "requests"
@@ -135,7 +136,7 @@ class TestBundled:
 
     def test_fig7_uses_stock_config_for_initial_deploy(self):
         cfg = load_bundled("fig7-monitor")
-        assert cfg.monitor.enabled
+        assert cfg.monitor is not None
         deploys = [e for e in cfg.workload if e.action == "deploy"]
         assert deploys[0].args[1] == "stock"
         assert {a.name for a in cfg.named_configs} == {"stock"}

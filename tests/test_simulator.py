@@ -2,11 +2,13 @@ import dataclasses
 
 import pytest
 
-from fogsim import simulator
+from fogsim import report, simulator
+from fogsim.monitor import MonitorConfig
+from fogsim.realtime import FEASIBILITY_EPS, node_rt_utilization, rt_capacity
 from fogsim.scenarios import load_bundled
-from fogsim.simulator import (ArmSpec, EventKind, LbSettings, MonitorSettings,
-                              NodeSettings, ScenarioConfig, TopologySpec,
-                              WorkloadEvent, request_rtt, run_scenario)
+from fogsim.simulator import (ArmSpec, EventKind, LbSettings, NodeSettings,
+                              ScenarioConfig, TopologySpec, WorkloadEvent,
+                              request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec
 from fogsim.cluster import DependencyRef, PodInstance, Topology
 
@@ -43,12 +45,15 @@ class TestDeterminism:
         b = run_scenario(cfg, seed=2)
         assert a.placements != b.placements
 
-    def test_parallel_jobs_match_serial(self):
-        cfg = small_scenario(repetitions=4, ci_repetitions=4)
-        serial = run_scenario(cfg, seed=3, jobs=1)
-        parallel = run_scenario(cfg, seed=3, jobs=2)
-        assert serial.placements == parallel.placements
-        assert serial.evictions == parallel.evictions
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        cfg = load_bundled("fig6-realtime")
+        for jobs in (1, 2):
+            results = run_scenario(cfg, repetitions=20, profile="ci", jobs=jobs)
+            report.write_results(results, tmp_path / f"jobs{jobs}")
+        for name in ("placements.csv", "timeseries.csv", "requests.csv",
+                     "evictions.csv", "summary.txt"):
+            assert ((tmp_path / "jobs1" / name).read_bytes()
+                    == (tmp_path / "jobs2" / name).read_bytes())
 
     def test_arms_share_workload_order(self):
         # identical plugin configs in both arms must give identical results
@@ -167,7 +172,7 @@ class TestLinkInjection:
             name="drift", topology=topology, nodes=nodes, services=services,
             arms=(ArmSpec(name="custom", plugins=(("dependencies", 1.0),)),),
             workload=workload, duration_s=300.0, repetitions=1,
-            ci_repetitions=1, monitor=MonitorSettings(enabled=True),
+            ci_repetitions=1, monitor=MonitorConfig(),
             lb=LbSettings(), seed=4)
         res = run_scenario(cfg)
         moves = [r for r in res.evictions if r[3] == "app-0"]
@@ -180,7 +185,13 @@ class TestLinkInjection:
         assert final["app-0"] == "P4-A"
 
 
-@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig7-monitor"])
+# scenarios whose `custom` arm schedules every pod through the realtime
+# filter: every config there includes it and no pod is pinned past it
+RT_FILTERED = ("fig6-realtime", "fig6-deadline")
+
+
+@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig6-deadline",
+                                  "fig7-monitor"])
 def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
     dispatch = simulator._Run.dispatch
     seen = set()
@@ -188,6 +199,11 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
     def checked(self, now, kind, payload, timeseries):
         dispatch(self, now, kind, payload, timeseries)
         self.state.check_invariants()
+        if name in RT_FILTERED and self.arm.name == "custom":
+            view = self.state.view()
+            for node_id, node in self.state.nodes.items():
+                assert (node_rt_utilization(node_id, view).value
+                        <= rt_capacity(node) + FEASIBILITY_EPS), (node_id, now)
         seen.add(kind)
 
     monkeypatch.setattr(simulator._Run, "dispatch", checked)
