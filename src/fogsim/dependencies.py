@@ -118,7 +118,7 @@ def replica_scores(pod: PodInstance, node_id: str, dep: DependencyRef,
     else:
         samples = snapshot.metric_store.service_samples(dep.target_service)
         mv = metric_scores(samples, replica_ids, spec.direction,
-                           snapshot.now, staleness_s=90.0)
+                           snapshot.now, snapshot.metric_store.staleness_s)
     return {r.id: lat_norm[r.assignment] * dep.latency_weight
             + mv[r.id] * dep.metric_weight
             for r in replicas}

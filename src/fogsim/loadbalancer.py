@@ -87,13 +87,11 @@ class LoadBalancer:
     sees either the old or the new chain, never a partial one.
     """
 
-    def __init__(self, client_node: str, policy: str = POLICY_WEIGHTED,
-                 staleness_s: float = 90.0):
+    def __init__(self, client_node: str, policy: str = POLICY_WEIGHTED):
         if policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
             raise ValueError(f"unknown balancing policy: {policy}")
         self.client_node = client_node
         self.policy = policy
-        self.staleness_s = staleness_s
         self.chains: dict[str, RuleChain] = {}
 
     def refresh(self, view, now: float) -> None:
@@ -111,7 +109,7 @@ class LoadBalancer:
             scores = refresh_scoreboard(
                 service, replica_nodes,
                 lambda node: path_latency(view.topology, self.client_node, node),
-                view.metric_store, view.metric_specs.get(service), now, self.staleness_s)
+                view.metric_store, view.metric_specs.get(service), now)
             chains[service] = chain_probabilities(scores)
         self.chains = chains
 

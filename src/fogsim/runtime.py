@@ -9,7 +9,6 @@ out of scope.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -79,14 +78,6 @@ class SimulatedProcessHost:
         return [c for c in self.calls if c.call == "set_policy"
                 and (pod_id is None or c.pod == pod_id)]
 
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "pod", "call", "pid", "detail", "ok"])
-            for c in self.calls:
-                writer.writerow([repr(c.time), c.pod, c.call,
-                                 "" if c.pid is None else c.pid, c.detail, int(c.ok)])
-
 
 def _policy_text(policy) -> str:
     if isinstance(policy, DeadlinePolicy):
@@ -103,15 +94,6 @@ class RecordingRuntime:
 
     def create(self, pod: PodInstance) -> None:
         self.events.append(("create", pod.id))
-
-    def start(self, pod: PodInstance) -> None:
-        self.events.append(("start", pod.id))
-
-    def stop(self, pod: PodInstance) -> None:
-        self.events.append(("stop", pod.id))
-
-    def status(self, pod: PodInstance) -> str:
-        return pod.status.value
 
 
 class RuntimeDispatcher:

@@ -11,6 +11,16 @@ service, one [arm <name>] per scheduler configuration to run, optional
     at <t> metric <service> <pod> <value>
     at <t> requests client=<node> service=<name> rate_hz=<hz> count=<n>
     at <t> link <zone> <one-way-ms>
+
+Other than the structured keys (`zone.`, `uplink.`, `override.`,
+`locations`, `config.<location>`, `depends_on`, `rt_processes`, `metric`,
+`plugins`, `enabled`, `events`), a section key or a `depends_on`, `metric`
+or `rt_processes` token sets the dataclass field of its name, parsed as the
+field's type; an unset field keeps its default.  Token names that differ:
+`weight`, `lw`, `mw` (`dep_weight`, `latency_weight`, `metric_weight`),
+`cpu` (`cpu_request`), `pid` and `name` (the process selector's `pid` and
+`name_substring`).  An unknown key or section, a `config.<location>` of an
+unlisted location and a repeated token key are errors.
 """
 
 from __future__ import annotations
@@ -31,102 +41,112 @@ class ScenarioParseError(ValueError):
     pass
 
 
-def _tokens_to_kwargs(tokens: list[str]) -> dict[str, str]:
+SCALARS = {"int": int, "float": float, "str": str}  # annotation string -> parser
+TOKEN_KEYS = {"weight": "dep_weight", "lw": "latency_weight", "mw": "metric_weight",
+              "cpu": "cpu_request"}
+
+
+def _build(cls, where: str, items, renames=None, **given):
+    """`cls` from `given` plus each (key, value) of `items`, which sets the
+    int, float or str field the key names, directly or through `renames`
+    (a field renamed, or in `given`, takes no key of its own name).  Raises,
+    naming `where`, on a key no field takes or a required field unset."""
+    fields = {f.name: f for f in dataclasses.fields(cls)
+              if f.type in SCALARS and f.name not in given}
+    keys = {key: name for key, name in (renames or {}).items() if name in fields}
+    keys.update((name, name) for name in fields if name not in keys.values())
+    kwargs = dict(given)
+    for key, value in items:
+        if key not in keys:
+            raise ScenarioParseError(f"{where}: unknown key {key!r}")
+        kwargs[keys[key]] = SCALARS[fields[keys[key]].type](value)
+    missing = [key for key, name in keys.items()
+               if name not in kwargs and fields[name].default is dataclasses.MISSING]
+    if missing:
+        raise ScenarioParseError(f"{where}: missing {', '.join(missing)}")
+    return cls(**kwargs)
+
+
+def _rest(section, structured) -> list[tuple[str, str]]:
+    """`section`'s items but the `structured` keys (ending in '.': prefixes)."""
+    prefixes = tuple(s for s in structured if s.endswith("."))
+    return [(k, v) for k, v in section.items()
+            if k not in structured and not k.startswith(prefixes)]
+
+
+def _tokens(tokens: list[str], where: str) -> dict[str, str]:
     out = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioParseError(f"expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ScenarioParseError(f"{where}: expected key=value, got {tok!r}")
+        if key in out:
+            raise ScenarioParseError(f"{where}: repeated key {key!r}")
         out[key] = value
     return out
 
 
-def _settings(section, cls) -> dict:
-    """The fields of `cls` that `section` sets, each parsed as the type of
-    its default; absent keys keep the dataclass default."""
-    getters = {int: section.getint, float: section.getfloat}
-    return {f.name: getters[type(f.default)](f.name) for f in dataclasses.fields(cls)
-            if f.name in section and type(f.default) in getters}
-
-
-def _parse_rt_process(line: str) -> RtProcessSpec:
-    tokens = line.split()
-    kind, kwargs = tokens[0], _tokens_to_kwargs(tokens[1:])
-    pid = int(kwargs["pid"]) if "pid" in kwargs else None
-    name = kwargs.get("name")
-    if kind == "deadline":
-        policy = DeadlinePolicy(int(kwargs["runtime_us"]), int(kwargs["period_us"]),
-                                int(kwargs.get("deadline_us", 0)))
-    elif kind == "fifo":
-        policy = FifoPolicy(int(kwargs["priority"]), float(kwargs["cpu"]))
-    else:
-        raise ScenarioParseError(f"unknown rt process kind: {kind}")
+def _parse_rt_process(line: str, where: str) -> RtProcessSpec:
+    kind, *tokens = line.split()
+    policies = {"deadline": DeadlinePolicy, "fifo": FifoPolicy}
+    if kind not in policies:
+        raise ScenarioParseError(f"{where}: unknown rt process kind: {kind}")
+    kwargs = _tokens(tokens, where)
+    pid, name = kwargs.pop("pid", None), kwargs.pop("name", None)
+    policy = _build(policies[kind], where, kwargs.items(), TOKEN_KEYS)
     if pid is None and name is None:
         name = ""  # matches any process
-    return RtProcessSpec(policy=policy, pid=pid, name_substring=name)
+    return RtProcessSpec(policy, None if pid is None else int(pid), name)
 
 
-def _parse_dependency(line: str) -> DependencyRef:
+def _parse_line(cls, line: str, where: str, *positional: str):
+    """`cls` from a line of `positional` values, then key=value tokens."""
     tokens = line.split()
-    kwargs = _tokens_to_kwargs(tokens[1:])
-    return DependencyRef(
-        target_service=tokens[0],
-        dep_weight=float(kwargs.get("weight", 1.0)),
-        latency_weight=float(kwargs.get("lw", 0.5)),
-        metric_weight=float(kwargs.get("mw", 0.5)))
+    if len(tokens) < len(positional):
+        raise ScenarioParseError(f"{where}: needs {' and '.join(positional)}: {line!r}")
+    return _build(cls, where, _tokens(tokens[len(positional):], where).items(), TOKEN_KEYS,
+                  **dict(zip(positional, tokens)))
 
 
-def _parse_metric(value: str) -> MetricSpec:
-    tokens = value.split()
-    if len(tokens) < 2:
-        raise ScenarioParseError(f"metric needs a name and direction: {value!r}")
-    kwargs = _tokens_to_kwargs(tokens[2:])
-    return MetricSpec(name=tokens[0], direction=tokens[1],
-                      metric_weight=float(kwargs.get("mw", 0.5)),
-                      latency_weight=float(kwargs.get("lw", 0.5)))
+SERVICE_KEYS = ("locations", "config.", "depends_on", "rt_processes", "metric")
 
 
 def _parse_service(name: str, section) -> FogServiceSpec:
+    where = f"[service {name}]"
     locations = None
     if "locations" in section:
         locations = []
         for tok in section["locations"].split():
             loc, _, count = tok.partition(":")
-            config = {}
-            if "config." + loc in section:
-                config = _tokens_to_kwargs(section["config." + loc].split())
-            locations.append(LocationScope(loc, int(count) if count else 1, config))
-    deps = tuple(_parse_dependency(line)
+            config = _tokens(section.get("config." + loc, "").split(), f"{where} config.{loc}")
+            locations.append(LocationScope(loc, int(count) if count else LocationScope.replicas,
+                                           config))
+    listed = {"config." + scope.location for scope in locations or ()}
+    for key in section:
+        if key.startswith("config.") and key not in listed:
+            raise ScenarioParseError(f"{where}: {key} names no location in locations")
+    deps = tuple(_parse_line(DependencyRef, line, f"{where} depends_on", "target_service")
                  for line in section.get("depends_on", "").splitlines() if line.strip())
-    procs = tuple(_parse_rt_process(line)
+    procs = tuple(_parse_rt_process(line, f"{where} rt_processes")
                   for line in section.get("rt_processes", "").splitlines() if line.strip())
-    metric = _parse_metric(section["metric"]) if "metric" in section else None
-    spec = FogServiceSpec(
-        name=name,
-        replicas=section.getint("replicas", 1),
-        locations=locations,
-        cpu_request=section.getint("cpu_request", 100),
-        cpu_limit=section.getint("cpu_limit", section.getint("cpu_request", 100)),
-        rt_limit=section.getfloat("rt_limit", 0.0),
-        rt_processes=procs,
-        priority_class=section.getint("priority_class", 0),
-        dependencies=deps,
-        metric=metric,
-        runtime_class=section.get("runtime_class", "container"))
+    metric = (_parse_line(MetricSpec, section["metric"], f"{where} metric", "name", "direction")
+              if "metric" in section else None)
+    spec = _build(FogServiceSpec, where, _rest(section, SERVICE_KEYS), name=name,
+                  locations=locations, rt_processes=procs, dependencies=deps, metric=metric)
+    if "cpu_limit" not in section:
+        spec.cpu_limit = spec.cpu_request
     problems = validate(spec)
     if problems:
         raise ScenarioParseError(f"service {name}: " + "; ".join(problems))
     return spec
 
 
-def _parse_arm(name: str, section) -> ArmSpec:
-    plugins = []
-    for tok in section.get("plugins", "baseline:1.0").split():
-        pname, _, weight = tok.partition(":")
-        plugins.append((pname, float(weight) if weight else 1.0))
-    return ArmSpec(name=name, plugins=tuple(plugins),
-                   tie_break=section.get("tie_break", "lexicographic"),
-                   lb_policy=section.get("lb_policy", "weighted"))
+def _parse_arm(where: str, name: str, section) -> ArmSpec:
+    given = {"name": name}
+    if "plugins" in section:
+        plugins = [tok.partition(":") for tok in section["plugins"].split()]
+        given["plugins"] = tuple((p, float(w) if w else 1.0) for p, _, w in plugins)
+    return _build(ArmSpec, where, _rest(section, ("plugins",)), **given)
 
 
 REQUEST_KEYS = ("client", "service", "rate_hz", "count")
@@ -140,18 +160,13 @@ def _parse_workload_line(line: str) -> WorkloadEvent:
         raise ValueError("must start with 'at <t>'")
     at, action, rest = float(tokens[1]), tokens[2], tokens[3:]
     if action == "deploy":
-        using = None
-        names = []
-        for tok in rest:
-            if tok.startswith("using="):
-                using = tok.split("=", 1)[1]
-            else:
-                names.append(tok)
-        if not names:
-            raise ValueError("deploy needs at least one service")
-        return WorkloadEvent(at, "deploy", (tuple(names), using))
+        names = tuple(tok for tok in rest if "=" not in tok)
+        options = _tokens([tok for tok in rest if "=" in tok], action)
+        if not names or options.keys() - {"using"}:
+            raise ValueError("deploy takes one or more services and an optional using=")
+        return WorkloadEvent(at, "deploy", (names, options.get("using")))
     if action == "requests":
-        kwargs = _tokens_to_kwargs(rest)
+        kwargs = _tokens(rest, action)
         if sorted(kwargs) != sorted(REQUEST_KEYS):
             raise ValueError("requests takes " + " ".join(f"{k}=" for k in REQUEST_KEYS))
         return WorkloadEvent(at, "requests", (kwargs["client"], kwargs["service"],
@@ -175,15 +190,17 @@ def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
         return _parse_scenario(text, name_hint)
     except ScenarioParseError:
         raise
-    except KeyError as exc:
-        raise ScenarioParseError(f"missing field {exc}") from None
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from None
+
+
+SECTIONS = ("scenario", "topology", "nodes", "monitor", "loadbalancer", "workload")
 
 
 def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # zone and node names are case-sensitive
+    parser.read_dict({"nodes": {}, "monitor": {}, "loadbalancer": {}})  # absent: defaults
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -192,57 +209,41 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     for required in ("scenario", "topology", "workload"):
         if required not in parser:
             raise ScenarioParseError(f"missing [{required}] section")
-
-    meta = parser["scenario"]
     topo = parser["topology"]
-    zones = {}
-    uplinks = {}
-    for key, value in topo.items():
-        if key.startswith("zone."):
-            zones[key[5:]] = tuple(value.split())
-        elif key.startswith("uplink."):
-            uplinks[key[7:]] = float(value)
+    zones = {k[5:]: tuple(v.split()) for k, v in topo.items() if k.startswith("zone.")}
     if not zones:
         raise ScenarioParseError("topology defines no zones")
-    topology = TopologySpec(zones=zones, uplinks_ms=uplinks,
-                            **_settings(topo, TopologySpec))
+    topology = _build(TopologySpec, "[topology]", _rest(topo, ("zone.", "uplink.")),
+                      zones=zones, uplinks_ms={k[7:]: float(v) for k, v in topo.items()
+                                               if k.startswith("uplink.")})
 
-    nodes = NodeSettings()
-    if "nodes" in parser:
-        sect = parser["nodes"]
-        overrides = {}
-        for key, value in sect.items():
-            if key.startswith("override."):
-                _, node_id, attr = key.split(".", 2)
-                overrides.setdefault(node_id, {})[attr] = int(value)
-        nodes = NodeSettings(overrides=overrides, **_settings(sect, NodeSettings))
+    overrides = {}
+    for key, value in parser["nodes"].items():
+        if key.startswith("override."):
+            _, node_id, attr = key.split(".", 2)
+            overrides.setdefault(node_id, {})[attr] = int(value)
+    nodes = _build(NodeSettings, "[nodes]", _rest(parser["nodes"], ("override.",)),
+                   overrides=overrides)
 
-    services = []
-    arms = []
-    named = []
+    named = {"service": [], "arm": [], "config": []}  # [<kind> <name>] sections
     for section_name in parser.sections():
-        if section_name.startswith("service "):
-            services.append(_parse_service(section_name.split(" ", 1)[1],
-                                           parser[section_name]))
-        elif section_name.startswith("arm "):
-            arms.append(_parse_arm(section_name.split(" ", 1)[1],
-                                   parser[section_name]))
-        elif section_name.startswith("config "):
-            named.append(_parse_arm(section_name.split(" ", 1)[1],
-                                    parser[section_name]))
+        kind, _, name = section_name.partition(" ")
+        if not (kind in named if name else kind in SECTIONS):
+            raise ScenarioParseError(f"unknown section [{section_name}]")
+        if kind == "service":
+            named[kind].append(_parse_service(name, parser[section_name]))
+        elif kind in named:
+            named[kind].append(_parse_arm(f"[{section_name}]", name, parser[section_name]))
 
-    monitor = None
-    if "monitor" in parser:
-        # built, and so checked, even when the monitor is off
-        sect = parser["monitor"]
-        monitor = MonitorConfig(**_settings(sect, MonitorConfig))
-        if not sect.getboolean("enabled", False):
-            monitor = None
+    # built, and so checked, even when the monitor is off or unset
+    monitor = _build(MonitorConfig, "[monitor]", _rest(parser["monitor"], ("enabled",)))
+    if not parser["monitor"].getboolean("enabled", False):
+        monitor = None
 
-    lb = LbSettings()
-    if "loadbalancer" in parser:
-        lb = LbSettings(**_settings(parser["loadbalancer"], LbSettings))
+    lb = _build(LbSettings, "[loadbalancer]", parser["loadbalancer"].items())
 
+    for key, _ in _rest(parser["workload"], ("events",)):
+        raise ScenarioParseError(f"[workload]: unknown key {key!r}")
     workload = []
     for line in parser["workload"].get("events", "").splitlines():
         if line.strip():
@@ -251,17 +252,14 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
             except ValueError as exc:
                 raise ScenarioParseError(f"workload line {line.strip()!r}: {exc}") from None
 
-    config = ScenarioConfig(
-        name=meta.get("name", name_hint or "scenario"),
-        description=meta.get("description", ""),
-        seed=meta.getint("seed", 42),
-        duration_s=meta.getfloat("duration_s", 10.0),
-        repetitions=meta.getint("repetitions", 1),
-        ci_repetitions=meta.getint("ci_repetitions", meta.getint("repetitions", 1)),
-        sample_period_s=meta.getfloat("sample_period_s", 0.0),
-        topology=topology, nodes=nodes, services=tuple(services),
-        arms=tuple(arms), named_configs=tuple(named),
-        monitor=monitor, lb=lb, workload=tuple(workload))
+    meta = parser["scenario"]
+    config = _build(ScenarioConfig, "[scenario]", [("name", name_hint or "scenario"),
+                                                   *meta.items()],
+                    topology=topology, nodes=nodes, services=tuple(named["service"]),
+                    arms=tuple(named["arm"]), named_configs=tuple(named["config"]),
+                    monitor=monitor, lb=lb, workload=tuple(workload))
+    if "ci_repetitions" not in meta:
+        config.ci_repetitions = config.repetitions
     problems = config.validate()
     if problems:
         raise ScenarioParseError("; ".join(problems))

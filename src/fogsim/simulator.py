@@ -25,7 +25,7 @@ from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_
 from .monitor import ClusterMonitor, MonitorConfig
 from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
-from .telemetry import path_latency
+from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
 
 
 class EventKind(IntEnum):
@@ -62,9 +62,17 @@ class ArmSpec:
 
 @dataclass(frozen=True)
 class LbSettings:
-    refresh_period_s: float = 30.0
+    refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S
     processing_delay_ms: float = 0.005
-    staleness_periods: int = 3
+    staleness_periods: int = DEFAULT_STALENESS_PERIODS
+
+    def __post_init__(self):
+        if not self.refresh_period_s > 0:
+            raise ValueError("refresh_period_s must be positive")
+        if not self.processing_delay_ms >= 0:
+            raise ValueError("processing_delay_ms must be >= 0")
+        if self.staleness_periods < 1:
+            raise ValueError("staleness_periods must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,8 @@ class ScenarioConfig:
         problems = []
         if self.duration_s <= 0:
             problems.append("duration_s must be positive")
-        if not self.lb.refresh_period_s > 0:
-            problems.append("refresh_period_s must be positive")
+        if not self.sample_period_s >= 0:
+            problems.append("sample_period_s must be >= 0")
         if self.repetitions < 1 or self.ci_repetitions < 1:
             problems.append("repetitions must be >= 1")
         if not self.arms:
@@ -236,16 +244,6 @@ def request_rtt(topology: Topology, client: str, node: str,
     return 2.0 * path_latency(topology, client, node) + processing_delay_ms
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    time: float
-    client: str
-    service: str
-    replica: str
-    node: str
-    rtt_ms: float
-
-
 class _Run:
     """One (arm, repetition) execution of a scenario."""
 
@@ -267,16 +265,16 @@ class _Run:
                             for a in (*config.arms, *config.named_configs)}
         self.monitor = (ClusterMonitor(config.monitor, self.sched_config)
                         if config.monitor is not None else None)
-        staleness = config.lb.refresh_period_s * config.lb.staleness_periods
+        self.state.metric_store.staleness_s = (config.lb.refresh_period_s
+                                               * config.lb.staleness_periods)
         self.balancers: dict[str, LoadBalancer] = {}
         for event in config.workload:
             if event.action == "requests":
                 client = event.args[0]
-                self.balancers.setdefault(
-                    client, LoadBalancer(client, arm.lb_policy, staleness))
+                self.balancers.setdefault(client, LoadBalancer(client, arm.lb_policy))
         self.heap: list = []
         self.seq = 0
-        self.requests: list[RequestRecord] = []
+        self.requests: list[tuple] = []  # requests.csv rows
         # metric directives declare continuously exported values; the
         # aggregator re-polls them every balancer refresh cycle
         self.static_metrics: dict[tuple[str, str], float] = {}
@@ -370,8 +368,8 @@ class _Run:
             if pod.status is PodStatus.RUNNING:
                 rtt = request_rtt(self.topology, client, pod.assignment,
                                   self.config.lb.processing_delay_ms)
-                self.requests.append(RequestRecord(now, client, service,
-                                                   replica, pod.assignment, rtt))
+                self.requests.append((self.arm.name, self.rep, repr(now), client, service,
+                                      replica, pod.assignment, repr(rtt)))
         if remaining > 1:
             self.push(now + 1.0 / rate_hz, EventKind.REQUEST,
                       (client, service, rate_hz, remaining - 1))
@@ -386,12 +384,10 @@ class _Run:
                                repr(pod.start_time if pod.assignment else 0.0)))
         series = [(arm, rep, repr(t), node, rt, reg, total)
                   for t, node, rt, reg, total in timeseries]
-        requests = [(arm, rep, repr(r.time), r.client, r.service, r.replica,
-                     r.node, repr(r.rtt_ms)) for r in self.requests]
         evictions = [(arm, rep, repr(e.time), e.pod, e.from_node,
                       e.target_node or "-", e.reason)
                      for e in self.state.eviction_log]
-        return placements, series, requests, evictions
+        return placements, series, self.requests, evictions
 
 
 def _run_rep(config: ScenarioConfig, seed: int, rep: int):

@@ -10,6 +10,8 @@ if TYPE_CHECKING:
 
 LOWER_IS_BETTER = "lower-is-better"
 HIGHER_IS_BETTER = "higher-is-better"
+DEFAULT_REFRESH_PERIOD_S = 30.0
+DEFAULT_STALENESS_PERIODS = 3  # refresh periods a metric sample stays fresh
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,13 @@ class MetricSample:
 
 
 class MetricStore:
-    """Latest application-level sample per (service, pod)."""
+    """Latest application-level sample per (service, pod); a sample older
+    than `staleness_s` is stale to every reader."""
 
-    def __init__(self):
+    def __init__(self, staleness_s: float = (DEFAULT_REFRESH_PERIOD_S
+                                             * DEFAULT_STALENESS_PERIODS)):
         self._samples: dict[tuple[str, str], MetricSample] = {}
+        self.staleness_s = staleness_s
 
     def ingest(self, service: str, pod: str, value: float, timestamp: float) -> None:
         key = (service, pod)
@@ -82,7 +87,7 @@ class MetricStore:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 
     def copy(self) -> "MetricStore":
-        store = MetricStore()
+        store = MetricStore(self.staleness_s)
         store._samples = dict(self._samples)  # samples are immutable
         return store
 
@@ -110,7 +115,7 @@ def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],
 def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],
                        latency_of: Callable[[str], float],
                        store: MetricStore, spec: Optional[MetricSpec],
-                       now: float, staleness_s: float = 90.0) -> Optional[dict[str, float]]:
+                       now: float) -> Optional[dict[str, float]]:
     """Recompute one service's replica scores from a reference point.
 
     `replica_nodes` maps the service's running replicas to their nodes and
@@ -130,6 +135,6 @@ def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],
         mw, lw = 0.0, 1.0
     else:
         mv = metric_scores(store.service_samples(service), replicas,
-                           spec.direction, now, staleness_s)
+                           spec.direction, now, store.staleness_s)
         mw, lw = spec.metric_weight, spec.latency_weight
     return {pod: mv[pod] * mw + lat[pod] * lw for pod in replicas}

@@ -145,6 +145,28 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = 0"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.ZZ.cores = 2"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.corez = 2"),
+    # a key, section or token that nothing reads is an error, not a default
+    ("duration_s = 5", "duration_s = 5\n[nodes]\ncorez = 2"),
+    ("duration_s = 5", "duration_s = 5\n[monitor]\nenabeld = true"),
+    ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nrefresh_period = 10"),
+    ("duration_s = 5", "duration_s = 5\ndurations = 5"),
+    ("replicas = 2", "replica = 2"),
+    ("plugins = baseline:1.0", "plugin = baseline:1.0"),
+    ("[arm custom]", "[servce x]\n[arm custom]"),
+    ("[arm custom]", "[loadbalancr]\n[arm custom]"),
+    ("[arm custom]", "[service]\n[arm custom]"),
+    ("[arm custom]", "[service app]\ndepends_on = web wieght=5\n[arm custom]"),
+    ("[arm custom]", "[service app]\ndepends_on = web weight=1 weight=2\n[arm custom]"),
+    ("replicas = 2", "replicas = 2\nmetric = load lower-is-better mww=0.9"),
+    ("replicas = 2", "replicas = 2\nrt_processes =\n"
+                     "    deadline runtime_us=100000 period_us=1000000 deadline=5"),
+    ("replicas = 2", "replicas = 2\nconfig.a1 = mode=fast"),
+    ("uplink.B = 1.5", "uplink.B = 1.5\nintra_zone = 0.5"),
+    ("[workload]", "[workload]\nevent = at 0 deploy web"),
+    # balancer settings and the sample period are range-checked
+    ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nprocessing_delay_ms = -5"),
+    ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nstaleness_periods = 0"),
+    ("duration_s = 5", "duration_s = 5\nsample_period_s = -1"),
 ])
 def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
     path = tmp_path / "bad.ini"

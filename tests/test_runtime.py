@@ -164,15 +164,3 @@ class TestGroupLimits:
         call = host.calls[-1]
         assert call.call == "set_rt_group_limits"
         assert call.detail == "1000000:400000"
-
-    def test_csv_export(self, tmp_path):
-        host = SimulatedProcessHost()
-        host.spawn("pod-0", pid=1, name="worker")
-        manager = RtPriorityManager(host)
-        manager.assign_priorities(
-            pod_with_specs(RtProcessSpec(policy=DEADLINE, name_substring="w")), 0.0)
-        path = tmp_path / "calls.csv"
-        host.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,pod,call,pid,detail,ok"
-        assert len(lines) == 2

@@ -122,6 +122,20 @@ class TestRequests:
             run_scenario(cfg)
 
 
+@pytest.mark.parametrize("refresh_period_s, node", [(30.0, "P2-A"), (10.0, "P1-A")])
+def test_dependency_score_reads_the_balancer_staleness(refresh_period_s, node):
+    # fig5's metric samples are 40 s old when the candidate deploys: fresh for
+    # 3 refresh periods of 30 s, stale for 3 of 10 s, which leaves latency
+    # alone to rank P1-A and P2-A equal (the lexicographic tie goes to P1-A)
+    cfg = load_bundled("fig5-dependencies")
+    workload = tuple(dataclasses.replace(e, at=40.0) if e.at == 1.0 else e
+                     for e in cfg.workload)
+    cfg = dataclasses.replace(cfg, workload=workload, duration_s=50.0, arms=cfg.arms[:1],
+                              lb=LbSettings(refresh_period_s=refresh_period_s))
+    rows = run_scenario(cfg, repetitions=1).placements
+    assert [row[4] for row in rows if row[2] == "candidate-0"] == [node]
+
+
 class TestLinkInjection:
     def test_uplink_change_reflected_in_paths(self):
         from fogsim.telemetry import path_latency
