@@ -78,11 +78,11 @@ def cmd_list() -> int:
 
 def cmd_report(args) -> int:
     try:
-        rows = report.load_results(Path(args.directory))
-    except FileNotFoundError as exc:
+        text = report.render_comparison(report.load_results(Path(args.directory)))
+    except (OSError, ValueError) as exc:  # a missing file, bad header, row or value
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report.render_comparison(rows), end="")
+    print(text, end="")
     return 0
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import logging
 from typing import Iterable
 
-import numpy as np
-
 from .cluster import ClusterSnapshot, DependencyRef, PodInstance
 from .telemetry import LOWER_IS_BETTER, metric_scores, normalize, path_latency
 
@@ -30,7 +28,7 @@ POWER_ITER_TOL = 1e-10
 POWER_ITER_MAX = 10_000
 
 
-def markov_matrix(scores: list[float]) -> np.ndarray:
+def markov_matrix(scores: list[float]) -> list[list[float]]:
     """Transition matrix of the balancer's selection chain.
 
     The balancer picks each request's destination independently of the
@@ -43,40 +41,43 @@ def markov_matrix(scores: list[float]) -> np.ndarray:
         raise ValueError("need at least one replica")
     if any(s < 0 for s in scores):
         raise ValueError("scores must be non-negative")
-    q = np.asarray(scores, dtype=float)
-    total = q.sum()
+    total = sum(scores)
     if total <= 0:
-        q = np.full(len(scores), 1.0 / len(scores))
+        q = [1.0 / len(scores)] * len(scores)
     else:
-        q = q / total
-    return np.tile(q, (len(scores), 1))
+        q = [s / total for s in scores]
+    return [list(q) for _ in scores]
 
 
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix by power iteration.
+def stationary_distribution(matrix) -> list[float]:
+    """Stationary vector of a row-stochastic matrix (a sequence of rows) by
+    power iteration.
 
     Zero entries are smoothed with a tiny epsilon first so the chain is
     irreducible; iteration stops once the residual drops below 1e-10.
     """
-    p = np.asarray(matrix, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    try:
+        p = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    n = len(p)
+    if any(len(row) != n for row in p):
         raise ValueError("matrix must be square")
-    if np.any(p < 0):
+    if any(x < 0 for row in p for x in row):
         raise ValueError("matrix entries must be non-negative")
-    row_sums = p.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
+    if any(abs(sum(row) - 1.0) > 1e-6 for row in p):
         raise ValueError("matrix rows must sum to 1")
-    n = p.shape[0]
     if n == 1:
-        return np.array([1.0])
-    if np.any(p == 0):
-        p = np.where(p == 0, SMOOTHING_EPS, p)
-        p = p / p.sum(axis=1, keepdims=True)
-    pi = np.full(n, 1.0 / n)
+        return [1.0]
+    if any(x == 0 for row in p for x in row):
+        p = [[SMOOTHING_EPS if x == 0 else x for x in row] for row in p]
+        p = [[x / total for x in row] for row, total in zip(p, map(sum, p))]
+    pi = [1.0 / n] * n
     for _ in range(POWER_ITER_MAX):
-        nxt = pi @ p
-        nxt = nxt / nxt.sum()
-        residual = float(np.max(np.abs(nxt - pi)))
+        nxt = [sum(w * row[j] for w, row in zip(pi, p)) for j in range(n)]
+        total = sum(nxt)
+        nxt = [x / total for x in nxt]
+        residual = max(abs(a - b) for a, b in zip(nxt, pi))
         pi = nxt
         if residual < POWER_ITER_TOL:
             return pi

@@ -27,8 +27,9 @@ class MonitorConfig:
     backoff_s: float = 120.0
 
     def __post_init__(self):
-        if self.grace_s <= 0 or self.backoff_s <= 0 or self.loop_period_s <= 0:
-            raise ValueError("monitor periods must be positive")
+        for name in ("loop_period_s", "grace_s", "backoff_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def simulate_scheduling(state: ClusterState, pod_id: str,

@@ -1,17 +1,20 @@
 """Result persistence and comparison reports.
 
 Results are written as four CSV files (placements.csv, timeseries.csv,
-requests.csv, evictions.csv) plus a human-readable summary.txt.  The report
-command recomputes every summary number from the CSVs alone.
+requests.csv, evictions.csv) plus a human-readable summary.txt rendered from
+the run's own rows.  The report command recomputes every summary number from
+the CSVs alone.  Every table holds rows in its ``ResultSet.*_FIELDS`` order:
+typed values in memory, strings read back from a CSV; the helpers convert
+each number they read, so both give the same text.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import statistics
 from collections import Counter, defaultdict
 from pathlib import Path
-
-import numpy as np
 
 from .simulator import ResultSet
 
@@ -21,6 +24,7 @@ CSV_FILES = {
     "requests": ResultSet.REQUEST_FIELDS,
     "evictions": ResultSet.EVICTION_FIELDS,
 }
+CDF_STEP = 0.01
 
 
 def write_results(results: ResultSet, outdir) -> list[Path]:
@@ -35,7 +39,7 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
             writer.writerows(getattr(results, stem))
         written.append(path)
     summary = outdir / "summary.txt"
-    summary.write_text(render_summary(load_results(outdir),
+    summary.write_text(render_summary({stem: getattr(results, stem) for stem in CSV_FILES},
                                       header=f"scenario: {results.scenario}  "
                                              f"seed: {results.seed}  "
                                              f"profile: {results.profile}"))
@@ -43,69 +47,95 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
     return written
 
 
-def load_results(directory) -> dict[str, list[dict]]:
+def load_results(directory) -> dict[str, list[list[str]]]:
+    """The four tables of a result directory.  Raises FileNotFoundError on a
+    missing file and ValueError on a wrong header or a row of the wrong length."""
     directory = Path(directory)
     loaded = {}
-    for stem in CSV_FILES:
+    for stem, fields in CSV_FILES.items():
         path = directory / f"{stem}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing {path.name} in {directory}")
         with open(path, newline="") as fh:
-            loaded[stem] = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != fields:
+                raise ValueError(f"{path.name}: header must be {','.join(fields)}")
+            rows = []
+            for row in filter(None, reader):  # blank lines skipped
+                if len(row) != len(fields):
+                    raise ValueError(f"{path.name} line {reader.line_num}: {len(row)} "
+                                     f"fields, expected {len(fields)}")
+                rows.append(row)
+        loaded[stem] = rows
     return loaded
 
 
-def arms_in(rows: dict[str, list[dict]]) -> list[str]:
+def arms_in(rows: dict[str, list]) -> list[str]:
     seen = []
     for table in rows.values():
-        for row in table:
-            if row["arm"] not in seen:
-                seen.append(row["arm"])
+        for arm, *_ in table:
+            if arm not in seen:
+                seen.append(arm)
     return seen
 
 
-def allocation_histogram(placements: list[dict], arm: str) -> dict[str, Counter]:
+def allocation_histogram(placements: list, arm: str) -> dict[str, Counter]:
     """Per-node placement counts for one arm: total, and RT vs regular is
     not derivable here, so the caller gets per-service counts instead."""
     by_node = defaultdict(Counter)
-    for row in placements:
-        if row["arm"] != arm or row["status"] != "Running":
-            continue
-        by_node[row["node"]][row["service"]] += 1
+    for row_arm, rep, pod, service, node, status, time in placements:
+        if row_arm == arm and status == "Running":
+            by_node[node][service] += 1
     return dict(by_node)
 
 
-def unschedulable_count(placements: list[dict], arm: str) -> int:
-    return sum(1 for row in placements
-               if row["arm"] == arm and row["status"] == "Unschedulable")
+def unschedulable_count(placements: list, arm: str) -> int:
+    return sum(1 for row_arm, rep, pod, service, node, status, time in placements
+               if row_arm == arm and status == "Unschedulable")
 
 
-def rtt_values(requests: list[dict], arm: str) -> np.ndarray:
-    return np.array([float(r["rtt_ms"]) for r in requests if r["arm"] == arm])
+def rtt_values(requests: list, arm: str) -> list[float]:
+    """The arm's request round-trip times, sorted."""
+    return sorted(float(rtt) for row_arm, rep, t, client, service, replica, node, rtt
+                  in requests if row_arm == arm)
 
 
-def rtt_cdf(values: np.ndarray, step: float = 0.01) -> list[tuple[float, float]]:
-    """(quantile, rtt) points on a regular quantile grid."""
-    if values.size == 0:
+def quantile(values: list[float], q: float) -> float:
+    """The q-quantile of sorted `values` by linear interpolation between the
+    closest ranks, bit for bit as numpy's default ``np.quantile``."""
+    h = (len(values) - 1) * q
+    i = math.floor(h)
+    g = h - i
+    a = values[min(i, len(values) - 1)]
+    b = values[min(i + 1, len(values) - 1)]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
+def rtt_cdf(values: list[float]) -> list[tuple[float, float]]:
+    """(quantile, rtt) points on a regular quantile grid of CDF_STEP."""
+    if not values:
         return []
-    qs = np.arange(step, 1.0 + step / 2, step)
-    return list(zip(qs.tolist(), np.quantile(values, qs).tolist()))
+    # start + i * step, as numpy's float arange, so each q has the same bits
+    return [(q, quantile(values, q))
+            for q in (CDF_STEP + i * CDF_STEP for i in range(round(1 / CDF_STEP)))]
 
 
-def replica_request_counts(requests: list[dict], arm: str) -> Counter:
-    return Counter(r["replica"] for r in requests if r["arm"] == arm)
+def replica_request_counts(requests: list, arm: str) -> Counter:
+    return Counter(replica for row_arm, rep, t, client, service, replica, node, rtt
+                   in requests if row_arm == arm)
 
 
-def convergence_time(timeseries: list[dict], arm: str, rep: int) -> float | None:
+def convergence_time(timeseries: list, arm: str, rep: int) -> float | None:
     """Earliest sample time after which no node's allocation changes again.
 
     Returns None when the run has no samples for that (arm, rep).
     """
     per_time = defaultdict(dict)
-    for row in timeseries:
-        if row["arm"] != arm or int(row["rep"]) != rep:
-            continue
-        per_time[float(row["t"])][row["node"]] = (row["rt_pods"], row["regular_pods"])
+    for row_arm, row_rep, t, node, rt_pods, regular_pods, total in timeseries:
+        if row_arm == arm and int(row_rep) == rep:
+            per_time[float(t)][node] = (rt_pods, regular_pods)
     if not per_time:
         return None
     times = sorted(per_time)
@@ -118,8 +148,9 @@ def convergence_time(timeseries: list[dict], arm: str, rep: int) -> float | None
     return converged_at
 
 
-def eviction_counts(evictions: list[dict], arm: str) -> Counter:
-    return Counter(row["reason"] for row in evictions if row["arm"] == arm)
+def eviction_counts(evictions: list, arm: str) -> Counter:
+    return Counter(reason for row_arm, rep, t, pod, from_node, target_node, reason
+                   in evictions if row_arm == arm)
 
 
 def _format_histogram(hist: dict[str, Counter]) -> list[str]:
@@ -130,12 +161,12 @@ def _format_histogram(hist: dict[str, Counter]) -> list[str]:
     return lines
 
 
-def render_summary(rows: dict[str, list[dict]], header: str = "") -> str:
+def render_summary(rows: dict[str, list], header: str = "") -> str:
     lines = []
     if header:
         lines.append(header)
     arms = arms_in(rows)
-    reps = sorted({int(r["rep"]) for r in rows["placements"]}) or [0]
+    reps = sorted({int(rep) for arm, rep, *_ in rows["placements"]}) or [0]
     lines.append(f"arms: {', '.join(arms)}  repetitions: {len(reps)}")
     for arm in arms:
         lines.append("")
@@ -151,10 +182,12 @@ def render_summary(rows: dict[str, list[dict]], header: str = "") -> str:
         if ev:
             lines.append("  evictions: " + ", ".join(f"{k}={v}" for k, v in sorted(ev.items())))
         values = rtt_values(rows["requests"], arm)
-        if values.size:
-            lines.append(f"  requests: {values.size}  rtt mean={values.mean():.4f} ms  "
-                         f"std={values.std():.4f} ms  p50={np.quantile(values, 0.5):.4f}  "
-                         f"p95={np.quantile(values, 0.95):.4f}  p99={np.quantile(values, 0.99):.4f}")
+        if values:
+            lines.append(f"  requests: {len(values)}  "
+                         f"rtt mean={statistics.fmean(values):.4f} ms  "
+                         f"std={statistics.pstdev(values):.4f} ms  "
+                         f"p50={quantile(values, 0.5):.4f}  "
+                         f"p95={quantile(values, 0.95):.4f}  p99={quantile(values, 0.99):.4f}")
             counts = replica_request_counts(rows["requests"], arm)
             share = ", ".join(f"{rep}={n}" for rep, n in sorted(counts.items()))
             lines.append(f"  per-replica request counts: {share}")
@@ -167,18 +200,16 @@ def render_summary(rows: dict[str, list[dict]], header: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_comparison(rows: dict[str, list[dict]], cdf_step: float = 0.01) -> str:
+def render_comparison(rows: dict[str, list]) -> str:
     """Baseline-vs-custom comparison tables recomputed from the CSVs."""
     lines = [render_summary(rows)]
-    arms = arms_in(rows)
-    with_rtt = [a for a in arms if rtt_values(rows["requests"], a).size]
+    values = {arm: rtt_values(rows["requests"], arm) for arm in arms_in(rows)}
+    with_rtt = [arm for arm in values if values[arm]]
     if len(with_rtt) >= 2:
         lines.append("== rtt cdf comparison ==")
-        grids = {a: dict(rtt_cdf(rtt_values(rows["requests"], a), cdf_step))
-                 for a in with_rtt}
-        qs = sorted(next(iter(grids.values()))) if grids else []
-        headerfmt = "  q     " + "".join(f"{a:>14}" for a in with_rtt)
-        lines.append(headerfmt)
-        for q in qs:
-            lines.append(f"  {q:0.2f}  " + "".join(f"{grids[a][q]:14.4f}" for a in with_rtt))
+        grids = {arm: rtt_cdf(values[arm]) for arm in with_rtt}
+        lines.append("  q     " + "".join(f"{arm:>14}" for arm in with_rtt))
+        for i, (q, _) in enumerate(grids[with_rtt[0]]):
+            lines.append(f"  {q:0.2f}  " + "".join(f"{grids[arm][i][1]:14.4f}"
+                                                   for arm in with_rtt))
     return "\n".join(lines) + "\n"

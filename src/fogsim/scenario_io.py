@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 
 from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, RtProcessSpec
@@ -46,11 +47,26 @@ TOKEN_KEYS = {"weight": "dep_weight", "lw": "latency_weight", "mw": "metric_weig
               "cpu": "cpu_request"}
 
 
+def _value(parse, where: str, key: str, value: str):
+    """`value` read by `parse` (int, float or str); raises, naming `where`
+    and `key`, on a value of the wrong type or a float that is not finite."""
+    try:
+        parsed = parse(value)
+    except ValueError:
+        parsed = None
+    if parsed is None or parse is float and not math.isfinite(parsed):
+        raise ScenarioParseError(f"{where}: {key}: expected "
+                                 f"{'an integer' if parse is int else 'a finite number'}, "
+                                 f"got {value!r}")
+    return parsed
+
+
 def _build(cls, where: str, items, renames=None, **given):
     """`cls` from `given` plus each (key, value) of `items`, which sets the
     int, float or str field the key names, directly or through `renames`
     (a field renamed, or in `given`, takes no key of its own name).  Raises,
-    naming `where`, on a key no field takes or a required field unset."""
+    naming `where`, on a key no field takes, a value of the wrong type, a
+    required field unset or a value `cls` rejects."""
     fields = {f.name: f for f in dataclasses.fields(cls)
               if f.type in SCALARS and f.name not in given}
     keys = {key: name for key, name in (renames or {}).items() if name in fields}
@@ -59,12 +75,15 @@ def _build(cls, where: str, items, renames=None, **given):
     for key, value in items:
         if key not in keys:
             raise ScenarioParseError(f"{where}: unknown key {key!r}")
-        kwargs[keys[key]] = SCALARS[fields[keys[key]].type](value)
+        kwargs[keys[key]] = _value(SCALARS[fields[keys[key]].type], where, key, value)
     missing = [key for key, name in keys.items()
                if name not in kwargs and fields[name].default is dataclasses.MISSING]
     if missing:
         raise ScenarioParseError(f"{where}: missing {', '.join(missing)}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a range check, which names its field
+        raise ScenarioParseError(f"{where}: {exc}") from None
 
 
 def _rest(section, structured) -> list[tuple[str, str]]:
@@ -96,7 +115,7 @@ def _parse_rt_process(line: str, where: str) -> RtProcessSpec:
     policy = _build(policies[kind], where, kwargs.items(), TOKEN_KEYS)
     if pid is None and name is None:
         name = ""  # matches any process
-    return RtProcessSpec(policy, None if pid is None else int(pid), name)
+    return RtProcessSpec(policy, None if pid is None else _value(int, where, "pid", pid), name)
 
 
 def _parse_line(cls, line: str, where: str, *positional: str):
@@ -119,8 +138,8 @@ def _parse_service(name: str, section) -> FogServiceSpec:
         for tok in section["locations"].split():
             loc, _, count = tok.partition(":")
             config = _tokens(section.get("config." + loc, "").split(), f"{where} config.{loc}")
-            locations.append(LocationScope(loc, int(count) if count else LocationScope.replicas,
-                                           config))
+            count = _value(int, where, "locations", count) if count else LocationScope.replicas
+            locations.append(LocationScope(loc, count, config))
     listed = {"config." + scope.location for scope in locations or ()}
     for key in section:
         if key.startswith("config.") and key not in listed:
@@ -145,7 +164,8 @@ def _parse_arm(where: str, name: str, section) -> ArmSpec:
     given = {"name": name}
     if "plugins" in section:
         plugins = [tok.partition(":") for tok in section["plugins"].split()]
-        given["plugins"] = tuple((p, float(w) if w else 1.0) for p, _, w in plugins)
+        given["plugins"] = tuple((p, _value(float, where, "plugins", w) if w else 1.0)
+                                 for p, _, w in plugins)
     return _build(ArmSpec, where, _rest(section, ("plugins",)), **given)
 
 
@@ -205,6 +225,9 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from None
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ScenarioParseError(f"[DEFAULT]: {', '.join(parser.defaults())}: not "
+                                 "supported; put each key in its own section")
 
     for required in ("scenario", "topology", "workload"):
         if required not in parser:
@@ -214,14 +237,17 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     if not zones:
         raise ScenarioParseError("topology defines no zones")
     topology = _build(TopologySpec, "[topology]", _rest(topo, ("zone.", "uplink.")),
-                      zones=zones, uplinks_ms={k[7:]: float(v) for k, v in topo.items()
+                      zones=zones, uplinks_ms={k[7:]: _value(float, "[topology]", k, v)
+                                               for k, v in topo.items()
                                                if k.startswith("uplink.")})
 
     overrides = {}
     for key, value in parser["nodes"].items():
         if key.startswith("override."):
-            _, node_id, attr = key.split(".", 2)
-            overrides.setdefault(node_id, {})[attr] = int(value)
+            node_id, dot, attr = key[len("override."):].partition(".")
+            if not dot:
+                raise ScenarioParseError(f"[nodes]: {key}: expected override.<node>.<field>")
+            overrides.setdefault(node_id, {})[attr] = _value(int, "[nodes]", key, value)
     nodes = _build(NodeSettings, "[nodes]", _rest(parser["nodes"], ("override.",)),
                    overrides=overrides)
 

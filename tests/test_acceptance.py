@@ -15,7 +15,7 @@ from fogsim.realtime import RealtimePlugin, pod_rt_utilization, rt_capacity
 from fogsim.report import convergence_time
 from fogsim.runtime import RtPriorityManager, SimulatedProcessHost
 from fogsim.scenarios import deadline_preemption_variant, load_bundled
-from fogsim.simulator import ResultSet, run_scenario
+from fogsim.simulator import run_scenario
 
 from conftest import make_state, walk_frequencies
 
@@ -104,21 +104,18 @@ def test_criterion_03_deadline_feasibility():
 
 def test_criterion_04_monitor_convergence():
     res = run_scenario(load_bundled("fig7-monitor"))
-    series = [dict(zip(ResultSet.TIMESERIES_FIELDS, row))
-              for row in res.timeseries]
-    reps = sorted({int(r["rep"]) for r in series})
+    reps = sorted({rep for _, rep, *_ in res.timeseries})
     assert len(reps) == 10
     final_by_rep = defaultdict(dict)
-    for row in series:
-        final_by_rep[int(row["rep"])][(float(row["t"]), row["node"])] = (
-            int(row["rt_pods"]), int(row["regular_pods"]))
+    for arm, rep, t, node, rt_pods, regular_pods, total in res.timeseries:
+        final_by_rep[rep][(float(t), node)] = (rt_pods, regular_pods)
     converged = []
     for rep in reps:
         per_rep = final_by_rep[rep]
         t_max = max(t for t, _ in per_rep)
         finals = {node: v for (t, node), v in per_rep.items() if t == t_max}
         assert set(finals.values()) == {(5, 10)}, f"rep {rep} final {finals}"
-        converged.append(convergence_time(series, "custom", rep))
+        converged.append(convergence_time(res.timeseries, "custom", rep))
     within = [t for t in converged if t <= 380.0]
     assert len(within) >= 0.9 * len(reps)
     first_eviction = min(float(r[2]) for r in res.evictions)
@@ -193,7 +190,7 @@ def test_criterion_07_stationary_distribution_oracle():
         residual = float(np.max(np.abs(pi @ matrix - pi)))
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-8
-        assert abs(pi.sum() - 1.0) <= 1e-9
+        assert abs(sum(pi) - 1.0) <= 1e-9
     for _ in range(100):
         n = int(rng.integers(1, 9))
         row = rng.dirichlet(np.ones(n))

@@ -176,6 +176,38 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+BAD_VALUES = [
+    ("replicas = 2", "replicas = two", "[service web]", "replicas"),
+    ("uplink.B = 1.5", "uplink.B = far", "[topology]", "uplink.B"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = x",
+     "[nodes]", "override.a1.cores"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1 = 3", "[nodes]", "override.a1"),
+    ("replicas = 2", "replicas = 2\ndepends_on = web mw=abc", "[service web] depends_on", "mw"),
+    ("replicas = 2", "replicas = 2\nrt_processes =\n    fifo pid=x priority=1 cpu=0.1",
+     "[service web] rt_processes", "pid"),
+    ("replicas = 2", "replicas = 2\nlocations = a1:x", "[service web]", "locations"),
+    ("plugins = baseline:1.0", "plugins = baseline:x", "[arm custom]", "plugins"),
+    ("plugins = baseline:1.0", "plugins = baseline:inf", "[arm custom]", "plugins"),
+    ("duration_s = 5", "duration_s = nan", "[scenario]", "duration_s"),
+    ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nrefresh_period_s = 0",
+     "[loadbalancer]", "refresh_period_s"),
+    ("duration_s = 5", "duration_s = 5\n[monitor]\ngrace_s = 0", "[monitor]", "grace_s"),
+    # configparser would copy [DEFAULT] keys into every section
+    ("[scenario]", "[DEFAULT]\nseed = 3\n[scenario]", "[DEFAULT]", "seed"),
+]
+
+
+@pytest.mark.parametrize("field, bad, section, key", BAD_VALUES,
+                         ids=[key for *_, key in BAD_VALUES])
+def test_bad_value_names_section_and_key(tmp_path, capsys, field, bad, section, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="").replace(field, bad))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert f"{section}: {key}" in err
+
+
 @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_exit_2_with_one_line(tmp_path, capsys, flag, value):
@@ -200,3 +232,20 @@ class TestReport:
     def test_empty_directory_exits_1(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stem, edit", [
+        ("requests", lambda text: text.replace(",rtt_ms", "", 1)),
+        ("evictions", lambda text: "arm,rep\n"),
+        ("placements", lambda text: text + "custom,0,web-9\n"),
+        ("requests", lambda text: text.replace("\n", "\ncustom,0,x,P1-A,server,server-0,P1-A,"
+                                               "soon\n", 1)),
+    ], ids=["no-rtt_ms", "short-header", "short-row", "bad-number"])
+    def test_bad_csv_exits_1_with_one_line(self, tmp_path, capsys, stem, edit):
+        out = tmp_path / "results"
+        assert main(["run", "fig9-loadbalancer", "--profile", "ci", "--out", str(out)]) == 0
+        path = out / f"{stem}.csv"
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")

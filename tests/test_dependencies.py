@@ -52,7 +52,7 @@ class TestMarkovMatrix:
         rng = random.Random(2)
         for _ in range(50):
             scores = [rng.random() for _ in range(rng.randint(1, 8))]
-            matrix = markov_matrix(scores)
+            matrix = np.asarray(markov_matrix(scores))
             assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(matrix >= 0)
 
@@ -78,7 +78,7 @@ class TestStationaryDistribution:
             p = rng.dirichlet(np.ones(n), size=n)
             pi = stationary_distribution(p)
             assert np.max(np.abs(pi @ p - pi)) < 1e-8
-            assert abs(pi.sum() - 1.0) < 1e-9
+            assert abs(sum(pi) - 1.0) < 1e-9
 
     def test_non_convergence_raises(self):
         # two nearly-disconnected states mix too slowly for the iteration cap
