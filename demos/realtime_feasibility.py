@@ -8,8 +8,7 @@ evicting the cheapest set of lower-priority RT pods.
 """
 
 from fogsim import (ClusterState, DeadlinePolicy, Node, PodInstance,
-                    RealtimePlugin, RtProcessSpec, Topology,
-                    pod_rt_utilization)
+                    RealtimePlugin, RtProcessSpec, Topology)
 
 
 def rt_pod(pod_id, utilization, priority=0):
@@ -29,7 +28,7 @@ def main():
     plugin = RealtimePlugin()
 
     high = rt_pod("high-0", 0.6)
-    print(f"high-utilization pod: {pod_rt_utilization(high).value:.1f} of one core")
+    print(f"high-utilization pod: {high.rt_utilization:.1f} of one core")
 
     state.add_pod(high)
     state.apply_placement("high-0", "n1", 0.0)

@@ -9,8 +9,7 @@ from .fogservice import FogServiceSpec, LocationScope, expand, validate
 from .loadbalancer import (LoadBalancer, RuleChain, chain_probabilities,
                            select_replica, uniform_chain)
 from .monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
-from .realtime import (RealtimePlugin, RtUtilization, node_rt_utilization,
-                       pod_rt_utilization, rt_capacity)
+from .realtime import RealtimePlugin, node_rt_utilization, rt_capacity
 from .runtime import (RtPriorityManager, RuntimeDispatcher,
                       SimulatedProcessHost, rt_group_limits)
 from .scheduling import (Assigned, Preempted, SchedulerConfig, Unschedulable,

@@ -35,7 +35,6 @@ DEFAULT_INTRA_ZONE_MS = 0.01
 class PodStatus(str, Enum):
     PENDING = "Pending"
     RUNNING = "Running"
-    EVICTED = "Evicted"
     UNSCHEDULABLE = "Unschedulable"
 
 
@@ -63,6 +62,10 @@ class FifoPolicy:
     priority: int
     cpu_request: float
 
+    @property
+    def utilization(self) -> float:
+        return self.cpu_request
+
 
 @dataclass(frozen=True)
 class RtProcessSpec:
@@ -71,20 +74,6 @@ class RtProcessSpec:
     policy: DeadlinePolicy | FifoPolicy
     pid: Optional[int] = None
     name_substring: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class RtUtilization:
-    deadline_sum: float = 0.0
-    fifo_sum: float = 0.0
-
-    @property
-    def value(self) -> float:
-        return self.deadline_sum + self.fifo_sum
-
-    def __add__(self, other: "RtUtilization") -> "RtUtilization":
-        return RtUtilization(self.deadline_sum + other.deadline_sum,
-                             self.fifo_sum + other.fifo_sum)
 
 
 @dataclass(frozen=True)
@@ -166,16 +155,9 @@ class PodInstance:
         return _copy.copy(self)
 
     @cached_property
-    def rt_utilization(self) -> RtUtilization:
-        # deadline `runtime/period` plus FIFO core fractions; rt_processes is immutable
-        deadline_sum = 0.0
-        fifo_sum = 0.0
-        for proc in self.rt_processes:
-            if isinstance(proc.policy, DeadlinePolicy):
-                deadline_sum += proc.policy.utilization
-            elif isinstance(proc.policy, FifoPolicy):
-                fifo_sum += proc.policy.cpu_request
-        return RtUtilization(deadline_sum, fifo_sum)
+    def rt_utilization(self) -> float:
+        # deadline `runtime/period` and FIFO core fractions; rt_processes is immutable
+        return sum(proc.policy.utilization for proc in self.rt_processes)
 
 
 @dataclass(frozen=True)
@@ -213,13 +195,11 @@ class _RunningIndex:
     def running_on(self, node_id: str) -> list[PodInstance]:
         return self._node_index()[node_id]
 
-    def rt_utilization(self, node_id: str) -> RtUtilization:
+    def rt_utilization(self, node_id: str) -> float:
         total = self._rt.get(node_id)
         if total is None:
-            total = RtUtilization()
-            for pod in self.running_on(node_id):
-                total = total + pod.rt_utilization
-            self._rt[node_id] = total
+            total = self._rt[node_id] = sum(pod.rt_utilization
+                                            for pod in self.running_on(node_id))
         return total
 
     def running_of_service(self, service: str) -> list[PodInstance]:
@@ -242,7 +222,7 @@ class ClusterSnapshot(_RunningIndex):
         self.metric_specs: dict = metric_specs
         self._by_node: Optional[dict[str, list[PodInstance]]] = by_node
         self._by_service: Optional[dict[str, list[PodInstance]]] = by_service
-        self._rt: dict[str, RtUtilization] = {} if rt is None else rt
+        self._rt: dict[str, float] = {} if rt is None else rt
 
     @cached_property
     def max_pod_count(self) -> int:
@@ -270,7 +250,7 @@ class ClusterState(_RunningIndex):
         self.metric_specs: dict = {}  # service -> MetricSpec, set by the simulator
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
-        self._rt: dict[str, RtUtilization] = {}
+        self._rt: dict[str, float] = {}
         self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
 
     # -- pod lifecycle -----------------------------------------------------
@@ -397,7 +377,7 @@ class ClusterState(_RunningIndex):
         for pod_id, pod in self.pods.items():
             seen = (self.queue.count(pod_id), self.unschedulable.count(pod_id),
                     pod.assignment in self.nodes)
-            if seen != where.get(pod.status, (0, 0, False)):
+            if seen != where[pod.status]:
                 problems.append(f"{pod_id}: {pod.status.value} but (queued, "
                                 f"unschedulable, placed) = {seen}")
         if problems:

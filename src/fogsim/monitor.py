@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cluster import ClusterState, EvictionEvent, PodInstance, PodStatus
-from .realtime import pod_rt_utilization
 from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
 
 
@@ -65,7 +64,7 @@ class ClusterMonitor:
         # RT pods first so that re-placement settles the RT layout before
         # regular pods are reconsidered; deterministic within each group.
         pods = state.running_on(node_id)
-        return sorted(pods, key=lambda p: (pod_rt_utilization(p).value == 0.0, p.id))
+        return sorted(pods, key=lambda p: (p.rt_utilization == 0.0, p.id))
 
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:
         """One monitor pass; returns the evictions it performed."""

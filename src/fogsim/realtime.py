@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import ClusterSnapshot, Node, PodInstance, RtUtilization
+from .cluster import ClusterSnapshot, Node, PodInstance
 
 FEASIBILITY_EPS = 1e-9
 
 
-def pod_rt_utilization(pod: PodInstance) -> RtUtilization:
-    return pod.rt_utilization
-
-
-def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> RtUtilization:
+def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> float:
     """Sum over the node's running pods, memoized by the snapshot."""
     return snapshot.rt_utilization(node_id)
 
@@ -47,11 +43,11 @@ class RealtimePlugin:
 
     def filter(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot):
         """Admit the pod only if the node's RT quota can absorb it."""
-        demand = pod_rt_utilization(pod).value
+        demand = pod.rt_utilization
         if demand == 0:
             return None
         node = snapshot.nodes[node_id]
-        current = node_rt_utilization(node_id, snapshot).value
+        current = node_rt_utilization(node_id, snapshot)
         capacity = rt_capacity(node)
         if current + demand <= capacity + FEASIBILITY_EPS:
             return None
@@ -65,7 +61,7 @@ class RealtimePlugin:
         away from RT-heavy nodes.
         """
         node = snapshot.nodes[node_id]
-        utilization = node_rt_utilization(node_id, snapshot).value
+        utilization = node_rt_utilization(node_id, snapshot)
         score = 1.0 - utilization / rt_capacity(node)
         return min(max(score, 0.0), 1.0)
 
@@ -77,7 +73,7 @@ class RealtimePlugin:
         utilization) order.  Across nodes the plan with the fewest victims
         wins, then the one freeing the least utilization, then node id.
         """
-        demand = pod_rt_utilization(pod).value
+        demand = pod.rt_utilization
         if demand == 0:
             return None
         best = None
@@ -94,13 +90,11 @@ class RealtimePlugin:
         node = snapshot.nodes[node_id]
         capacity = rt_capacity(node)
         running = snapshot.running_on(node_id)
-        current = node_rt_utilization(node_id, snapshot).value
+        current = node_rt_utilization(node_id, snapshot)
         allocated = snapshot.allocated_m[node_id]
         candidates = [p for p in running
-                      if p.priority_class < pod.priority_class
-                      and pod_rt_utilization(p).value > 0]
-        candidates.sort(key=lambda p: (p.priority_class,
-                                       pod_rt_utilization(p).value, p.id))
+                      if p.priority_class < pod.priority_class and p.rt_utilization > 0]
+        candidates.sort(key=lambda p: (p.priority_class, p.rt_utilization, p.id))
         victims = []
         freed_util = 0.0
         freed_cpu = 0
@@ -109,7 +103,7 @@ class RealtimePlugin:
                             allocated - freed_cpu, pod, node):
                 break
             victims.append(victim.id)
-            freed_util += pod_rt_utilization(victim).value
+            freed_util += victim.rt_utilization
             freed_cpu += victim.cpu_request
         if not victims:
             return None

@@ -178,7 +178,8 @@ def _parse_workload_line(line: str) -> WorkloadEvent:
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != "at":
         raise ValueError("must start with 'at <t>'")
-    at, action, rest = float(tokens[1]), tokens[2], tokens[3:]
+    action, rest = tokens[2], tokens[3:]
+    at = _value(float, action, "at", tokens[1])
     if action == "deploy":
         names = tuple(tok for tok in rest if "=" not in tok)
         options = _tokens([tok for tok in rest if "=" in tok], action)
@@ -189,18 +190,19 @@ def _parse_workload_line(line: str) -> WorkloadEvent:
         kwargs = _tokens(rest, action)
         if sorted(kwargs) != sorted(REQUEST_KEYS):
             raise ValueError("requests takes " + " ".join(f"{k}=" for k in REQUEST_KEYS))
-        return WorkloadEvent(at, "requests", (kwargs["client"], kwargs["service"],
-                                              float(kwargs["rate_hz"]),
-                                              int(kwargs["count"])))
+        rate_hz = _value(float, action, "rate_hz", kwargs["rate_hz"])
+        count = _value(int, action, "count", kwargs["count"])
+        return WorkloadEvent(at, "requests",
+                             (kwargs["client"], kwargs["service"], rate_hz, count))
     if action not in ARITY:
         raise ValueError(f"unknown workload action: {action}")
     if len(rest) != ARITY[action]:
         raise ValueError(f"{action} takes {ARITY[action]} arguments, got {len(rest)}")
     if action == "pin":
         return WorkloadEvent(at, "pin", (rest[0], rest[1]))
-    if action == "metric":
-        return WorkloadEvent(at, "metric", (rest[0], rest[1], float(rest[2])))
-    return WorkloadEvent(at, "link", (rest[0], float(rest[1])))
+    # metric <service> <pod> <value>, link <zone> <one-way-ms>
+    number = _value(float, action, "value" if action == "metric" else "latency_ms", rest[-1])
+    return WorkloadEvent(at, action, (*rest[:-1], number))
 
 
 def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:

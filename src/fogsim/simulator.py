@@ -23,7 +23,6 @@ from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_
 from .fogservice import FogServiceSpec, expand
 from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
-from .realtime import pod_rt_utilization
 from .scheduling import SchedulerConfig, run_queue
 from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
 
@@ -163,9 +162,10 @@ class ScenarioConfig:
     def _workload_problems(self, services: set[str], nodes: set[str]) -> list[str]:
         """Names in the workload script that nothing defines, deploys that
         re-create a pod id, pins of a pod not created at the pin's own time
-        (earlier, the scheduler has placed it) or pinned twice, and request
-        streams that would issue nothing or divide by a zero rate.  Events
-        after `duration_s` are dropped unrun, so they create and pin nothing."""
+        (earlier, the scheduler has placed it) or pinned twice, request
+        streams that would issue nothing or divide by a zero rate, and a
+        negative time or link latency.  Events after `duration_s` are
+        dropped unrun, so they create and pin nothing."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         specs = {s.name: s for s in self.services}
         problems, created, pinned = [], {}, set()
@@ -173,6 +173,8 @@ class ScenarioConfig:
         # sorts before PIN) and script order within a kind
         for e in sorted(self.workload, key=lambda e: (e.at, e.action != "deploy")):
             where = f"at {e.at:g} {e.action}"
+            if e.at < 0:
+                problems.append(f"{where}: time must be >= 0")
             if e.action == "deploy":
                 names, using = e.args
                 problems += [f"{where}: unknown service {n!r}"
@@ -200,8 +202,12 @@ class ScenarioConfig:
                 elif pod_id in pinned:
                     problems.append(f"{where}: pod {pod_id!r} is pinned twice")
                 pinned.add(pod_id)
-            elif e.action == "link" and e.args[0] not in self.topology.zones:
-                problems.append(f"{where}: unknown zone {e.args[0]!r}")
+            elif e.action == "link":
+                zone, latency_ms = e.args
+                if zone not in self.topology.zones:
+                    problems.append(f"{where}: unknown zone {zone!r}")
+                if latency_ms < 0:
+                    problems.append(f"{where}: latency must be >= 0")
             elif e.action == "requests":
                 client, service, rate_hz, count = e.args
                 if client not in nodes:
@@ -345,7 +351,7 @@ class _Run:
         elif kind == EventKind.SAMPLE:
             for node_id in sorted(self.state.nodes):
                 pods = self.state.running_on(node_id)
-                rt = sum(1 for p in pods if pod_rt_utilization(p).value > 0)
+                rt = sum(1 for p in pods if p.rt_utilization > 0)
                 timeseries.append((now, node_id, rt, len(pods) - rt, len(pods)))
 
     def handle_deploy(self, now: float, args: tuple) -> None:

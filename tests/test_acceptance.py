@@ -11,7 +11,7 @@ import pytest
 from fogsim.cli import main as cli_main
 from fogsim.cluster import DeadlinePolicy, PodInstance, RtProcessSpec
 from fogsim.loadbalancer import chain_probabilities
-from fogsim.realtime import RealtimePlugin, pod_rt_utilization, rt_capacity
+from fogsim.realtime import RealtimePlugin, rt_capacity
 from fogsim.report import convergence_time
 from fogsim.runtime import RtPriorityManager, SimulatedProcessHost
 from fogsim.scenarios import deadline_preemption_variant, load_bundled
@@ -231,7 +231,7 @@ def test_criterion_08_feasibility_oracle():
                         feasible = {n for n in node_ids
                                     if plugin.filter(candidate, n, snap) is None}
                         brute = {n for n in node_ids
-                                 if sum(pod_rt_utilization(p).value
+                                 if sum(p.rt_utilization
                                         for p in snap.running_on(n)) + cand_util
                                  <= rt_capacity(snap.nodes[n]) + 1e-9}
                         assert feasible == brute

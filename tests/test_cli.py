@@ -109,6 +109,13 @@ locations = a1 b1:2
     "at 1 pin web-0 a2",
     "at 0 pin web-0 a1\n    at 0 pin web-0 a2",
     "at 5 deploy web",
+    # every number is finite, and a time or a link latency is not negative
+    "at 1 link A inf",
+    "at 1 link A -2",
+    "at 1 metric web web-0 nan",
+    "at 1 requests client=a1 service=web rate_hz=inf count=3",
+    "at nan link A 2.0",
+    "at -1 link A 2.0",
 ])
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
     path = tmp_path / "bad.ini"

@@ -6,19 +6,24 @@ import pytest
 from fogsim.cluster import (DeadlinePolicy, FifoPolicy, Node, PodInstance,
                             RtProcessSpec, Topology)
 from fogsim.cluster import ClusterState
-from fogsim.realtime import (RealtimePlugin, node_rt_utilization,
-                             pod_rt_utilization, rt_capacity)
+from fogsim.realtime import RealtimePlugin, node_rt_utilization, rt_capacity
 
 from conftest import make_state
 
 
+def deadline_process(utilization):
+    return RtProcessSpec(policy=DeadlinePolicy(int(utilization * 1_000_000), 1_000_000),
+                         name_substring="worker")
+
+
+def fifo_process(utilization):
+    return RtProcessSpec(policy=FifoPolicy(priority=50, cpu_request=utilization), pid=2)
+
+
 def rt_pod(pod_id, utilization, priority=0, request=100):
-    runtime = int(utilization * 1_000_000)
     return PodInstance(
         id=pod_id, service="rt", cpu_request=request, cpu_limit=request,
-        priority_class=priority,
-        rt_processes=(RtProcessSpec(policy=DeadlinePolicy(runtime, 1_000_000),
-                                    name_substring="worker"),))
+        priority_class=priority, rt_processes=(deadline_process(utilization),))
 
 
 def single_node_state(quota_runtime_us=950_000, cores=1, capacity=1000):
@@ -31,35 +36,38 @@ def single_node_state(quota_runtime_us=950_000, cores=1, capacity=1000):
 class TestPodUtilization:
     def test_high_utilization_deadline_process(self):
         pod = rt_pod("p", 0.6)
-        assert pod_rt_utilization(pod).value == pytest.approx(0.6)
+        assert pod.rt_utilization == pytest.approx(0.6)
 
     def test_no_rt_processes(self):
         pod = PodInstance(id="p", service="svc")
-        assert pod_rt_utilization(pod).value == 0.0
+        assert pod.rt_utilization == 0.0
 
     def test_mixed_policies_sum(self):
         pod = PodInstance(id="p", service="svc", rt_processes=(
             RtProcessSpec(policy=DeadlinePolicy(200_000, 1_000_000), pid=1),
             RtProcessSpec(policy=FifoPolicy(priority=50, cpu_request=0.25), pid=2)))
-        util = pod_rt_utilization(pod)
-        assert util.value == pytest.approx(0.45)
-        assert util.deadline_sum == pytest.approx(0.2)
-        assert util.fifo_sum == pytest.approx(0.25)
+        assert pod.rt_utilization == 0.2 + 0.25  # summed in process order
 
 
 class TestNodeUtilization:
     def test_empty_node(self, state):
-        assert node_rt_utilization("P1-A", state.snapshot()).value == 0.0
+        assert node_rt_utilization("P1-A", state.snapshot()) == 0.0
 
     def test_additivity(self, state):
         state.add_pods([rt_pod("a", 0.6), rt_pod("b", 0.2)])
         state.apply_placement("a", "P1-A", 0.0)
         state.apply_placement("b", "P1-A", 0.0)
-        assert node_rt_utilization("P1-A", state.snapshot()).value == pytest.approx(0.8)
+        assert node_rt_utilization("P1-A", state.snapshot()) == pytest.approx(0.8)
 
-    def test_conservation_after_apply_evict(self, state):
+    # each pod cycles through `kinds`; a kind lists the policies of its processes
+    @pytest.mark.parametrize("kinds", [[(deadline_process,)],
+                                       [(fifo_process,), (deadline_process, fifo_process)]],
+                             ids=["deadline", "fifo-and-mixed"])
+    def test_conservation_after_apply_evict(self, state, kinds):
         rng = random.Random(3)
-        pods = [rt_pod(f"p{i}", rng.choice([0.1, 0.2, 0.3])) for i in range(10)]
+        pods = [PodInstance(id=f"p{i}", service="rt", rt_processes=tuple(
+                    process(rng.choice([0.1, 0.2, 0.3])) for process in kinds[i % len(kinds)]))
+                for i in range(10)]
         state.add_pods(pods)
         for _ in range(40):
             running = [p for p in state.pods.values() if p.assignment]
@@ -68,9 +76,11 @@ class TestNodeUtilization:
                 state.apply_placement(rng.choice(pending).id, "P2-B", 0.0)
             elif running:
                 state.evict(rng.choice(running).id, 0.0)
-        snap = state.snapshot()
-        expected = sum(pod_rt_utilization(p).value for p in snap.running_on("P2-B"))
-        assert node_rt_utilization("P2-B", snap).value == pytest.approx(expected)
+            # the memo read after each mutation, whole and without one pod
+            for exclude in [None, *(p.id for p in state.running_on("P2-B")[:1])]:
+                view = state.view(exclude=exclude)
+                expected = sum(p.rt_utilization for p in view.running_on("P2-B"))
+                assert node_rt_utilization("P2-B", view) == expected
 
 
 class TestCapacityAndFilter:
@@ -122,7 +132,7 @@ class TestCapacityAndFilter:
                                 if plugin.filter(cand, n, snap) is None}
                     brute = set()
                     for n in node_ids:
-                        total = sum(pod_rt_utilization(p).value
+                        total = sum(p.rt_utilization
                                     for p in snap.running_on(n)) + 0.3
                         if total <= rt_capacity(snap.nodes[n]) + 1e-9:
                             brute.add(n)
@@ -157,14 +167,14 @@ def brute_force_min_plan(snapshot, node_id, candidate):
     lower-priority RT pods."""
     victims = [p for p in snapshot.running_on(node_id)
                if p.priority_class < candidate.priority_class
-               and pod_rt_utilization(p).value > 0]
-    current = sum(pod_rt_utilization(p).value for p in snapshot.running_on(node_id))
+               and p.rt_utilization > 0]
+    current = sum(p.rt_utilization for p in snapshot.running_on(node_id))
     capacity = rt_capacity(snapshot.nodes[node_id])
-    demand = pod_rt_utilization(candidate).value
+    demand = candidate.rt_utilization
     best = None
     for r in range(len(victims) + 1):
         for combo in itertools.combinations(victims, r):
-            freed = sum(pod_rt_utilization(p).value for p in combo)
+            freed = sum(p.rt_utilization for p in combo)
             if current - freed + demand <= capacity + 1e-9:
                 key = (r, freed)
                 if best is None or key < best[0]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -203,10 +204,40 @@ class TestLinkInjection:
 # filter: every config there includes it and no pod is pinned past it
 RT_FILTERED = ("fig6-realtime", "fig6-deadline")
 
+# sha256 of each result file of a bundled scenario's `ci` run: a change that
+# moves one changes what the scenario reports and says why in CHANGES.md
+NO_ROWS = {"timeseries.csv": "78458686763678189d1eb416daa89614319baa4a34fec7026d842ff6fd0939a7",
+           "requests.csv": "4e623e32d909cf492004f4fe7f687d414b229a9cff13a8a7d1f32d15f67d47a1",
+           "evictions.csv": "e269002effbd1628ee51ba86b516111e9778737712e329b3ebde009288bf5faf"}
+RESULT_SHA256 = {
+    "fig5-dependencies": {
+        **NO_ROWS,
+        "placements.csv": "6a22229ccb048ec217bd295aa1a207f5bcdf50debd068b067e2c82c74796c379",
+        "summary.txt": "364e6df2851bb38708271d05691669033e257200a2366869402a9454a56ed706"},
+    "fig6-realtime": {
+        **NO_ROWS,
+        "placements.csv": "fbe67f6459ec784d90175b91abcd6c8cbdaee412020fc0dbe223be674ca7c833",
+        "summary.txt": "cc2ed143b08326ba3ff9c2ad03ee1b1e701b6e4c99a8bc1f99c47dee08dc2b2a"},
+    "fig6-deadline": {
+        **NO_ROWS,
+        "placements.csv": "e54e4a9bcf5c0782a27b20d368cc24b869824b108a668922487153252b43acd0",
+        "summary.txt": "a9fcd46bf8e8419811d07ed250035ba2b06527d433936cd4b829bdd5cdfe239a"},
+    "fig7-monitor": {
+        **NO_ROWS,
+        "placements.csv": "5d1a0789985da09ff5a34845ca80fb4bc3f0801b91c47349805800fd9b15764f",
+        "timeseries.csv": "b8516f173ae886e8e0bdd2a133e6a57cbd29475098934dcb1c9f4915d8ff673e",
+        "evictions.csv": "45f09e3fc3af12779267477e68928adebe094970c2346b7f972ff7c56a6938d9",
+        "summary.txt": "da216bffa12253378d11cc1a5b19bb71763e339134de7a1186fd974712440e31"},
+    "fig9-loadbalancer": {
+        **NO_ROWS,
+        "placements.csv": "2d15f5bafb1895c7a9937507a17ca6356d5ad2790f33964ec8b30fbcccbf3583",
+        "requests.csv": "a443f66369c3377f6b34624b72e7d2313f72b04da4f8a527dfb4a731f0daa34f",
+        "summary.txt": "5bc774a1554af97366e5e244a7ca50a224360680b4b7b4900ec7c7fc9ae5a93c"},
+}
 
-@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig6-deadline",
-                                  "fig7-monitor"])
-def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
+
+@pytest.mark.parametrize("name", list(RESULT_SHA256))
+def test_cluster_invariants_hold_after_every_event(monkeypatch, tmp_path, name):
     dispatch = simulator._Run.dispatch
     seen = set()
 
@@ -216,7 +247,7 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
         if name in RT_FILTERED and self.arm.name == "custom":
             view = self.state.view()
             for node_id, node in self.state.nodes.items():
-                assert (node_rt_utilization(node_id, view).value
+                assert (node_rt_utilization(node_id, view)
                         <= rt_capacity(node) + FEASIBILITY_EPS), (node_id, now)
         seen.add(kind)
 
@@ -225,6 +256,9 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, name):
     assert EventKind.SCHED in seen and results.placements
     if name == "fig7-monitor":
         assert EventKind.MONITOR in seen and results.evictions
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in report.write_results(results, tmp_path)}
+    assert written == RESULT_SHA256[name]
 
 
 def test_scheduler_and_monitor_read_views_not_copies(monkeypatch):
