@@ -9,6 +9,15 @@ and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
 the live objects, index lists, allocation map and metric store, so a view
 and any list it or the state hands out are invalid after the next mutation.
 Anything held across mutations takes an isolated :meth:`snapshot`.
+
+`ClusterState.epoch` counts the writes a view can see: each
+:meth:`~ClusterState.apply_placement`, :meth:`~ClusterState.evict`,
+:meth:`~ClusterState.ingest_metric` and :meth:`~ClusterState.set_uplink`
+bumps it.  Queue and status bookkeeping of pending pods does not, since no
+view reads it.  While the epoch is unchanged, a view built now sees what a
+view built then saw, apart from `now`; the monitor reuses dry-run verdicts
+and the simulator its per-node pod counts on that.  A write that goes round
+these methods (to `metric_store` or `topology` directly) is not counted.
 """
 
 from __future__ import annotations
@@ -252,6 +261,7 @@ class ClusterState(_RunningIndex):
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, float] = {}
         self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
+        self.epoch = 0  # bumped by every write a view can see
 
     # -- pod lifecycle -----------------------------------------------------
 
@@ -282,6 +292,7 @@ class ClusterState(_RunningIndex):
         insort(self._by_node[node_id], pod, key=self._ordinal_of)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
         self._rt.pop(node_id, None)
+        self.epoch += 1
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -298,6 +309,7 @@ class ClusterState(_RunningIndex):
                           (self._by_service[pod.service], _pod_id)):
             del pods[bisect_left(pods, key(pod), key=key)]
         self._rt.pop(node_id, None)
+        self.epoch += 1
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -318,6 +330,17 @@ class ClusterState(_RunningIndex):
         self.queue.extend(woken)
         self.unschedulable.clear()
         return woken
+
+    # -- telemetry and links -------------------------------------------------
+
+    def ingest_metric(self, service: str, pod_id: str, value: float,
+                      timestamp: float) -> None:
+        self.metric_store.ingest(service, pod_id, value, timestamp)
+        self.epoch += 1
+
+    def set_uplink(self, zone: str, latency_ms: float) -> None:
+        self.topology.set_uplink(zone, latency_ms)
+        self.epoch += 1
 
     # -- views ---------------------------------------------------------------
 

@@ -1,13 +1,21 @@
 """Cluster state monitor: dry-run rescheduling of every running pod, with
 eviction of pods whose best node has drifted away from their current one.
 
-Each pass walks the nodes and their pods in a fixed order, re-runs the full
-scheduler against a view that excludes the pod under evaluation, and
-evicts the pod when the simulated result names a different node -- gated by
-a minimum pod age (grace) and a per-pod eviction backoff.  Evaluation is
-sequential with immediate eviction, so a pass can transiently overshoot;
-the backoff keeps that bounded and the loop converges to a fixed point
-where no pod would be placed elsewhere.
+Each pass walks the nodes and their pods in a fixed order.  A pod still
+inside its minimum age (grace) or its eviction backoff is skipped before any
+work; every other pod is dry-run against a view that excludes it, and
+evicted when the simulated result names a different node.  Checking the
+gates first changes no eviction, because a dry run mutates nothing.
+
+A dry run reads only what :attr:`ClusterState.epoch` counts, plus `now`, so
+each pod's last verdict is kept with the epoch it was computed at and reused
+while the epoch is unchanged.  A scheduler config with a plugin that reads
+the clock (class attribute `reads_now`, as the dependency score does to age
+metric samples) never reuses a verdict.
+
+Evaluation is sequential with immediate eviction, so a pass can transiently
+overshoot; the backoff keeps that bounded and the loop converges to a fixed
+point where no pod would be placed elsewhere.
 """
 
 from __future__ import annotations
@@ -53,12 +61,17 @@ def simulate_scheduling(state: ClusterState, pod_id: str,
 
 
 class ClusterMonitor:
-    """Periodic rescheduling monitor with grace and backoff gates."""
+    """Periodic rescheduling monitor with grace and backoff gates.  It
+    serves one :class:`ClusterState`: its backoff and verdict memory are
+    keyed by pod id."""
 
     def __init__(self, config: MonitorConfig, scheduler_config: SchedulerConfig):
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
+        self._reuse = not any(getattr(plugin, "reads_now", False)
+                             for plugin, _ in scheduler_config.instances())
+        self._verdicts: dict[str, tuple[int, Optional[str]]] = {}  # pod -> (epoch, node)
 
     def _pods_on(self, state: ClusterState, node_id: str) -> list[PodInstance]:
         # RT pods first so that re-placement settles the RT layout before
@@ -66,20 +79,30 @@ class ClusterMonitor:
         pods = state.running_on(node_id)
         return sorted(pods, key=lambda p: (p.rt_utilization == 0.0, p.id))
 
+    def _gated(self, pod: PodInstance, now: float) -> bool:
+        if now - pod.start_time <= self.config.grace_s:
+            return True
+        last = self.backoff.get(pod.id)
+        return last is not None and now - last <= self.config.backoff_s
+
+    def _verdict(self, state: ClusterState, pod_id: str, now: float) -> Optional[str]:
+        cached = self._verdicts.get(pod_id)
+        if cached is not None and cached[0] == state.epoch:
+            return cached[1]
+        result = simulate_scheduling(state, pod_id, self.scheduler_config, now)
+        if self._reuse:
+            self._verdicts[pod_id] = (state.epoch, result)
+        return result
+
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:
         """One monitor pass; returns the evictions it performed."""
         evictions = []
         for node_id in sorted(state.nodes):
             for pod in self._pods_on(state, node_id):
-                if pod.status is not PodStatus.RUNNING:
+                if pod.status is not PodStatus.RUNNING or self._gated(pod, now):
                     continue
-                result = simulate_scheduling(state, pod.id, self.scheduler_config, now)
+                result = self._verdict(state, pod.id, now)
                 if result is None or result == pod.assignment:
-                    continue
-                if now - pod.start_time <= self.config.grace_s:
-                    continue
-                last = self.backoff.get(pod.id)
-                if last is not None and now - last <= self.config.backoff_s:
                     continue
                 state.evict(pod.id, now, reason="monitor", target_node=result)
                 self.backoff[pod.id] = now

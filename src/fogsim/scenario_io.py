@@ -296,4 +296,11 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
-    return parse_scenario(path.read_text(), name_hint=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:  # a directory, no permission, ...
+        raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                                 f"{exc.start})") from None
+    return parse_scenario(text, name_hint=path.stem)

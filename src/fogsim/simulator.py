@@ -284,6 +284,10 @@ class _Run:
         # metric directives declare continuously exported values; the
         # aggregator re-polls them every balancer refresh cycle
         self.static_metrics: dict[tuple[str, str], float] = {}
+        # per-node (node, rt, regular, total) pod counts of the last sample,
+        # recounted only after `state.epoch` moved
+        self.counts: list[tuple[str, int, int, int]] = []
+        self.counts_epoch: Optional[int] = None
 
     def push(self, time: float, kind: EventKind, payload=None) -> None:
         heapq.heappush(self.heap, (time, kind, self.seq, payload))
@@ -322,7 +326,7 @@ class _Run:
     def dispatch(self, now: float, kind: EventKind, payload, timeseries) -> None:
         if kind == EventKind.LINK:
             zone, latency_ms = payload
-            self.topology.set_uplink(zone, latency_ms)
+            self.state.set_uplink(zone, latency_ms)
         elif kind == EventKind.SUBMIT:
             self.handle_deploy(now, payload)
         elif kind == EventKind.PIN:
@@ -331,7 +335,7 @@ class _Run:
         elif kind == EventKind.METRIC:
             service, pod_id, value = payload
             self.static_metrics[(service, pod_id)] = value
-            self.state.metric_store.ingest(service, pod_id, value, now)
+            self.state.ingest_metric(service, pod_id, value, now)
         elif kind == EventKind.SCHED:
             config = self.alt_configs.get(payload) if payload else None
             run_queue(self.state, config or self.sched_config, now, self.rng_sched)
@@ -342,17 +346,21 @@ class _Run:
                 self.push(now, EventKind.SCHED)
         elif kind == EventKind.LB_REFRESH:
             for (service, pod_id), value in self.static_metrics.items():
-                self.state.metric_store.ingest(service, pod_id, value, now)
+                self.state.ingest_metric(service, pod_id, value, now)
             view = self.state.view(now=now)
             for client in sorted(self.balancers):
                 self.balancers[client].refresh(view, now)
         elif kind == EventKind.REQUEST:
             self.handle_request(now, payload)
         elif kind == EventKind.SAMPLE:
-            for node_id in sorted(self.state.nodes):
-                pods = self.state.running_on(node_id)
-                rt = sum(1 for p in pods if p.rt_utilization > 0)
-                timeseries.append((now, node_id, rt, len(pods) - rt, len(pods)))
+            if self.counts_epoch != self.state.epoch:
+                self.counts_epoch = self.state.epoch
+                self.counts = []
+                for node_id in sorted(self.state.nodes):
+                    pods = self.state.running_on(node_id)
+                    rt = sum(1 for p in pods if p.rt_utilization > 0)
+                    self.counts.append((node_id, rt, len(pods) - rt, len(pods)))
+            timeseries.extend((now, *row) for row in self.counts)
 
     def handle_deploy(self, now: float, args: tuple) -> None:
         names, using = args

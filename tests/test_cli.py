@@ -35,6 +35,19 @@ class TestRun:
         bad.write_text("[scenario]\nname = broken\n")
         assert main(["run", str(bad)]) == 2
 
+    def test_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+    def test_undecodable_bytes_exit_2_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"\xff\xfe[scenario]\nname = broken\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_run_writes_results(self, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(["run", "fig5-dependencies", "--profile", "ci",

@@ -1,7 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from fogsim import monitor as monitor_module
+from fogsim import report, simulator
 from fogsim.cluster import ClusterState, Node, PodInstance, PodStatus, Topology
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
+from fogsim.scenario_io import parse_scenario
+from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
 
 from conftest import make_state, record
@@ -143,3 +149,181 @@ def test_periodic_passes_evict_after_grace_and_reschedule():
     assert [e.pod for e in events] == ["p"]
     assert events[0].time == 130.0  # first pass after the grace period
     assert state.pods["p"].assignment == "n2"
+
+
+def count_dry_runs(monkeypatch) -> Counter:
+    calls = Counter()
+    dry_run = monitor_module.simulate_scheduling
+
+    def counted(*args, **kwargs):
+        calls["dry runs"] += 1
+        return dry_run(*args, **kwargs)
+
+    monkeypatch.setattr(monitor_module, "simulate_scheduling", counted)
+    return calls
+
+
+def test_gated_pods_are_not_dry_run(monkeypatch):
+    calls = count_dry_runs(monkeypatch)
+    assert ClusterMonitor(MonitorConfig(), ANCHORED).pass_once(drifted_state(), 60.0) == []
+    assert calls["dry runs"] == 0
+
+
+@pytest.mark.parametrize("config, reused", [
+    (BASELINE, True),
+    (SchedulerConfig(plugins=(("baseline", 1.0), ("dependencies", 1.0))), False)])
+def test_verdicts_are_reused_while_the_epoch_stands(monkeypatch, config, reused):
+    state = make_state()
+    state.add_pods([pod(f"p{i}") for i in range(16)])
+    run_queue(state, BASELINE, 0.0)
+    calls = count_dry_runs(monkeypatch)
+    monitor = ClusterMonitor(MonitorConfig(), config)
+    assert monitor.pass_once(state, 200.0) == []
+    assert calls["dry runs"] == 16
+    assert monitor.pass_once(state, 210.0) == []
+    # a plugin that reads the clock may judge the same cluster differently later
+    assert calls["dry runs"] == (16 if reused else 32)
+    state.set_uplink("P1", 0.7)
+    assert monitor.pass_once(state, 220.0) == []
+    assert calls["dry runs"] == (32 if reused else 48)
+
+
+# Pods of `app` depend on `db`, whose replicas are pinned on two full nodes;
+# `app` fits only on P3-A or P4-A.  While the db samples are fresh (90 s
+# under the default balancer settings), db-1's better metric puts `app` on
+# P4-A; once stale (t=100) latency alone prefers P3-A, so the verdict moves
+# with the clock and no cluster write.  The t=200 samples and the t=250
+# uplink change move it again.  The `plain` arm moves the db replicas off
+# their full nodes.
+STALE_DRIFT = """
+[scenario]
+name = stale-drift
+seed = 3
+duration_s = 400
+repetitions = 2
+sample_period_s = 5
+
+[topology]
+zone.P1 = P1-A
+zone.P2 = P2-A
+zone.P3 = P3-A
+zone.P4 = P4-A
+uplink.P1 = 0.5
+uplink.P2 = 0.8
+uplink.P3 = 1.0
+uplink.P4 = 1.2
+
+[nodes]
+override.P1-A.cpu_capacity = 100
+override.P2-A.cpu_capacity = 100
+
+[service db]
+replicas = 2
+cpu_request = 100
+metric = load lower-is-better
+
+[service app]
+replicas = 1
+cpu_request = 100
+depends_on =
+    db weight=1.0 lw=0.5 mw=0.5
+
+[arm custom]
+plugins = dependencies:1.0
+
+[arm plain]
+plugins = baseline:1.0
+
+[monitor]
+enabled = true
+loop_period_s = 10
+grace_s = 20
+backoff_s = 60
+
+[workload]
+events =
+    at 0 deploy db
+    at 0 pin db-0 P1-A
+    at 0 pin db-1 P2-A
+    at 0 metric db db-0 5.0
+    at 0 metric db db-1 1.0
+    at 1 deploy app
+    at 200 metric db db-0 5.0
+    at 200 metric db db-1 1.0
+    at 250 link P4 0.2
+"""
+
+
+def load(name):
+    return parse_scenario(STALE_DRIFT) if name == "stale-drift" else load_bundled(name)
+
+
+def reference_pass_once(self, state, now):
+    """The monitor pass with the dry run before the gates and no verdict
+    reuse: what a gated, reusing pass must reproduce."""
+    evictions = []
+    for node_id in sorted(state.nodes):
+        for pod in self._pods_on(state, node_id):
+            if pod.status is not PodStatus.RUNNING:
+                continue
+            result = monitor_module.simulate_scheduling(state, pod.id,
+                                                        self.scheduler_config, now)
+            if result is None or result == pod.assignment:
+                continue
+            if now - pod.start_time <= self.config.grace_s:
+                continue
+            last = self.backoff.get(pod.id)
+            if last is not None and now - last <= self.config.backoff_s:
+                continue
+            state.evict(pod.id, now, reason="monitor", target_node=result)
+            self.backoff[pod.id] = now
+            evictions.append(state.eviction_log[-1])
+    return evictions
+
+
+def test_stale_drift_moves_with_the_clock():
+    rows = simulator.run_scenario(load("stale-drift"), repetitions=1).evictions
+    assert [(r[2], r[5]) for r in rows if r[0] == "custom"] == [
+        ("100.0", "P3-A"), ("200.0", "P4-A"), ("270.0", "P3-A"), ("340.0", "P4-A")]
+
+
+@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig7-monitor",
+                                  "stale-drift"])
+def test_pass_matches_the_reference_pass(monkeypatch, tmp_path, name):
+    config = load(name)
+    calls = count_dry_runs(monkeypatch)
+    results = simulator.run_scenario(config, profile="ci")
+    dry_runs = calls["dry runs"]
+    monkeypatch.setattr(ClusterMonitor, "pass_once", reference_pass_once)
+    reference = simulator.run_scenario(config, profile="ci")
+    assert results.evictions == reference.evictions
+    assert dry_runs < calls["dry runs"] - dry_runs or config.monitor is None
+    for path, ref_path in zip(report.write_results(results, tmp_path / "pass"),
+                              report.write_results(reference, tmp_path / "reference")):
+        assert path.read_bytes() == ref_path.read_bytes(), path.name
+
+
+def visible(state) -> tuple:
+    """What a view reads of the state, apart from `now`."""
+    return ({n: [p.id for p in state.running_on(n)] for n in state.nodes},
+            dict(state.allocated_m), dict(state.metric_store._samples),
+            dict(state.topology.uplinks_ms))
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "stale-drift"])
+def test_epoch_moves_with_every_write_a_view_sees(monkeypatch, name):
+    dispatch = simulator._Run.dispatch
+    moved = Counter()
+
+    def checked(self, now, kind, payload, timeseries):
+        before, epoch = visible(self.state), self.state.epoch
+        dispatch(self, now, kind, payload, timeseries)
+        if visible(self.state) != before:
+            assert self.state.epoch != epoch, (kind.name, now)
+            moved[kind.name] += 1
+
+    monkeypatch.setattr(simulator._Run, "dispatch", checked)
+    simulator.run_scenario(load(name), profile="ci")
+    assert moved["SCHED"] or moved["PIN"]
+    if name == "stale-drift":
+        assert {"LINK", "METRIC", "MONITOR"} <= moved.keys()
