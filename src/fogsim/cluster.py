@@ -58,6 +58,9 @@ class DeadlinePolicy:
     def __post_init__(self):
         if self.deadline_us == 0:
             object.__setattr__(self, "deadline_us", self.period_us)
+        if not 0 < self.runtime_us <= self.deadline_us <= self.period_us:
+            raise ValueError("runtime_us: need 0 < runtime_us <= deadline_us <= period_us, "
+                             f"got {self.runtime_us}, {self.deadline_us}, {self.period_us}")
 
     @property
     def utilization(self) -> float:

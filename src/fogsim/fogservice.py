@@ -67,15 +67,12 @@ def validate(spec: FogServiceSpec, known_locations: Optional[set[str]] = None) -
         if proc.pid is None and proc.name_substring is None:
             problems.append(f"{where}: needs a pid or name-substring selector")
         pol = proc.policy
-        if isinstance(pol, DeadlinePolicy):
-            if not pol.runtime_us <= pol.deadline_us <= pol.period_us:
-                problems.append(f"{where}: runtime_us <= deadline_us <= period_us")
-        elif isinstance(pol, FifoPolicy):
+        if isinstance(pol, FifoPolicy):
             if not 1 <= pol.priority <= 99:
                 problems.append(f"{where}: fifo priority must be in [1, 99]")
             if pol.cpu_request <= 0:
                 problems.append(f"{where}: fifo cpu_request must be positive")
-        else:
+        elif not isinstance(pol, DeadlinePolicy):  # which checks its own range
             problems.append(f"{where}: unknown policy type")
     for i, dep in enumerate(spec.dependencies):
         where = f"dependencies[{i}]"

@@ -1,15 +1,12 @@
-"""Bundled experiment scenarios and programmatic variants."""
+"""Bundled experiment scenarios."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .cluster import DeadlinePolicy, RtProcessSpec
-from .fogservice import FogServiceSpec
 from .scenario_io import load_scenario, parse_scenario
-from .simulator import ScenarioConfig, WorkloadEvent
+from .simulator import ScenarioConfig
 
 BUNDLED = (
     "fig5-dependencies",
@@ -44,35 +41,3 @@ def resolve(name_or_path: str) -> ScenarioConfig:
     if not path.exists():
         raise FileNotFoundError(f"scenario not found: {name_or_path}")
     return load_scenario(path)
-
-
-def deadline_preemption_variant() -> ScenarioConfig:
-    """fig6-deadline with priorities: the final high-utilization pod arrives
-    after the cluster has filled up and must preempt low-priority RT pods.
-
-    Seven high-utilization pods (priority 10) and eight low ones (priority
-    0) deploy first; the trailing high pod arrives at t=5 when every node
-    already carries at least 0.6 of RT utilization, so only eviction of two
-    low pods can admit it.
-    """
-    base = load_bundled("fig6-deadline")
-    services = []
-    for spec in base.services:
-        if spec.name == "high":
-            services.append(replace(spec, replicas=7, priority_class=10))
-        else:
-            services.append(spec)
-    services.append(FogServiceSpec(
-        name="high-last", replicas=1, cpu_request=100, cpu_limit=100,
-        priority_class=10,
-        rt_processes=(RtProcessSpec(policy=DeadlinePolicy(600_000, 1_000_000),
-                                    name_substring="worker"),)))
-    workload = (
-        WorkloadEvent(0.0, "deploy", (("high", "low"), None)),
-        WorkloadEvent(5.0, "deploy", (("high-last",), None)),
-    )
-    return replace(base, name="fig6-deadline-preemption",
-                   description="fig6-deadline variant with priorities: the last "
-                               "high-utilization pod preempts two low-priority pods.",
-                   services=tuple(services), workload=workload,
-                   repetitions=5, ci_repetitions=5)

@@ -1,15 +1,22 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fogsim.cluster import ClusterState, Node, Topology
+from fogsim.scenario_io import load_scenario
 
 # Table-style topology used across the suite: four zones of two workers
 # hanging off one core switch.
 ZONES = {"P1": ("P1-A", "P1-B"), "P2": ("P2-A", "P2-B"),
          "P3": ("P3-A", "P3-B"), "P4": ("P4-A", "P4-B")}
 UPLINKS = {"P1": 0.5, "P2": 0.8, "P3": 1.0, "P4": 1.2}
+
+
+def load_test_scenario(name: str):
+    """A hand-written scenario file of the suite, `tests/scenarios/<name>.ini`."""
+    return load_scenario(Path(__file__).parent / "scenarios" / f"{name}.ini")
 
 
 def make_topology(**kwargs) -> Topology:

@@ -14,10 +14,10 @@ from fogsim.loadbalancer import chain_probabilities
 from fogsim.realtime import RealtimePlugin, rt_capacity
 from fogsim.report import convergence_time
 from fogsim.runtime import RtPriorityManager, SimulatedProcessHost
-from fogsim.scenarios import deadline_preemption_variant, load_bundled
+from fogsim.scenarios import load_bundled
 from fogsim.simulator import run_scenario
 
-from conftest import make_state, walk_frequencies
+from conftest import load_test_scenario, make_state, walk_frequencies
 
 
 def placements_by(res, arm, service=None):
@@ -92,7 +92,7 @@ def test_criterion_03_deadline_feasibility():
             violating_runs += 1
     assert violating_runs / len(baseline) >= 0.5
     # priority variant: preemption admits every pod
-    variant = run_scenario(deadline_preemption_variant())
+    variant = run_scenario(load_test_scenario("fig6-deadline-preemption"))
     statuses = Counter(r[5] for r in variant.placements)
     assert statuses.get("Unschedulable", 0) == 0
     preemptions = [r for r in variant.evictions if r[6] == "preemption"]

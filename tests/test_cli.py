@@ -180,6 +180,11 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     ("replicas = 2", "replicas = 2\nmetric = load lower-is-better mww=0.9"),
     ("replicas = 2", "replicas = 2\nrt_processes =\n"
                      "    deadline runtime_us=100000 period_us=1000000 deadline=5"),
+    # a reservation needs 0 < runtime_us <= deadline_us <= period_us
+    ("replicas = 2", "replicas = 2\nrt_processes =\n"
+                     "    deadline name=worker runtime_us=0 period_us=0"),
+    ("replicas = 2", "replicas = 2\nrt_processes =\n"
+                     "    deadline name=worker runtime_us=-500000 period_us=1000000"),
     ("replicas = 2", "replicas = 2\nconfig.a1 = mode=fast"),
     ("uplink.B = 1.5", "uplink.B = 1.5\nintra_zone = 0.5"),
     ("[workload]", "[workload]\nevent = at 0 deploy web"),
@@ -205,6 +210,8 @@ BAD_VALUES = [
     ("replicas = 2", "replicas = 2\ndepends_on = web mw=abc", "[service web] depends_on", "mw"),
     ("replicas = 2", "replicas = 2\nrt_processes =\n    fifo pid=x priority=1 cpu=0.1",
      "[service web] rt_processes", "pid"),
+    ("replicas = 2", "replicas = 2\nrt_processes =\n    deadline runtime_us=0 period_us=0",
+     "[service web] rt_processes", "runtime_us"),
     ("replicas = 2", "replicas = 2\nlocations = a1:x", "[service web]", "locations"),
     ("plugins = baseline:1.0", "plugins = baseline:x", "[arm custom]", "plugins"),
     ("plugins = baseline:1.0", "plugins = baseline:inf", "[arm custom]", "plugins"),

@@ -18,10 +18,17 @@ class TestValidate:
         assert validate(FogServiceSpec(name="svc", replicas=2)) == []
 
     def test_deadline_runtime_exceeding_period(self):
-        spec = FogServiceSpec(name="svc", rt_processes=(
-            rt(DeadlinePolicy(600_000, 500_000)),))
-        assert any("runtime_us <= deadline_us <= period_us" in v
-                   for v in validate(spec))
+        # the policy checks its own range, so no descriptor can carry it
+        with pytest.raises(ValueError, match="runtime_us <= deadline_us <= period_us"):
+            DeadlinePolicy(600_000, 500_000)
+
+    @pytest.mark.parametrize("runtime_us, period_us, deadline_us", [
+        (0, 0, 0), (0, 1_000_000, 0), (-500_000, 1_000_000, 0),
+        (100_000, 1_000_000, 50_000), (100_000, 1_000_000, 2_000_000)])
+    def test_deadline_needs_positive_runtime_within_deadline_within_period(
+            self, runtime_us, period_us, deadline_us):
+        with pytest.raises(ValueError, match="0 < runtime_us"):
+            DeadlinePolicy(runtime_us, period_us, deadline_us)
 
     def test_balanced_metric_weights_pass(self):
         spec = FogServiceSpec(name="svc", metric=MetricSpec(

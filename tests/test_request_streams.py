@@ -1,0 +1,87 @@
+"""Request streams issued from their own heap against the per-request path
+they replaced, in which every request was an event of the main heap."""
+
+import heapq
+
+import pytest
+
+from fogsim import report, simulator
+from fogsim.cluster import PodStatus
+from fogsim.loadbalancer import select_replica
+from fogsim.scenarios import load_bundled
+from fogsim.simulator import EventKind, request_rtt
+
+from conftest import load_test_scenario
+
+
+class PerRequestRun(simulator._Run):
+    """The reference: each request is a REQUEST event on the main heap,
+    handled through `dispatch`, which schedules the stream's next request
+    at `now + 1.0 / rate_hz` and computes every RTT afresh."""
+
+    def execute(self):
+        cfg = self.config
+        for event in cfg.workload:
+            kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
+                    "pin": EventKind.PIN, "metric": EventKind.METRIC,
+                    "requests": EventKind.REQUEST}[event.action]
+            self.push(event.at, kind, event.args)
+        if self.monitor is not None:
+            self.push_periodic(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
+                               EventKind.MONITOR)
+        if self.balancers:
+            self.push_periodic(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH)
+        if cfg.sample_period_s > 0:
+            self.push_periodic(0.0, cfg.sample_period_s, EventKind.SAMPLE)
+        timeseries = []
+        while self.heap:
+            time, kind, _, payload = heapq.heappop(self.heap)
+            if time > cfg.duration_s:
+                break
+            self.dispatch(time, kind, payload, timeseries)
+        return self.collect(timeseries)
+
+    def dispatch(self, now, kind, payload, timeseries):
+        if kind != EventKind.REQUEST:
+            return super().dispatch(now, kind, payload, timeseries)
+        client, service, rate_hz, remaining = payload
+        chain = self.balancers[client].chain_for(service)
+        if chain is not None:
+            replica = select_replica(chain, self.rng_requests)
+            pod = self.state.pods[replica]
+            if pod.status is PodStatus.RUNNING:
+                rtt = request_rtt(self.topology, client, pod.assignment,
+                                  self.config.lb.processing_delay_ms)
+                self.requests.append((self.arm.name, self.rep, repr(now), client, service,
+                                      replica, pod.assignment, repr(rtt)))
+        if remaining > 1:
+            self.push(now + 1.0 / rate_hz, EventKind.REQUEST,
+                      (client, service, rate_hz, remaining - 1))
+
+
+@pytest.mark.parametrize("name, profile", [("request-edges", "paper"),
+                                           ("fig9-loadbalancer", "ci")])
+def test_streams_match_the_per_request_reference(monkeypatch, tmp_path, name, profile):
+    config = (load_test_scenario(name) if name == "request-edges"
+              else load_bundled(name))
+    results = simulator.run_scenario(config, profile=profile)
+    monkeypatch.setattr(simulator, "_Run", PerRequestRun)
+    reference = simulator.run_scenario(config, profile=profile)
+    assert results.requests
+    for path, ref_path in zip(report.write_results(results, tmp_path / "streams"),
+                              report.write_results(reference, tmp_path / "reference")):
+        assert path.read_bytes() == ref_path.read_bytes(), path.name
+
+
+def test_request_edges_reach_every_edge():
+    """The scenario still exercises what its comments say it does."""
+    results = simulator.run_scenario(load_test_scenario("request-edges"))
+    rows = [r for r in results.requests if r[:2] == ("weighted", 0)]
+    assert {(r[2], r[3]) for r in rows if r[2] == "0.5"} == {("0.5", "a1"), ("0.5", "b1")}
+    assert {(e[3], e[6]) for e in results.evictions if e[:2] == ("weighted", 0)} == {
+        ("boss-0", "monitor"), ("web-1", "preemption")}
+    # the web streams issue 80 requests; those that chose web-1 after t=3 leave no row
+    assert len([r for r in rows if r[4] == "web"]) < 80
+    assert {r[7] for r in rows if (r[3], r[6]) == ("a1", "b1")} == {"3.005", "6.005"}
+    assert [r[2] for r in rows if (r[3], r[4]) == ("b1", "boss")] == ["7.25"]
+    assert max(float(r[2]) for r in rows) == 12.0  # the last request due at duration_s

@@ -2,7 +2,9 @@ import pytest
 
 from fogsim.monitor import MonitorConfig
 from fogsim.scenario_io import ScenarioParseError, parse_scenario
-from fogsim.scenarios import BUNDLED, deadline_preemption_variant, load_bundled
+from fogsim.scenarios import BUNDLED, load_bundled
+
+from conftest import load_test_scenario
 
 MINIMAL = """
 [scenario]
@@ -142,7 +144,7 @@ class TestBundled:
         assert {a.name for a in cfg.named_configs} == {"stock"}
 
     def test_preemption_variant(self):
-        cfg = deadline_preemption_variant()
+        cfg = load_test_scenario("fig6-deadline-preemption")
         names = {s.name: s for s in cfg.services}
         assert names["high"].replicas == 7
         assert names["high"].priority_class == 10
