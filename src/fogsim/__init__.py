@@ -5,7 +5,7 @@ from .cluster import (ClusterSnapshot, ClusterState, DeadlinePolicy,
                       RtProcessSpec, Topology)
 from .dependencies import (markov_matrix, replica_scores, score_dependencies,
                            stationary_distribution)
-from .fogservice import FogServiceSpec, LocationScope, expand, validate
+from .fogservice import FogServiceSpec, LocationScope, expand
 from .loadbalancer import (LoadBalancer, RuleChain, chain_probabilities,
                            select_replica, uniform_chain)
 from .monitor import ClusterMonitor, MonitorConfig, simulate_scheduling

@@ -74,6 +74,12 @@ class FifoPolicy:
     priority: int
     cpu_request: float
 
+    def __post_init__(self):
+        if not 1 <= self.priority <= 99:
+            raise ValueError(f"priority: must be in [1, 99], got {self.priority}")
+        if not self.cpu_request > 0:
+            raise ValueError(f"cpu_request: must be positive, got {self.cpu_request}")
+
     @property
     def utilization(self) -> float:
         return self.cpu_request
@@ -87,6 +93,12 @@ class RtProcessSpec:
     pid: Optional[int] = None
     name_substring: Optional[str] = None
 
+    def __post_init__(self):
+        if self.pid is None and self.name_substring is None:
+            raise ValueError("needs a pid or name-substring selector")
+        if not isinstance(self.policy, (DeadlinePolicy, FifoPolicy)):
+            raise ValueError(f"unknown policy type: {type(self.policy).__name__}")
+
 
 @dataclass(frozen=True)
 class DependencyRef:
@@ -94,6 +106,14 @@ class DependencyRef:
     dep_weight: float = 1.0
     latency_weight: float = 0.5
     metric_weight: float = 0.5
+
+    def __post_init__(self):
+        if not self.target_service:
+            raise ValueError("target_service: must be named")
+        if not all(w >= 0 for w in (self.dep_weight, self.latency_weight, self.metric_weight)):
+            raise ValueError("weights must be non-negative")
+        if abs(self.latency_weight + self.metric_weight - 1.0) > 1e-9:
+            raise ValueError("latency_weight + metric_weight must equal 1")
 
 
 @dataclass
@@ -108,8 +128,16 @@ class Node:
     def __post_init__(self):
         if self.cores < 1:
             raise ValueError(f"node {self.id}: cores must be >= 1")
+        if self.cpu_capacity < 1:
+            raise ValueError(f"node {self.id}: cpu_capacity must be >= 1")
         if not 0 < self.rt_runtime_us <= self.rt_period_us:
             raise ValueError(f"node {self.id}: need 0 < rt_runtime_us <= rt_period_us")
+
+
+def _latency(ms: float) -> float:
+    if not ms >= 0:
+        raise ValueError("latency must be non-negative")
+    return ms
 
 
 class Topology:
@@ -120,9 +148,9 @@ class Topology:
                  intra_node_ms: float = DEFAULT_INTRA_NODE_MS,
                  intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS):
         self.zones = {z: list(nodes) for z, nodes in zones.items()}
-        self.uplinks_ms = dict(uplinks_ms)
-        self.intra_node_ms = intra_node_ms
-        self.intra_zone_ms = intra_zone_ms
+        self.uplinks_ms = {zone: _latency(ms) for zone, ms in uplinks_ms.items()}
+        self.intra_node_ms = _latency(intra_node_ms)
+        self.intra_zone_ms = _latency(intra_zone_ms)
         self.zone_of: dict[str, str] = {}
         for zone, nodes in self.zones.items():
             if zone not in self.uplinks_ms:
@@ -131,16 +159,11 @@ class Topology:
                 if n in self.zone_of:
                     raise ValueError(f"node {n} appears in more than one zone")
                 self.zone_of[n] = zone
-        for lat in list(self.uplinks_ms.values()) + [intra_node_ms, intra_zone_ms]:
-            if lat < 0:
-                raise ValueError("latency must be non-negative")
 
     def set_uplink(self, zone: str, latency_ms: float) -> None:
         if zone not in self.uplinks_ms:
             raise KeyError(f"unknown link: {zone}")
-        if latency_ms < 0:
-            raise ValueError("latency must be non-negative")
-        self.uplinks_ms[zone] = latency_ms
+        self.uplinks_ms[zone] = _latency(latency_ms)
 
     def copy(self) -> "Topology":
         return Topology(self.zones, self.uplinks_ms, self.intra_node_ms, self.intra_zone_ms)

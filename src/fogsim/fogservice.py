@@ -1,4 +1,5 @@
-"""Service descriptors: validation and expansion into schedulable pods.
+"""Service descriptors, which check their own fields, and their expansion
+into schedulable pods.
 
 A descriptor covers everything the orchestration layer needs in one place:
 replica counts (cluster-wide or per location), CPU requests and limits, a
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from .cluster import (DeadlinePolicy, DependencyRef, FifoPolicy, PodInstance,
-                      RtProcessSpec)
-from .telemetry import HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSpec
+from .cluster import DependencyRef, PodInstance, RtProcessSpec
+from .telemetry import MetricSpec
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,20 @@ class LocationScope:
     replicas: int = 1
     config: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError(f"{self.location}: replicas must be >= 1, got {self.replicas}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class FogServiceSpec:
+    """A descriptor that checks its own fields; `cpu_limit` 0 means `cpu_request`."""
+
     name: str
     replicas: int = 1
     locations: Optional[list[LocationScope]] = None
     cpu_request: int = 100
-    cpu_limit: int = 100
+    cpu_limit: int = 0
     rt_limit: float = 0.0
     rt_processes: tuple[RtProcessSpec, ...] = ()
     priority_class: int = 0
@@ -39,59 +45,21 @@ class FogServiceSpec:
     metric: Optional[MetricSpec] = None
     runtime_class: str = "container"
 
-
-def validate(spec: FogServiceSpec, known_locations: Optional[set[str]] = None) -> list[str]:
-    """Check every descriptor invariant; returns one message per violation."""
-    problems = []
-    if not spec.name:
-        problems.append("name: must be non-empty")
-    if spec.locations is None:
-        if spec.replicas < 1:
-            problems.append("replicas: must be >= 1")
-    else:
-        if not spec.locations:
-            problems.append("locations: must list at least one location")
-        for scope in spec.locations or ():
-            if scope.replicas < 1:
-                problems.append(f"locations[{scope.location}].replicas: must be >= 1")
-            if known_locations is not None and scope.location not in known_locations:
-                problems.append(f"locations[{scope.location}]: unknown location")
-    if spec.cpu_request > spec.cpu_limit:
-        problems.append("cpu_request: must be <= cpu_limit")
-    if spec.cpu_request <= 0:
-        problems.append("cpu_request: must be positive")
-    if not 0.0 <= spec.rt_limit <= 1.0:
-        problems.append("rt_limit: must be within [0, 1]")
-    for i, proc in enumerate(spec.rt_processes):
-        where = f"rt_processes[{i}]"
-        if proc.pid is None and proc.name_substring is None:
-            problems.append(f"{where}: needs a pid or name-substring selector")
-        pol = proc.policy
-        if isinstance(pol, FifoPolicy):
-            if not 1 <= pol.priority <= 99:
-                problems.append(f"{where}: fifo priority must be in [1, 99]")
-            if pol.cpu_request <= 0:
-                problems.append(f"{where}: fifo cpu_request must be positive")
-        elif not isinstance(pol, DeadlinePolicy):  # which checks its own range
-            problems.append(f"{where}: unknown policy type")
-    for i, dep in enumerate(spec.dependencies):
-        where = f"dependencies[{i}]"
-        if not dep.target_service:
-            problems.append(f"{where}: target service must be named")
-        if dep.dep_weight < 0:
-            problems.append(f"{where}: negative weight")
-        if abs(dep.latency_weight + dep.metric_weight - 1.0) > 1e-9:
-            problems.append(f"{where}: latency_weight + metric_weight must equal 1")
-        if dep.latency_weight < 0 or dep.metric_weight < 0:
-            problems.append(f"{where}: weights must be non-negative")
-    if spec.metric is not None:
-        if spec.metric.direction not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
-            problems.append("metric.direction: unknown direction")
-        if abs(spec.metric.metric_weight + spec.metric.latency_weight - 1.0) > 1e-9:
-            problems.append("metric: metric_weight + latency_weight must equal 1")
-    if spec.runtime_class not in ("container", "legacy"):
-        problems.append("runtime_class: must be 'container' or 'legacy'")
-    return problems
+    def __post_init__(self):
+        if self.cpu_limit == 0:
+            object.__setattr__(self, "cpu_limit", self.cpu_request)
+        if not self.name:
+            raise ValueError("name: must be non-empty")
+        if self.locations is None and self.replicas < 1:
+            raise ValueError(f"replicas: must be >= 1, got {self.replicas}")
+        if self.locations is not None and not self.locations:
+            raise ValueError("locations: must list at least one location")
+        if not 0 < self.cpu_request <= self.cpu_limit:
+            raise ValueError(f"cpu_request: must be in (0, cpu_limit={self.cpu_limit}]")
+        if not 0.0 <= self.rt_limit <= 1.0:
+            raise ValueError(f"rt_limit: must be within [0, 1], got {self.rt_limit}")
+        if self.runtime_class not in ("container", "legacy"):
+            raise ValueError(f"runtime_class: {self.runtime_class!r} is not container or legacy")
 
 
 def _normalized_deps(deps: tuple[DependencyRef, ...]) -> tuple[DependencyRef, ...]:
@@ -105,16 +73,13 @@ def _normalized_deps(deps: tuple[DependencyRef, ...]) -> tuple[DependencyRef, ..
 
 
 def expand(spec: FogServiceSpec) -> list[PodInstance]:
-    """Expand a validated descriptor into its pod instances.
+    """Expand a descriptor into its pod instances.
 
     Cluster-scoped services yield `name-0 .. name-(n-1)`.  Location-scoped
     services yield `name-<location>-<i>` per location, each pod carrying the
     location scope and that location's config overrides; the scope persists
     even if scheduling later puts the pod elsewhere.
     """
-    problems = validate(spec)
-    if problems:
-        raise ValueError(f"invalid service {spec.name}: " + "; ".join(problems))
     deps = _normalized_deps(spec.dependencies)
     pods = []
 

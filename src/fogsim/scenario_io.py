@@ -31,7 +31,7 @@ import math
 from pathlib import Path
 
 from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, RtProcessSpec
-from .fogservice import FogServiceSpec, LocationScope, validate
+from .fogservice import FogServiceSpec, LocationScope
 from .monitor import MonitorConfig
 from .simulator import (ArmSpec, LbSettings, NodeSettings, ScenarioConfig,
                         TopologySpec, WorkloadEvent)
@@ -115,7 +115,8 @@ def _parse_rt_process(line: str, where: str) -> RtProcessSpec:
     policy = _build(policies[kind], where, kwargs.items(), TOKEN_KEYS)
     if pid is None and name is None:
         name = ""  # matches any process
-    return RtProcessSpec(policy, None if pid is None else _value(int, where, "pid", pid), name)
+    return _build(RtProcessSpec, where, (), policy=policy, name_substring=name,
+                  pid=None if pid is None else _value(int, where, "pid", pid))
 
 
 def _parse_line(cls, line: str, where: str, *positional: str):
@@ -139,7 +140,8 @@ def _parse_service(name: str, section) -> FogServiceSpec:
             loc, _, count = tok.partition(":")
             config = _tokens(section.get("config." + loc, "").split(), f"{where} config.{loc}")
             count = _value(int, where, "locations", count) if count else LocationScope.replicas
-            locations.append(LocationScope(loc, count, config))
+            locations.append(_build(LocationScope, f"{where} locations", (), location=loc,
+                                    replicas=count, config=config))
     listed = {"config." + scope.location for scope in locations or ()}
     for key in section:
         if key.startswith("config.") and key not in listed:
@@ -150,14 +152,8 @@ def _parse_service(name: str, section) -> FogServiceSpec:
                   for line in section.get("rt_processes", "").splitlines() if line.strip())
     metric = (_parse_line(MetricSpec, section["metric"], f"{where} metric", "name", "direction")
               if "metric" in section else None)
-    spec = _build(FogServiceSpec, where, _rest(section, SERVICE_KEYS), name=name,
+    return _build(FogServiceSpec, where, _rest(section, SERVICE_KEYS), name=name,
                   locations=locations, rt_processes=procs, dependencies=deps, metric=metric)
-    if "cpu_limit" not in section:
-        spec.cpu_limit = spec.cpu_request
-    problems = validate(spec)
-    if problems:
-        raise ScenarioParseError(f"service {name}: " + "; ".join(problems))
-    return spec
 
 
 def _parse_arm(where: str, name: str, section) -> ArmSpec:
@@ -265,8 +261,10 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
 
     # built, and so checked, even when the monitor is off or unset
     monitor = _build(MonitorConfig, "[monitor]", _rest(parser["monitor"], ("enabled",)))
-    if not parser["monitor"].getboolean("enabled", False):
-        monitor = None
+    enabled = parser["monitor"].get("enabled", "false").lower()
+    if enabled not in parser.BOOLEAN_STATES:
+        raise ScenarioParseError(f"[monitor]: enabled: expected true or false, got {enabled!r}")
+    monitor = monitor if parser.BOOLEAN_STATES[enabled] else None
 
     lb = _build(LbSettings, "[loadbalancer]", parser["loadbalancer"].items())
 

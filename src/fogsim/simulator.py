@@ -23,7 +23,7 @@ from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_
                       DEFAULT_INTRA_ZONE_MS, DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
                       ClusterState, Node, PodStatus, Topology)
 from .fogservice import FogServiceSpec, expand
-from .loadbalancer import POLICY_UNIFORM, POLICY_WEIGHTED, LoadBalancer, select_replica
+from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .scheduling import SchedulerConfig, run_queue
 from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
@@ -50,12 +50,16 @@ class WorkloadEvent:
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """One scheduler/balancer configuration to run the scenario under."""
+    """A scheduler/balancer configuration; it builds its plugins and a balancer to check it."""
 
     name: str
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
     tie_break: str = "lexicographic"
     lb_policy: str = POLICY_WEIGHTED
+
+    def __post_init__(self):
+        self.scheduler_config().instances()
+        LoadBalancer("", self.lb_policy)
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(plugins=self.plugins, tie_break=self.tie_break)
@@ -121,6 +125,7 @@ class ScenarioConfig:
     named_configs: tuple[ArmSpec, ...] = ()
 
     def validate(self) -> list[str]:
+        """Scenario-wide rules and cross-references; each part checks its own fields."""
         problems = []
         if self.duration_s <= 0:
             problems.append("duration_s must be positive")
@@ -133,46 +138,41 @@ class ScenarioConfig:
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             problems.append("arm names must be unique")
-        service_names = [s.name for s in self.services]
-        if len(set(service_names)) != len(service_names):
+        services = {s.name for s in self.services}
+        if len(services) != len(self.services):
             problems.append("service names must be unique")
         try:
-            self.topology.build()
-        except (ValueError, KeyError) as exc:
-            problems.append(f"topology: {exc}")
+            topology = self.topology.build()
+        except ValueError as exc:
+            return problems + [f"topology: {exc}"]
         try:
             build_nodes(self.topology, self.nodes)
         except ValueError as exc:
             problems.append(str(exc))
-        nodes = {n for zone in self.topology.zones.values() for n in zone}
         for node_id, over in self.nodes.overrides.items():
-            if node_id not in nodes:
+            if node_id not in topology.zone_of:
                 problems.append(f"override.{node_id}: unknown node")
             problems += [f"override.{node_id}.{key}: unknown node setting"
                          for key in over if key not in NODE_FIELDS]
-        for kind, arms in (("arm", self.arms), ("config", self.named_configs)):
-            for arm in arms:
-                try:
-                    arm.scheduler_config().instances()
-                except ValueError as exc:
-                    problems.append(f"{kind} {arm.name}: {exc}")
-                if arm.lb_policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
-                    problems.append(f"{kind} {arm.name}: unknown balancing policy: "
-                                    f"{arm.lb_policy}")
-        return problems + self._workload_problems(set(service_names), nodes)
+        for spec in self.services:
+            problems += [f"service {spec.name}: unknown location node {s.location!r}"
+                         for s in spec.locations or () if s.location not in topology.zone_of]
+            problems += [f"service {spec.name}: depends on unknown service {d.target_service!r}"
+                         for d in spec.dependencies if d.target_service not in services]
+        return problems + self._workload_problems(services, topology)
 
-    def _workload_problems(self, services: set[str], nodes: set[str]) -> list[str]:
+    def _workload_problems(self, services: set[str], topology: Topology) -> list[str]:
         """Names in the workload script that nothing defines, deploys that
         re-create a pod id, pins of a pod not created at the pin's own time
-        (earlier, the scheduler has placed it) or pinned twice, request
-        streams that would issue nothing or divide by a zero rate, and a
-        negative time or link latency.  Events after `duration_s` are
-        dropped unrun, so they create and pin nothing."""
+        (earlier, the scheduler has placed it) or pinned twice, metrics of a pod
+        no deploy of their service has created by then, request streams that
+        would issue nothing or divide by a zero rate, a negative time and a link
+        `topology` rejects.  Events after `duration_s` are dropped unrun."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         specs = {s.name: s for s in self.services}
-        problems, created, pinned = [], {}, set()
-        # the event loop runs deploys before pins of the same time (SUBMIT
-        # sorts before PIN) and script order within a kind
+        problems, created, pinned = [], {}, set()  # created: pod id -> (time, service)
+        # the event loop runs deploys before pins and metrics of the same time
+        # (SUBMIT sorts before PIN and METRIC) and script order within a kind
         for e in sorted(self.workload, key=lambda e: (e.at, e.action != "deploy")):
             where = f"at {e.at:g} {e.action}"
             if e.at < 0:
@@ -188,31 +188,37 @@ class ScenarioConfig:
                 for pod in (p for n in names if n in specs for p in expand(specs[n])):
                     if pod.id in created:
                         problems.append(f"{where}: pod {pod.id!r} already deployed "
-                                        f"at {created[pod.id]:g}")
-                    created.setdefault(pod.id, e.at)
+                                        f"at {created[pod.id][0]:g}")
+                    created.setdefault(pod.id, (e.at, pod.service))
             elif e.action == "pin":
                 pod_id, node_id = e.args
-                if node_id not in nodes:
+                if node_id not in topology.zone_of:
                     problems.append(f"{where}: unknown node {node_id!r}")
                 if e.at > self.duration_s:
                     continue
                 if pod_id not in created:
                     problems.append(f"{where}: no deploy by then creates pod {pod_id!r}")
-                elif created[pod_id] != e.at:
+                elif created[pod_id][0] != e.at:
                     problems.append(f"{where}: pod {pod_id!r} was deployed at "
-                                    f"{created[pod_id]:g} and is scheduled by then")
+                                    f"{created[pod_id][0]:g} and is scheduled by then")
                 elif pod_id in pinned:
                     problems.append(f"{where}: pod {pod_id!r} is pinned twice")
                 pinned.add(pod_id)
+            elif e.action == "metric":
+                service, pod_id, _ = e.args
+                if service not in services:
+                    problems.append(f"{where}: unknown service {service!r}")
+                elif e.at <= self.duration_s and created.get(pod_id, (0, None))[1] != service:
+                    problems.append(f"{where}: no deploy of {service!r} by then "
+                                    f"creates pod {pod_id!r}")
             elif e.action == "link":
-                zone, latency_ms = e.args
-                if zone not in self.topology.zones:
-                    problems.append(f"{where}: unknown zone {zone!r}")
-                if latency_ms < 0:
-                    problems.append(f"{where}: latency must be >= 0")
+                try:
+                    topology.set_uplink(*e.args)
+                except (KeyError, ValueError) as exc:
+                    problems.append(f"{where}: {exc.args[0]}")
             elif e.action == "requests":
                 client, service, rate_hz, count = e.args
-                if client not in nodes:
+                if client not in topology.zone_of:
                     problems.append(f"{where}: unknown client node {client!r}")
                 if service not in services:
                     problems.append(f"{where}: unknown service {service!r}")

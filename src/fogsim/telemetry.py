@@ -24,6 +24,13 @@ class MetricSpec:
     metric_weight: float = 0.5
     latency_weight: float = 0.5
 
+    def __post_init__(self):
+        if self.direction not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
+            raise ValueError(f"direction: unknown direction {self.direction!r}")
+        if not (min(self.metric_weight, self.latency_weight) >= 0
+                and abs(self.metric_weight + self.latency_weight - 1.0) <= 1e-9):
+            raise ValueError("metric_weight, latency_weight: need two weights >= 0 summing to 1")
+
 
 def path_latency(topology: Topology, a: str, b: str) -> float:
     """One-way latency between two nodes on the star topology.

@@ -1,6 +1,7 @@
 import pytest
 
 from fogsim.cli import main
+from fogsim.scenarios import _bundled_text
 
 
 def run_cli(*argv, capsys=None):
@@ -129,6 +130,11 @@ locations = a1 b1:2
     "at 1 requests client=a1 service=web rate_hz=inf count=3",
     "at nan link A 2.0",
     "at -1 link A 2.0",
+    # a metric names a service and a pod a deploy of it creates by then
+    "at 1 metric nosuch web-0 5",
+    "at 1 metric web web-9 5",
+    "at 1 metric web cam-a1-0 5\n    at 0 deploy cam",
+    "at 1 metric cam cam-a1-0 5\n    at 2 deploy cam",
 ])
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, line):
     path = tmp_path / "bad.ini"
@@ -149,6 +155,27 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     assert any(",cam-b1-1,cam,b1," in row for row in rows)
 
 
+@pytest.mark.parametrize("line", ["at 0 metric web web-0 5", "at 1 metric web web-1 5"])
+def test_metric_of_a_deployed_pod_runs(tmp_path, capsys, line):
+    # SUBMIT sorts before METRIC, so a deploy at the metric's own time counts
+    path = tmp_path / "ok.ini"
+    path.write_text(MALFORMED_BASE.format(line=line))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name, field, bad", [
+    ("fig5-dependencies", "at 0 metric dependency dependency-0",
+     "at 0 metric dependency dependency--1"),
+    ("fig7-monitor", "cpu_capacity = 1000", "cpu_capacity = 0"),
+])
+def test_mutated_bundled_scenario_exits_2_with_one_line(tmp_path, capsys, name, field, bad):
+    path = tmp_path / f"{name}.ini"
+    path.write_text(_bundled_text(name).replace(field, bad))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, bad", [
     ("duration_s = 5", "duration_s = soon"),
     ("uplink.B = 1.5", "uplink.B = far"),
@@ -165,6 +192,12 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = 0"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.ZZ.cores = 2"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.corez = 2"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\ncpu_capacity = 0"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\ncpu_capacity = -1"),
+    ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cpu_capacity = 0"),
+    # a service's locations are nodes and its dependencies are services
+    ("replicas = 2", "locations = ZZ"),
+    ("[arm custom]", "[service app]\ndepends_on = nosuch\n[arm custom]"),
     # a key, section or token that nothing reads is an error, not a default
     ("duration_s = 5", "duration_s = 5\n[nodes]\ncorez = 2"),
     ("duration_s = 5", "duration_s = 5\n[monitor]\nenabeld = true"),
@@ -178,6 +211,7 @@ def test_pin_of_a_location_scoped_pod_deployed_at_the_same_time_runs(tmp_path, c
     ("[arm custom]", "[service app]\ndepends_on = web wieght=5\n[arm custom]"),
     ("[arm custom]", "[service app]\ndepends_on = web weight=1 weight=2\n[arm custom]"),
     ("replicas = 2", "replicas = 2\nmetric = load lower-is-better mww=0.9"),
+    ("replicas = 2", "replicas = 2\nmetric = load lower-is-better mw=1.5 lw=-0.5"),
     ("replicas = 2", "replicas = 2\nrt_processes =\n"
                      "    deadline runtime_us=100000 period_us=1000000 deadline=5"),
     # a reservation needs 0 < runtime_us <= deadline_us <= period_us
@@ -219,6 +253,7 @@ BAD_VALUES = [
     ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nrefresh_period_s = 0",
      "[loadbalancer]", "refresh_period_s"),
     ("duration_s = 5", "duration_s = 5\n[monitor]\ngrace_s = 0", "[monitor]", "grace_s"),
+    ("duration_s = 5", "duration_s = 5\n[monitor]\nenabled = maybe", "[monitor]", "enabled"),
     # configparser would copy [DEFAULT] keys into every section
     ("[scenario]", "[DEFAULT]\nseed = 3\n[scenario]", "[DEFAULT]", "seed"),
 ]

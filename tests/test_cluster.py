@@ -155,9 +155,9 @@ def random_pod(rng, pod_id, service="svc"):
     procs = []
     if rng.random() < 0.6:
         procs.append(RtProcessSpec(DeadlinePolicy(rng.choice([233_333, 300_001, 450_001]),
-                                                  1_000_000)))
+                                                  1_000_000), pid=1))
         if rng.random() < 0.5:
-            procs.append(RtProcessSpec(FifoPolicy(1, rng.choice([0.1, 0.15, 0.07]))))
+            procs.append(RtProcessSpec(FifoPolicy(1, rng.choice([0.1, 0.15, 0.07])), pid=2))
     return pod(pod_id, request=rng.choice([50, 100, 250]), rt_processes=tuple(procs),
                priority_class=rng.choice([0, 1, 5]), service=service)
 

@@ -1,21 +1,31 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fogsim.cluster import (DeadlinePolicy, DependencyRef, FifoPolicy,
                             RtProcessSpec)
-from fogsim.fogservice import FogServiceSpec, LocationScope, expand, validate
+from fogsim.fogservice import FogServiceSpec, LocationScope, expand
 from fogsim.telemetry import MetricSpec
 
 from conftest import make_state
 
 
-def rt(policy):
-    return RtProcessSpec(policy=policy, name_substring="worker")
+class TestDescriptorChecks:
+    """Each descriptor object checks its own fields when it is built."""
 
+    def test_valid_spec_builds(self):
+        spec = FogServiceSpec(name="svc", replicas=2)
+        assert spec.replicas == 2
 
-class TestValidate:
-    def test_valid_spec_passes(self):
-        assert validate(FogServiceSpec(name="svc", replicas=2)) == []
+    def test_cpu_limit_zero_means_the_request(self):
+        assert FogServiceSpec(name="svc", cpu_request=300).cpu_limit == 300
+        assert FogServiceSpec(name="svc", cpu_request=300, cpu_limit=500).cpu_limit == 500
+
+    def test_spec_is_frozen(self):
+        spec = FogServiceSpec(name="svc")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.cpu_limit = 5
 
     def test_deadline_runtime_exceeding_period(self):
         # the policy checks its own range, so no descriptor can carry it
@@ -33,29 +43,58 @@ class TestValidate:
     def test_balanced_metric_weights_pass(self):
         spec = FogServiceSpec(name="svc", metric=MetricSpec(
             "load", metric_weight=0.5, latency_weight=0.5))
-        assert validate(spec) == []
+        assert spec.metric.metric_weight == 0.5
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"direction": "sideways"}, "direction"),
+        ({"metric_weight": 0.7, "latency_weight": 0.5}, "summing to 1"),
+        ({"metric_weight": 1.5, "latency_weight": -0.5}, ">= 0")])
+    def test_metric_checks_direction_and_weight_sum(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MetricSpec("load", **kwargs)
 
     def test_unnormalized_dep_weights_pass_negative_fails(self):
         ok = FogServiceSpec(name="svc", dependencies=(
             DependencyRef("a", 0.7), DependencyRef("b", 0.5)))
-        assert validate(ok) == []
-        bad = FogServiceSpec(name="svc", dependencies=(
-            DependencyRef("a", 0.7), DependencyRef("b", -0.1)))
-        assert any("negative weight" in v for v in validate(bad))
+        assert len(ok.dependencies) == 2
+        with pytest.raises(ValueError, match="non-negative"):
+            DependencyRef("b", -0.1)
 
-    def test_fifo_priority_range(self):
-        spec = FogServiceSpec(name="svc", rt_processes=(
-            rt(FifoPolicy(priority=120, cpu_request=0.2)),))
-        assert any("priority" in v for v in validate(spec))
+    @pytest.mark.parametrize("args, match", [
+        (("",), "target_service"),
+        (("a", 1.0, -0.5, 1.5), "non-negative"),
+        (("a", 1.0, 0.7, 0.7), "must equal 1")])
+    def test_dependency_checks_target_and_weights(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            DependencyRef(*args)
 
-    def test_request_above_limit(self):
-        spec = FogServiceSpec(name="svc", cpu_request=500, cpu_limit=100)
-        assert any("cpu_request" in v for v in validate(spec))
+    @pytest.mark.parametrize("priority, cpu_request, match", [
+        (120, 0.2, "priority"), (0, 0.2, "priority"), (50, 0.0, "cpu_request")])
+    def test_fifo_priority_and_cpu_range(self, priority, cpu_request, match):
+        with pytest.raises(ValueError, match=match):
+            FifoPolicy(priority=priority, cpu_request=cpu_request)
 
-    def test_unknown_location(self):
-        spec = FogServiceSpec(name="svc", locations=[LocationScope("P9-Z")])
-        assert any("unknown location" in v
-                   for v in validate(spec, known_locations={"P1-A"}))
+    def test_rt_process_needs_a_selector_and_a_known_policy(self):
+        with pytest.raises(ValueError, match="selector"):
+            RtProcessSpec(policy=FifoPolicy(50, 0.2))
+        with pytest.raises(ValueError, match="policy type"):
+            RtProcessSpec(policy="fifo", pid=1)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"name": ""}, "name"),
+        ({"replicas": 0}, "replicas"),
+        ({"locations": []}, "locations"),
+        ({"cpu_request": 500, "cpu_limit": 100}, "cpu_request"),
+        ({"cpu_request": 0}, "cpu_request"),
+        ({"rt_limit": 1.5}, "rt_limit"),
+        ({"runtime_class": "vm"}, "runtime_class")])
+    def test_spec_checks_its_fields(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FogServiceSpec(**{"name": "svc", **kwargs})
+
+    def test_location_scope_checks_its_replicas(self):
+        with pytest.raises(ValueError, match="replicas"):
+            LocationScope("P1-A", 0)
 
 
 class TestExpand:
@@ -75,10 +114,6 @@ class TestExpand:
     def test_single_replica_unscoped(self):
         pods = expand(FogServiceSpec(name="one"))
         assert len(pods) == 1 and pods[0].location_scope is None
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError, match="replicas"):
-            expand(FogServiceSpec(name="svc", replicas=0))
 
     def test_dep_weights_normalized(self):
         spec = FogServiceSpec(name="svc", dependencies=(
