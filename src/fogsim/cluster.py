@@ -159,6 +159,9 @@ class Topology:
                 if n in self.zone_of:
                     raise ValueError(f"node {n} appears in more than one zone")
                 self.zone_of[n] = zone
+        for zone in self.uplinks_ms:
+            if zone not in self.zones:
+                raise ValueError(f"uplink {zone} has no zone")
 
     def set_uplink(self, zone: str, latency_ms: float) -> None:
         if zone not in self.uplinks_ms:

@@ -54,6 +54,9 @@ class FogServiceSpec:
             raise ValueError(f"replicas: must be >= 1, got {self.replicas}")
         if self.locations is not None and not self.locations:
             raise ValueError("locations: must list at least one location")
+        names = [scope.location for scope in self.locations or ()]
+        if len(set(names)) < len(names):
+            raise ValueError(f"locations: {max(names, key=names.count)} is listed more than once")
         if not 0 < self.cpu_request <= self.cpu_limit:
             raise ValueError(f"cpu_request: must be in (0, cpu_limit={self.cpu_limit}]")
         if not 0.0 <= self.rt_limit <= 1.0:

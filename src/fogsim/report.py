@@ -4,16 +4,20 @@ Results are written as four CSV files (placements.csv, timeseries.csv,
 requests.csv, evictions.csv) plus a human-readable summary.txt rendered from
 the run's own rows.  The report command recomputes every summary number from
 the CSVs alone.  Every table holds rows in its ``ResultSet.*_FIELDS`` order:
-typed values in memory, strings read back from a CSV; the helpers convert
-each number they read, so both give the same text.
+typed values in memory, strings read back from a CSV; the summary converts
+each number it reads, so both give the same text.  It counts each table in
+one pass, so an arm's RTTs are (value, count) runs with exact statistics.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import statistics
+from bisect import bisect_right
 from collections import Counter, defaultdict
+from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 from .simulator import ResultSet
@@ -71,39 +75,42 @@ def load_results(directory) -> dict[str, list[list[str]]]:
     return loaded
 
 
-def arms_in(rows: dict[str, list]) -> list[str]:
-    seen = []
-    for table in rows.values():
-        for arm, *_ in table:
-            if arm not in seen:
-                seen.append(arm)
-    return seen
+class RttRuns:
+    """A multiset of RTTs as sorted (value, count) runs, indexed by rank like the
+    sorted list of every value: a rank is found by bisecting the cumulative counts."""
+
+    def __init__(self, counts: dict[float, int]):
+        self.values = sorted(counts)
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("rtt_ms: every value must be finite")
+        self.counts = [counts[v] for v in self.values]
+        self.ends = list(accumulate(self.counts))
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+    def __getitem__(self, rank: int) -> float:
+        return self.values[bisect_right(self.ends, rank)]
+
+    def mean_std(self) -> tuple[float, float]:
+        """Mean and population standard deviation from the exact sums, each
+        rounded once, as ``statistics.fmean`` and ``statistics.pstdev`` do: the
+        root is taken on integers to at least 55 bits, rounded to odd."""
+        n = len(self)
+        sx = sum(c * Fraction(v) for v, c in zip(self.values, self.counts))
+        sxx = sum(c * Fraction(v) ** 2 for v, c in zip(self.values, self.counts))
+        var = (n * sxx - sx * sx) / (n * n)
+        k = (110 - var.numerator.bit_length() + var.denominator.bit_length()) // 2
+        num, den = var.numerator << max(2 * k, 0), var.denominator << max(-2 * k, 0)
+        root = math.isqrt(num // den)  # the root of var * 4**k, rounded down
+        root |= root * root * den != num
+        return float(sx) / n, float(root / Fraction(2) ** k)
 
 
-def allocation_histogram(placements: list, arm: str) -> dict[str, Counter]:
-    """Per-node placement counts for one arm: total, and RT vs regular is
-    not derivable here, so the caller gets per-service counts instead."""
-    by_node = defaultdict(Counter)
-    for row_arm, rep, pod, service, node, status, time in placements:
-        if row_arm == arm and status == "Running":
-            by_node[node][service] += 1
-    return dict(by_node)
-
-
-def unschedulable_count(placements: list, arm: str) -> int:
-    return sum(1 for row_arm, rep, pod, service, node, status, time in placements
-               if row_arm == arm and status == "Unschedulable")
-
-
-def rtt_values(requests: list, arm: str) -> list[float]:
-    """The arm's request round-trip times, sorted."""
-    return sorted(float(rtt) for row_arm, rep, t, client, service, replica, node, rtt
-                  in requests if row_arm == arm)
-
-
-def quantile(values: list[float], q: float) -> float:
-    """The q-quantile of sorted `values` by linear interpolation between the
-    closest ranks, bit for bit as numpy's default ``np.quantile``."""
+def quantile(values, q: float) -> float:
+    """The q-quantile of sorted `values` (a list or :class:`RttRuns`) by linear
+    interpolation between the closest ranks, bit for bit as numpy's default
+    ``np.quantile``."""
     h = (len(values) - 1) * q
     i = math.floor(h)
     g = h - i
@@ -113,7 +120,7 @@ def quantile(values: list[float], q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def rtt_cdf(values: list[float]) -> list[tuple[float, float]]:
+def rtt_cdf(values) -> list[tuple[float, float]]:
     """(quantile, rtt) points on a regular quantile grid of CDF_STEP."""
     if not values:
         return []
@@ -122,94 +129,87 @@ def rtt_cdf(values: list[float]) -> list[tuple[float, float]]:
             for q in (CDF_STEP + i * CDF_STEP for i in range(round(1 / CDF_STEP)))]
 
 
-def replica_request_counts(requests: list, arm: str) -> Counter:
-    return Counter(replica for row_arm, rep, t, client, service, replica, node, rtt
-                   in requests if row_arm == arm)
+def convergence_times(timeseries: list) -> dict[tuple[str, int], float]:
+    """Per (arm, rep), in order of first appearance: the earliest sample time
+    after which no node's allocation changes again."""
+    runs = defaultdict(lambda: defaultdict(dict))  # (arm, rep) -> t -> node -> pods
+    for arm, rep, t, node, rt_pods, regular_pods, _ in timeseries:
+        runs[arm, int(rep)][float(t)][node] = (rt_pods, regular_pods)
+    settled = {}
+    for key, per_time in runs.items():
+        times = sorted(per_time, reverse=True)
+        settled[key] = next((later for t, later in zip(times[1:], times)
+                             if per_time[t] != per_time[times[0]]), times[-1])
+    return settled
 
 
 def convergence_time(timeseries: list, arm: str, rep: int) -> float | None:
-    """Earliest sample time after which no node's allocation changes again.
-
-    Returns None when the run has no samples for that (arm, rep).
-    """
-    per_time = defaultdict(dict)
-    for row_arm, row_rep, t, node, rt_pods, regular_pods, total in timeseries:
-        if row_arm == arm and int(row_rep) == rep:
-            per_time[float(t)][node] = (rt_pods, regular_pods)
-    if not per_time:
-        return None
-    times = sorted(per_time)
-    final = per_time[times[-1]]
-    converged_at = times[-1]
-    for t in reversed(times):
-        if per_time[t] != final:
-            break
-        converged_at = t
-    return converged_at
+    """`convergence_times` of one (arm, rep); None when it has no samples."""
+    return convergence_times(timeseries).get((arm, rep))
 
 
-def eviction_counts(evictions: list, arm: str) -> Counter:
-    return Counter(reason for row_arm, rep, t, pod, from_node, target_node, reason
-                   in evictions if row_arm == arm)
-
-
-def _format_histogram(hist: dict[str, Counter]) -> list[str]:
-    lines = []
-    for node in sorted(hist):
-        parts = ", ".join(f"{svc}={n}" for svc, n in sorted(hist[node].items()))
-        lines.append(f"    {node}: total={sum(hist[node].values())} ({parts})")
-    return lines
+def _summary(rows: dict[str, list], header: str) -> tuple[str, dict[str, RttRuns]]:
+    """The summary text, and the RTT runs of each arm with requests, in one pass per table."""
+    reps, placed, unschedulable = set(), defaultdict(lambda: defaultdict(Counter)), Counter()
+    placements = Counter(map(itemgetter(0, 1, 4, 3, 5), rows["placements"]))
+    for (arm, rep, node, service, status), n in placements.items():
+        reps.add(int(rep))
+        if status == "Running":
+            placed[arm][node][service] += n
+        elif status == "Unschedulable":
+            unschedulable[arm] += n
+    converged = convergence_times(rows["timeseries"])
+    replicas, rtts, evictions = defaultdict(Counter), defaultdict(Counter), defaultdict(Counter)
+    for (arm, replica, rtt), n in Counter(map(itemgetter(0, 5, 7), rows["requests"])).items():
+        replicas[arm][replica] += n
+        rtts[arm][float(rtt)] += n
+    for (arm, reason), n in Counter(map(itemgetter(0, 6), rows["evictions"])).items():
+        evictions[arm][reason] += n
+    arms = dict.fromkeys([*(key[0] for key in placements), *(arm for arm, _ in converged),
+                          *replicas, *evictions])
+    rtts = {arm: RttRuns(rtts[arm]) for arm in arms if arm in rtts}
+    reps = sorted(reps) or [0]
+    lines = [header] if header else []
+    lines.append(f"arms: {', '.join(arms)}  repetitions: {len(reps)}")
+    for arm in arms:
+        lines += ["", f"== arm {arm} =="]
+        if arm in placed:
+            lines.append("  placements per node (all repetitions):")
+            for node, services in sorted(placed[arm].items()):
+                parts = ", ".join(f"{svc}={n}" for svc, n in sorted(services.items()))
+                lines.append(f"    {node}: total={sum(services.values())} ({parts})")
+        if unschedulable[arm]:
+            lines.append(f"  unschedulable placements: {unschedulable[arm]}")
+        if arm in evictions:
+            ev = ", ".join(f"{k}={v}" for k, v in sorted(evictions[arm].items()))
+            lines.append(f"  evictions: {ev}")
+        if arm in rtts:
+            runs = rtts[arm]
+            mean, std = runs.mean_std()
+            lines.append(f"  requests: {len(runs)}  rtt mean={mean:.4f} ms  std={std:.4f} ms  "
+                         f"p50={quantile(runs, 0.5):.4f}  p95={quantile(runs, 0.95):.4f}  "
+                         f"p99={quantile(runs, 0.99):.4f}")
+            share = ", ".join(f"{rep}={n}" for rep, n in sorted(replicas[arm].items()))
+            lines.append(f"  per-replica request counts: {share}")
+        per_rep = [converged[arm, rep] for rep in reps if (arm, rep) in converged]
+        if per_rep:
+            lines.append("  convergence time per repetition (s): "
+                         + ", ".join(f"{t:.0f}" for t in per_rep))
+    return "\n".join(lines) + "\n", rtts
 
 
 def render_summary(rows: dict[str, list], header: str = "") -> str:
-    lines = []
-    if header:
-        lines.append(header)
-    arms = arms_in(rows)
-    reps = sorted({int(rep) for arm, rep, *_ in rows["placements"]}) or [0]
-    lines.append(f"arms: {', '.join(arms)}  repetitions: {len(reps)}")
-    for arm in arms:
-        lines.append("")
-        lines.append(f"== arm {arm} ==")
-        hist = allocation_histogram(rows["placements"], arm)
-        if hist:
-            lines.append("  placements per node (all repetitions):")
-            lines.extend(_format_histogram(hist))
-        uns = unschedulable_count(rows["placements"], arm)
-        if uns:
-            lines.append(f"  unschedulable placements: {uns}")
-        ev = eviction_counts(rows["evictions"], arm)
-        if ev:
-            lines.append("  evictions: " + ", ".join(f"{k}={v}" for k, v in sorted(ev.items())))
-        values = rtt_values(rows["requests"], arm)
-        if values:
-            lines.append(f"  requests: {len(values)}  "
-                         f"rtt mean={statistics.fmean(values):.4f} ms  "
-                         f"std={statistics.pstdev(values):.4f} ms  "
-                         f"p50={quantile(values, 0.5):.4f}  "
-                         f"p95={quantile(values, 0.95):.4f}  p99={quantile(values, 0.99):.4f}")
-            counts = replica_request_counts(rows["requests"], arm)
-            share = ", ".join(f"{rep}={n}" for rep, n in sorted(counts.items()))
-            lines.append(f"  per-replica request counts: {share}")
-        if rows["timeseries"]:
-            per_rep = [convergence_time(rows["timeseries"], arm, rep) for rep in reps]
-            per_rep = [t for t in per_rep if t is not None]
-            if per_rep:
-                lines.append("  convergence time per repetition (s): "
-                             + ", ".join(f"{t:.0f}" for t in per_rep))
-    return "\n".join(lines) + "\n"
+    return _summary(rows, header)[0]
 
 
 def render_comparison(rows: dict[str, list]) -> str:
     """Baseline-vs-custom comparison tables recomputed from the CSVs."""
-    lines = [render_summary(rows)]
-    values = {arm: rtt_values(rows["requests"], arm) for arm in arms_in(rows)}
-    with_rtt = [arm for arm in values if values[arm]]
-    if len(with_rtt) >= 2:
+    summary, rtts = _summary(rows, "")
+    lines = [summary]
+    if len(rtts) >= 2:
         lines.append("== rtt cdf comparison ==")
-        grids = {arm: rtt_cdf(values[arm]) for arm in with_rtt}
-        lines.append("  q     " + "".join(f"{arm:>14}" for arm in with_rtt))
-        for i, (q, _) in enumerate(grids[with_rtt[0]]):
-            lines.append(f"  {q:0.2f}  " + "".join(f"{grids[arm][i][1]:14.4f}"
-                                                   for arm in with_rtt))
+        grids = [rtt_cdf(runs) for runs in rtts.values()]
+        lines.append("  q     " + "".join(f"{arm:>14}" for arm in rtts))
+        for i, (q, _) in enumerate(grids[0]):
+            lines.append(f"  {q:0.2f}  " + "".join(f"{grid[i][1]:14.4f}" for grid in grids))
     return "\n".join(lines) + "\n"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping, Optional
@@ -301,7 +300,6 @@ class _Run:
         self.seq = 0
         self.requests: list[tuple] = []  # requests.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
-        self.rtts_epoch: Optional[int] = None
         # metric directives declare continuously exported values; the
         # aggregator re-polls them every balancer refresh cycle
         self.static_metrics: dict[tuple[str, str], float] = {}
@@ -353,6 +351,7 @@ class _Run:
         if kind == EventKind.LINK:
             zone, latency_ms = payload
             self.state.set_uplink(zone, latency_ms)
+            self.rtts.clear()  # RTTs depend on the topology alone
         elif kind == EventKind.SUBMIT:
             self.handle_deploy(now, payload)
         elif kind == EventKind.PIN:
@@ -399,12 +398,8 @@ class _Run:
     def issue_requests(self, until: float, kind: EventKind) -> None:
         """Issue every request whose `(t, REQUEST, seq)` sorts before an event
         `(until, kind)`, in that order.  A stream's next time accumulates as
-        `t + step`.  RTT strings are memoised until the cluster epoch moves,
-        as every link change does."""
+        `t + step`.  RTT strings are memoised until the next link change."""
         streams, rows, pods, rtts = self.streams, self.requests, self.state.pods, self.rtts
-        if self.rtts_epoch != self.state.epoch:
-            rtts.clear()
-            self.rtts_epoch = self.state.epoch
         inclusive = kind > EventKind.REQUEST
         while streams and (streams[0][0] < until or inclusive and streams[0][0] == until):
             now, _, stream = streams[0]
@@ -473,6 +468,7 @@ def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     sinks = (results.placements, results.timeseries, results.requests,
              results.evictions)
     if jobs > 1 and reps > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing: slow to import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_run_rep, [config] * reps, [seed] * reps,
                                  range(reps)):

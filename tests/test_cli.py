@@ -221,6 +221,7 @@ def test_mutated_bundled_scenario_exits_2_with_one_line(tmp_path, capsys, name, 
                      "    deadline name=worker runtime_us=-500000 period_us=1000000"),
     ("replicas = 2", "replicas = 2\nconfig.a1 = mode=fast"),
     ("uplink.B = 1.5", "uplink.B = 1.5\nintra_zone = 0.5"),
+    ("uplink.B = 1.5", "uplink.B = 1.5\nuplink.C = 3"),  # no zone.C
     ("[workload]", "[workload]\nevent = at 0 deploy web"),
     # balancer settings and the sample period are range-checked
     ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nprocessing_delay_ms = -5"),
@@ -247,6 +248,10 @@ BAD_VALUES = [
     ("replicas = 2", "replicas = 2\nrt_processes =\n    deadline runtime_us=0 period_us=0",
      "[service web] rt_processes", "runtime_us"),
     ("replicas = 2", "replicas = 2\nlocations = a1:x", "[service web]", "locations"),
+    # a repeated location, in a deployed service and in one that is not
+    ("replicas = 2", "locations = a1 b1 a1:2", "[service web]", "locations"),
+    ("[arm custom]", "[service cam]\nlocations = b1 b1\n[arm custom]", "[service cam]",
+     "locations"),
     ("plugins = baseline:1.0", "plugins = baseline:x", "[arm custom]", "plugins"),
     ("plugins = baseline:1.0", "plugins = baseline:inf", "[arm custom]", "plugins"),
     ("duration_s = 5", "duration_s = nan", "[scenario]", "duration_s"),
@@ -291,6 +296,21 @@ class TestReport:
         assert "rtt cdf comparison" in text
         assert "per-replica request counts" in text
 
+    def test_one_rtt_written_two_ways_is_one_value(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "fig9-loadbalancer", "--profile", "ci", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        expected = capsys.readouterr().out
+        path = out / "requests.csv"
+        lines = path.read_text().splitlines()
+        # every other row writes its RTT with a trailing zero: 1.5 becomes 1.50
+        path.write_text("\n".join(line + "0" * (i % 2) for i, line in enumerate(lines)) + "\n")
+        rtts = {line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]}
+        assert len(rtts) == 2 * len({line.rsplit(",", 1)[1] for line in lines[1:]})
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_empty_directory_exits_1(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
@@ -301,7 +321,9 @@ class TestReport:
         ("placements", lambda text: text + "custom,0,web-9\n"),
         ("requests", lambda text: text.replace("\n", "\ncustom,0,x,P1-A,server,server-0,P1-A,"
                                                "soon\n", 1)),
-    ], ids=["no-rtt_ms", "short-header", "short-row", "bad-number"])
+        ("requests", lambda text: text.replace("\n", "\ncustom,0,x,P1-A,server,server-0,P1-A,"
+                                               "inf\n", 1)),
+    ], ids=["no-rtt_ms", "short-header", "short-row", "bad-number", "infinite-rtt"])
     def test_bad_csv_exits_1_with_one_line(self, tmp_path, capsys, stem, edit):
         out = tmp_path / "results"
         assert main(["run", "fig9-loadbalancer", "--profile", "ci", "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fogsim import report
 from fogsim.report import (CDF_STEP, load_results, quantile, render_comparison,
                            render_summary, rtt_cdf, write_results)
 from fogsim.scenario_io import parse_scenario
-from fogsim.scenarios import load_bundled
+from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.simulator import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = np.arange(CDF_STEP, 1.0 + CDF_STEP / 2, CDF_STEP)
+# sha256 of summary.txt per bundled scenario in the ci profile, and of the
+# fig9 `fogsim report` text: a change to these bytes says why in CHANGES.md
+SUMMARY_SHA256 = {
+    "fig5-dependencies": "364e6df2851bb38708271d05691669033e257200a2366869402a9454a56ed706",
+    "fig6-realtime": "cc2ed143b08326ba3ff9c2ad03ee1b1e701b6e4c99a8bc1f99c47dee08dc2b2a",
+    "fig6-deadline": "a9fcd46bf8e8419811d07ed250035ba2b06527d433936cd4b829bdd5cdfe239a",
+    "fig7-monitor": "da216bffa12253378d11cc1a5b19bb71763e339134de7a1186fd974712440e31",
+    "fig9-loadbalancer": "5bc774a1554af97366e5e244a7ca50a224360680b4b7b4900ec7c7fc9ae5a93c",
+}
+FIG9_REPORT_SHA256 = "d637136bfebdddd02541ad2df91ab7d56a3201c28b6f98a3b3e8a41a01548a42"
 
 
 class TestQuantile:
@@ -30,6 +43,43 @@ class TestQuantile:
         for q in (0.5, 0.95, 0.99):
             assert quantile(values, q) == np.quantile(values, q)
         assert [v for _, v in rtt_cdf(values)] == np.quantile(values, GRID).tolist()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_run_statistics_are_exact(seed):
+    """Two arms' requests, interleaved, each a few distinct values: the counting
+    pass gives fmean, pstdev and np.quantile of each arm's values, bit for bit."""
+    rng = random.Random(seed)
+    values = {}
+    for arm in ("weighted", "uniform"):
+        pool = [rng.uniform(0.1, 5.0) for _ in range(rng.choice([1, 2, 3, 17]))]
+        pool[0] = rng.choice([pool[0], 0.1, 0.3])  # decimals a float sum rounds
+        values[arm] = [rng.choice(pool) for _ in range(rng.randint(1, 200))]
+    rows = [(arm, 0, "1.0", "a1", "web", rng.choice(["web-0", "web-1"]), "a1", repr(v))
+            for arm in values for v in values[arm]]
+    rng.shuffle(rows)
+    _, runs = report._summary({"placements": [], "timeseries": [], "requests": rows,
+                               "evictions": []}, "")
+    assert sorted(runs) == sorted(values)
+    for arm, expanded in values.items():
+        mean, std = runs[arm].mean_std()
+        assert len(runs[arm]) == len(expanded)
+        assert mean == statistics.fmean(expanded)
+        if sys.version_info >= (3, 11):  # an older pstdev rounds twice
+            assert std == statistics.pstdev(expanded)
+        assert [quantile(runs[arm], q) for q in GRID] == np.quantile(expanded, GRID).tolist()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_summary_bytes_are_pinned(tmp_path, name):
+    write_results(run_scenario(load_bundled(name), profile="ci"), tmp_path)
+    assert sha256((tmp_path / "summary.txt").read_text()) == SUMMARY_SHA256[name]
+    if name == "fig9-loadbalancer":
+        assert sha256(render_comparison(load_results(tmp_path))) == FIG9_REPORT_SHA256
 
 
 @pytest.mark.parametrize("name", ["fig7-monitor", "fig9-loadbalancer"])
@@ -63,3 +113,16 @@ def test_run_and_write_import_no_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig9-loadbalancer" / "summary.txt").exists()
+
+
+def test_import_leaves_out_the_process_pool():
+    code = ("import sys\n"
+            "import fogsim\n"
+            "from fogsim import report, scenario_io, simulator\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "             if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -85,3 +85,20 @@ def test_request_edges_reach_every_edge():
     assert {r[7] for r in rows if (r[3], r[6]) == ("a1", "b1")} == {"3.005", "6.005"}
     assert [r[2] for r in rows if (r[3], r[4]) == ("b1", "boss")] == ["7.25"]
     assert max(float(r[2]) for r in rows) == 12.0  # the last request due at duration_s
+
+
+def test_rtts_are_computed_once_per_pair_and_link_epoch(monkeypatch):
+    """Balancer refreshes re-ingest metrics and the monitor evicts, but only
+    the t=5 link change moves an RTT: each (client, node) pair of a run is
+    computed once before it and once after."""
+    calls = []
+
+    def counting_rtt(*args):
+        calls.append(args[1:3])
+        return request_rtt(*args)
+
+    monkeypatch.setattr(simulator, "request_rtt", counting_rtt)
+    results = simulator.run_scenario(load_test_scenario("request-edges"))
+    pairs = {(arm, rep, float(t) >= 5, client, node)
+             for arm, rep, t, client, service, replica, node, rtt in results.requests}
+    assert len(calls) == len(pairs)
