@@ -2,22 +2,22 @@
 
 All mutation goes through :class:`ClusterState`, which keeps CPU allocation
 bookkeeping consistent with pod status transitions and indexes the running
-pods per node and per service.  Each placement or eviction updates that
-index in place, touching only its own node's and service's lists, and drops
-only its node's cached RT utilization.  The scheduler, the monitor's dry run
-and the load-balancer refresh read a :meth:`ClusterState.view`, which shares
-the live objects, index lists, allocation map and metric store, so a view
-and any list it or the state hands out are invalid after the next mutation.
-Anything held across mutations takes an isolated :meth:`snapshot`.
+pods per node and per service.  :meth:`~ClusterState.apply_placement` and
+:meth:`~ClusterState.evict` are the only writers of these placement facts:
+each updates the index in place, touching only its own node's and
+service's lists, and recomputes its node's RT utilization sum.  The
+scheduler, the monitor's dry run and the load-balancer refresh read a
+:meth:`ClusterState.view`, which shares the live objects, index lists,
+allocation map, RT sums and metric store, so a view and any list it or the
+state hands out are invalid after the next mutation.  Anything held across
+mutations takes a :meth:`~ClusterState.snapshot`: a view of a deep copy.
 
-`ClusterState.epoch` counts the writes a view can see: each
-:meth:`~ClusterState.apply_placement`, :meth:`~ClusterState.evict`,
-:meth:`~ClusterState.ingest_metric` and :meth:`~ClusterState.set_uplink`
-bumps it.  Queue and status bookkeeping of pending pods does not, since no
-view reads it.  While the epoch is unchanged, a view built now sees what a
-view built then saw, apart from `now`; the monitor reuses dry-run verdicts
-and the simulator its per-node pod counts on that.  A write that goes round
-these methods (to `metric_store` or `topology` directly) is not counted.
+`ClusterState.epoch` counts placement writes: each `apply_placement` and
+`evict` bumps it.  While it is unchanged, a view built now has the running
+lists, allocation map and RT sums a view built then had.  The monitor
+reuses dry-run verdicts and the simulator its per-node pod counts on that.
+Metric samples, link latencies, `now` and the queue of pending pods are
+not counted; a reader of any of them cannot key on the epoch.
 """
 
 from __future__ import annotations
@@ -168,9 +168,6 @@ class Topology:
             raise KeyError(f"unknown link: {zone}")
         self.uplinks_ms[zone] = _latency(latency_ms)
 
-    def copy(self) -> "Topology":
-        return Topology(self.zones, self.uplinks_ms, self.intra_node_ms, self.intra_zone_ms)
-
 
 @dataclass
 class PodInstance:
@@ -187,10 +184,6 @@ class PodInstance:
     assignment: Optional[str] = None
     start_time: float = 0.0
     status: PodStatus = PodStatus.PENDING
-
-    def copy(self) -> "PodInstance":
-        # rt_processes/dependencies are immutable tuples and safe to share
-        return _copy.copy(self)
 
     @cached_property
     def rt_utilization(self) -> float:
@@ -210,47 +203,32 @@ class EvictionEvent:
 _pod_id = attrgetter("id")
 
 
+def _rt_sum(pods: Iterable[PodInstance]) -> float:
+    return sum(pod.rt_utilization for pod in pods)
+
+
 class _RunningIndex:
     """Running pods per node in `pods` order and per service in id order,
-    with each node's RT utilization memoized as a sum in list order, so a
-    memo has the float bits of a fresh sum.  Subclasses set `nodes`, `pods`,
-    `_by_node`, `_by_service` and `_rt`; a None index is built from `pods`
-    on first use.  Callers must not mutate the lists."""
-
-    def _node_index(self) -> dict[str, list[PodInstance]]:
-        if self._by_node is None:
-            by_node = {n: [] for n in self.nodes}
-            by_service = {}
-            for pod in self.pods.values():
-                if pod.status is PodStatus.RUNNING:
-                    by_node[pod.assignment].append(pod)
-                    by_service.setdefault(pod.service, []).append(pod)
-            for pods in by_service.values():
-                pods.sort(key=_pod_id)
-            self._by_node, self._by_service = by_node, by_service
-        return self._by_node
+    and each node's RT utilization as the sum over its list in list order.
+    Subclasses set `nodes`, `pods`, `_by_node`, `_by_service` and `_rt`.
+    Callers must not mutate the lists."""
 
     def running_on(self, node_id: str) -> list[PodInstance]:
-        return self._node_index()[node_id]
+        return self._by_node[node_id]
 
     def rt_utilization(self, node_id: str) -> float:
-        total = self._rt.get(node_id)
-        if total is None:
-            total = self._rt[node_id] = sum(pod.rt_utilization
-                                            for pod in self.running_on(node_id))
-        return total
+        return self._rt[node_id]
 
     def running_of_service(self, service: str) -> list[PodInstance]:
-        self._node_index()
         return self._by_service.get(service, [])
 
 
 class ClusterSnapshot(_RunningIndex):
-    """Read-only cluster picture for scheduler plugins: an isolated copy from
-    :meth:`ClusterState.snapshot` or a live view from :meth:`ClusterState.view`."""
+    """Read-only cluster picture for scheduler plugins: a live view from
+    :meth:`ClusterState.view` or an isolated one from :meth:`ClusterState.snapshot`."""
 
     def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
-                 metric_specs, by_node=None, by_service=None, rt=None):
+                 metric_specs, by_node, by_service, rt):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
@@ -258,13 +236,13 @@ class ClusterSnapshot(_RunningIndex):
         self.now = now
         self.metric_store: MetricStore = metric_store
         self.metric_specs: dict = metric_specs
-        self._by_node: Optional[dict[str, list[PodInstance]]] = by_node
-        self._by_service: Optional[dict[str, list[PodInstance]]] = by_service
-        self._rt: dict[str, float] = {} if rt is None else rt
+        self._by_node: dict[str, list[PodInstance]] = by_node
+        self._by_service: dict[str, list[PodInstance]] = by_service
+        self._rt: dict[str, float] = rt
 
     @cached_property
     def max_pod_count(self) -> int:
-        return max(len(pods) for pods in self._node_index().values())
+        return max(len(pods) for pods in self._by_node.values())
 
 
 class ClusterState(_RunningIndex):
@@ -288,9 +266,9 @@ class ClusterState(_RunningIndex):
         self.metric_specs: dict = {}  # service -> MetricSpec, set by the simulator
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
-        self._rt: dict[str, float] = {}
+        self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
         self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
-        self.epoch = 0  # bumped by every write a view can see
+        self.epoch = 0  # bumped by every placement write
 
     # -- pod lifecycle -----------------------------------------------------
 
@@ -320,7 +298,7 @@ class ClusterState(_RunningIndex):
             self.queue.remove(pod_id)
         insort(self._by_node[node_id], pod, key=self._ordinal_of)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
-        self._rt.pop(node_id, None)
+        self._rt[node_id] = _rt_sum(self._by_node[node_id])
         self.epoch += 1
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
@@ -337,7 +315,7 @@ class ClusterState(_RunningIndex):
         for pods, key in ((self._by_node[node_id], self._ordinal_of),
                           (self._by_service[pod.service], _pod_id)):
             del pods[bisect_left(pods, key(pod), key=key)]
-        self._rt.pop(node_id, None)
+        self._rt[node_id] = _rt_sum(self._by_node[node_id])
         self.epoch += 1
 
     def mark_unschedulable(self, pod_id: str) -> None:
@@ -360,17 +338,6 @@ class ClusterState(_RunningIndex):
         self.unschedulable.clear()
         return woken
 
-    # -- telemetry and links -------------------------------------------------
-
-    def ingest_metric(self, service: str, pod_id: str, value: float,
-                      timestamp: float) -> None:
-        self.metric_store.ingest(service, pod_id, value, timestamp)
-        self.epoch += 1
-
-    def set_uplink(self, zone: str, latency_ms: float) -> None:
-        self.topology.set_uplink(zone, latency_ms)
-        self.epoch += 1
-
     # -- views ---------------------------------------------------------------
 
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
@@ -381,49 +348,51 @@ class ClusterState(_RunningIndex):
         allocation map is copied to release its CPU by integer subtraction;
         the shared `pods` map still holds the excluded pod."""
         by_node, by_service, rt = self._by_node, self._by_service, self._rt
-        for node_id in self.nodes:
-            self.rt_utilization(node_id)
         allocated = self.allocated_m
         if exclude is not None:
             pod = self._pod(exclude)
             if pod.status is PodStatus.RUNNING:
                 node_id, service = pod.assignment, pod.service
+                running = [p for p in by_node[node_id] if p is not pod]
                 allocated = {**allocated, node_id: allocated[node_id] - pod.cpu_request}
-                by_node = {**by_node, node_id: [p for p in by_node[node_id] if p is not pod]}
+                by_node = {**by_node, node_id: running}
                 by_service = {**by_service,
                               service: [p for p in by_service[service] if p is not pod]}
-                rt = {n: u for n, u in rt.items() if n != node_id}
+                rt = {**rt, node_id: _rt_sum(running)}
         return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
                                self.metric_store, self.metric_specs, by_node, by_service, rt)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Like :meth:`view`, but copies pods (leaving out the excluded
-        one), nodes, topology, the allocation map and the metric store, so
-        later mutations never reach it."""
-        view = self.view(exclude, now)
-        pods = {pod_id: pod.copy() for pod_id, pod in self.pods.items() if pod_id != exclude}
-        nodes = {nid: _copy.copy(n) for nid, n in self.nodes.items()}
-        return ClusterSnapshot(nodes, self.topology.copy(), pods, dict(view.allocated_m),
-                               now, self.metric_store.copy(), dict(self.metric_specs))
+        """A view of a deep copy of this state, so later mutations never
+        reach it.  An excluded running pod is evicted from the copy, and an
+        excluded pod of any status is dropped from the copy's `pods`."""
+        state = _copy.deepcopy(self)
+        if exclude is not None:
+            if state._pod(exclude).status is PodStatus.RUNNING:
+                state.evict(exclude, now)
+            del state.pods[exclude]
+        return state.view(now=now)
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the allocation map, the running index,
         the RT sums, the queue and pod statuses agree with a recount from
         `pods`."""
-        fresh = ClusterSnapshot(self.nodes, self.topology, self.pods, {}, None,
-                                self.metric_store, self.metric_specs)
+        by_node, by_service = {n: [] for n in self.nodes}, {}
+        for pod in self.pods.values():
+            if pod.status is PodStatus.RUNNING:
+                by_node[pod.assignment].append(pod)
+                by_service.setdefault(pod.service, []).append(pod)
         problems = [f"{p}: queued but unknown"
                     for p in set(self.queue + self.unschedulable) - self.pods.keys()]
-        for n in self.nodes:
-            running, rt = fresh.running_on(n), fresh.rt_utilization(n)
+        for n, running in by_node.items():
             if self.allocated_m[n] != sum(p.cpu_request for p in running):
                 problems.append(f"{n}: allocated_m is not the running requests")
-            if self._by_node[n] != running or self._rt.get(n, rt) != rt:
+            if self._by_node[n] != running or self._rt[n] != _rt_sum(running):
                 problems.append(f"{n}: stale running index or RT utilization")
         problems += [f"{s}: stale per-service index"
-                     for s in sorted(self._by_service.keys()
-                                     | {p.service for p in self.pods.values()})
-                     if self.running_of_service(s) != fresh.running_of_service(s)]
+                     for s in sorted(self._by_service.keys() | by_service.keys())
+                     if self.running_of_service(s) != sorted(by_service.get(s, []),
+                                                             key=_pod_id)]
         where = {PodStatus.PENDING: (1, 0, False), PodStatus.UNSCHEDULABLE: (0, 1, False),
                  PodStatus.RUNNING: (0, 0, True)}
         for pod_id, pod in self.pods.items():

@@ -148,7 +148,7 @@ class DependenciesPlugin:
     """Score extension point ranking nodes by dependency communication quality."""
 
     name = "dependencies"
-    reads_now = True  # metric samples age with `snapshot.now`
+    reads_beyond_placements = True  # link latencies, metric samples, `snapshot.now`
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         return score_dependencies(pod, node_id, snapshot)

@@ -7,11 +7,14 @@ work; every other pod is dry-run against a view that excludes it, and
 evicted when the simulated result names a different node.  Checking the
 gates first changes no eviction, because a dry run mutates nothing.
 
-A dry run reads only what :attr:`ClusterState.epoch` counts, plus `now`, so
-each pod's last verdict is kept with the epoch it was computed at and reused
-while the epoch is unchanged.  A scheduler config with a plugin that reads
-the clock (class attribute `reads_now`, as the dependency score does to age
-metric samples) never reuses a verdict.
+Under a scheduler config whose plugins read only placements (the running
+lists, allocation map and RT sums), a dry run reads only what
+:attr:`ClusterState.epoch` counts, so each pod's last verdict is kept with
+the epoch it was computed at and reused while the epoch is unchanged.
+Metric samples, link changes and balancer refreshes leave it standing.  A
+config with a plugin that reads anything else (class attribute
+`reads_beyond_placements`, as the dependency score does for link latencies,
+metric samples and their age) never reuses a verdict.
 
 Evaluation is sequential with immediate eviction, so a pass can transiently
 overshoot; the backoff keeps that bounded and the loop converges to a fixed
@@ -69,7 +72,7 @@ class ClusterMonitor:
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
-        self._reuse = not any(getattr(plugin, "reads_now", False)
+        self._reuse = not any(getattr(plugin, "reads_beyond_placements", False)
                              for plugin, _ in scheduler_config.instances())
         self._verdicts: dict[str, tuple[int, Optional[str]]] = {}  # pod -> (epoch, node)
 

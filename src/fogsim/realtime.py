@@ -19,7 +19,7 @@ FEASIBILITY_EPS = 1e-9
 
 
 def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> float:
-    """Sum over the node's running pods, memoized by the snapshot."""
+    """Sum over the node's running pods, kept current by each placement write."""
     return snapshot.rt_utilization(node_id)
 
 

@@ -3,8 +3,9 @@ scheduler arms, monitor/balancer settings, and a timed workload script.
 
 Sections: [scenario], [topology], [nodes], one [service <name>] per
 service, one [arm <name>] per scheduler configuration to run, optional
-[config <name>] entries for deploy-time overrides, [monitor],
-[loadbalancer], and [workload] with one directive per line:
+[config <name>] scheduler settings (`plugins`, `tie_break`) for a deploy's
+`using=`, [monitor], [loadbalancer], and [workload] with one directive per
+line:
 
     at <t> deploy <service...> [using=<config>]
     at <t> pin <pod> <node>
@@ -156,8 +157,8 @@ def _parse_service(name: str, section) -> FogServiceSpec:
                   locations=locations, rt_processes=procs, dependencies=deps, metric=metric)
 
 
-def _parse_arm(where: str, name: str, section) -> ArmSpec:
-    given = {"name": name}
+def _parse_arm(where: str, name: str, section, **given) -> ArmSpec:
+    given["name"] = name
     if "plugins" in section:
         plugins = [tok.partition(":") for tok in section["plugins"].split()]
         given["plugins"] = tuple((p, _value(float, where, "plugins", w) if w else 1.0)
@@ -256,8 +257,10 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
             raise ScenarioParseError(f"unknown section [{section_name}]")
         if kind == "service":
             named[kind].append(_parse_service(name, parser[section_name]))
-        elif kind in named:
-            named[kind].append(_parse_arm(f"[{section_name}]", name, parser[section_name]))
+        elif kind in named:  # a deploy reads only a config's scheduler settings
+            fixed = {"lb_policy": ArmSpec.lb_policy} if kind == "config" else {}
+            named[kind].append(_parse_arm(f"[{section_name}]", name, parser[section_name],
+                                          **fixed))
 
     # built, and so checked, even when the monitor is off or unset
     monitor = _build(MonitorConfig, "[monitor]", _rest(parser["monitor"], ("enabled",)))

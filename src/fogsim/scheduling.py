@@ -5,8 +5,10 @@ Plugins are stateless objects exposing any of `filter(pod, node, snapshot)`
 (a reason string excludes the node), `score(pod, node, snapshot)` (a value
 in [0, 1]) and `post_filter(pod, snapshot)` (a preemption plan).  A CPU-fit
 filter (allocated + request <= capacity) is always active.  A plugin whose
-result depends on `snapshot.now` sets the class attribute `reads_now = True`,
-so that the monitor does not reuse its dry-run verdicts across passes.
+result depends on anything but the placements :attr:`ClusterState.epoch`
+counts (the topology, metric samples or `snapshot.now`) sets the class
+attribute `reads_beyond_placements = True`, so that the monitor does not
+reuse its dry-run verdicts across passes.
 """
 
 from __future__ import annotations

@@ -350,7 +350,7 @@ class _Run:
     def dispatch(self, now: float, kind: EventKind, payload, timeseries) -> None:
         if kind == EventKind.LINK:
             zone, latency_ms = payload
-            self.state.set_uplink(zone, latency_ms)
+            self.topology.set_uplink(zone, latency_ms)
             self.rtts.clear()  # RTTs depend on the topology alone
         elif kind == EventKind.SUBMIT:
             self.handle_deploy(now, payload)
@@ -360,7 +360,7 @@ class _Run:
         elif kind == EventKind.METRIC:
             service, pod_id, value = payload
             self.static_metrics[(service, pod_id)] = value
-            self.state.ingest_metric(service, pod_id, value, now)
+            self.state.metric_store.ingest(service, pod_id, value, now)
         elif kind == EventKind.SCHED:
             config = self.alt_configs.get(payload) if payload else None
             run_queue(self.state, config or self.sched_config, now, self.rng_sched)
@@ -371,7 +371,7 @@ class _Run:
                 self.push(now, EventKind.SCHED)
         elif kind == EventKind.LB_REFRESH:
             for (service, pod_id), value in self.static_metrics.items():
-                self.state.ingest_metric(service, pod_id, value, now)
+                self.state.metric_store.ingest(service, pod_id, value, now)
             view = self.state.view(now=now)
             for client in sorted(self.balancers):
                 self.balancers[client].refresh(view, now)

@@ -93,11 +93,6 @@ class MetricStore:
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 
-    def copy(self) -> "MetricStore":
-        store = MetricStore(self.staleness_s)
-        store._samples = dict(self._samples)  # samples are immutable
-        return store
-
 
 def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],
                   direction: str, now: float, staleness_s: float) -> dict[str, float]:

@@ -220,7 +220,7 @@ def test_criterion_08_feasibility_oracle():
                                 name_substring="w"),))
                         state.add_pod(pod)
                         state.apply_placement(pod.id, target, 0.0)
-                    snap = state.snapshot()
+                    snap = state.view()
                     for cand_util in grid:
                         candidate = PodInstance(
                             id="cand", service="rt", cpu_request=10, cpu_limit=10,

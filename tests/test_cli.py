@@ -261,6 +261,9 @@ BAD_VALUES = [
     ("duration_s = 5", "duration_s = 5\n[monitor]\nenabled = maybe", "[monitor]", "enabled"),
     # configparser would copy [DEFAULT] keys into every section
     ("[scenario]", "[DEFAULT]\nseed = 3\n[scenario]", "[DEFAULT]", "seed"),
+    # a deploy's `using=` takes a config's scheduler settings, never its balancer
+    ("[workload]", "[config stock]\nlb_policy = uniform\n[workload]", "[config stock]",
+     "unknown key 'lb_policy'"),
 ]
 
 

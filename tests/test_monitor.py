@@ -183,9 +183,10 @@ def test_verdicts_are_reused_while_the_epoch_stands(monkeypatch, config, reused)
     assert monitor.pass_once(state, 210.0) == []
     # a plugin that reads the clock may judge the same cluster differently later
     assert calls["dry runs"] == (16 if reused else 32)
-    state.set_uplink("P1", 0.7)
+    # a link change moves no placement: only a plugin that reads links runs again
+    state.topology.set_uplink("P1", 0.7)
     assert monitor.pass_once(state, 220.0) == []
-    assert calls["dry runs"] == (32 if reused else 48)
+    assert calls["dry runs"] == (16 if reused else 48)
 
 
 # Pods of `app` depend on `db`, whose replicas are pinned on two full nodes;
@@ -254,8 +255,70 @@ events =
 """
 
 
+# The stock config's seeded-random placement leaves the nodes unbalanced and
+# the RT pods bunched; the monitor of the placement-only `custom` arm moves
+# them.  Grace and backoff are shorter than the loop period, so a pod that
+# was running at one pass is dry-run at the next.  Between passes the
+# balancer refreshes every 4 s and re-ingests the web metrics, and a new
+# sample arrives at t=50.
+REFRESH_DRIFT = """
+[scenario]
+name = refresh-drift
+seed = 7
+duration_s = 120
+repetitions = 2
+
+[topology]
+zone.A = a1 a2
+zone.B = b1 b2
+uplink.A = 0.5
+uplink.B = 1.0
+
+[nodes]
+cores = 1
+cpu_capacity = 1000
+
+[service web]
+replicas = 12
+cpu_request = 50
+metric = load lower-is-better
+
+[service rt]
+replicas = 4
+cpu_request = 50
+rt_processes =
+    deadline name=worker runtime_us=200000 period_us=1000000
+
+[arm custom]
+plugins = realtime:10.0 baseline:1.0
+
+[config stock]
+plugins = baseline:1.0
+tie_break = seeded-random
+
+[monitor]
+enabled = true
+loop_period_s = 10
+grace_s = 5
+backoff_s = 5
+
+[loadbalancer]
+refresh_period_s = 4
+
+[workload]
+events =
+    at 0 deploy web rt using=stock
+    at 0 metric web web-0 2.0
+    at 0 metric web web-1 1.0
+    at 1 requests client=a1 service=web rate_hz=2 count=200
+    at 50 metric web web-2 3.0
+"""
+
+SCENARIOS = {"stale-drift": STALE_DRIFT, "refresh-drift": REFRESH_DRIFT}
+
+
 def load(name):
-    return parse_scenario(STALE_DRIFT) if name == "stale-drift" else load_bundled(name)
+    return parse_scenario(SCENARIOS[name]) if name in SCENARIOS else load_bundled(name)
 
 
 def reference_pass_once(self, state, now):
@@ -288,7 +351,7 @@ def test_stale_drift_moves_with_the_clock():
 
 
 @pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig7-monitor",
-                                  "stale-drift"])
+                                  *SCENARIOS])
 def test_pass_matches_the_reference_pass(monkeypatch, tmp_path, name):
     config = load(name)
     calls = count_dry_runs(monkeypatch)
@@ -303,27 +366,56 @@ def test_pass_matches_the_reference_pass(monkeypatch, tmp_path, name):
         assert path.read_bytes() == ref_path.read_bytes(), path.name
 
 
-def visible(state) -> tuple:
-    """What a view reads of the state, apart from `now`."""
+def placements(state) -> tuple:
+    """What the epoch counts: the running lists, the allocation map and the
+    RT sums of every node."""
     return ({n: [p.id for p in state.running_on(n)] for n in state.nodes},
-            dict(state.allocated_m), dict(state.metric_store._samples),
-            dict(state.topology.uplinks_ms))
+            dict(state.allocated_m), {n: state.rt_utilization(n) for n in state.nodes})
 
 
-@pytest.mark.parametrize("name", [*BUNDLED, "stale-drift"])
-def test_epoch_moves_with_every_write_a_view_sees(monkeypatch, name):
+@pytest.mark.parametrize("name", [*BUNDLED, *SCENARIOS])
+def test_epoch_moves_with_every_placement_write_only(monkeypatch, name):
     dispatch = simulator._Run.dispatch
-    moved = Counter()
+    moved, stood = Counter(), Counter()
 
     def checked(self, now, kind, payload, timeseries):
-        before, epoch = visible(self.state), self.state.epoch
+        before, epoch = placements(self.state), self.state.epoch
         dispatch(self, now, kind, payload, timeseries)
-        if visible(self.state) != before:
+        if placements(self.state) != before:
             assert self.state.epoch != epoch, (kind.name, now)
             moved[kind.name] += 1
+        if kind.name in ("METRIC", "LINK", "LB_REFRESH"):
+            assert self.state.epoch == epoch, (kind.name, now)
+            stood[kind.name] += 1
 
     monkeypatch.setattr(simulator._Run, "dispatch", checked)
     simulator.run_scenario(load(name), profile="ci")
     assert moved["SCHED"] or moved["PIN"]
     if name == "stale-drift":
-        assert {"LINK", "METRIC", "MONITOR"} <= moved.keys()
+        assert "MONITOR" in moved and {"LINK", "METRIC"} <= stood.keys()
+    if name in ("fig9-loadbalancer", "refresh-drift"):
+        assert {"LB_REFRESH", "METRIC"} <= stood.keys()
+
+
+def test_refreshes_and_metrics_leave_placement_verdicts_standing(monkeypatch):
+    calls = count_dry_runs(monkeypatch)
+    dispatch = simulator._Run.dispatch
+    since, passes = set(), []  # kinds since the last pass; (kinds, dry runs) per pass
+
+    def traced(self, now, kind, payload, timeseries):
+        before = calls["dry runs"]
+        dispatch(self, now, kind, payload, timeseries)
+        if kind is simulator.EventKind.MONITOR:
+            passes.append((frozenset(since), calls["dry runs"] - before))
+            since.clear()
+        else:
+            since.add(kind.name)
+
+    monkeypatch.setattr(simulator._Run, "dispatch", traced)
+    results = simulator.run_scenario(load("refresh-drift"), profile="ci")
+    assert results.evictions and results.requests
+    # every run starts with a deploy, so its first pass is never quiet
+    quiet = [dry_runs for kinds, dry_runs in passes if kinds <= {"LB_REFRESH", "METRIC"}]
+    assert len(quiet) > len(passes) // 2
+    assert any(kinds == {"LB_REFRESH", "METRIC"} for kinds, _ in passes)
+    assert quiet == [0] * len(quiet)

@@ -11,7 +11,7 @@ from fogsim.simulator import (ArmSpec, EventKind, LbSettings, NodeSettings,
                               ScenarioConfig, TopologySpec, WorkloadEvent,
                               request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec
-from fogsim.cluster import DependencyRef, PodInstance, Topology
+from fogsim.cluster import ClusterState, DependencyRef
 
 from conftest import UPLINKS, ZONES, make_topology
 
@@ -262,10 +262,9 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, tmp_path, name):
 
 
 def test_scheduler_and_monitor_read_views_not_copies(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("copied on the scheduling or monitor path")
 
-    monkeypatch.setattr(PodInstance, "copy", refuse)
-    monkeypatch.setattr(Topology, "copy", refuse)
+    monkeypatch.setattr(ClusterState, "snapshot", refuse)
     results = run_scenario(load_bundled("fig7-monitor"), repetitions=1)
     assert results.placements and results.evictions
