@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .telemetry import path_latency, refresh_scoreboard
 
@@ -112,6 +112,3 @@ class LoadBalancer:
                 view.metric_store, view.metric_specs.get(service), now)
             chains[service] = chain_probabilities(scores)
         self.chains = chains
-
-    def chain_for(self, service: str) -> Optional[RuleChain]:
-        return self.chains.get(service)

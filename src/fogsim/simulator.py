@@ -89,6 +89,7 @@ class NodeSettings:
 
 
 NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # overridable
+CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,19 @@ class ScenarioConfig:
             problems.append("repetitions must be >= 1")
         if not self.arms:
             problems.append("at least one arm is required")
-        names = [a.name for a in self.arms]
+        # a deploy's `using=` looks both up in one namespace
+        names = [a.name for a in (*self.arms, *self.named_configs)]
         if len(set(names)) != len(names):
-            problems.append("arm names must be unique")
+            problems.append("arm and config names must be unique together")
+        # the only free text of a result row, which report.write_results never quotes
+        named = {"zone": self.topology.zones,
+                 "node": [n for nodes in self.topology.zones.values() for n in nodes],
+                 "service": [s.name for s in self.services],
+                 "arm": [a.name for a in self.arms],
+                 "config": [a.name for a in self.named_configs]}
+        problems += [f"{kind} {name!r}: a name must not hold a comma, a quote or a line break"
+                     for kind, group in named.items() for name in group
+                     if not CSV_SPECIAL.isdisjoint(name)]
         services = {s.name for s in self.services}
         if len(services) != len(self.services):
             problems.append("service names must be unique")
@@ -258,13 +269,16 @@ def request_rtt(topology: Topology, client: str, node: str,
 
 
 class _Stream:
-    """A request stream: `step` is `1.0 / rate_hz`, `remaining` counts down.
-    A plain slotted class: a slotted dataclass costs 0.4 ms more to import."""
+    """A request stream: `balancer` is its client's, `step` is `1.0 / rate_hz`,
+    `remaining` counts down.  A plain slotted class: a slotted dataclass
+    costs 0.4 ms more to import."""
 
-    __slots__ = ("client", "service", "step", "remaining")
+    __slots__ = ("client", "service", "balancer", "step", "remaining")
 
-    def __init__(self, client: str, service: str, step: float, remaining: int):
-        self.client, self.service, self.step, self.remaining = client, service, step, remaining
+    def __init__(self, client: str, service: str, balancer: LoadBalancer, step: float,
+                 remaining: int):
+        self.client, self.service, self.balancer = client, service, balancer
+        self.step, self.remaining = step, remaining
 
 
 class _Run:
@@ -325,7 +339,7 @@ class _Run:
         for event in cfg.workload:
             if event.action == "requests":
                 client, service, rate_hz, count = event.args
-                stream = _Stream(client, service, 1.0 / rate_hz, count)
+                stream = _Stream(client, service, self.balancers[client], 1.0 / rate_hz, count)
                 heapq.heappush(self.streams, (event.at, self.seq, stream))
                 self.seq += 1
                 continue
@@ -399,27 +413,30 @@ class _Run:
         """Issue every request whose `(t, REQUEST, seq)` sorts before an event
         `(until, kind)`, in that order.  A stream's next time accumulates as
         `t + step`.  RTT strings are memoised until the next link change."""
-        streams, rows, pods, rtts = self.streams, self.requests, self.state.pods, self.rtts
+        streams, pods, rtts = self.streams, self.state.pods, self.rtts
+        rng, arm, rep, seq = self.rng_requests, self.arm.name, self.rep, self.seq
+        append, running, replace = self.requests.append, PodStatus.RUNNING, heapq.heapreplace
         inclusive = kind > EventKind.REQUEST
         while streams and (streams[0][0] < until or inclusive and streams[0][0] == until):
             now, _, stream = streams[0]
-            chain = self.balancers[stream.client].chain_for(stream.service)
+            chain = stream.balancer.chains.get(stream.service)
             if chain is not None:
-                replica = select_replica(chain, self.rng_requests)
+                replica = select_replica(chain, rng)
                 pod = pods[replica]
-                if pod.status is PodStatus.RUNNING:
+                if pod.status is running:
                     key = (stream.client, pod.assignment)
                     if key not in rtts:
                         rtts[key] = repr(request_rtt(self.topology, *key,
                                                      self.config.lb.processing_delay_ms))
-                    rows.append((self.arm.name, self.rep, repr(now), stream.client,
-                                 stream.service, replica, pod.assignment, rtts[key]))
+                    append((arm, rep, repr(now), stream.client, stream.service, replica,
+                            pod.assignment, rtts[key]))
             stream.remaining -= 1
             if stream.remaining:
-                heapq.heapreplace(streams, (now + stream.step, self.seq, stream))
-                self.seq += 1
+                replace(streams, (now + stream.step, seq, stream))
+                seq += 1
             else:
                 heapq.heappop(streams)
+        self.seq = seq
 
     def collect(self, timeseries):
         arm, rep = self.arm.name, self.rep

@@ -278,6 +278,41 @@ def test_bad_value_names_section_and_key(tmp_path, capsys, field, bad, section, 
     assert f"{section}: {key}" in err
 
 
+def test_config_named_like_an_arm_exits_2_with_one_line(tmp_path, capsys):
+    # `using=custom` would otherwise take the config and place both pods on a1
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="at 0 deploy web using=custom").replace(
+        "[workload]", "[config custom]\nplugins = location-affinity:1.0\n[workload]"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "arm and config names must be unique together" in err
+    assert not (tmp_path / "out").exists()
+
+
+# each names one zone, node, service, arm or config `x<char>y`
+CSV_NAMES = {
+    "zone": ("uplink.B = 1.5", "uplink.B = 1.5\nzone.x{}y = b2"),
+    "node": ("zone.A = a1 a2", "zone.A = a1 a2 x{}y"),
+    "service": ("[arm custom]", "[service x{}y]\n[arm custom]"),
+    "arm": ("[arm custom]", "[arm x{}y]\n[arm custom]"),
+    "config": ("[workload]", "[config x{}y]\n[workload]"),
+}
+
+
+@pytest.mark.parametrize("char", [",", '"'])
+@pytest.mark.parametrize("kind", CSV_NAMES)
+def test_csv_special_name_exits_2_with_one_line(tmp_path, capsys, kind, char):
+    field, bad = CSV_NAMES[kind]
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="").replace(field, bad.format(char)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert f"{kind} {f'x{char}y'!r}: a name must not hold" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_exit_2_with_one_line(tmp_path, capsys, flag, value):

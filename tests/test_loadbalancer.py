@@ -126,25 +126,25 @@ class TestLoadBalancerRefresh:
         balancer = LoadBalancer("P1-A")
         snap = FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"}}, topology)
         balancer.refresh(snap, 0.0)
-        chain_before = balancer.chain_for("svc")
+        chain_before = balancer.chains.get("svc")
         # replica moves between refreshes; the chain must be unchanged
         snap.pods["s1"].assignment = "P1-B"
-        assert balancer.chain_for("svc") is chain_before
+        assert balancer.chains.get("svc") is chain_before
         balancer.refresh(snap, 30.0)
-        assert balancer.chain_for("svc") is not chain_before
+        assert balancer.chains.get("svc") is not chain_before
 
     def test_zero_replica_service_dropped(self, topology):
         balancer = LoadBalancer("P1-A")
         snap = FakeSnapshot({"svc": {"s0": "P1-A"}}, topology)
         balancer.refresh(snap, 0.0)
-        assert balancer.chain_for("svc") is not None
+        assert balancer.chains.get("svc") is not None
         balancer.refresh(FakeSnapshot({"svc": {}}, topology), 30.0)
-        assert balancer.chain_for("svc") is None
+        assert balancer.chains.get("svc") is None
         assert balancer.chains == {}
 
     def test_uniform_policy_ignores_scores(self, topology):
         balancer = LoadBalancer("P1-A", policy=POLICY_UNIFORM)
         snap = FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"}}, topology)
         balancer.refresh(snap, 0.0)
-        chain = balancer.chain_for("svc")
+        chain = balancer.chains.get("svc")
         assert chain.selection_probabilities == pytest.approx([0.5, 0.5])

@@ -1,20 +1,23 @@
+import csv
 import hashlib
 import os
 import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fogsim import report
 from fogsim.report import (CDF_STEP, load_results, quantile, render_comparison,
                            render_summary, rtt_cdf, write_results)
 from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
-from fogsim.simulator import run_scenario
+from fogsim.simulator import ResultSet, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = np.arange(CDF_STEP, 1.0 + CDF_STEP / 2, CDF_STEP)
@@ -72,6 +75,30 @@ def test_run_statistics_are_exact(seed):
         if sys.version_info >= (3, 11):  # an older pstdev rounds twice
             assert std == statistics.pstdev(expanded)
         assert [quantile(runs[arm], q) for q in GRID] == np.quantile(expanded, GRID).tolist()
+
+
+# a permitted name holds anything but a comma, a double quote or a line break
+NAMES = st.one_of(st.text(st.characters(blacklist_characters=',"\r\n'), max_size=6),
+                  st.text("aZ09-._éµ東", min_size=1, max_size=6))
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["1e-05", "-0.0", "1e+16"]))
+CELLS = {"rep": st.integers(0, 99), "rt_pods": st.integers(), "regular_pods": st.integers(),
+         "total": st.integers(), "t": FLOATS, "time": FLOATS, "rtt_ms": FLOATS}
+
+
+@given(st.fixed_dictionaries({
+    stem: st.lists(st.tuples(*(CELLS.get(f, NAMES) for f in fields)), max_size=4)
+    for stem, fields in report.CSV_FILES.items()}))
+@settings(max_examples=60, deadline=None)
+def test_written_tables_are_csv_writer_bytes(tables):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_results(ResultSet("prop", 0, "ci", **tables), out / "written")
+        for stem, fields in report.CSV_FILES.items():
+            with open(out / f"{stem}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([fields, *tables[stem]])
+            assert ((out / "written" / f"{stem}.csv").read_bytes()
+                    == (out / f"{stem}.csv").read_bytes()), stem
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -45,7 +45,7 @@ class PerRequestRun(simulator._Run):
         if kind != EventKind.REQUEST:
             return super().dispatch(now, kind, payload, timeseries)
         client, service, rate_hz, remaining = payload
-        chain = self.balancers[client].chain_for(service)
+        chain = self.balancers[client].chains.get(service)
         if chain is not None:
             replica = select_replica(chain, self.rng_requests)
             pod = self.state.pods[replica]

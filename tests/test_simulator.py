@@ -123,6 +123,16 @@ class TestRequests:
             run_scenario(cfg)
 
 
+@pytest.mark.parametrize("char", ["\r", "\n"])
+def test_a_line_break_in_a_name_is_rejected(char):
+    """Only a scenario built in Python can hold one: the reader splits lines first."""
+    cfg = small_scenario(arms=(ArmSpec(name=f"x{char}y"),))
+    assert cfg.validate() == [f"arm {f'x{char}y'!r}: a name must not hold a comma, "
+                              "a quote or a line break"]
+    with pytest.raises(ValueError):
+        run_scenario(cfg)
+
+
 @pytest.mark.parametrize("refresh_period_s, node", [(30.0, "P2-A"), (10.0, "P1-A")])
 def test_dependency_score_reads_the_balancer_staleness(refresh_period_s, node):
     # fig5's metric samples are 40 s old when the candidate deploys: fresh for
