@@ -82,6 +82,8 @@ def cmd_report(args) -> int:
     except (OSError, ValueError) as exc:  # a missing file, bad header, row or value
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a name the locale cannot encode prints escaped, as stderr does, not as a crash
+    sys.stdout.reconfigure(errors="backslashreplace")
     print(text, end="")
     return 0
 

@@ -102,6 +102,8 @@ class RtProcessSpec:
 
 @dataclass(frozen=True)
 class DependencyRef:
+    """A pod's dependency on a service, with its weight and its replicas' scoring weights."""
+
     target_service: str
     dep_weight: float = 1.0
     latency_weight: float = 0.5
@@ -118,6 +120,8 @@ class DependencyRef:
 
 @dataclass
 class Node:
+    """A worker node: zone, cores, CPU capacity in millicores and RT bandwidth."""
+
     id: str
     zone: str
     cores: int = DEFAULT_CORES
@@ -134,9 +138,15 @@ class Node:
             raise ValueError(f"node {self.id}: need 0 < rt_runtime_us <= rt_period_us")
 
 
+# far past any network, and small enough that a round trip over two links plus
+# a processing delay, each at most this, is a finite float
+MAX_LATENCY_MS = 1e300
+
+
 def _latency(ms: float) -> float:
-    if not ms >= 0:
-        raise ValueError("latency must be non-negative")
+    if not 0 <= ms <= MAX_LATENCY_MS:
+        raise ValueError(f"latency must be non-negative and at most {MAX_LATENCY_MS:g} ms, "
+                         f"got {ms!r}")
     return ms
 
 
@@ -171,6 +181,8 @@ class Topology:
 
 @dataclass
 class PodInstance:
+    """One replica of a service and its scheduling state."""
+
     id: str
     service: str
     cpu_request: int = 100
@@ -193,6 +205,8 @@ class PodInstance:
 
 @dataclass(frozen=True)
 class EvictionEvent:
+    """A monitor eviction: when, which pod, from and to which node, and why."""
+
     time: float
     pod: str
     from_node: str

@@ -15,13 +15,10 @@ is the dependency-weighted average of each dependency's expected quality.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
 from .cluster import ClusterSnapshot, DependencyRef, PodInstance
 from .telemetry import LOWER_IS_BETTER, metric_scores, normalize, path_latency
-
-log = logging.getLogger(__name__)
 
 SMOOTHING_EPS = 1e-9
 POWER_ITER_TOL = 1e-10
@@ -137,8 +134,9 @@ def score_dependencies(pod: PodInstance, node_id: str,
                   else 1.0 / len(pod.dependencies))
         per_replica = replica_scores(pod, node_id, dep, snapshot)
         if not per_replica:
-            log.warning("dependency %s of %s has no running replicas",
-                        dep.target_service, pod.id)
+            import logging  # only this warning needs it, and it is slow to import
+            logging.getLogger(__name__).warning("dependency %s of %s has no running replicas",
+                                                dep.target_service, pod.id)
             continue
         node_score += expected_quality(per_replica.values()) * weight
     return min(max(node_score, 0.0), 1.0)

@@ -10,6 +10,7 @@ conditioned on every earlier rule having declined.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -18,6 +19,7 @@ from .telemetry import path_latency, refresh_scoreboard
 
 POLICY_WEIGHTED = "weighted"
 POLICY_UNIFORM = "uniform"
+POLICIES = (POLICY_WEIGHTED, POLICY_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
     """
     if not scores:
         raise ValueError("cannot build a chain without replicas")
-    if any(s < 0 for s in scores.values()):
-        raise ValueError("scores must be non-negative")
+    if not all(0 <= s < math.inf for s in scores.values()):
+        raise ValueError("scores must be finite and non-negative")
     ordered = sorted(scores, key=lambda r: (scores[r], r))
     total = sum(scores.values())
     if total <= 0:
@@ -54,7 +56,8 @@ def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
             probs.append(1.0)
             break
         p = share[rep] / remaining if remaining > 0 else 1.0
-        assert p <= 1.0 + 1e-12, "rule probability exceeded 1 for normalized scores"
+        if p > 1.0 + 1e-12:
+            raise ArithmeticError("rule probability exceeded 1 for normalized scores")
         p = min(p, 1.0)
         probs.append(p)
         remaining *= 1.0 - p
@@ -88,7 +91,7 @@ class LoadBalancer:
     """
 
     def __init__(self, client_node: str, policy: str = POLICY_WEIGHTED):
-        if policy not in (POLICY_WEIGHTED, POLICY_UNIFORM):
+        if policy not in POLICIES:
             raise ValueError(f"unknown balancing policy: {policy}")
         self.client_node = client_node
         self.policy = policy

@@ -32,6 +32,8 @@ from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
 
 @dataclass(frozen=True)
 class MonitorConfig:
+    """The monitor's pass period and its grace and backoff gates, in seconds."""
+
     loop_period_s: float = 10.0
     grace_s: float = 120.0
     backoff_s: float = 120.0

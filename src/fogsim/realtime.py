@@ -31,6 +31,8 @@ def rt_capacity(node: Node) -> float:
 
 @dataclass(frozen=True)
 class PreemptionPlan:
+    """The lower-priority RT pods to evict from a node, and the RT utilization they free."""
+
     node: str
     victims: tuple[str, ...]
     freed_utilization: float

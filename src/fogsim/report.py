@@ -20,7 +20,6 @@ import csv
 import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from fractions import Fraction
 from itertools import accumulate, starmap
 from operator import itemgetter
 from pathlib import Path
@@ -43,7 +42,7 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
     for stem, fields in CSV_FILES.items():
         path = outdir / f"{stem}.csv"
         line = ",".join(["{}"] * len(fields)) + "\r\n"
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(line.format(*fields))
             fh.writelines(starmap(line.format, getattr(results, stem)))
         written.append(path)
@@ -51,7 +50,8 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
     summary.write_text(render_summary({stem: getattr(results, stem) for stem in CSV_FILES},
                                       header=f"scenario: {results.scenario}  "
                                              f"seed: {results.seed}  "
-                                             f"profile: {results.profile}"))
+                                             f"profile: {results.profile}"),
+                       encoding="utf-8")
     written.append(summary)
     return written
 
@@ -65,7 +65,7 @@ def load_results(directory) -> dict[str, list[list[str]]]:
         path = directory / f"{stem}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing {path.name} in {directory}")
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
             if header != fields:
@@ -100,7 +100,11 @@ class RttRuns:
     def mean_std(self) -> tuple[float, float]:
         """Mean and population standard deviation from the exact sums, each
         rounded once, as ``statistics.fmean`` and ``statistics.pstdev`` do: the
-        root is taken on integers to at least 55 bits, rounded to odd."""
+        root is taken on integers to at least 55 bits, rounded to odd.  Where
+        the sum is past the float range, which fmean cannot take, the mean is
+        the exact mean rounded once."""
+        from fractions import Fraction  # slow to import, and only a summary needs it
+
         n = len(self)
         sx = sum(c * Fraction(v) for v, c in zip(self.values, self.counts))
         sxx = sum(c * Fraction(v) ** 2 for v, c in zip(self.values, self.counts))
@@ -109,7 +113,11 @@ class RttRuns:
         num, den = var.numerator << max(2 * k, 0), var.denominator << max(-2 * k, 0)
         root = math.isqrt(num // den)  # the root of var * 4**k, rounded down
         root |= root * root * den != num
-        return float(sx) / n, float(root / Fraction(2) ** k)
+        try:
+            mean = float(sx) / n
+        except OverflowError:
+            mean = float(sx / n)
+        return mean, float(root / Fraction(2) ** k)
 
 
 def quantile(values, q: float) -> float:
@@ -146,11 +154,6 @@ def convergence_times(timeseries: list) -> dict[tuple[str, int], float]:
         settled[key] = next((later for t, later in zip(times[1:], times)
                              if per_time[t] != per_time[times[0]]), times[-1])
     return settled
-
-
-def convergence_time(timeseries: list, arm: str, rep: int) -> float | None:
-    """`convergence_times` of one (arm, rep); None when it has no samples."""
-    return convergence_times(timeseries).get((arm, rep))
 
 
 def _summary(rows: dict[str, list], header: str) -> tuple[str, dict[str, RttRuns]]:

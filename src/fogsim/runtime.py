@@ -35,6 +35,8 @@ class ProcessHost(Protocol):
 
 @dataclass(frozen=True)
 class HostCall:
+    """One recorded call of the simulated process host."""
+
     time: float
     pod: str
     call: str
@@ -120,6 +122,8 @@ class RuntimeDispatcher:
 
 @dataclass
 class PendingAssignment:
+    """A started pod's RT process specs no process matched yet, and when to retry them."""
+
     pod_id: str
     unmatched: list[int]  # indexes into the pod's rt_processes
     next_retry: float

@@ -19,7 +19,7 @@ BUNDLED = (
 
 def _bundled_text(name: str) -> str:
     ref = resources.files(__package__) / "scenarios" / f"{name}.ini"
-    return ref.read_text()
+    return ref.read_text(encoding="utf-8")
 
 
 def load_bundled(name: str) -> ScenarioConfig:

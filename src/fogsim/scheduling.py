@@ -25,16 +25,22 @@ TIE_SEEDED_RANDOM = "seeded-random"
 
 @dataclass(frozen=True)
 class Assigned:
+    """The pod fits on `node`."""
+
     node: str
 
 
 @dataclass(frozen=True)
 class Unschedulable:
+    """No node takes the pod, for `reason`."""
+
     reason: str
 
 
 @dataclass(frozen=True)
 class Preempted:
+    """The pod fits on `node` once `victims` are evicted."""
+
     node: str
     victims: tuple[str, ...]
 

@@ -20,9 +20,9 @@ from typing import Mapping, Optional
 
 from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
                       DEFAULT_INTRA_ZONE_MS, DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
-                      ClusterState, Node, PodStatus, Topology)
+                      MAX_LATENCY_MS, ClusterState, Node, PodStatus, Topology)
 from .fogservice import FogServiceSpec, expand
-from .loadbalancer import POLICY_WEIGHTED, LoadBalancer, select_replica
+from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .scheduling import SchedulerConfig, run_queue
 from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
@@ -42,6 +42,8 @@ class EventKind(IntEnum):
 
 @dataclass(frozen=True)
 class WorkloadEvent:
+    """One timed directive of the workload script."""
+
     at: float
     action: str  # deploy | pin | metric | requests | link
     args: tuple = ()
@@ -49,7 +51,7 @@ class WorkloadEvent:
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """A scheduler/balancer configuration; it builds its plugins and a balancer to check it."""
+    """A scheduler/balancer configuration; it builds its plugins to check them."""
 
     name: str
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
@@ -58,7 +60,8 @@ class ArmSpec:
 
     def __post_init__(self):
         self.scheduler_config().instances()
-        LoadBalancer("", self.lb_policy)
+        if self.lb_policy not in POLICIES:
+            raise ValueError(f"unknown balancing policy: {self.lb_policy}")
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(plugins=self.plugins, tie_break=self.tie_break)
@@ -66,6 +69,8 @@ class ArmSpec:
 
 @dataclass(frozen=True)
 class LbSettings:
+    """Balancer refresh period, per-request processing delay and metric staleness."""
+
     refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S
     processing_delay_ms: float = 0.005
     staleness_periods: int = DEFAULT_STALENESS_PERIODS
@@ -73,14 +78,17 @@ class LbSettings:
     def __post_init__(self):
         if not self.refresh_period_s > 0:
             raise ValueError("refresh_period_s must be positive")
-        if not self.processing_delay_ms >= 0:
-            raise ValueError("processing_delay_ms must be >= 0")
+        if not 0 <= self.processing_delay_ms <= MAX_LATENCY_MS:
+            raise ValueError("processing_delay_ms must be non-negative and at most "
+                             f"{MAX_LATENCY_MS:g} ms")
         if self.staleness_periods < 1:
             raise ValueError("staleness_periods must be >= 1")
 
 
 @dataclass(frozen=True)
 class NodeSettings:
+    """The capacities of every node, with per-node overrides."""
+
     cores: int = DEFAULT_CORES
     cpu_capacity: int = DEFAULT_CPU_CAPACITY_M
     rt_period_us: int = DEFAULT_RT_PERIOD_US
@@ -94,6 +102,8 @@ CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quote
 
 @dataclass(frozen=True)
 class TopologySpec:
+    """Zones with their nodes, uplink latencies and the base latencies."""
+
     zones: Mapping[str, tuple[str, ...]]
     uplinks_ms: Mapping[str, float]
     intra_node_ms: float = DEFAULT_INTRA_NODE_MS
@@ -106,6 +116,8 @@ class TopologySpec:
 
 @dataclass
 class ScenarioConfig:
+    """A whole scenario: topology, nodes, services, arms, settings and workload."""
+
     name: str
     topology: TopologySpec
     services: tuple[FogServiceSpec, ...]
@@ -148,6 +160,10 @@ class ScenarioConfig:
         problems += [f"{kind} {name!r}: a name must not hold a comma, a quote or a line break"
                      for kind, group in named.items() for name in group
                      if not CSV_SPECIAL.isdisjoint(name)]
+        # every file is written as UTF-8, summary.txt's header with the scenario's name
+        problems += [f"{kind} {name!r}: a name must encode as UTF-8"
+                     for kind, group in {"scenario": [self.name], **named}.items()
+                     for name in group if not _encodes_as_utf8(name)]
         services = {s.name for s in self.services}
         if len(services) != len(self.services):
             problems.append("service names must be unique")
@@ -239,6 +255,8 @@ class ScenarioConfig:
 
 @dataclass
 class ResultSet:
+    """The rows of a run's four result tables, each in its ``*_FIELDS`` order."""
+
     scenario: str
     seed: int
     profile: str
@@ -251,6 +269,15 @@ class ResultSet:
     TIMESERIES_FIELDS = ("arm", "rep", "t", "node", "rt_pods", "regular_pods", "total")
     REQUEST_FIELDS = ("arm", "rep", "t", "client", "service", "replica", "node", "rtt_ms")
     EVICTION_FIELDS = ("arm", "rep", "t", "pod", "from_node", "target_node", "reason")
+
+
+def _encodes_as_utf8(text: str) -> bool:
+    """False when `text` holds a lone surrogate, which no UTF-8 file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def build_nodes(topology_spec: TopologySpec, settings: NodeSettings) -> list[Node]:

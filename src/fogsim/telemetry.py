@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
@@ -53,11 +54,15 @@ def normalize(values: Mapping, direction: str) -> dict:
     """Min-max normalize to [0, 1] with the best key mapped to 1.0.
 
     For lower-is-better metrics the scale is inverted.  Degenerate input
-    (all values equal) maps everything to 1.0.
+    (all values equal) maps everything to 1.0.  Finite values further apart
+    than the float range are halved first, so their span is finite.
     """
     if not values:
         raise ValueError("cannot normalize an empty map")
     lo, hi = min(values.values()), max(values.values())
+    if hi - lo == math.inf:
+        values = {k: v / 2 for k, v in values.items()}
+        lo, hi = lo / 2, hi / 2
     span = hi - lo
     if span == 0:
         return {k: 1.0 for k in values}
@@ -70,6 +75,8 @@ def normalize(values: Mapping, direction: str) -> dict:
 
 @dataclass(frozen=True)
 class MetricSample:
+    """One application metric value and when it was taken."""
+
     value: float
     timestamp: float
 

@@ -3,9 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fogsim.cluster import ClusterState, Node, Topology
 from fogsim.scenario_io import load_scenario
+
+# Every Hypothesis test draws the same examples on every run, so the suite's
+# verdict never changes between runs; `--hypothesis-profile=deep` draws fresh
+# random examples, ten times as many, for a local search.  Neither has a deadline:
+# a slow shared host would fail a correct example.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.register_profile("deep", derandomize=False, deadline=None, max_examples=1000)
 
 # Table-style topology used across the suite: four zones of two workers
 # hanging off one core switch.

@@ -12,7 +12,7 @@ from fogsim.cli import main as cli_main
 from fogsim.cluster import DeadlinePolicy, PodInstance, RtProcessSpec
 from fogsim.loadbalancer import chain_probabilities
 from fogsim.realtime import RealtimePlugin, rt_capacity
-from fogsim.report import convergence_time
+from fogsim.report import convergence_times
 from fogsim.runtime import RtPriorityManager, SimulatedProcessHost
 from fogsim.scenarios import load_bundled
 from fogsim.simulator import run_scenario
@@ -110,12 +110,13 @@ def test_criterion_04_monitor_convergence():
     for arm, rep, t, node, rt_pods, regular_pods, total in res.timeseries:
         final_by_rep[rep][(float(t), node)] = (rt_pods, regular_pods)
     converged = []
+    settled = convergence_times(res.timeseries)
     for rep in reps:
         per_rep = final_by_rep[rep]
         t_max = max(t for t, _ in per_rep)
         finals = {node: v for (t, node), v in per_rep.items() if t == t_max}
         assert set(finals.values()) == {(5, 10)}, f"rep {rep} final {finals}"
-        converged.append(convergence_time(res.timeseries, "custom", rep))
+        converged.append(settled["custom", rep])
     within = [t for t in converged if t <= 380.0]
     assert len(within) >= 0.9 * len(reps)
     first_eviction = min(float(r[2]) for r in res.evictions)

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fogsim.cli import main
+from fogsim.report import load_results, render_comparison
 from fogsim.scenarios import _bundled_text
 
 
@@ -130,6 +137,8 @@ locations = a1 b1:2
     "at 1 requests client=a1 service=web rate_hz=inf count=3",
     "at nan link A 2.0",
     "at -1 link A 2.0",
+    # a latency is at most 1e300 ms, so that every round trip is finite
+    "at 1 link A 1e308",
     # a metric names a service and a pod a deploy of it creates by then
     "at 1 metric nosuch web-0 5",
     "at 1 metric web web-9 5",
@@ -371,3 +380,48 @@ class TestReport:
         assert main(["report", str(out)]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edits, code", [
+    # latencies are bounded, so that every round trip and its statistics are finite
+    ({r"^(uplink\.\w+) = .*$": r"\1 = 4e307"}, 2),
+    ({r"^(uplink\.\w+) = .*$": r"\1 = 1e308"}, 2),
+    ({r"^(uplink\.P4) = .*$": r"\1 = 1e300"}, 0),
+    ({r"^(processing_delay_ms) = .*$": r"\1 = 1e301"}, 2),
+    # metric values further apart than the float range still normalize
+    ({r"(server-0) 1\.0$": r"\1 -1.7e308", r"(server-4) 10\.0$": r"\1 1.7e308"}, 0),
+])
+def test_values_near_the_float_range_never_exit_1(tmp_path, capsys, edits, code):
+    text = _bundled_text("fig9-loadbalancer")
+    for old, new in edits.items():
+        text = re.sub(old, new, text, flags=re.M)
+    path = tmp_path / "huge.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--profile", "ci", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1 and "at most 1e+300" in err
+    else:
+        assert err == "" and main(["report", str(out)]) == 0
+
+
+def test_a_non_ascii_name_round_trips_under_the_c_locale(tmp_path):
+    """Scenarios are read as UTF-8, so results are written and read as UTF-8 too,
+    whatever the locale; `fogsim report` escapes what the locale cannot print."""
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "web.ini"
+    path.write_text(_bundled_text("fig9-loadbalancer").replace("server", "wéb"),
+                    encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONIOENCODING", None)
+    out = tmp_path / "out"
+    for args in (["run", str(path), "--profile", "ci", "--out", str(out)],
+                 ["report", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "fogsim.cli", *args], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    expected = render_comparison(load_results(out))
+    assert "wéb-0" in expected
+    assert proc.stdout == expected.encode("ascii", "backslashreplace")

@@ -188,6 +188,15 @@ class TestScoreDependencies:
                           dependencies=(DependencyRef("ghost", 1.0),))
         assert score_dependencies(pod, "P1-A", state.snapshot()) == 0.0
 
+    def test_missing_replicas_log_a_warning(self, caplog):
+        state = make_state()
+        pod = PodInstance(id="app-0", service="app",
+                          dependencies=(DependencyRef("ghost", 1.0),))
+        with caplog.at_level("WARNING", logger="fogsim.dependencies"):
+            score_dependencies(pod, "P1-A", state.view())
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("fogsim.dependencies", "WARNING", "dependency ghost of app-0 has no running replicas")]
+
     def test_table_fixture_ranks_p2a_first(self):
         state, candidate, _ = table_fixture()
         snap = state.snapshot(now=1.0)

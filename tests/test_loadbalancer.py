@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer,
                                  chain_probabilities, select_replica,
@@ -46,13 +46,17 @@ class TestChainProbabilities:
         with pytest.raises(ValueError):
             chain_probabilities({"a": -0.1, "b": 0.5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            chain_probabilities({"a": bad, "b": 0.5})
+
     def test_selection_matches_monte_carlo_walk(self):
         chain = chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5})
         freqs = walk_frequencies(chain, 100_000, seed=11)
         assert freqs == pytest.approx((0.2, 0.3, 0.5), abs=0.01)
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=10))
-    @settings(max_examples=60)
     def test_selection_probability_equals_normalized_score(self, raw):
         scores = {f"r{i}": v for i, v in enumerate(raw)}
         chain = chain_probabilities(scores)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fogsim import report
 from fogsim.report import (CDF_STEP, load_results, quantile, render_comparison,
@@ -77,25 +77,40 @@ def test_run_statistics_are_exact(seed):
         assert [quantile(runs[arm], q) for q in GRID] == np.quantile(expanded, GRID).tolist()
 
 
-# a permitted name holds anything but a comma, a double quote or a line break
-NAMES = st.one_of(st.text(st.characters(blacklist_characters=',"\r\n'), max_size=6),
+@pytest.mark.parametrize("counts, mean, std", [
+    ({8.99e307: 2}, 8.99e307, 0.0),
+    ({1.7e308: 3, 0.5: 1}, 1.275e308, 7.361215932167728e307),
+])
+def test_mean_of_a_sum_past_the_float_range(counts, mean, std):
+    """fmean raises on these; the summary takes the exact mean, rounded once.  The
+    expected values are fmean and pstdev of the values divided by 4, times 4."""
+    assert report.RttRuns(counts).mean_std() == (mean, std)
+
+
+# a permitted name holds anything but a comma, a double quote, a line break or a
+# lone surrogate (category Cs), which UTF-8 cannot encode
+NAMES = st.one_of(st.text(st.characters(exclude_categories=("Cs",),
+                                        exclude_characters=',"\r\n'), max_size=6),
                   st.text("aZ09-._éµ東", min_size=1, max_size=6))
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                    st.sampled_from(["1e-05", "-0.0", "1e+16"]))
 CELLS = {"rep": st.integers(0, 99), "rt_pods": st.integers(), "regular_pods": st.integers(),
          "total": st.integers(), "t": FLOATS, "time": FLOATS, "rtt_ms": FLOATS}
+# two RTTs whose sum is past the float range, which once failed the summary's mean
+HUGE_RTTS = {"placements": [], "timeseries": [], "evictions": [],
+             "requests": [("a", 0, "0.0", "c", "s", "s-0", "n", "8.99e+307")] * 2}
 
 
 @given(st.fixed_dictionaries({
     stem: st.lists(st.tuples(*(CELLS.get(f, NAMES) for f in fields)), max_size=4)
     for stem, fields in report.CSV_FILES.items()}))
-@settings(max_examples=60, deadline=None)
+@example(HUGE_RTTS)
 def test_written_tables_are_csv_writer_bytes(tables):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_results(ResultSet("prop", 0, "ci", **tables), out / "written")
         for stem, fields in report.CSV_FILES.items():
-            with open(out / f"{stem}.csv", "w", newline="") as fh:
+            with open(out / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh).writerows([fields, *tables[stem]])
             assert ((out / "written" / f"{stem}.csv").read_bytes()
                     == (out / f"{stem}.csv").read_bytes()), stem
@@ -143,13 +158,40 @@ def test_run_and_write_import_no_numpy(tmp_path):
 
 
 def test_import_leaves_out_the_process_pool():
+    """The imports of a run leave out what only other paths use: the process pool
+    (`--jobs`), logging (a warning), fractions (a summary), the runtime model, and
+    the plugins, which a scenario's arms import when it is parsed."""
     code = ("import sys\n"
             "import fogsim\n"
             "from fogsim import report, scenario_io, simulator\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+            "                         'logging', 'fractions', 'decimal', 'fogsim.runtime',\n"
+            "                         'fogsim.realtime', 'fogsim.dependencies')\n"
             "             if m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_each_public_name_is_its_home_modules_object():
+    """`import fogsim` loads no submodule; each name of `__all__` is then the
+    object its defining module holds, and an unknown name raises AttributeError."""
+    code = ("import sys\n"
+            "import fogsim\n"
+            "assert [m for m in sys.modules if m.startswith('fogsim.')] == []\n"
+            "for name in fogsim.__all__:\n"
+            "    obj = getattr(fogsim, name)\n"
+            "    assert obj.__module__.startswith('fogsim.'), name\n"
+            "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+            "try:\n"
+            "    fogsim.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('an unknown name resolved')\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

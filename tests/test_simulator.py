@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fogsim import report, simulator
 from fogsim.monitor import MonitorConfig
@@ -131,6 +132,20 @@ def test_a_line_break_in_a_name_is_rejected(char):
                               "a quote or a line break"]
     with pytest.raises(ValueError):
         run_scenario(cfg)
+
+
+@given(st.text(st.characters(exclude_characters=',"\r\n'), min_size=1, max_size=4))
+@example("\ud800")  # a lone surrogate, which once failed write_results halfway
+def test_a_name_is_rejected_exactly_when_utf8_cannot_encode_it(name):
+    """Every result file is UTF-8, summary.txt's header with the scenario's name."""
+    arm, scenario = small_scenario(arms=(ArmSpec(name=name),)), small_scenario(name=name)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        assert arm.validate() == [f"arm {name!r}: a name must encode as UTF-8"]
+        assert scenario.validate() == [f"scenario {name!r}: a name must encode as UTF-8"]
+    else:
+        assert arm.validate() == scenario.validate() == []
 
 
 @pytest.mark.parametrize("refresh_period_s, node", [(30.0, "P2-A"), (10.0, "P1-A")])

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fogsim.telemetry import (HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSpec,
                               MetricStore, metric_scores, normalize,
@@ -45,8 +45,10 @@ class TestNormalize:
             normalize({}, LOWER_IS_BETTER)
 
     @given(st.dictionaries(st.text(min_size=1, max_size=3),
-                           st.floats(-1e6, 1e6), min_size=1, max_size=8),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=8),
            st.sampled_from([LOWER_IS_BETTER, HIGHER_IS_BETTER]))
+    @example({"a": -1.7e308, "b": 1.7e308, "c": 5e-324}, LOWER_IS_BETTER)  # span past the range
     def test_range_and_best_key(self, values, direction):
         out = normalize(values, direction)
         assert all(0.0 <= v <= 1.0 for v in out.values())
