@@ -45,6 +45,9 @@ def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
         raise ValueError("scores must be finite and non-negative")
     ordered = sorted(scores, key=lambda r: (scores[r], r))
     total = sum(scores.values())
+    if total == math.inf:  # one power of two below 1 / (2n) scales each score exactly
+        scores = {r: s * 2.0 ** -(len(scores).bit_length() + 1) for r, s in scores.items()}
+        total = sum(scores.values())
     if total <= 0:
         share = {r: 1.0 / len(scores) for r in scores}
     else:

@@ -4,18 +4,22 @@ A run processes timed events (deployments, pinned placements, metric
 samples, link changes, scheduler cycles, monitor passes, balancer
 refreshes, requests, allocation samples) in timestamp order with a
 documented tie-break: equal timestamps resolve by event kind, then by
-insertion order.  Requests write no cluster state, so their streams are
-issued from a heap of their own, merged with the event heap in that same
-`(time, kind, seq)` order.  Every source of randomness derives from the
-scenario seed, so a (config, seed) pair reproduces byte-identical results.
+insertion order.  Requests write no cluster state and their times depend
+on the scenario alone, so `request_timeline` lists them once per scenario;
+every arm and repetition reads that one timeline as a cursor, merged with
+the event heap in that same `(time, kind, seq)` order.  Every source of
+randomness derives from the scenario seed, so a (config, seed) pair
+reproduces byte-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import islice
 from typing import Mapping, Optional
 
 from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
@@ -36,7 +40,7 @@ class EventKind(IntEnum):
     SCHED = 4
     MONITOR = 5
     LB_REFRESH = 6
-    REQUEST = 7  # ranks requests, which stay on the stream heap, among the kinds
+    REQUEST = 7  # ranks requests, which come from the timeline, among the kinds
     SAMPLE = 8
 
 
@@ -295,23 +299,33 @@ def request_rtt(topology: Topology, client: str, node: str,
     return 2.0 * path_latency(topology, client, node) + processing_delay_ms
 
 
-class _Stream:
-    """A request stream: `balancer` is its client's, `step` is `1.0 / rate_hz`,
-    `remaining` counts down.  A plain slotted class: a slotted dataclass
-    costs 0.4 ms more to import."""
-
-    __slots__ = ("client", "service", "balancer", "step", "remaining")
-
-    def __init__(self, client: str, service: str, balancer: LoadBalancer, step: float,
-                 remaining: int):
-        self.client, self.service, self.balancer = client, service, balancer
-        self.step, self.remaining = step, remaining
+def request_timeline(config: ScenarioConfig) -> tuple[list[str], list[tuple[str, str]]]:
+    """Every request up to `duration_s`, in issue order: its time `t` as
+    `repr(t)`, which `float` reads back exactly, and in a parallel list its
+    stream's `(client, service)`, one tuple per stream.  A stream's next time
+    accumulates as `t + 1.0 / rate_hz`; tied times go in the order of their
+    streams' previous requests, as first requests go in workload order."""
+    heap = [(e.at, i, e.args[:2], 1.0 / e.args[2], e.args[3])
+            for i, e in enumerate(config.workload) if e.action == "requests"]
+    heapq.heapify(heap)
+    seq, times, streams = len(config.workload), [], []
+    while heap and heap[0][0] <= config.duration_s:
+        now, _, stream, step, remaining = heap[0]
+        times.append(repr(now))
+        streams.append(stream)
+        if remaining > 1:
+            heapq.heapreplace(heap, (now + step, seq, stream, step, remaining - 1))
+            seq += 1
+        else:
+            heapq.heappop(heap)
+    return times, streams
 
 
 class _Run:
-    """One (arm, repetition) execution of a scenario."""
+    """One (arm, repetition) execution of a scenario over its `request_timeline`."""
 
-    def __init__(self, config: ScenarioConfig, arm: ArmSpec, rep: int, seed: int):
+    def __init__(self, config: ScenarioConfig, arm: ArmSpec, rep: int, seed: int,
+                 timeline: tuple[list[str], list[tuple[str, str]]]):
         self.config = config
         self.arm = arm
         self.rep = rep
@@ -337,8 +351,9 @@ class _Run:
                 client = event.args[0]
                 self.balancers.setdefault(client, LoadBalancer(client, arm.lb_policy))
         self.heap: list = []
-        self.streams: list = []  # (time, seq, _Stream); seq shared with the heap
         self.seq = 0
+        self.timeline = timeline
+        self.issued = 0  # requests of the timeline issued so far
         self.requests: list[tuple] = []  # requests.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
         # metric directives declare continuously exported values; the
@@ -364,15 +379,10 @@ class _Run:
     def execute(self):
         cfg = self.config
         for event in cfg.workload:
-            if event.action == "requests":
-                client, service, rate_hz, count = event.args
-                stream = _Stream(client, service, self.balancers[client], 1.0 / rate_hz, count)
-                heapq.heappush(self.streams, (event.at, self.seq, stream))
-                self.seq += 1
-                continue
-            kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
-                    "pin": EventKind.PIN, "metric": EventKind.METRIC}[event.action]
-            self.push(event.at, kind, event.args)
+            if event.action != "requests":
+                kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
+                        "pin": EventKind.PIN, "metric": EventKind.METRIC}[event.action]
+                self.push(event.at, kind, event.args)
         if self.monitor is not None:
             self.push_periodic(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
                                EventKind.MONITOR)
@@ -437,33 +447,32 @@ class _Run:
         self.push(now, EventKind.SCHED, using)
 
     def issue_requests(self, until: float, kind: EventKind) -> None:
-        """Issue every request whose `(t, REQUEST, seq)` sorts before an event
-        `(until, kind)`, in that order.  A stream's next time accumulates as
-        `t + step`.  RTT strings are memoised until the next link change."""
-        streams, pods, rtts = self.streams, self.state.pods, self.rtts
-        rng, arm, rep, seq = self.rng_requests, self.arm.name, self.rep, self.seq
-        append, running, replace = self.requests.append, PodStatus.RUNNING, heapq.heapreplace
-        inclusive = kind > EventKind.REQUEST
-        while streams and (streams[0][0] < until or inclusive and streams[0][0] == until):
-            now, _, stream = streams[0]
-            chain = stream.balancer.chains.get(stream.service)
+        """Issue every request of the timeline whose `(t, REQUEST)` sorts
+        before an event `(until, kind)`, in timeline order.  RTT strings are
+        memoised until the next link change."""
+        times, streams = self.timeline
+        start = self.issued
+        bisect = bisect_right if kind > EventKind.REQUEST else bisect_left
+        end = bisect(times, until, start, key=float)
+        if end == start:  # most events of a run come with no request due
+            return
+        self.issued = end
+        balancers, pods, rtts = self.balancers, self.state.pods, self.rtts
+        rng, arm, rep = self.rng_requests, self.arm.name, self.rep
+        append, running = self.requests.append, PodStatus.RUNNING
+        for now, (client, service) in zip(islice(times, start, end),
+                                          islice(streams, start, end)):
+            chain = balancers[client].chains.get(service)
             if chain is not None:
                 replica = select_replica(chain, rng)
                 pod = pods[replica]
                 if pod.status is running:
-                    key = (stream.client, pod.assignment)
+                    key = (client, pod.assignment)
                     if key not in rtts:
                         rtts[key] = repr(request_rtt(self.topology, *key,
                                                      self.config.lb.processing_delay_ms))
-                    append((arm, rep, repr(now), stream.client, stream.service, replica,
-                            pod.assignment, rtts[key]))
-            stream.remaining -= 1
-            if stream.remaining:
-                replace(streams, (now + stream.step, seq, stream))
-                seq += 1
-            else:
-                heapq.heappop(streams)
-        self.seq = seq
+                    append((arm, rep, now, client, service, replica, pod.assignment,
+                            rtts[key]))
 
     def collect(self, timeseries):
         arm, rep = self.arm.name, self.rep
@@ -481,10 +490,10 @@ class _Run:
         return placements, series, self.requests, evictions
 
 
-def _run_rep(config: ScenarioConfig, seed: int, rep: int):
+def _run_rep(config: ScenarioConfig, seed: int, rep: int, timeline):
     rows = ([], [], [], [])
     for arm in config.arms:
-        run = _Run(config, arm, rep, seed)
+        run = _Run(config, arm, rep, seed, timeline)
         for sink, new in zip(rows, run.execute()):
             sink.extend(new)
     return rows
@@ -509,17 +518,18 @@ def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     reps = repetitions if repetitions is not None else (
         config.ci_repetitions if profile == "ci" else config.repetitions)
     results = ResultSet(config.name, seed, profile)
+    timeline = request_timeline(config)
     sinks = (results.placements, results.timeseries, results.requests,
              results.evictions)
     if jobs > 1 and reps > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: slow to import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_run_rep, [config] * reps, [seed] * reps,
-                                 range(reps)):
+                                 range(reps), [timeline] * reps):
                 for sink, new in zip(sinks, rows):
                     sink.extend(new)
     else:
         for rep in range(reps):
-            for sink, new in zip(sinks, _run_rep(config, seed, rep)):
+            for sink, new in zip(sinks, _run_rep(config, seed, rep, timeline)):
                 sink.extend(new)
     return results

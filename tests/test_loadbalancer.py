@@ -51,6 +51,12 @@ class TestChainProbabilities:
         with pytest.raises(ValueError, match="finite and non-negative"):
             chain_probabilities({"a": bad, "b": 0.5})
 
+    def test_scores_whose_sum_passes_the_float_range(self):
+        chain = chain_probabilities({"a": 1e308, "b": 1e308, "c": 1.0})
+        assert chain.replicas == ("c", "a", "b")
+        assert chain.selection_probabilities[1:] == (0.5, 0.5)
+        assert chain.accept_probabilities[1:] == (0.5, 1.0)
+
     def test_selection_matches_monte_carlo_walk(self):
         chain = chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5})
         freqs = walk_frequencies(chain, 100_000, seed=11)

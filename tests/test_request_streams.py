@@ -1,6 +1,8 @@
-"""Request streams issued from their own heap against the per-request path
-they replaced, in which every request was an event of the main heap."""
+"""Requests issued from one timeline per scenario, which every arm and
+repetition reads as a cursor, against the per-request path they replaced,
+in which every request was an event of the main heap."""
 
+import dataclasses
 import heapq
 
 import pytest
@@ -9,7 +11,7 @@ from fogsim import report, simulator
 from fogsim.cluster import PodStatus
 from fogsim.loadbalancer import select_replica
 from fogsim.scenarios import load_bundled
-from fogsim.simulator import EventKind, request_rtt
+from fogsim.simulator import EventKind, WorkloadEvent, request_rtt
 
 from conftest import load_test_scenario
 
@@ -60,9 +62,10 @@ class PerRequestRun(simulator._Run):
 
 
 @pytest.mark.parametrize("name, profile", [("request-edges", "paper"),
+                                           ("request-ties", "paper"),
                                            ("fig9-loadbalancer", "ci")])
 def test_streams_match_the_per_request_reference(monkeypatch, tmp_path, name, profile):
-    config = (load_test_scenario(name) if name == "request-edges"
+    config = (load_test_scenario(name) if name.startswith("request-")
               else load_bundled(name))
     results = simulator.run_scenario(config, profile=profile)
     monkeypatch.setattr(simulator, "_Run", PerRequestRun)
@@ -102,3 +105,46 @@ def test_rtts_are_computed_once_per_pair_and_link_epoch(monkeypatch):
     pairs = {(arm, rep, float(t) >= 5, client, node)
              for arm, rep, t, client, service, replica, node, rtt in results.requests}
     assert len(calls) == len(pairs)
+
+
+def test_tied_requests_go_in_the_order_of_their_previous_request():
+    """The 4 Hz stream is listed first, but the 2 Hz stream's previous request
+    came earlier at each of the three ties."""
+    times, streams = simulator.request_timeline(load_test_scenario("request-ties"))
+    assert [client for t, (client, _) in zip(times, streams)
+            if t in ("0.5", "1.0", "1.5")] == ["b1", "a1"] * 3
+    assert sorted(times, key=float) == times
+
+
+def test_the_timeline_stops_at_duration_s(tmp_path):
+    """A stream counted far past the end of a short run writes what a stream
+    that outlasts the run by little writes, and its timeline holds only the
+    times the run can issue, so its memory is bounded by the run."""
+    config = load_test_scenario("request-ties")
+    script = tuple(e for e in config.workload if e.action != "requests")
+    written = []
+    for count in (200, 1_000_000_000):
+        stream = WorkloadEvent(0.0, "requests", ("a1", "web", 10.0, count))
+        scenario = dataclasses.replace(config, workload=(*script, stream))
+        times, streams = simulator.request_timeline(scenario)
+        assert len(streams) == len(times) < 200
+        assert max(map(float, times)) <= scenario.duration_s
+        paths = report.write_results(simulator.run_scenario(scenario), tmp_path / str(count))
+        written.append(next(p for p in paths if p.name == "requests.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_each_request_walks_its_chain_through_the_module_global(monkeypatch):
+    """One `simulator.select_replica` call per request row, returning the
+    row's replica: perfbench's `loadbalancer.select` span counts requests
+    there, and a loop that inlined the walk would leave it counting none."""
+    chosen = []
+
+    def counting_select(chain, rng):
+        chosen.append(select_replica(chain, rng))
+        return chosen[-1]
+
+    monkeypatch.setattr(simulator, "select_replica", counting_select)
+    results = simulator.run_scenario(load_bundled("fig9-loadbalancer"), profile="ci")
+    assert len(chosen) == 20_000
+    assert chosen == [row[5] for row in results.requests]
