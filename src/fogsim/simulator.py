@@ -4,12 +4,15 @@ A run processes timed events (deployments, pinned placements, metric
 samples, link changes, scheduler cycles, monitor passes, balancer
 refreshes, requests, allocation samples) in timestamp order with a
 documented tie-break: equal timestamps resolve by event kind, then by
-insertion order.  Requests write no cluster state and their times depend
-on the scenario alone, so `request_timeline` lists them once per scenario;
-every arm and repetition reads that one timeline as a cursor, merged with
-the event heap in that same `(time, kind, seq)` order.  Every source of
-randomness derives from the scenario seed, so a (config, seed) pair
-reproduces byte-identical results.
+script order.  One lazy walk merges the sorted workload script with a
+ticker per periodic kind; the SCHEDs that deploys and evicting monitor
+passes queue run, first in first out, before the next event that sorts
+after them.  Requests write no cluster state and their times depend on the
+scenario alone, so `request_timeline` lists them once per scenario; every
+arm and repetition reads that one timeline as a cursor, merged into the
+walk in that same `(time, kind)` order.  Every source of randomness derives
+from the scenario seed, so a (config, seed) pair reproduces byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import islice
+from itertools import count, islice
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
@@ -164,10 +168,11 @@ class ScenarioConfig:
         problems += [f"{kind} {name!r}: a name must not hold a comma, a quote or a line break"
                      for kind, group in named.items() for name in group
                      if not CSV_SPECIAL.isdisjoint(name)]
-        # every file is written as UTF-8, summary.txt's header with the scenario's name
+        # every file is written as UTF-8, summary.txt's header with the scenario's
+        # name; a lone surrogate, the one character UTF-8 cannot hold, turns to "?"
         problems += [f"{kind} {name!r}: a name must encode as UTF-8"
                      for kind, group in {"scenario": [self.name], **named}.items()
-                     for name in group if not _encodes_as_utf8(name)]
+                     for name in group if name.encode("utf-8", "replace").decode() != name]
         services = {s.name for s in self.services}
         if len(services) != len(self.services):
             problems.append("service names must be unique")
@@ -275,15 +280,6 @@ class ResultSet:
     EVICTION_FIELDS = ("arm", "rep", "t", "pod", "from_node", "target_node", "reason")
 
 
-def _encodes_as_utf8(text: str) -> bool:
-    """False when `text` holds a lone surrogate, which no UTF-8 file can hold."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def build_nodes(topology_spec: TopologySpec, settings: NodeSettings) -> list[Node]:
     nodes = []
     for zone in sorted(topology_spec.zones):
@@ -321,6 +317,12 @@ def request_timeline(config: ScenarioConfig) -> tuple[list[str], list[tuple[str,
     return times, streams
 
 
+def _ticks(start: float, period: float, kind: EventKind):
+    """`kind` at `start + k * period` for k = 0, 1, ...; multiplying, not
+    accumulating, keeps late times free of float drift."""
+    return ((start + k * period, kind, None) for k in count())
+
+
 class _Run:
     """One (arm, repetition) execution of a scenario over its `request_timeline`."""
 
@@ -345,58 +347,50 @@ class _Run:
                         if config.monitor is not None else None)
         self.state.metric_store.staleness_s = (config.lb.refresh_period_s
                                                * config.lb.staleness_periods)
-        self.balancers: dict[str, LoadBalancer] = {}
-        for event in config.workload:
-            if event.action == "requests":
-                client = event.args[0]
-                self.balancers.setdefault(client, LoadBalancer(client, arm.lb_policy))
-        self.heap: list = []
-        self.seq = 0
+        self.balancers = {e.args[0]: LoadBalancer(e.args[0], arm.lb_policy)
+                          for e in config.workload if e.action == "requests"}
+        self.scheds: list[tuple[float, Optional[str]]] = []  # queued (now, using)
         self.timeline = timeline
         self.issued = 0  # requests of the timeline issued so far
         self.requests: list[tuple] = []  # requests.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
-        # metric directives declare continuously exported values; the
-        # aggregator re-polls them every balancer refresh cycle
-        self.static_metrics: dict[tuple[str, str], float] = {}
         # per-node (node, rt, regular, total) pod counts of the last sample,
         # recounted only after `state.epoch` moved
         self.counts: list[tuple[str, int, int, int]] = []
         self.counts_epoch: Optional[int] = None
 
-    def push(self, time: float, kind: EventKind, payload=None) -> None:
-        heapq.heappush(self.heap, (time, kind, self.seq, payload))
-        self.seq += 1
-
-    def push_periodic(self, start: float, period: float, kind: EventKind) -> None:
-        """Push `kind` at `start + k * period` up to the scenario duration;
-        multiplying, not accumulating, keeps late times free of float drift."""
-        k = 0
-        while start + k * period <= self.config.duration_s:
-            self.push(start + k * period, kind)
-            k += 1
-
     def execute(self):
         cfg = self.config
-        for event in cfg.workload:
-            if event.action != "requests":
-                kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
-                        "pin": EventKind.PIN, "metric": EventKind.METRIC}[event.action]
-                self.push(event.at, kind, event.args)
+        kinds = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
+                 "pin": EventKind.PIN, "metric": EventKind.METRIC}
+        script = sorted(((e.at, kinds[e.action], e.args) for e in cfg.workload
+                         if e.action != "requests"), key=itemgetter(0, 1))  # stable
+        tickers = []
         if self.monitor is not None:
-            self.push_periodic(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
-                               EventKind.MONITOR)
+            tickers.append(_ticks(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
+                                  EventKind.MONITOR))
         if self.balancers:
-            self.push_periodic(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH)
+            tickers.append(_ticks(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH))
         if cfg.sample_period_s > 0:
-            self.push_periodic(0.0, cfg.sample_period_s, EventKind.SAMPLE)
+            tickers.append(_ticks(0.0, cfg.sample_period_s, EventKind.SAMPLE))
         timeseries = []
-        while self.heap and self.heap[0][0] <= cfg.duration_s:
-            time, kind, _, payload = heapq.heappop(self.heap)
-            self.issue_requests(time, kind)  # requests never touch the heap
+        for time, kind, payload in heapq.merge(script, *tickers, key=itemgetter(0, 1)):
+            if self.scheds and (self.scheds[0][0], EventKind.SCHED) < (time, kind):
+                self.run_scheds(timeseries)
+            if time > cfg.duration_s:
+                break
+            self.issue_requests(time, kind)
             self.dispatch(time, kind, payload, timeseries)
+        self.run_scheds(timeseries)
         self.issue_requests(cfg.duration_s, EventKind.SAMPLE)  # up to duration_s
         return self.collect(timeseries)
+
+    def run_scheds(self, timeseries) -> None:
+        """Dispatch the queued SCHEDs in queue order.  They share the time of
+        the events that queued them, which issued every request due before."""
+        for now, using in self.scheds:
+            self.dispatch(now, EventKind.SCHED, using, timeseries)
+        self.scheds.clear()
 
     def dispatch(self, now: float, kind: EventKind, payload, timeseries) -> None:
         if kind == EventKind.LINK:
@@ -410,7 +404,6 @@ class _Run:
             self.state.apply_placement(pod_id, node_id, now)
         elif kind == EventKind.METRIC:
             service, pod_id, value = payload
-            self.static_metrics[(service, pod_id)] = value
             self.state.metric_store.ingest(service, pod_id, value, now)
         elif kind == EventKind.SCHED:
             config = self.alt_configs.get(payload) if payload else None
@@ -419,10 +412,11 @@ class _Run:
             evicted = self.monitor.pass_once(self.state, now)
             if evicted:
                 self.state.reactivate_unschedulable()
-                self.push(now, EventKind.SCHED)
+                self.scheds.append((now, None))
         elif kind == EventKind.LB_REFRESH:
-            for (service, pod_id), value in self.static_metrics.items():
-                self.state.metric_store.ingest(service, pod_id, value, now)
+            # metric directives declare continuously exported values; the
+            # aggregator re-polls them every balancer refresh cycle
+            self.state.metric_store.restamp(now)
             view = self.state.view(now=now)
             for client in sorted(self.balancers):
                 self.balancers[client].refresh(view, now)
@@ -444,7 +438,7 @@ class _Run:
         self.rng_workload.shuffle(pods)
         self.state.add_pods(pods)
         self.state.reactivate_unschedulable()
-        self.push(now, EventKind.SCHED, using)
+        self.scheds.append((now, using))
 
     def issue_requests(self, until: float, kind: EventKind) -> None:
         """Issue every request of the timeline whose `(t, REQUEST)` sorts

@@ -97,6 +97,11 @@ class MetricStore:
             raise ValueError(f"timestamp went backwards for {key}")
         self._samples[key] = MetricSample(value, timestamp)
 
+    def restamp(self, timestamp: float) -> None:
+        """Re-take every sample, with its value, at `timestamp`."""
+        for (service, pod), sample in list(self._samples.items()):
+            self.ingest(service, pod, sample.value, timestamp)
+
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
 

@@ -1,6 +1,7 @@
 """Requests issued from one timeline per scenario, which every arm and
-repetition reads as a cursor, against the per-request path they replaced,
-in which every request was an event of the main heap."""
+repetition reads as a cursor, and the lazy walk of each run, against a
+reference engine with one heap for every event: each request, each
+periodic tick, pushed up front, and each SCHED a dispatch queues."""
 
 import dataclasses
 import heapq
@@ -10,19 +11,33 @@ import pytest
 from fogsim import report, simulator
 from fogsim.cluster import PodStatus
 from fogsim.loadbalancer import select_replica
-from fogsim.scenarios import load_bundled
+from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.simulator import EventKind, WorkloadEvent, request_rtt
 
 from conftest import load_test_scenario
 
 
 class PerRequestRun(simulator._Run):
-    """The reference: each request is a REQUEST event on the main heap,
-    handled through `dispatch`, which schedules the stream's next request
-    at `now + 1.0 / rate_hz` and computes every RTT afresh."""
+    """The reference: every event is an entry `(time, kind, seq, payload)`
+    of one heap.  Each request is a REQUEST event handled through
+    `dispatch`, which schedules the stream's next request at
+    `now + 1.0 / rate_hz` and computes every RTT afresh; every periodic tick
+    is pushed before the first event; the SCHEDs a dispatch queues are
+    pushed right after it."""
+
+    def push(self, time, kind, payload=None):
+        heapq.heappush(self.heap, (time, kind, self.seq, payload))
+        self.seq += 1
+
+    def push_periodic(self, start, period, kind):
+        k = 0
+        while start + k * period <= self.config.duration_s:
+            self.push(start + k * period, kind)
+            k += 1
 
     def execute(self):
         cfg = self.config
+        self.heap, self.seq = [], 0
         for event in cfg.workload:
             kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
                     "pin": EventKind.PIN, "metric": EventKind.METRIC,
@@ -41,6 +56,9 @@ class PerRequestRun(simulator._Run):
             if time > cfg.duration_s:
                 break
             self.dispatch(time, kind, payload, timeseries)
+            for now, using in self.scheds:
+                self.push(now, EventKind.SCHED, using)
+            self.scheds.clear()
         return self.collect(timeseries)
 
     def dispatch(self, now, kind, payload, timeseries):
@@ -63,14 +81,34 @@ class PerRequestRun(simulator._Run):
 
 @pytest.mark.parametrize("name, profile", [("request-edges", "paper"),
                                            ("request-ties", "paper"),
-                                           ("fig9-loadbalancer", "ci")])
+                                           ("fig9-loadbalancer", "ci"),
+                                           ("fig5-dependencies", "ci"),
+                                           ("fig7-monitor", "ci"),
+                                           ("fig6-deadline-preemption", "paper"),
+                                           ("sched-ties", "paper")])
 def test_streams_match_the_per_request_reference(monkeypatch, tmp_path, name, profile):
-    config = (load_test_scenario(name) if name.startswith("request-")
-              else load_bundled(name))
-    results = simulator.run_scenario(config, profile=profile)
+    """The same bytes, and every event other than a request dispatched in
+    the same order with the same payload."""
+    config = load_bundled(name) if name in BUNDLED else load_test_scenario(name)
+    repetitions = 2 if name == "fig7-monitor" else None
+    dispatch, order = simulator._Run.dispatch, []
+
+    def recorded(self, now, kind, payload, timeseries):
+        order.append((self.arm.name, self.rep, now, kind, payload))
+        dispatch(self, now, kind, payload, timeseries)
+
+    monkeypatch.setattr(simulator._Run, "dispatch", recorded)
+    results = simulator.run_scenario(config, profile=profile, repetitions=repetitions)
+    walked, order[:] = order[:], []
     monkeypatch.setattr(simulator, "_Run", PerRequestRun)
-    reference = simulator.run_scenario(config, profile=profile)
-    assert results.requests
+    reference = simulator.run_scenario(config, profile=profile, repetitions=repetitions)
+    assert walked == order
+    if name.startswith("request-") or name == "fig9-loadbalancer":
+        assert results.requests
+    else:
+        assert results.placements
+    if name == "fig7-monitor":
+        assert results.evictions
     for path, ref_path in zip(report.write_results(results, tmp_path / "streams"),
                               report.write_results(reference, tmp_path / "reference")):
         assert path.read_bytes() == ref_path.read_bytes(), path.name

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -91,6 +92,26 @@ class TestEventOrdering:
         res = run_scenario(cfg, seed=1)
         # only the first deployment ran; ids would collide otherwise
         assert len([r for r in res.placements if int(r[1]) == 0]) == 6
+
+    def test_setup_does_not_grow_with_the_run_length(self, monkeypatch):
+        """fig7 over 100 000 s has 110 001 monitor passes and samples due,
+        and none of them is held before the first event runs."""
+        class FirstEvent(Exception):
+            pass
+
+        def stop(self, now, kind, payload, timeseries):
+            raise FirstEvent
+
+        monkeypatch.setattr(simulator._Run, "dispatch", stop)
+        cfg = dataclasses.replace(load_bundled("fig7-monitor"), duration_s=100_000.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstEvent):
+                run_scenario(cfg, repetitions=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def request_scenario(rate_hz: float, count: int) -> ScenarioConfig:
