@@ -12,12 +12,13 @@ allocation map, RT sums and metric store, so a view and any list it or the
 state hands out are invalid after the next mutation.  Anything held across
 mutations takes a :meth:`~ClusterState.snapshot`: a view of a deep copy.
 
-`ClusterState.epoch` counts placement writes: each `apply_placement` and
-`evict` bumps it.  While it is unchanged, a view built now has the running
-lists, allocation map and RT sums a view built then had.  The monitor
-reuses dry-run verdicts and the simulator its per-node pod counts on that.
-Metric samples, link latencies, `now` and the queue of pending pods are
-not counted; a reader of any of them cannot key on the epoch.
+Each node has a version from one module-wide counter, so no two states, nor
+a state and its deep copy, give a node one version for different contents.
+`apply_placement` and `evict` give their node a fresh version, and
+`ClusterState.epoch` is the latest one (0 before the first write).  While a
+node's version stands, so do its running list, allocation and RT sum; while
+the epoch stands, so do every node's.  Metric samples, link latencies, `now`
+and the pending queue are not counted.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
@@ -39,6 +41,8 @@ DEFAULT_RT_RUNTIME_US = 950_000
 
 DEFAULT_INTRA_NODE_MS = 0.02
 DEFAULT_INTRA_ZONE_MS = 0.01
+
+_versions = count(1)  # node versions, shared by every state and deep copy
 
 
 class PodStatus(str, Enum):
@@ -242,7 +246,7 @@ class ClusterSnapshot(_RunningIndex):
     :meth:`ClusterState.view` or an isolated one from :meth:`ClusterState.snapshot`."""
 
     def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
-                 metric_specs, by_node, by_service, rt):
+                 metric_specs, by_node, by_service, rt, versions):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
@@ -253,6 +257,8 @@ class ClusterSnapshot(_RunningIndex):
         self._by_node: dict[str, list[PodInstance]] = by_node
         self._by_service: dict[str, list[PodInstance]] = by_service
         self._rt: dict[str, float] = rt
+        self.versions: dict[str, Optional[int]] = versions  # None: the view's own
+        self.memo: dict = {}  # readers' results that hold for this view alone
 
     @cached_property
     def max_pod_count(self) -> int:
@@ -282,7 +288,8 @@ class ClusterState(_RunningIndex):
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
         self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
-        self.epoch = 0  # bumped by every placement write
+        self._versions: dict[str, int] = {n: next(_versions) for n in self.nodes}
+        self.epoch = 0  # the version of the latest placement write
 
     # -- pod lifecycle -----------------------------------------------------
 
@@ -313,7 +320,7 @@ class ClusterState(_RunningIndex):
         insort(self._by_node[node_id], pod, key=self._ordinal_of)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch += 1
+        self.epoch = self._versions[node_id] = next(_versions)
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -330,7 +337,7 @@ class ClusterState(_RunningIndex):
                           (self._by_service[pod.service], _pod_id)):
             del pods[bisect_left(pods, key(pod), key=key)]
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch += 1
+        self.epoch = self._versions[node_id] = next(_versions)
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -360,8 +367,10 @@ class ClusterState(_RunningIndex):
         view is invalid after the next one.  An excluded running pod's node
         and service get their own lists and its node its own RT sum, and the
         allocation map is copied to release its CPU by integer subtraction;
-        the shared `pods` map still holds the excluded pod."""
+        the shared `pods` map still holds the excluded pod, and its node has
+        version None: the node's contents are the view's alone."""
         by_node, by_service, rt = self._by_node, self._by_service, self._rt
+        versions = self._versions
         allocated = self.allocated_m
         if exclude is not None:
             pod = self._pod(exclude)
@@ -373,8 +382,10 @@ class ClusterState(_RunningIndex):
                 by_service = {**by_service,
                               service: [p for p in by_service[service] if p is not pod]}
                 rt = {**rt, node_id: _rt_sum(running)}
+                versions = {**versions, node_id: None}
         return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
-                               self.metric_store, self.metric_specs, by_node, by_service, rt)
+                               self.metric_store, self.metric_specs, by_node, by_service,
+                               rt, versions)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """A view of a deep copy of this state, so later mutations never

@@ -101,22 +101,27 @@ def replica_scores(pod: PodInstance, node_id: str, dep: DependencyRef,
     replicas = snapshot.running_of_service(dep.target_service)
     if not replicas:
         return {}
-    lat_nodes = {node_id}
-    for d in pod.dependencies:
-        for rep in snapshot.running_of_service(d.target_service):
-            lat_nodes.add(rep.assignment)
-    lat_norm = normalize(
-        {n: path_latency(snapshot.topology, node_id, n) for n in lat_nodes},
-        LOWER_IS_BETTER)
-
-    replica_ids = [r.id for r in replicas]
-    spec = snapshot.metric_specs.get(dep.target_service)
-    if spec is None:
-        mv = {r: 1.0 for r in replica_ids}
-    else:
-        samples = snapshot.metric_store.service_samples(dep.target_service)
-        mv = metric_scores(samples, replica_ids, spec.direction,
-                           snapshot.now, snapshot.metric_store.staleness_s)
+    memo = snapshot.memo  # both parts hold for the whole view: computed once per view
+    lat_key = (node_id, *(d.target_service for d in pod.dependencies))
+    if lat_key not in memo:
+        lat_nodes = {node_id}
+        for d in pod.dependencies:
+            for rep in snapshot.running_of_service(d.target_service):
+                lat_nodes.add(rep.assignment)
+        memo[lat_key] = normalize(
+            {n: path_latency(snapshot.topology, node_id, n) for n in lat_nodes},
+            LOWER_IS_BETTER)
+    if dep.target_service not in memo:
+        replica_ids = [r.id for r in replicas]
+        spec = snapshot.metric_specs.get(dep.target_service)
+        if spec is None:
+            memo[dep.target_service] = {r: 1.0 for r in replica_ids}
+        else:
+            samples = snapshot.metric_store.service_samples(dep.target_service)
+            memo[dep.target_service] = metric_scores(
+                samples, replica_ids, spec.direction, snapshot.now,
+                snapshot.metric_store.staleness_s)
+    lat_norm, mv = memo[lat_key], memo[dep.target_service]
     return {r.id: lat_norm[r.assignment] * dep.latency_weight
             + mv[r.id] * dep.metric_weight
             for r in replicas}

@@ -68,12 +68,13 @@ def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
 
 
 def select_replica(chain: RuleChain, rng: random.Random) -> str:
-    """Walk the rules in order; each accepts with its own probability."""
-    if not chain.replicas:
-        raise ValueError("empty rule chain")
+    """Walk the rules in order; each accepts with its own probability and
+    takes one draw, so an empty chain takes none."""
     for rep, p in zip(chain.replicas, chain.accept_probabilities):
         if rng.random() < p:
             return rep
+    if not chain.replicas:
+        raise ValueError("empty rule chain")
     return chain.replicas[-1]
 
 

@@ -8,7 +8,8 @@ evicted when the simulated result names a different node.  Checking the
 gates first changes no eviction, because a dry run mutates nothing.
 
 Under a scheduler config whose plugins read only placements (the running
-lists, allocation map and RT sums), a dry run reads only what
+lists, allocation map and RT sums; `SchedulerConfig.reads_only_placements`),
+a dry run reads only what
 :attr:`ClusterState.epoch` counts, so each pod's last verdict is kept with
 the epoch it was computed at and reused while the epoch is unchanged.
 Metric samples, link changes and balancer refreshes leave it standing.  A
@@ -74,8 +75,7 @@ class ClusterMonitor:
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
-        self._reuse = not any(getattr(plugin, "reads_beyond_placements", False)
-                             for plugin, _ in scheduler_config.instances())
+        self._reuse = scheduler_config.reads_only_placements
         self._verdicts: dict[str, tuple[int, Optional[str]]] = {}  # pod -> (epoch, node)
 
     def _pods_on(self, state: ClusterState, node_id: str) -> list[PodInstance]:

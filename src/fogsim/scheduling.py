@@ -4,11 +4,16 @@ pipeline, weighted score combination, deterministic node selection.
 Plugins are stateless objects exposing any of `filter(pod, node, snapshot)`
 (a reason string excludes the node), `score(pod, node, snapshot)` (a value
 in [0, 1]) and `post_filter(pod, snapshot)` (a preemption plan).  A CPU-fit
-filter (allocated + request <= capacity) is always active.  A plugin whose
-result depends on anything but the placements :attr:`ClusterState.epoch`
-counts (the topology, metric samples or `snapshot.now`) sets the class
-attribute `reads_beyond_placements = True`, so that the monitor does not
-reuse its dry-run verdicts across passes.
+filter (allocated + request <= capacity) is always active.  A config binds
+its plugins' hooks on its first decision.  Filters and scores read only the
+pod's shape (service, CPU request, RT utilization, location scope, priority
+class and dependencies), their node's placements and fixed capacities, and
+`snapshot.max_pod_count`, unless the plugin sets the class attribute
+`reads_beyond_placements = True` (for the topology, metric samples or
+`snapshot.now`).  Without such a plugin, a config caches each node's filter
+verdict and combined score per pod shape while the node's version
+(:class:`ClusterState`) and `max_pod_count` stand, and the monitor reuses
+dry-run verdicts while the epoch stands.  Post-filters are never cached.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ class SchedulerConfig:
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
     tie_break: str = TIE_LEXICOGRAPHIC
     _instances: list = field(default=None, repr=False, compare=False)
+    _hooks: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.plugins]
@@ -116,12 +122,42 @@ class SchedulerConfig:
                                for name, weight in self.plugins]
         return self._instances
 
+    def hooks(self) -> tuple:
+        """(filters, scorers, post-filters, total score weight, cache), bound
+        on the first call.  The cache maps a pod shape to {node: (version,
+        max_pod_count, reason, combined score)}, or is None."""
+        if self._hooks is None:
+            plugins = self.instances()
+            scorers = [(p.name, p.score, w) for p, w in plugins if hasattr(p, "score")]
+            self._hooks = ([(p.name, p.filter) for p, _ in plugins if hasattr(p, "filter")],
+                           scorers,
+                           [p.post_filter for p, _ in plugins if hasattr(p, "post_filter")],
+                           sum(w for _, _, w in scorers),
+                           {} if self.reads_only_placements else None)
+        return self._hooks
 
-def _cpu_fit(pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> Optional[str]:
-    node = snapshot.nodes[node_id]
-    if snapshot.allocated_m[node_id] + pod.cpu_request > node.cpu_capacity:
-        return "insufficient cpu"
-    return None
+    @property
+    def reads_only_placements(self) -> bool:
+        """No plugin sets `reads_beyond_placements`."""
+        return not any(getattr(p, "reads_beyond_placements", False) for p, _ in self.instances())
+
+
+def _evaluate(pod: PodInstance, node_id: str, snapshot: ClusterSnapshot,
+              filters, scorers, total_weight) -> tuple[Optional[str], Optional[float]]:
+    """The node's filter reason, or None and its combined score."""
+    if snapshot.allocated_m[node_id] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
+        return "insufficient cpu", None
+    for name, fn in filters:
+        reason = fn(pod, node_id, snapshot)
+        if reason is not None:
+            return f"{name}: {reason}", None
+    acc = 0.0
+    for name, fn, weight in scorers:
+        s = fn(pod, node_id, snapshot)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
+        acc += weight * s
+    return None, acc / total_weight if scorers else None
 
 
 def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
@@ -137,51 +173,36 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     node_ids = sorted(snapshot.nodes)
     if not node_ids:
         return Unschedulable("no nodes")
-    plugins = config.instances()
+    filters, scorers, post_filters, total_weight, cache = config.hooks()
+    entries, versions, max_count = {}, {}, None  # nothing is cached
+    if cache is not None:
+        entries = cache.setdefault((pod.service, pod.cpu_request, pod.rt_utilization,
+                                    pod.location_scope, pod.priority_class, pod.dependencies), {})
+        versions, max_count = snapshot.versions, snapshot.max_pod_count
 
-    survivors = []
-    reasons = []
+    reasons, combined = [], {}  # combined: surviving node -> score, in node order
     for node_id in node_ids:
-        reason = _cpu_fit(pod, node_id, snapshot)
-        if reason is None:
-            for plugin, _ in plugins:
-                fn = getattr(plugin, "filter", None)
-                if fn is None:
-                    continue
-                reason = fn(pod, node_id, snapshot)
-                if reason is not None:
-                    reason = f"{plugin.name}: {reason}"
-                    break
-        if reason is None:
-            survivors.append(node_id)
+        entry, version = entries.get(node_id), versions.get(node_id)
+        if entry is None or entry[0] != version or entry[1] != max_count:
+            entry = (version, max_count,
+                     *_evaluate(pod, node_id, snapshot, filters, scorers, total_weight))
+            if version is not None:
+                entries[node_id] = entry
+        if entry[2] is None:
+            combined[node_id] = entry[3]
         else:
-            reasons.append(f"{node_id}: {reason}")
+            reasons.append(f"{node_id}: {entry[2]}")
 
-    if not survivors:
-        for plugin, _ in plugins:
-            fn = getattr(plugin, "post_filter", None)
-            if fn is None:
-                continue
-            plan = fn(pod, snapshot)
+    if not combined:
+        for post_filter in post_filters:
+            plan = post_filter(pod, snapshot)
             if plan is not None:
                 return Preempted(plan.node, tuple(plan.victims))
         return Unschedulable("; ".join(reasons) if reasons else "all nodes filtered")
-
-    scorers = [(p, w) for p, w in plugins if getattr(p, "score", None) is not None]
     if not scorers:
-        return Assigned(survivors[0])
-    total_weight = sum(w for _, w in scorers)
-    combined = {}
-    for node_id in survivors:
-        acc = 0.0
-        for plugin, weight in scorers:
-            s = plugin.score(pod, node_id, snapshot)
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"plugin {plugin.name} returned {s} out of [0, 1]")
-            acc += weight * s
-        combined[node_id] = acc / total_weight
+        return Assigned(next(iter(combined)))
     best = max(combined.values())
-    tied = [n for n in survivors if combined[n] == best]
+    tied = [n for n, s in combined.items() if s == best]
     if len(tied) > 1 and config.tie_break == TIE_SEEDED_RANDOM and rng is not None:
         return Assigned(rng.choice(tied))
     return Assigned(tied[0])

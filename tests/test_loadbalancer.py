@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer,
+from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer, RuleChain,
                                  chain_probabilities, select_replica,
                                  uniform_chain)
 from fogsim.telemetry import MetricStore
@@ -93,6 +93,24 @@ class TestSelectReplica:
         rng_a, rng_b = random.Random(9), random.Random(9)
         assert [select_replica(chain, rng_a) for _ in range(200)] == \
                [select_replica(chain, rng_b) for _ in range(200)]
+
+    def test_walk_draws_once_per_rule_up_to_the_chosen_one(self):
+        chain = chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5, "never": 0.0})
+        rng, reference = random.Random(11), random.Random(11)
+        for _ in range(500):
+            picked = select_replica(chain, rng)
+            for rep, p in zip(chain.replicas, chain.accept_probabilities):
+                if reference.random() < p:
+                    break
+            assert picked == rep
+            assert rng.getstate() == reference.getstate()
+
+    def test_empty_chain_raises_without_a_draw(self):
+        rng = random.Random(4)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="empty rule chain"):
+            select_replica(RuleChain((), (), ()), rng)
+        assert rng.getstate() == before
 
     def test_empirical_frequencies(self):
         chain = chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5})

@@ -1,13 +1,18 @@
 import random
 from collections import Counter
+from copy import deepcopy
 
 import pytest
 
 from fogsim.cluster import (DeadlinePolicy, Node, PodInstance, PodStatus,
                             RtProcessSpec, Topology, ClusterState)
-from fogsim.scheduling import (Assigned, BaselinePlugin, Preempted,
-                               SchedulerConfig, Unschedulable, run_queue,
+from fogsim.dependencies import DependenciesPlugin
+from fogsim.realtime import RealtimePlugin
+from fogsim.scenarios import load_bundled
+from fogsim.scheduling import (Assigned, BaselinePlugin, LocationAffinityPlugin,
+                               Preempted, SchedulerConfig, Unschedulable, run_queue,
                                schedule_one)
+from fogsim.simulator import run_scenario
 
 from conftest import make_state
 
@@ -233,3 +238,138 @@ class TestRunQueue:
             cand_prio = state.pods[pid].priority_class
             for victim in outcome.victims:
                 assert state.pods[victim].priority_class < cand_prio
+
+
+# -- the per-node verdict-and-score cache ----------------------------------------
+
+PLACEMENT_ONLY = (("realtime", 10.0), ("baseline", 1.0), ("location-affinity", 1.0))
+
+
+def shaped_pod(rng, pod_id):
+    """A pod of one of a few shapes, so that decisions repeat shapes; they
+    differ in one field at a time, RT utilization included."""
+    utilization = rng.choice([0.0, 0.3, 0.45, 0.6])
+    procs = ((RtProcessSpec(DeadlinePolicy(int(utilization * 1e6), 1_000_000), pid=1),)
+             if utilization else ())
+    return pod(pod_id, request=rng.choice([50, 150]), priority=rng.choice([0, 5]),
+               rt_processes=procs, location_scope=rng.choice([None, None, "n2"]))
+
+
+def small_rt_cluster():
+    # three one-core nodes fill up fast: filters reject and RT pods preempt
+    return ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
+                         for n, z in (("n1", "z1"), ("n2", "z1"), ("n3", "z2"))],
+                        Topology({"z1": ["n1", "n2"], "z2": ["n3"]}, {"z1": 0.5, "z2": 0.8}))
+
+
+def write(state, rng, node_id):
+    """Place a pending pod on `node_id` if one fits its CPU, else evict one
+    of its pods; False if neither is possible."""
+    room = state.nodes[node_id].cpu_capacity - state.allocated_m[node_id]
+    fits = [p for p in state.queue if state.pods[p].cpu_request <= room]
+    if fits:
+        state.apply_placement(rng.choice(fits), node_id, 1.0)
+    elif state.running_on(node_id):
+        state.evict(rng.choice(state.running_on(node_id)).id, 2.0)
+    else:
+        return False
+    return True
+
+
+def count_hook_calls(monkeypatch, key) -> Counter:
+    """Count every filter and score call, under the name `key(hook name)`
+    gives at the time of the call."""
+    calls = Counter()
+    for cls, hook in ((BaselinePlugin, "score"), (LocationAffinityPlugin, "score"),
+                      (RealtimePlugin, "filter"), (RealtimePlugin, "score"),
+                      (DependenciesPlugin, "score")):
+        def counted(self, *args, _original=getattr(cls, hook), _name=f"{cls.name}.{hook}"):
+            calls[key(_name)] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(cls, hook, counted)
+    return calls
+
+
+def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch):
+    """A long-lived config, shared by every state, view, snapshot and deep copy
+    below, decides exactly as a fresh config of the same plugins, tie-break
+    draws and Unschedulable reasons included, while calling fewer hooks."""
+    calls = count_hook_calls(monkeypatch, lambda _: counting)
+    shared = SchedulerConfig(plugins=PLACEMENT_ONLY, tie_break="seeded-random")
+    assert shared.reads_only_placements
+    rng = random.Random(19)
+    decisions = 0
+
+    def decide(view, candidates):
+        nonlocal counting, decisions
+        for candidate in candidates:
+            seed = rng.random()
+            fresh = SchedulerConfig(plugins=PLACEMENT_ONLY, tie_break="seeded-random")
+            rng_shared, rng_fresh = random.Random(seed), random.Random(seed)
+            counting = "shared"
+            got = schedule_one(view, candidate, shared, rng_shared)
+            counting = "fresh"
+            want = schedule_one(view, candidate, fresh, rng_fresh)
+            assert got == want
+            assert rng_shared.getstate() == rng_fresh.getstate()
+            decisions += 1
+
+    counting = None
+    for run in range(5):
+        state = small_rt_cluster()
+        for step_no in range(40):
+            ids = (f"r{run}-{step_no}-{k}" for k in range(4))
+            roll = rng.random()
+            running = [p.id for p in state.pods.values() if p.status is PodStatus.RUNNING]
+            exclude = rng.choice(running) if running else None
+            excluded = [state.pods[exclude]] if running else []
+            candidates = [shaped_pod(rng, next(ids)) for _ in range(2)]
+            if roll < 0.25:
+                state.add_pods(shaped_pod(rng, next(ids)) for _ in range(2))
+            elif roll < 0.55:
+                write(state, rng, rng.choice(sorted(state.nodes)))
+            elif roll < 0.65 and running:
+                state.evict(rng.choice(running), 2.0)
+            elif roll < 0.75:
+                decide(state.snapshot(exclude=exclude, now=3.0),
+                       candidates + excluded)
+            elif roll < 0.9:
+                # a monitor-style dry run: the excluded pod's node is the view's alone
+                decide(state.view(exclude=exclude, now=3.0),
+                       candidates + excluded)
+            else:
+                # a decision on a deep copy, then a write to the same node of the original
+                copy = deepcopy(state)
+                node_id = rng.choice(sorted(state.nodes))
+                if write(copy, random.Random(step_no), node_id):
+                    decide(copy.view(now=3.0), candidates)
+                    write(state, random.Random(step_no + 1), node_id)
+            state.check_invariants()
+            decide(state.view(now=3.0), candidates)
+    assert decisions > 500
+    assert calls["shared"] < calls["fresh"]  # the cache is used
+
+
+def test_only_configs_that_read_placements_alone_cache():
+    for plugins, cached in ((PLACEMENT_ONLY, True), ((("baseline", 1.0),), True),
+                            ((("dependencies", 1.0), ("baseline", 1.0)), False)):
+        config = SchedulerConfig(plugins=plugins)
+        assert config.reads_only_placements is cached
+        assert (config.hooks()[4] is not None) is cached
+
+
+# Filter and score hook calls of one `ci` run.  A rise fails: the cache
+# lost hits.  A fall is pinned anew, with the reason in CHANGES.md.
+HOOK_CALLS = {
+    "fig6-realtime": {"baseline.score": 15955, "realtime.filter": 8223,
+                      "realtime.score": 8223},
+    "fig7-monitor": {"baseline.score": 11854, "realtime.filter": 7996,
+                     "realtime.score": 7994},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_CALLS))
+def test_plugin_hook_calls_of_bundled_runs_are_pinned(monkeypatch, name):
+    calls = count_hook_calls(monkeypatch, lambda hook: hook)
+    run_scenario(load_bundled(name), profile="ci")
+    assert dict(calls) == HOOK_CALLS[name]
