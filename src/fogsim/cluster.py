@@ -209,7 +209,9 @@ class PodInstance:
 
 @dataclass(frozen=True)
 class EvictionEvent:
-    """A monitor eviction: when, which pod, from and to which node, and why."""
+    """An eviction: when, which pod, from which node, and why.  A monitor's
+    `target_node` is the node its dry run chose then; the next scheduling
+    cycle may place the pod elsewhere, and one pass may name it twice."""
 
     time: float
     pod: str

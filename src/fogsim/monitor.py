@@ -9,17 +9,20 @@ gates first changes no eviction, because a dry run mutates nothing.
 
 Under a scheduler config whose plugins read only placements (the running
 lists, allocation map and RT sums; `SchedulerConfig.reads_only_placements`),
-a dry run reads only what
-:attr:`ClusterState.epoch` counts, so each pod's last verdict is kept with
-the epoch it was computed at and reused while the epoch is unchanged.
-Metric samples, link changes and balancer refreshes leave it standing.  A
-config with a plugin that reads anything else (class attribute
-`reads_beyond_placements`, as the dependency score does for link latencies,
-metric samples and their age) never reuses a verdict.
+a dry run reads only what :attr:`ClusterState.epoch` counts, so each pod's
+last verdict is kept with the epoch it was computed at and reused while the
+epoch is unchanged.  Metric samples, link changes and balancer refreshes
+leave it standing.  A config with a plugin that reads anything else (class
+attribute `reads_beyond_placements`, as the dependency score does for link
+latencies, metric samples and their age) never reuses a verdict.
 
-Evaluation is sequential with immediate eviction, so a pass can transiently
-overshoot; the backoff keeps that bounded and the loop converges to a fixed
-point where no pod would be placed elsewhere.
+Evaluation is sequential with immediate eviction, and evicted pods stay
+pending until the scheduling cycle after the pass, so its later dry runs
+still see their targets free: an eviction's `target_node` is only the node
+its dry run chose, one pass may name one target for several pods, and the
+cycle may place them elsewhere.  A pass can transiently overshoot; the
+backoff keeps that bounded and the loop converges to a fixed point where no
+pod would be placed elsewhere.
 """
 
 from __future__ import annotations
@@ -59,9 +62,7 @@ def simulate_scheduling(state: ClusterState, pod_id: str,
     if pod.status is not PodStatus.RUNNING:
         raise ValueError(f"pod {pod_id} is not running")
     outcome = schedule_one(state.view(exclude=pod_id, now=now), pod, config, rng=None)
-    if isinstance(outcome, Assigned):
-        return outcome.node
-    if isinstance(outcome, Preempted):
+    if isinstance(outcome, (Assigned, Preempted)):
         return outcome.node
     return None
 

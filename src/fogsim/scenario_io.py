@@ -83,8 +83,8 @@ def _build(cls, where: str, items, renames=None, **given):
         raise ScenarioParseError(f"{where}: missing {', '.join(missing)}")
     try:
         return cls(**kwargs)
-    except ValueError as exc:  # a range check, which names its field
-        raise ScenarioParseError(f"{where}: {exc}") from None
+    except ValueError as exc:  # a range check names its field; a scenario check, its place
+        raise ScenarioParseError(str(exc) if cls is ScenarioConfig else f"{where}: {exc}") from None
 
 
 def _rest(section, structured) -> list[tuple[str, str]]:
@@ -282,17 +282,13 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
                 raise ScenarioParseError(f"workload line {line.strip()!r}: {exc}") from None
 
     meta = parser["scenario"]
-    config = _build(ScenarioConfig, "[scenario]", [("name", name_hint or "scenario"),
-                                                   *meta.items()],
-                    topology=topology, nodes=nodes, services=tuple(named["service"]),
-                    arms=tuple(named["arm"]), named_configs=tuple(named["config"]),
-                    monitor=monitor, lb=lb, workload=tuple(workload))
-    if "ci_repetitions" not in meta:
-        config.ci_repetitions = config.repetitions
-    problems = config.validate()
-    if problems:
-        raise ScenarioParseError("; ".join(problems))
-    return config
+    ci = ([("ci_repetitions", meta["repetitions"])]  # the ci profile's default
+          if "repetitions" in meta and "ci_repetitions" not in meta else [])
+    return _build(ScenarioConfig, "[scenario]", [("name", name_hint or "scenario"),
+                                                 *meta.items(), *ci],
+                  topology=topology, nodes=nodes, services=tuple(named["service"]),
+                  arms=tuple(named["arm"]), named_configs=tuple(named["config"]),
+                  monitor=monitor, lb=lb, workload=tuple(workload))
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -104,6 +104,9 @@ class NodeSettings:
     overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
 
 
+# a run walks the workload script in (time, kind) order
+ACTION_KINDS = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT, "pin": EventKind.PIN,
+                "metric": EventKind.METRIC, "requests": EventKind.REQUEST}
 NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # overridable
 CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
@@ -122,7 +125,7 @@ class TopologySpec:
                         self.intra_node_ms, self.intra_zone_ms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """A whole scenario: topology, nodes, services, arms, settings and workload."""
 
@@ -143,6 +146,10 @@ class ScenarioConfig:
     # extra scheduler configs addressable from `deploy ... using=<name>`
     # without running them as full arms
     named_configs: tuple[ArmSpec, ...] = ()
+
+    def __post_init__(self):
+        if problems := self.validate():
+            raise ValueError("; ".join(problems))
 
     def validate(self) -> list[str]:
         """Scenario-wide rules and cross-references; each part checks its own fields."""
@@ -206,9 +213,8 @@ class ScenarioConfig:
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         specs = {s.name: s for s in self.services}
         problems, created, pinned = [], {}, set()  # created: pod id -> (time, service)
-        # the event loop runs deploys before pins and metrics of the same time
-        # (SUBMIT sorts before PIN and METRIC) and script order within a kind
-        for e in sorted(self.workload, key=lambda e: (e.at, e.action != "deploy")):
+        # in the order of a run: by time, then kind, then script order
+        for e in sorted(self.workload, key=lambda e: (e.at, ACTION_KINDS[e.action])):
             where = f"at {e.at:g} {e.action}"
             if e.at < 0:
                 problems.append(f"{where}: time must be >= 0")
@@ -340,9 +346,9 @@ class _Run:
         self.state.metric_specs = {s.name: s.metric for s in config.services
                                    if s.metric is not None}
         self.services = {s.name: s for s in config.services}
-        self.sched_config = arm.scheduler_config()
-        self.alt_configs = {a.name: a.scheduler_config()
-                            for a in (*config.arms, *config.named_configs)}
+        self.configs = {a.name: a.scheduler_config()
+                        for a in (*config.arms, *config.named_configs)}
+        self.sched_config = self.configs[arm.name]  # one config and cache per name
         self.monitor = (ClusterMonitor(config.monitor, self.sched_config)
                         if config.monitor is not None else None)
         self.state.metric_store.staleness_s = (config.lb.refresh_period_s
@@ -361,9 +367,7 @@ class _Run:
 
     def execute(self):
         cfg = self.config
-        kinds = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
-                 "pin": EventKind.PIN, "metric": EventKind.METRIC}
-        script = sorted(((e.at, kinds[e.action], e.args) for e in cfg.workload
+        script = sorted(((e.at, ACTION_KINDS[e.action], e.args) for e in cfg.workload
                          if e.action != "requests"), key=itemgetter(0, 1))  # stable
         tickers = []
         if self.monitor is not None:
@@ -406,8 +410,7 @@ class _Run:
             service, pod_id, value = payload
             self.state.metric_store.ingest(service, pod_id, value, now)
         elif kind == EventKind.SCHED:
-            config = self.alt_configs.get(payload) if payload else None
-            run_queue(self.state, config or self.sched_config, now, self.rng_sched)
+            run_queue(self.state, self.configs[payload or self.arm.name], now, self.rng_sched)
         elif kind == EventKind.MONITOR:
             evicted = self.monitor.pass_once(self.state, now)
             if evicted:
@@ -503,9 +506,6 @@ def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     reset cluster state and may execute in parallel (`jobs`) without
     affecting the results.
     """
-    problems = config.validate()
-    if problems:
-        raise ValueError(f"invalid scenario {config.name}: " + "; ".join(problems))
     if profile not in ("paper", "ci"):
         raise ValueError(f"unknown profile: {profile}")
     seed = config.seed if seed is None else seed

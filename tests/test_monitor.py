@@ -3,14 +3,13 @@ from collections import Counter
 import pytest
 
 from fogsim import monitor as monitor_module
-from fogsim import report, simulator
+from fogsim import simulator
 from fogsim.cluster import ClusterState, Node, PodInstance, PodStatus, Topology
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
-from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
 
-from conftest import make_state, record
+from conftest import load_test_scenario, make_state, record
 
 BASELINE = SchedulerConfig(plugins=(("baseline", 1.0),))
 # location affinity keeps the anchor pod in place so only the drifting pod
@@ -189,181 +188,19 @@ def test_verdicts_are_reused_while_the_epoch_stands(monkeypatch, config, reused)
     assert calls["dry runs"] == (16 if reused else 48)
 
 
-# Pods of `app` depend on `db`, whose replicas are pinned on two full nodes;
-# `app` fits only on P3-A or P4-A.  While the db samples are fresh (90 s
-# under the default balancer settings), db-1's better metric puts `app` on
-# P4-A; once stale (t=100) latency alone prefers P3-A, so the verdict moves
-# with the clock and no cluster write.  The t=200 samples and the t=250
-# uplink change move it again.  The `plain` arm moves the db replicas off
-# their full nodes.
-STALE_DRIFT = """
-[scenario]
-name = stale-drift
-seed = 3
-duration_s = 400
-repetitions = 2
-sample_period_s = 5
-
-[topology]
-zone.P1 = P1-A
-zone.P2 = P2-A
-zone.P3 = P3-A
-zone.P4 = P4-A
-uplink.P1 = 0.5
-uplink.P2 = 0.8
-uplink.P3 = 1.0
-uplink.P4 = 1.2
-
-[nodes]
-override.P1-A.cpu_capacity = 100
-override.P2-A.cpu_capacity = 100
-
-[service db]
-replicas = 2
-cpu_request = 100
-metric = load lower-is-better
-
-[service app]
-replicas = 1
-cpu_request = 100
-depends_on =
-    db weight=1.0 lw=0.5 mw=0.5
-
-[arm custom]
-plugins = dependencies:1.0
-
-[arm plain]
-plugins = baseline:1.0
-
-[monitor]
-enabled = true
-loop_period_s = 10
-grace_s = 20
-backoff_s = 60
-
-[workload]
-events =
-    at 0 deploy db
-    at 0 pin db-0 P1-A
-    at 0 pin db-1 P2-A
-    at 0 metric db db-0 5.0
-    at 0 metric db db-1 1.0
-    at 1 deploy app
-    at 200 metric db db-0 5.0
-    at 200 metric db db-1 1.0
-    at 250 link P4 0.2
-"""
-
-
-# The stock config's seeded-random placement leaves the nodes unbalanced and
-# the RT pods bunched; the monitor of the placement-only `custom` arm moves
-# them.  Grace and backoff are shorter than the loop period, so a pod that
-# was running at one pass is dry-run at the next.  Between passes the
-# balancer refreshes every 4 s and re-ingests the web metrics, and a new
-# sample arrives at t=50.
-REFRESH_DRIFT = """
-[scenario]
-name = refresh-drift
-seed = 7
-duration_s = 120
-repetitions = 2
-
-[topology]
-zone.A = a1 a2
-zone.B = b1 b2
-uplink.A = 0.5
-uplink.B = 1.0
-
-[nodes]
-cores = 1
-cpu_capacity = 1000
-
-[service web]
-replicas = 12
-cpu_request = 50
-metric = load lower-is-better
-
-[service rt]
-replicas = 4
-cpu_request = 50
-rt_processes =
-    deadline name=worker runtime_us=200000 period_us=1000000
-
-[arm custom]
-plugins = realtime:10.0 baseline:1.0
-
-[config stock]
-plugins = baseline:1.0
-tie_break = seeded-random
-
-[monitor]
-enabled = true
-loop_period_s = 10
-grace_s = 5
-backoff_s = 5
-
-[loadbalancer]
-refresh_period_s = 4
-
-[workload]
-events =
-    at 0 deploy web rt using=stock
-    at 0 metric web web-0 2.0
-    at 0 metric web web-1 1.0
-    at 1 requests client=a1 service=web rate_hz=2 count=200
-    at 50 metric web web-2 3.0
-"""
-
-SCENARIOS = {"stale-drift": STALE_DRIFT, "refresh-drift": REFRESH_DRIFT}
+# Scenarios whose dry-run verdicts move with the clock, a link change and
+# balancer refreshes; their files say how.
+DRIFT = ("stale-drift", "refresh-drift")
 
 
 def load(name):
-    return parse_scenario(SCENARIOS[name]) if name in SCENARIOS else load_bundled(name)
-
-
-def reference_pass_once(self, state, now):
-    """The monitor pass with the dry run before the gates and no verdict
-    reuse: what a gated, reusing pass must reproduce."""
-    evictions = []
-    for node_id in sorted(state.nodes):
-        for pod in self._pods_on(state, node_id):
-            if pod.status is not PodStatus.RUNNING:
-                continue
-            result = monitor_module.simulate_scheduling(state, pod.id,
-                                                        self.scheduler_config, now)
-            if result is None or result == pod.assignment:
-                continue
-            if now - pod.start_time <= self.config.grace_s:
-                continue
-            last = self.backoff.get(pod.id)
-            if last is not None and now - last <= self.config.backoff_s:
-                continue
-            state.evict(pod.id, now, reason="monitor", target_node=result)
-            self.backoff[pod.id] = now
-            evictions.append(state.eviction_log[-1])
-    return evictions
+    return load_test_scenario(name) if name in DRIFT else load_bundled(name)
 
 
 def test_stale_drift_moves_with_the_clock():
     rows = simulator.run_scenario(load("stale-drift"), repetitions=1).evictions
     assert [(r[2], r[5]) for r in rows if r[0] == "custom"] == [
         ("100.0", "P3-A"), ("200.0", "P4-A"), ("270.0", "P3-A"), ("340.0", "P4-A")]
-
-
-@pytest.mark.parametrize("name", ["fig5-dependencies", "fig6-realtime", "fig7-monitor",
-                                  *SCENARIOS])
-def test_pass_matches_the_reference_pass(monkeypatch, tmp_path, name):
-    config = load(name)
-    calls = count_dry_runs(monkeypatch)
-    results = simulator.run_scenario(config, profile="ci")
-    dry_runs = calls["dry runs"]
-    monkeypatch.setattr(ClusterMonitor, "pass_once", reference_pass_once)
-    reference = simulator.run_scenario(config, profile="ci")
-    assert results.evictions == reference.evictions
-    assert dry_runs < calls["dry runs"] - dry_runs or config.monitor is None
-    for path, ref_path in zip(report.write_results(results, tmp_path / "pass"),
-                              report.write_results(reference, tmp_path / "reference")):
-        assert path.read_bytes() == ref_path.read_bytes(), path.name
 
 
 def placements(state) -> tuple:
@@ -373,7 +210,7 @@ def placements(state) -> tuple:
             dict(state.allocated_m), {n: state.rt_utilization(n) for n in state.nodes})
 
 
-@pytest.mark.parametrize("name", [*BUNDLED, *SCENARIOS])
+@pytest.mark.parametrize("name", [*BUNDLED, *DRIFT])
 def test_epoch_moves_with_every_placement_write_only(monkeypatch, name):
     dispatch = simulator._Run.dispatch
     moved, stood = Counter(), Counter()

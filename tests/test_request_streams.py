@@ -1,117 +1,17 @@
-"""Requests issued from one timeline per scenario, which every arm and
-repetition reads as a cursor, and the lazy walk of each run, against a
-reference engine with one heap for every event: each request, each
-periodic tick, pushed up front, and each SCHED a dispatch queues."""
+"""The request timeline: requests listed once per scenario, in issue order,
+which every arm and repetition of a run reads as a cursor.  Its ties, its
+end at `duration_s`, the RTT memo and the one `select_replica` call per
+request are checked here; that the timeline issues what a heap event per
+request would is checked against `NaiveRun` in `test_reference_run.py`."""
 
 import dataclasses
-import heapq
-
-import pytest
 
 from fogsim import report, simulator
-from fogsim.cluster import PodStatus
 from fogsim.loadbalancer import select_replica
-from fogsim.scenarios import BUNDLED, load_bundled
-from fogsim.simulator import EventKind, WorkloadEvent, request_rtt
+from fogsim.scenarios import load_bundled
+from fogsim.simulator import WorkloadEvent, request_rtt
 
 from conftest import load_test_scenario
-
-
-class PerRequestRun(simulator._Run):
-    """The reference: every event is an entry `(time, kind, seq, payload)`
-    of one heap.  Each request is a REQUEST event handled through
-    `dispatch`, which schedules the stream's next request at
-    `now + 1.0 / rate_hz` and computes every RTT afresh; every periodic tick
-    is pushed before the first event; the SCHEDs a dispatch queues are
-    pushed right after it."""
-
-    def push(self, time, kind, payload=None):
-        heapq.heappush(self.heap, (time, kind, self.seq, payload))
-        self.seq += 1
-
-    def push_periodic(self, start, period, kind):
-        k = 0
-        while start + k * period <= self.config.duration_s:
-            self.push(start + k * period, kind)
-            k += 1
-
-    def execute(self):
-        cfg = self.config
-        self.heap, self.seq = [], 0
-        for event in cfg.workload:
-            kind = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT,
-                    "pin": EventKind.PIN, "metric": EventKind.METRIC,
-                    "requests": EventKind.REQUEST}[event.action]
-            self.push(event.at, kind, event.args)
-        if self.monitor is not None:
-            self.push_periodic(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
-                               EventKind.MONITOR)
-        if self.balancers:
-            self.push_periodic(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH)
-        if cfg.sample_period_s > 0:
-            self.push_periodic(0.0, cfg.sample_period_s, EventKind.SAMPLE)
-        timeseries = []
-        while self.heap:
-            time, kind, _, payload = heapq.heappop(self.heap)
-            if time > cfg.duration_s:
-                break
-            self.dispatch(time, kind, payload, timeseries)
-            for now, using in self.scheds:
-                self.push(now, EventKind.SCHED, using)
-            self.scheds.clear()
-        return self.collect(timeseries)
-
-    def dispatch(self, now, kind, payload, timeseries):
-        if kind != EventKind.REQUEST:
-            return super().dispatch(now, kind, payload, timeseries)
-        client, service, rate_hz, remaining = payload
-        chain = self.balancers[client].chains.get(service)
-        if chain is not None:
-            replica = select_replica(chain, self.rng_requests)
-            pod = self.state.pods[replica]
-            if pod.status is PodStatus.RUNNING:
-                rtt = request_rtt(self.topology, client, pod.assignment,
-                                  self.config.lb.processing_delay_ms)
-                self.requests.append((self.arm.name, self.rep, repr(now), client, service,
-                                      replica, pod.assignment, repr(rtt)))
-        if remaining > 1:
-            self.push(now + 1.0 / rate_hz, EventKind.REQUEST,
-                      (client, service, rate_hz, remaining - 1))
-
-
-@pytest.mark.parametrize("name, profile", [("request-edges", "paper"),
-                                           ("request-ties", "paper"),
-                                           ("fig9-loadbalancer", "ci"),
-                                           ("fig5-dependencies", "ci"),
-                                           ("fig7-monitor", "ci"),
-                                           ("fig6-deadline-preemption", "paper"),
-                                           ("sched-ties", "paper")])
-def test_streams_match_the_per_request_reference(monkeypatch, tmp_path, name, profile):
-    """The same bytes, and every event other than a request dispatched in
-    the same order with the same payload."""
-    config = load_bundled(name) if name in BUNDLED else load_test_scenario(name)
-    repetitions = 2 if name == "fig7-monitor" else None
-    dispatch, order = simulator._Run.dispatch, []
-
-    def recorded(self, now, kind, payload, timeseries):
-        order.append((self.arm.name, self.rep, now, kind, payload))
-        dispatch(self, now, kind, payload, timeseries)
-
-    monkeypatch.setattr(simulator._Run, "dispatch", recorded)
-    results = simulator.run_scenario(config, profile=profile, repetitions=repetitions)
-    walked, order[:] = order[:], []
-    monkeypatch.setattr(simulator, "_Run", PerRequestRun)
-    reference = simulator.run_scenario(config, profile=profile, repetitions=repetitions)
-    assert walked == order
-    if name.startswith("request-") or name == "fig9-loadbalancer":
-        assert results.requests
-    else:
-        assert results.placements
-    if name == "fig7-monitor":
-        assert results.evictions
-    for path, ref_path in zip(report.write_results(results, tmp_path / "streams"),
-                              report.write_results(reference, tmp_path / "reference")):
-        assert path.read_bytes() == ref_path.read_bytes(), path.name
 
 
 def test_request_edges_reach_every_edge():

@@ -3,6 +3,7 @@ import pytest
 from fogsim.monitor import MonitorConfig
 from fogsim.scenario_io import ScenarioParseError, parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
+from fogsim.simulator import ScenarioConfig, run_scenario
 
 from conftest import load_test_scenario
 
@@ -90,6 +91,16 @@ class TestParse:
         assert len(cfg.workload) == 5
         assert cfg.workload[4].action == "requests"
         assert cfg.workload[4].args == ("a1", "web", 5.0, 10)
+
+    def test_a_scenario_is_checked_once_from_text_to_results(self, monkeypatch):
+        """Construction checks it; neither the reader nor the run checks it again."""
+        checked, check = [], ScenarioConfig.validate
+        monkeypatch.setattr(ScenarioConfig, "validate",
+                            lambda self: checked.append(self) or check(self))
+        cfg = parse_scenario(MINIMAL)
+        run_scenario(cfg, repetitions=1, profile="ci")
+        assert len(checked) == 1 and checked[0] is cfg
+        assert cfg.ci_repetitions == cfg.repetitions == 2
 
     def test_missing_section_rejected(self):
         with pytest.raises(ScenarioParseError, match="topology"):

@@ -139,34 +139,42 @@ class TestRequests:
         assert abs(rtt - 3.578) < 0.2
 
     def test_zero_rate_rejected(self):
-        cfg = request_scenario(rate_hz=0.0, count=10)
-        assert cfg.validate() == ["at 1 requests: rate_hz and count must be positive"]
-        with pytest.raises(ValueError):
-            run_scenario(cfg)
+        with pytest.raises(ValueError) as exc:
+            request_scenario(rate_hz=0.0, count=10)
+        assert str(exc.value) == "at 1 requests: rate_hz and count must be positive"
+
+    def test_problems_list_in_the_order_a_run_meets_them(self):
+        """By time, then kind: a link before a deploy of its time, a pin after it."""
+        with pytest.raises(ValueError) as exc:
+            small_scenario(workload=(WorkloadEvent(1.0, "pin", ("web-0", "P1-A")),
+                                     WorkloadEvent(1.0, "deploy", (("web", "nope"), None)),
+                                     WorkloadEvent(1.0, "link", ("P9", 1.0))))
+        assert str(exc.value) == ("at 1 link: unknown link: P9; "
+                                  "at 1 deploy: unknown service 'nope'")
 
 
 @pytest.mark.parametrize("char", ["\r", "\n"])
 def test_a_line_break_in_a_name_is_rejected(char):
     """Only a scenario built in Python can hold one: the reader splits lines first."""
-    cfg = small_scenario(arms=(ArmSpec(name=f"x{char}y"),))
-    assert cfg.validate() == [f"arm {f'x{char}y'!r}: a name must not hold a comma, "
-                              "a quote or a line break"]
-    with pytest.raises(ValueError):
-        run_scenario(cfg)
+    with pytest.raises(ValueError) as exc:
+        small_scenario(arms=(ArmSpec(name=f"x{char}y"),))
+    assert str(exc.value) == (f"arm {f'x{char}y'!r}: a name must not hold a comma, "
+                              "a quote or a line break")
 
 
 @given(st.text(st.characters(exclude_characters=',"\r\n'), min_size=1, max_size=4))
 @example("\ud800")  # a lone surrogate, which once failed write_results halfway
 def test_a_name_is_rejected_exactly_when_utf8_cannot_encode_it(name):
     """Every result file is UTF-8, summary.txt's header with the scenario's name."""
-    arm, scenario = small_scenario(arms=(ArmSpec(name=name),)), small_scenario(name=name)
-    try:
-        name.encode("utf-8")
-    except UnicodeEncodeError:
-        assert arm.validate() == [f"arm {name!r}: a name must encode as UTF-8"]
-        assert scenario.validate() == [f"scenario {name!r}: a name must encode as UTF-8"]
-    else:
-        assert arm.validate() == scenario.validate() == []
+    for kind, overrides in (("arm", {"arms": (ArmSpec(name=name),)}), ("scenario", {"name": name})):
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(ValueError) as exc:
+                small_scenario(**overrides)
+            assert str(exc.value) == f"{kind} {name!r}: a name must encode as UTF-8"
+        else:
+            assert small_scenario(**overrides).validate() == []
 
 
 @pytest.mark.parametrize("refresh_period_s, node", [(30.0, "P2-A"), (10.0, "P1-A")])
