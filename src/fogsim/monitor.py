@@ -7,14 +7,12 @@ work; every other pod is dry-run against a view that excludes it, and
 evicted when the simulated result names a different node.  Checking the
 gates first changes no eviction, because a dry run mutates nothing.
 
-Under a scheduler config whose plugins read only placements (the running
-lists, allocation map and RT sums; `SchedulerConfig.reads_only_placements`),
-a dry run reads only what :attr:`ClusterState.epoch` counts, so each pod's
-last verdict is kept with the epoch it was computed at and reused while the
-epoch is unchanged.  Metric samples, link changes and balancer refreshes
-leave it standing.  A config with a plugin that reads anything else (class
-attribute `reads_beyond_placements`, as the dependency score does for link
-latencies, metric samples and their age) never reuses a verdict.
+A dry run reads what :attr:`ClusterState.epoch` counts (the running lists,
+allocation map and RT sums) and what the config's plugins stamp (for the
+dependency score: link latencies, and the value and freshness of its
+dependencies' samples).  So each pod's last verdict is kept with the epoch
+and the stamps, taken on a view of the whole cluster, and reused while both
+stand; balancer refreshes and what no stamp covers leave it standing.
 
 Evaluation is sequential with immediate eviction, and evicted pods stay
 pending until the scheduling cycle after the pass, so its later dry runs
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cluster import ClusterState, EvictionEvent, PodInstance, PodStatus
+from .cluster import ClusterSnapshot, ClusterState, EvictionEvent, PodInstance, PodStatus
 from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
 
 
@@ -76,8 +74,8 @@ class ClusterMonitor:
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
-        self._reuse = scheduler_config.reads_only_placements
-        self._verdicts: dict[str, tuple[int, Optional[str]]] = {}  # pod -> (epoch, node)
+        self._stamp = scheduler_config.hooks()[4]
+        self._verdicts: dict[str, tuple] = {}  # pod -> (epoch, stamps, node)
 
     def _pods_on(self, state: ClusterState, node_id: str) -> list[PodInstance]:
         # RT pods first so that re-placement settles the RT layout before
@@ -91,26 +89,30 @@ class ClusterMonitor:
         last = self.backoff.get(pod.id)
         return last is not None and now - last <= self.config.backoff_s
 
-    def _verdict(self, state: ClusterState, pod_id: str, now: float) -> Optional[str]:
-        cached = self._verdicts.get(pod_id)
-        if cached is not None and cached[0] == state.epoch:
-            return cached[1]
-        result = simulate_scheduling(state, pod_id, self.scheduler_config, now)
-        if self._reuse:
-            self._verdicts[pod_id] = (state.epoch, result)
+    def _verdict(self, state: ClusterState, view: ClusterSnapshot, pod: PodInstance,
+                 now: float) -> Optional[str]:
+        stamps = self._stamp(pod, view)
+        cached = self._verdicts.get(pod.id)
+        if cached is not None and cached[0] == state.epoch and cached[1] == stamps:
+            return cached[2]
+        result = simulate_scheduling(state, pod.id, self.scheduler_config, now)
+        if stamps is not None:
+            self._verdicts[pod.id] = (state.epoch, stamps, result)
         return result
 
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:
         """One monitor pass; returns the evictions it performed."""
-        evictions = []
+        evictions, view = [], None  # a view of the whole cluster, built when first read
         for node_id in sorted(state.nodes):
             for pod in self._pods_on(state, node_id):
                 if pod.status is not PodStatus.RUNNING or self._gated(pod, now):
                     continue
-                result = self._verdict(state, pod.id, now)
+                view = view or state.view(now=now)
+                result = self._verdict(state, view, pod, now)
                 if result is None or result == pod.assignment:
                     continue
                 state.evict(pod.id, now, reason="monitor", target_node=result)
+                view = None
                 self.backoff[pod.id] = now
                 evictions.append(state.eviction_log[-1])
         return evictions

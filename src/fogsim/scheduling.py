@@ -4,22 +4,22 @@ pipeline, weighted score combination, deterministic node selection.
 Plugins are stateless objects exposing any of `filter(pod, node, snapshot)`
 (a reason string excludes the node), `score(pod, node, snapshot)` (a value
 in [0, 1]) and `post_filter(pod, snapshot)` (a preemption plan).  A CPU-fit
-filter (allocated + request <= capacity) is always active.  A config binds
-its plugins' hooks on its first decision.  Filters and scores read only the
-pod's shape (service, CPU request, RT utilization, location scope, priority
-class and dependencies), their node's placements and fixed capacities, and
-`snapshot.max_pod_count`, unless the plugin sets the class attribute
-`reads_beyond_placements = True` (for the topology, metric samples or
-`snapshot.now`).  Without such a plugin, a config caches each node's filter
-verdict and combined score per pod shape while the node's version
-(:class:`ClusterState`) and `max_pod_count` stand, and the monitor reuses
-dry-run verdicts while the epoch stands.  Post-filters are never cached.
+filter (allocated + request <= capacity) is always active.  Filters and
+scores read the pod's shape (service, CPU request, RT utilization, location
+scope, priority class and dependencies), their node's placements and fixed
+capacities, and what the plugin's `stamp(pod, snapshot)` returns: a hashable
+value of all else they read, or None if that is not cacheable in this view.
+A config binds its plugins' hooks and stamps once, and caches each node's
+filter verdict and combined score per pod shape and stamps while the node's
+version (:class:`ClusterState`) stands; stamps of None get a throwaway
+cache.  Post-filters are never cached.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .cluster import ClusterSnapshot, ClusterState, PodInstance, PodStatus
@@ -67,6 +67,9 @@ class BaselinePlugin:
         score = 0.5 * (1.0 - cpu_after) + 0.5 * (1.0 - count_frac)
         return min(max(score, 0.0), 1.0)
 
+    def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot) -> int:
+        return snapshot.max_pod_count
+
 
 class LocationAffinityPlugin:
     """Favour a location-scoped pod's own node; neutral for unscoped pods."""
@@ -104,7 +107,6 @@ class SchedulerConfig:
 
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
     tie_break: str = TIE_LEXICOGRAPHIC
-    _instances: list = field(default=None, repr=False, compare=False)
     _hooks: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,30 +118,27 @@ class SchedulerConfig:
         if self.tie_break not in (TIE_LEXICOGRAPHIC, TIE_SEEDED_RANDOM):
             raise ValueError(f"unknown tie-break rule: {self.tie_break}")
 
-    def instances(self) -> list[tuple[object, float]]:
-        if self._instances is None:
-            self._instances = [(build_plugin(name), weight)
-                               for name, weight in self.plugins]
-        return self._instances
-
     def hooks(self) -> tuple:
-        """(filters, scorers, post-filters, total score weight, cache), bound
-        on the first call.  The cache maps a pod shape to {node: (version,
-        max_pod_count, reason, combined score)}, or is None."""
+        """(filters, scorers, post-filters, total score weight, stamp, cache),
+        bound on the first call.  `stamp` gives one stamping plugin's stamp,
+        or a tuple of all, None if any is.  The cache maps (pod shape, stamps)
+        to {node: (version, reason, combined score)}."""
         if self._hooks is None:
-            plugins = self.instances()
+            plugins = [(build_plugin(name), weight) for name, weight in self.plugins]
             scorers = [(p.name, p.score, w) for p, w in plugins if hasattr(p, "score")]
+            stampers = [p.stamp for p, _ in plugins if hasattr(p, "stamp")]
+            stamp = (stampers[0] if len(stampers) == 1 else partial(_stamps, stampers)
+                     if stampers else lambda pod, snapshot: ())
             self._hooks = ([(p.name, p.filter) for p, _ in plugins if hasattr(p, "filter")],
                            scorers,
                            [p.post_filter for p, _ in plugins if hasattr(p, "post_filter")],
-                           sum(w for _, _, w in scorers),
-                           {} if self.reads_only_placements else None)
+                           sum(w for _, _, w in scorers), stamp, {})
         return self._hooks
 
-    @property
-    def reads_only_placements(self) -> bool:
-        """No plugin sets `reads_beyond_placements`."""
-        return not any(getattr(p, "reads_beyond_placements", False) for p, _ in self.instances())
+
+def _stamps(stampers, pod: PodInstance, snapshot: ClusterSnapshot) -> Optional[tuple]:
+    stamps = tuple(stamp(pod, snapshot) for stamp in stampers)
+    return None if None in stamps else stamps
 
 
 def _evaluate(pod: PodInstance, node_id: str, snapshot: ClusterSnapshot,
@@ -173,32 +172,32 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     node_ids = sorted(snapshot.nodes)
     if not node_ids:
         return Unschedulable("no nodes")
-    filters, scorers, post_filters, total_weight, cache = config.hooks()
-    entries, versions, max_count = {}, {}, None  # nothing is cached
-    if cache is not None:
-        entries = cache.setdefault((pod.service, pod.cpu_request, pod.rt_utilization,
-                                    pod.location_scope, pod.priority_class, pod.dependencies), {})
-        versions, max_count = snapshot.versions, snapshot.max_pod_count
+    filters, scorers, post_filters, total_weight, stamp, cache = config.hooks()
+    stamps = stamp(pod, snapshot)
+    entries = {} if stamps is None else cache.setdefault(
+        (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
+         pod.priority_class, pod.dependencies, stamps), {})
+    versions = snapshot.versions
 
     reasons, combined = [], {}  # combined: surviving node -> score, in node order
     for node_id in node_ids:
-        entry, version = entries.get(node_id), versions.get(node_id)
-        if entry is None or entry[0] != version or entry[1] != max_count:
-            entry = (version, max_count,
-                     *_evaluate(pod, node_id, snapshot, filters, scorers, total_weight))
+        entry, version = entries.get(node_id), versions[node_id]
+        if entry is None or entry[0] != version:
+            entry = (version, *_evaluate(pod, node_id, snapshot, filters, scorers, total_weight))
             if version is not None:
                 entries[node_id] = entry
-        if entry[2] is None:
-            combined[node_id] = entry[3]
+        if entry[1] is None:
+            combined[node_id] = entry[2]
         else:
-            reasons.append(f"{node_id}: {entry[2]}")
+            reasons.append(entry[1])
 
     if not combined:
         for post_filter in post_filters:
             plan = post_filter(pod, snapshot)
             if plan is not None:
                 return Preempted(plan.node, tuple(plan.victims))
-        return Unschedulable("; ".join(reasons) if reasons else "all nodes filtered")
+        # every node is filtered, so `reasons` follows `node_ids`
+        return Unschedulable("; ".join(map("{}: {}".format, node_ids, reasons)))
     if not scorers:
         return Assigned(next(iter(combined)))
     best = max(combined.values())

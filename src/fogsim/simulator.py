@@ -67,7 +67,7 @@ class ArmSpec:
     lb_policy: str = POLICY_WEIGHTED
 
     def __post_init__(self):
-        self.scheduler_config().instances()
+        self.scheduler_config().hooks()
         if self.lb_policy not in POLICIES:
             raise ValueError(f"unknown balancing policy: {self.lb_policy}")
 

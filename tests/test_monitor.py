@@ -4,10 +4,12 @@ import pytest
 
 from fogsim import monitor as monitor_module
 from fogsim import simulator
-from fogsim.cluster import ClusterState, Node, PodInstance, PodStatus, Topology
+from fogsim.cluster import (ClusterState, DependencyRef, Node, PodInstance, PodStatus,
+                            Topology)
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
+from fogsim.telemetry import MetricSpec
 
 from conftest import load_test_scenario, make_state, record
 
@@ -168,24 +170,37 @@ def test_gated_pods_are_not_dry_run(monkeypatch):
     assert calls["dry runs"] == 0
 
 
-@pytest.mark.parametrize("config, reused", [
-    (BASELINE, True),
-    (SchedulerConfig(plugins=(("baseline", 1.0), ("dependencies", 1.0))), False)])
-def test_verdicts_are_reused_while_the_epoch_stands(monkeypatch, config, reused):
+@pytest.mark.parametrize("config", [
+    BASELINE, SchedulerConfig(plugins=(("baseline", 1.0), ("dependencies", 1.0)))],
+    ids=["baseline", "baseline-dependencies"])
+def test_verdicts_are_reused_while_the_epoch_and_the_stamps_stand(monkeypatch, config):
     state = make_state()
-    state.add_pods([pod(f"p{i}") for i in range(16)])
+    state.add_pods([pod(f"p{i}") for i in range(12)])
+    state.add_pods([PodInstance(id=f"w{i}", service="web", dependencies=(DependencyRef("svc"),))
+                    for i in range(4)])
     run_queue(state, BASELINE, 0.0)
+    state.metric_specs = {"svc": MetricSpec("load")}
+    state.metric_store.ingest("svc", "p0", 1.0, 150.0)  # fresh up to t=240
     calls = count_dry_runs(monkeypatch)
     monitor = ClusterMonitor(MonitorConfig(), config)
-    assert monitor.pass_once(state, 200.0) == []
-    assert calls["dry runs"] == 16
-    assert monitor.pass_once(state, 210.0) == []
-    # a plugin that reads the clock may judge the same cluster differently later
-    assert calls["dry runs"] == (16 if reused else 32)
-    # a link change moves no placement: only a plugin that reads links runs again
-    state.topology.set_uplink("P1", 0.7)
-    assert monitor.pass_once(state, 220.0) == []
-    assert calls["dry runs"] == (16 if reused else 48)
+    stamped = 4 if "dependencies" in dict(config.plugins) else 0  # the `web` pods
+
+    def judge(now):  # a pass's verdicts, with no eviction
+        view = state.view(now=now)
+        for p in state.pods.values():
+            if p.status is PodStatus.RUNNING:
+                monitor._verdict(state, view, p, now)
+        return calls["dry runs"]
+
+    assert judge(200.0) == 16
+    assert judge(230.0) == 16  # a later clock, but every sample is as fresh
+    assert judge(250.0) == 16 + stamped  # the sample went stale
+    state.topology.set_uplink("P1", 0.7)  # a link change moves no placement
+    assert judge(260.0) == 16 + 2 * stamped
+    state.metric_store.ingest("web", "w0", 1.0, 270.0)  # a sample no score reads
+    assert judge(280.0) == 16 + 2 * stamped
+    state.evict("p1", 280.0)
+    assert judge(290.0) == 16 + 2 * stamped + 15
 
 
 # Scenarios whose dry-run verdicts move with the clock, a link change and

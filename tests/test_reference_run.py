@@ -106,7 +106,8 @@ def run(monkeypatch, config, engine):
         m.setattr(monitor, "simulate_scheduling", lambda *a: dry_runs.append(a) or dry_run(*a))
         m.setattr(simulator, "_Run", engine)
         if engine is NaiveRun:  # no config caches a score, no monitor reuses a verdict
-            m.setattr(SchedulerConfig, "reads_only_placements", False)
+            m.setattr(SchedulerConfig, "hooks", lambda self, hooks=SchedulerConfig.hooks:
+                      (*hooks(self)[:4], lambda pod, snapshot: None, {}))
             m.setattr(simulator, "ClusterMonitor", NaiveMonitor)
         results = simulator.run_scenario(
             config, profile="ci", repetitions=2 if config.name == "fig7-monitor" else None)

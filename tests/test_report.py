@@ -157,6 +157,34 @@ def test_run_and_write_import_no_numpy(tmp_path):
     assert (tmp_path / "fig9-loadbalancer" / "summary.txt").exists()
 
 
+def test_written_files_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every bundled scenario (ci) and every `tests/scenarios/*.ini`, run under
+    two `PYTHONHASHSEED` values, writes the same bytes: no output follows the
+    iteration order of a set or of a dict keyed by hashed values."""
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "from fogsim.report import write_results\n"
+            "from fogsim.scenario_io import load_scenario\n"
+            "from fogsim.scenarios import BUNDLED, load_bundled\n"
+            "from fogsim.simulator import run_scenario\n"
+            "out = Path(sys.argv[1])\n"
+            "configs = [load_bundled(n) for n in BUNDLED]\n"
+            "for config in configs + [load_scenario(p) for p in sys.argv[2:]]:\n"
+            "    write_results(run_scenario(config, profile='ci'), out / config.name)\n")
+    files = sorted(str(p) for p in (ROOT / "tests" / "scenarios").glob("*.ini"))
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path / seed), *files],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                   "PYTHONHASHSEED": seed}, stderr=subprocess.PIPE, text=True)
+             for seed in ("1", "2")]
+    for proc in procs:
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+    written = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.*"))
+    assert len(written) == 5 * (len(BUNDLED) + len(files))
+    for path in written:
+        assert (tmp_path / "1" / path).read_bytes() == (tmp_path / "2" / path).read_bytes(), path
+
+
 def test_import_leaves_out_the_process_pool():
     """The imports of a run leave out what only other paths use: the process pool
     (`--jobs`), logging (a warning), fractions (a summary), the runtime model, and

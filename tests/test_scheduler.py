@@ -4,17 +4,19 @@ from copy import deepcopy
 
 import pytest
 
-from fogsim.cluster import (DeadlinePolicy, Node, PodInstance, PodStatus,
+from fogsim.cluster import (DeadlinePolicy, DependencyRef, Node, PodInstance, PodStatus,
                             RtProcessSpec, Topology, ClusterState)
 from fogsim.dependencies import DependenciesPlugin
 from fogsim.realtime import RealtimePlugin
+from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scenarios import load_bundled
 from fogsim.scheduling import (Assigned, BaselinePlugin, LocationAffinityPlugin,
-                               Preempted, SchedulerConfig, Unschedulable, run_queue,
-                               schedule_one)
+                               Preempted, SchedulerConfig, Unschedulable, _evaluate,
+                               run_queue, schedule_one)
 from fogsim.simulator import run_scenario
+from fogsim.telemetry import MetricSpec
 
-from conftest import make_state
+from conftest import load_test_scenario, make_state
 
 
 def pod(pod_id, request=100, priority=0, **kwargs):
@@ -243,11 +245,19 @@ class TestRunQueue:
 # -- the per-node verdict-and-score cache ----------------------------------------
 
 PLACEMENT_ONLY = (("realtime", 10.0), ("baseline", 1.0), ("location-affinity", 1.0))
+# `app` and `web` pods depend on `db`, whose samples count, and `app` pods on
+# `cache` too, whose samples no score reads
+DEPENDS_ON = {"app": (DependencyRef("db", 2.0), DependencyRef("cache", 1.0, 0.7, 0.3)),
+              "web": (DependencyRef("db", 1.0, 0.3, 0.7),)}
 
 
 def shaped_pod(rng, pod_id):
-    """A pod of one of a few shapes, so that decisions repeat shapes; they
-    differ in one field at a time, RT utilization included."""
+    """A pod of one of a few shapes, so that decisions repeat shapes: `svc`
+    pods differ in one field at a time, RT utilization included, and every
+    other service has one shape."""
+    service = rng.choice(["svc", "svc", "db", "cache", "app", "web"])
+    if service != "svc":
+        return pod(pod_id, request=50, service=service, dependencies=DEPENDS_ON.get(service, ()))
     utilization = rng.choice([0.0, 0.3, 0.45, 0.6])
     procs = ((RtProcessSpec(DeadlinePolicy(int(utilization * 1e6), 1_000_000), pid=1),)
              if utilization else ())
@@ -256,10 +266,14 @@ def shaped_pod(rng, pod_id):
 
 
 def small_rt_cluster():
-    # three one-core nodes fill up fast: filters reject and RT pods preempt
-    return ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
-                         for n, z in (("n1", "z1"), ("n2", "z1"), ("n3", "z2"))],
-                        Topology({"z1": ["n1", "n2"], "z2": ["n3"]}, {"z1": 0.5, "z2": 0.8}))
+    # four one-core nodes fill up fast: filters reject and RT pods preempt
+    zones = {"z1": ["n1", "n2"], "z2": ["n3"], "z3": ["n4"]}
+    state = ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
+                          for z, nodes in zones.items() for n in nodes],
+                         Topology(zones, {"z1": 0.5, "z2": 0.8, "z3": 1.2}))
+    state.metric_specs = {"db": MetricSpec("load")}
+    state.metric_store.staleness_s = 30.0
+    return state
 
 
 def write(state, rng, node_id):
@@ -276,6 +290,18 @@ def write(state, rng, node_id):
     return True
 
 
+def cached_entries(config, pod, view) -> dict:
+    """What a decision of `pod` in `view` reads from `config`'s cache."""
+    *_, stamp, cache = config.hooks()
+    stamps = stamp(pod, view)
+    if stamps is None:
+        return {}
+    key = (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
+           pod.priority_class, pod.dependencies, stamps)
+    assert key in cache
+    return cache[key]
+
+
 def count_hook_calls(monkeypatch, key) -> Counter:
     """Count every filter and score call, under the name `key(hook name)`
     gives at the time of the call."""
@@ -290,13 +316,19 @@ def count_hook_calls(monkeypatch, key) -> Counter:
     return calls
 
 
-def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch):
+@pytest.mark.parametrize("plugins", [
+    PLACEMENT_ONLY, (("dependencies", 1.0),),
+    (("dependencies", 10.0), ("realtime", 1.0), ("baseline", 1.0))],
+    ids=["placements", "dependencies", "dependencies-realtime-baseline"])
+def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch, plugins):
     """A long-lived config, shared by every state, view, snapshot and deep copy
     below, decides exactly as a fresh config of the same plugins, tie-break
-    draws and Unschedulable reasons included, while calling fewer hooks."""
+    draws and Unschedulable reasons included, while calling fewer hooks; a
+    monitor under it gives every verdict a fresh dry run gives.  Between
+    decisions, placements, links and metric samples change and the clock
+    advances, so samples go stale."""
     calls = count_hook_calls(monkeypatch, lambda _: counting)
-    shared = SchedulerConfig(plugins=PLACEMENT_ONLY, tie_break="seeded-random")
-    assert shared.reads_only_placements
+    shared = SchedulerConfig(plugins=plugins, tie_break="seeded-random")
     rng = random.Random(19)
     decisions = 0
 
@@ -304,7 +336,7 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch)
         nonlocal counting, decisions
         for candidate in candidates:
             seed = rng.random()
-            fresh = SchedulerConfig(plugins=PLACEMENT_ONLY, tie_break="seeded-random")
+            fresh = SchedulerConfig(plugins=plugins, tie_break="seeded-random")
             rng_shared, rng_fresh = random.Random(seed), random.Random(seed)
             counting = "shared"
             got = schedule_one(view, candidate, shared, rng_shared)
@@ -312,64 +344,101 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch)
             want = schedule_one(view, candidate, fresh, rng_fresh)
             assert got == want
             assert rng_shared.getstate() == rng_fresh.getstate()
+            counting = None
+            filters, scorers, _, total_weight = fresh.hooks()[:4]
+            for node_id, entry in cached_entries(shared, candidate, view).items():
+                if entry[0] == view.versions[node_id]:  # an entry the next decision reads
+                    assert entry[1:] == _evaluate(candidate, node_id, view, filters,
+                                                  scorers, total_weight)
             decisions += 1
 
     counting = None
     for run in range(5):
-        state = small_rt_cluster()
+        state, now = small_rt_cluster(), 0.0
+        monitor = ClusterMonitor(MonitorConfig(), shared)
         for step_no in range(40):
+            now += rng.choice([0.0, 0.0, 5.0, 20.0, 40.0])
             ids = (f"r{run}-{step_no}-{k}" for k in range(4))
             roll = rng.random()
             running = [p.id for p in state.pods.values() if p.status is PodStatus.RUNNING]
             exclude = rng.choice(running) if running else None
             excluded = [state.pods[exclude]] if running else []
             candidates = [shaped_pod(rng, next(ids)) for _ in range(2)]
-            if roll < 0.25:
+            if roll < 0.15:
                 state.add_pods(shaped_pod(rng, next(ids)) for _ in range(2))
-            elif roll < 0.55:
+            elif roll < 0.3:
                 write(state, rng, rng.choice(sorted(state.nodes)))
-            elif roll < 0.65 and running:
+            elif roll < 0.35 and running:
                 state.evict(rng.choice(running), 2.0)
-            elif roll < 0.75:
-                decide(state.snapshot(exclude=exclude, now=3.0),
-                       candidates + excluded)
-            elif roll < 0.9:
+            elif roll < 0.5:  # between two decisions of the same pods
+                decide(state.view(now=now), candidates)
+                state.topology.set_uplink(rng.choice(sorted(state.topology.zones)),
+                                          rng.choice([0.1, 0.5, 3.0]))
+            elif roll < 0.6:
+                for p in rng.sample(list(state.pods.values()), min(3, len(state.pods))):
+                    state.metric_store.ingest(p.service, p.id, rng.choice([1.0, 4.0, 9.0]), now)
+            elif roll < 0.7:
+                decide(state.snapshot(exclude=exclude, now=now), candidates + excluded)
+            elif roll < 0.85:
                 # a monitor-style dry run: the excluded pod's node is the view's alone
-                decide(state.view(exclude=exclude, now=3.0),
-                       candidates + excluded)
+                decide(state.view(exclude=exclude, now=now), candidates + excluded)
             else:
                 # a decision on a deep copy, then a write to the same node of the original
                 copy = deepcopy(state)
                 node_id = rng.choice(sorted(state.nodes))
                 if write(copy, random.Random(step_no), node_id):
-                    decide(copy.view(now=3.0), candidates)
+                    decide(copy.view(now=now), candidates)
                     write(state, random.Random(step_no + 1), node_id)
             state.check_invariants()
-            decide(state.view(now=3.0), candidates)
+            decide(state.view(now=now), candidates)
+            view = state.view(now=now)
+            for pod_id in running:
+                if state.pods[pod_id].status is PodStatus.RUNNING:
+                    assert monitor._verdict(state, view, state.pods[pod_id], now) == \
+                        simulate_scheduling(state, pod_id, SchedulerConfig(plugins=plugins), now)
     assert decisions > 500
     assert calls["shared"] < calls["fresh"]  # the cache is used
 
 
-def test_only_configs_that_read_placements_alone_cache():
-    for plugins, cached in ((PLACEMENT_ONLY, True), ((("baseline", 1.0),), True),
-                            ((("dependencies", 1.0), ("baseline", 1.0)), False)):
+def test_every_config_caches_under_the_stamps_of_its_plugins():
+    state = make_state()
+    state.add_pods([pod("a"), pod("b", service="db")])
+    state.apply_placement("b", "P1-A", 0.0)
+    state.metric_store.ingest("db", "b", 2.0, 0.0)
+    app = pod("app", dependencies=(DependencyRef("db"),))
+    view = state.view(now=5.0)
+    deps = (state.topology.version, (state.epoch,), (("b", 2.0, True),))
+    for plugins, stamps in (((("realtime", 1.0), ("location-affinity", 1.0)), ()),
+                            ((("baseline", 1.0),), 1),
+                            ((("dependencies", 1.0),), deps),
+                            ((("dependencies", 1.0), ("realtime", 1.0), ("baseline", 1.0)),
+                             (deps, 1))):
         config = SchedulerConfig(plugins=plugins)
-        assert config.reads_only_placements is cached
-        assert (config.hooks()[4] is not None) is cached
+        stamp, cache = config.hooks()[4:]
+        assert stamp(app, view) == stamps and cache == {}
+        schedule_one(view, app, config)
+        assert [key[-1] for key in cache] == [stamps]
+    # a stale sample, and a view that hides a pod of a dependency
+    assert stamp(app, state.view(now=1000.0))[0][2] == (("b", 2.0, False),)
+    assert stamp(app, state.view(exclude="b")) is None
+    assert stamp(pod("c"), state.view(exclude="b")) == ((), 0)
 
 
 # Filter and score hook calls of one `ci` run.  A rise fails: the cache
 # lost hits.  A fall is pinned anew, with the reason in CHANGES.md.
 HOOK_CALLS = {
+    "fig5-dependencies": {"baseline.score": 400, "dependencies.score": 400},
     "fig6-realtime": {"baseline.score": 15955, "realtime.filter": 8223,
                       "realtime.score": 8223},
-    "fig7-monitor": {"baseline.score": 11854, "realtime.filter": 7996,
-                     "realtime.score": 7994},
+    "fig7-monitor": {"baseline.score": 11662, "realtime.filter": 7804,
+                     "realtime.score": 7802},
+    "stale-drift": {"baseline.score": 36, "dependencies.score": 72},
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOOK_CALLS))
 def test_plugin_hook_calls_of_bundled_runs_are_pinned(monkeypatch, name):
     calls = count_hook_calls(monkeypatch, lambda hook: hook)
-    run_scenario(load_bundled(name), profile="ci")
+    config = load_test_scenario(name) if name == "stale-drift" else load_bundled(name)
+    run_scenario(config, profile="ci")
     assert dict(calls) == HOOK_CALLS[name]
