@@ -1,12 +1,14 @@
 """Cluster world model: nodes, star topology, pods, placements, snapshots.
 
-All mutation goes through :class:`ClusterState`, which keeps CPU allocation
-bookkeeping consistent with pod status transitions and indexes the running
-pods per node and per service.  :meth:`~ClusterState.apply_placement` and
+A state keeps its nodes in id order, and every walk over them relies on it;
+its queue holds exactly the pending pods.  All mutation goes through
+:class:`ClusterState`, which keeps CPU allocation bookkeeping consistent
+with pod status transitions and indexes the running pods per node and per
+service.  :meth:`~ClusterState.apply_placement` and
 :meth:`~ClusterState.evict` are the only writers of these placement facts:
-each updates the index in place, touching only its own node's and
-service's lists, and recomputes its node's RT utilization sum.  The
-scheduler, the monitor's dry run and the load-balancer refresh read a
+each updates the index in place, touching only its own node's and service's
+lists, and recomputes its node's RT utilization sum.  The scheduler, the
+monitor's dry run and the load-balancer refresh read a
 :meth:`ClusterState.view`, which shares the live objects, index lists,
 allocation map, RT sums and metric store, so a view and any list it or the
 state hands out are invalid after the next mutation.  Anything held across
@@ -274,8 +276,8 @@ class ClusterState(_RunningIndex):
 
     def __init__(self, nodes: Iterable[Node], topology: Topology):
         self.topology = topology
-        self.nodes: dict[str, Node] = {}
-        for node in nodes:
+        self.nodes: dict[str, Node] = {}  # in id order
+        for node in sorted(nodes, key=attrgetter("id")):
             if node.id in self.nodes:
                 raise ValueError(f"duplicate node id {node.id}")
             if node.id not in topology.zone_of:
@@ -320,8 +322,7 @@ class ClusterState(_RunningIndex):
         pod.assignment = node_id
         pod.start_time = time
         self.allocated_m[node_id] += pod.cpu_request
-        if pod_id in self.queue:
-            self.queue.remove(pod_id)
+        self.queue.remove(pod_id)
         insort(self._by_node[node_id], pod, key=self._ordinal_of)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
@@ -349,10 +350,8 @@ class ClusterState(_RunningIndex):
         if pod.status is not PodStatus.PENDING:
             raise ValueError(f"pod {pod_id} is not pending")
         pod.status = PodStatus.UNSCHEDULABLE
-        if pod_id in self.queue:
-            self.queue.remove(pod_id)
-        if pod_id not in self.unschedulable:
-            self.unschedulable.append(pod_id)
+        self.queue.remove(pod_id)
+        self.unschedulable.append(pod_id)
 
     def reactivate_unschedulable(self) -> list[str]:
         """Give previously unschedulable pods another chance after the

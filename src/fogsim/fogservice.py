@@ -9,7 +9,7 @@ weights, an optional application metric, and the runtime class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .cluster import DependencyRef, PodInstance, RtProcessSpec
@@ -65,25 +65,15 @@ class FogServiceSpec:
             raise ValueError(f"runtime_class: {self.runtime_class!r} is not container or legacy")
 
 
-def _normalized_deps(deps: tuple[DependencyRef, ...]) -> tuple[DependencyRef, ...]:
-    total = sum(d.dep_weight for d in deps)
-    if total <= 0:
-        if not deps:
-            return ()
-        share = 1.0 / len(deps)
-        return tuple(replace(d, dep_weight=share) for d in deps)
-    return tuple(replace(d, dep_weight=d.dep_weight / total) for d in deps)
-
-
 def expand(spec: FogServiceSpec) -> list[PodInstance]:
     """Expand a descriptor into its pod instances.
 
     Cluster-scoped services yield `name-0 .. name-(n-1)`.  Location-scoped
     services yield `name-<location>-<i>` per location, each pod carrying the
     location scope and that location's config overrides; the scope persists
-    even if scheduling later puts the pod elsewhere.
+    even if scheduling later puts the pod elsewhere.  Dependency weights go
+    as declared; `score_dependencies` normalises them where it reads them.
     """
-    deps = _normalized_deps(spec.dependencies)
     pods = []
 
     def make(pod_id, scope, config):
@@ -91,7 +81,7 @@ def expand(spec: FogServiceSpec) -> list[PodInstance]:
             id=pod_id, service=spec.name,
             cpu_request=spec.cpu_request, cpu_limit=spec.cpu_limit,
             priority_class=spec.priority_class, location_scope=scope,
-            rt_processes=spec.rt_processes, dependencies=deps,
+            rt_processes=spec.rt_processes, dependencies=spec.dependencies,
             runtime_class=spec.runtime_class, config=config)
 
     if spec.locations is None:

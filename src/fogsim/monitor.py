@@ -103,7 +103,7 @@ class ClusterMonitor:
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:
         """One monitor pass; returns the evictions it performed."""
         evictions, view = [], None  # a view of the whole cluster, built when first read
-        for node_id in sorted(state.nodes):
+        for node_id in state.nodes:
             for pod in self._pods_on(state, node_id):
                 if pod.status is not PodStatus.RUNNING or self._gated(pod, now):
                     continue

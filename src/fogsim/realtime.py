@@ -79,7 +79,7 @@ class RealtimePlugin:
         if demand == 0:
             return None
         best = None
-        for node_id in sorted(snapshot.nodes):
+        for node_id in snapshot.nodes:
             plan = self._plan_for_node(pod, node_id, snapshot, demand)
             if plan is None:
                 continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Union
 
-from .cluster import ClusterSnapshot, ClusterState, PodInstance, PodStatus
+from .cluster import ClusterSnapshot, ClusterState, PodInstance
 
 TIE_LEXICOGRAPHIC = "lexicographic"
 TIE_SEEDED_RANDOM = "seeded-random"
@@ -169,7 +169,7 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     wins.  If no node survives, PostFilter plugins run in configured order
     and the first non-empty preemption plan is returned.
     """
-    node_ids = sorted(snapshot.nodes)
+    node_ids = snapshot.nodes  # in id order
     if not node_ids:
         return Unschedulable("no nodes")
     filters, scorers, post_filters, total_weight, stamp, cache = config.hooks()
@@ -208,14 +208,14 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
 
 
 def sort_queue(state: ClusterState) -> list[str]:
-    """Scheduling order: descending priority class, FIFO within a class."""
-    pending = [p for p in state.queue if state.pods[p].status is PodStatus.PENDING]
-    return sorted(pending, key=lambda p: -state.pods[p].priority_class)
+    """Scheduling order of the queue, which holds exactly the pending pods:
+    descending priority class, FIFO within a class."""
+    return sorted(state.queue, key=lambda p: -state.pods[p].priority_class)
 
 
 def run_queue(state: ClusterState, config: SchedulerConfig, now: float,
               rng: Optional[random.Random] = None) -> list[tuple[str, ScheduleOutcome]]:
-    """Drain the pending queue, scheduling pods one at a time.
+    """Drain the queue, which holds exactly the pending pods, one pod at a time.
 
     Each pod is scheduled against a fresh view of the state, reflecting the
     outcomes of the pods before it.  Preemption victims re-enter the queue
@@ -228,11 +228,8 @@ def run_queue(state: ClusterState, config: SchedulerConfig, now: float,
         if not order:
             break
         progress = False
-        for pod_id in order:
-            pod = state.pods[pod_id]
-            if pod.status is not PodStatus.PENDING:
-                continue
-            outcome = schedule_one(state.view(now=now), pod, config, rng)
+        for pod_id in order:  # each stays pending until its turn
+            outcome = schedule_one(state.view(now=now), state.pods[pod_id], config, rng)
             outcomes.append((pod_id, outcome))
             if isinstance(outcome, Assigned):
                 state.apply_placement(pod_id, outcome.node, now)

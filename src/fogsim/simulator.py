@@ -18,6 +18,7 @@ results.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -351,14 +352,17 @@ class _Run:
         self.sched_config = self.configs[arm.name]  # one config and cache per name
         self.monitor = (ClusterMonitor(config.monitor, self.sched_config)
                         if config.monitor is not None else None)
-        self.state.metric_store.staleness_s = (config.lb.refresh_period_s
+        self.balancers = {client: LoadBalancer(client, arm.lb_policy) for client in
+                          sorted({e.args[0] for e in config.workload if e.action == "requests"})}
+        # refreshes at 0, P, 2P, ... re-poll every sample: none goes stale
+        self.state.metric_store.staleness_s = (math.inf if self.balancers else
+                                               config.lb.refresh_period_s
                                                * config.lb.staleness_periods)
-        self.balancers = {e.args[0]: LoadBalancer(e.args[0], arm.lb_policy)
-                          for e in config.workload if e.action == "requests"}
         self.scheds: list[tuple[float, Optional[str]]] = []  # queued (now, using)
         self.timeline = timeline
         self.issued = 0  # requests of the timeline issued so far
         self.requests: list[tuple] = []  # requests.csv rows
+        self.timeseries: list[tuple] = []  # timeseries.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
         # per-node (node, rt, regular, total) pod counts of the last sample,
         # recounted only after `state.epoch` moved
@@ -377,26 +381,25 @@ class _Run:
             tickers.append(_ticks(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH))
         if cfg.sample_period_s > 0:
             tickers.append(_ticks(0.0, cfg.sample_period_s, EventKind.SAMPLE))
-        timeseries = []
         for time, kind, payload in heapq.merge(script, *tickers, key=itemgetter(0, 1)):
             if self.scheds and (self.scheds[0][0], EventKind.SCHED) < (time, kind):
-                self.run_scheds(timeseries)
+                self.run_scheds()
             if time > cfg.duration_s:
                 break
             self.issue_requests(time, kind)
-            self.dispatch(time, kind, payload, timeseries)
-        self.run_scheds(timeseries)
+            self.dispatch(time, kind, payload)
+        self.run_scheds()
         self.issue_requests(cfg.duration_s, EventKind.SAMPLE)  # up to duration_s
-        return self.collect(timeseries)
+        return self.collect()
 
-    def run_scheds(self, timeseries) -> None:
+    def run_scheds(self) -> None:
         """Dispatch the queued SCHEDs in queue order.  They share the time of
         the events that queued them, which issued every request due before."""
         for now, using in self.scheds:
-            self.dispatch(now, EventKind.SCHED, using, timeseries)
+            self.dispatch(now, EventKind.SCHED, using)
         self.scheds.clear()
 
-    def dispatch(self, now: float, kind: EventKind, payload, timeseries) -> None:
+    def dispatch(self, now: float, kind: EventKind, payload) -> None:
         if kind == EventKind.LINK:
             zone, latency_ms = payload
             self.topology.set_uplink(zone, latency_ms)
@@ -417,21 +420,21 @@ class _Run:
                 self.state.reactivate_unschedulable()
                 self.scheds.append((now, None))
         elif kind == EventKind.LB_REFRESH:
-            # metric directives declare continuously exported values; the
-            # aggregator re-polls them every balancer refresh cycle
-            self.state.metric_store.restamp(now)
+            # metric directives declare continuously exported values, which the aggregator
+            # re-polls now: a sample keeps its ingest time, and never goes stale here
             view = self.state.view(now=now)
-            for client in sorted(self.balancers):
-                self.balancers[client].refresh(view, now)
+            for balancer in self.balancers.values():
+                balancer.refresh(view, now)
         elif kind == EventKind.SAMPLE:
             if self.counts_epoch != self.state.epoch:
                 self.counts_epoch = self.state.epoch
                 self.counts = []
-                for node_id in sorted(self.state.nodes):
+                for node_id in self.state.nodes:
                     pods = self.state.running_on(node_id)
                     rt = sum(1 for p in pods if p.rt_utilization > 0)
                     self.counts.append((node_id, rt, len(pods) - rt, len(pods)))
-            timeseries.extend((now, *row) for row in self.counts)
+            head = (self.arm.name, self.rep, repr(now))
+            self.timeseries.extend((*head, *row) for row in self.counts)
 
     def handle_deploy(self, now: float, args: tuple) -> None:
         names, using = args
@@ -471,7 +474,7 @@ class _Run:
                     append((arm, rep, now, client, service, replica, pod.assignment,
                             rtts[key]))
 
-    def collect(self, timeseries):
+    def collect(self):
         arm, rep = self.arm.name, self.rep
         placements = []
         for pod_id in sorted(self.state.pods):
@@ -479,12 +482,10 @@ class _Run:
             placements.append((arm, rep, pod_id, pod.service,
                                pod.assignment or "-", pod.status.value,
                                repr(pod.start_time if pod.assignment else 0.0)))
-        series = [(arm, rep, repr(t), node, rt, reg, total)
-                  for t, node, rt, reg, total in timeseries]
         evictions = [(arm, rep, repr(e.time), e.pod, e.from_node,
                       e.target_node or "-", e.reason)
                      for e in self.state.eviction_log]
-        return placements, series, self.requests, evictions
+        return placements, self.timeseries, self.requests, evictions
 
 
 def _run_rep(config: ScenarioConfig, seed: int, rep: int, timeline):

@@ -82,8 +82,10 @@ class MetricSample:
 
 
 class MetricStore:
-    """Latest application-level sample per (service, pod); a sample older
-    than `staleness_s` is stale to every reader."""
+    """Latest application-level sample per (service, pod); a sample keeps
+    the time it was ingested, and one older than `staleness_s` is stale to
+    every reader.  A run with request streams re-polls every sample each
+    balancer refresh, so it sets `staleness_s` infinite: no sample goes stale."""
 
     def __init__(self, staleness_s: float = (DEFAULT_REFRESH_PERIOD_S
                                              * DEFAULT_STALENESS_PERIODS)):
@@ -96,11 +98,6 @@ class MetricStore:
         if prev is not None and timestamp < prev.timestamp:
             raise ValueError(f"timestamp went backwards for {key}")
         self._samples[key] = MetricSample(value, timestamp)
-
-    def restamp(self, timestamp: float) -> None:
-        """Re-take every sample, with its value, at `timestamp`."""
-        for (service, pod), sample in list(self._samples.items()):
-            self.ingest(service, pod, sample.value, timestamp)
 
     def service_samples(self, service: str) -> dict[str, MetricSample]:
         return {pod: s for (svc, pod), s in self._samples.items() if svc == service}

@@ -168,19 +168,28 @@ class TestScoreDependencies:
         snap = state.snapshot()
         assert all(score_dependencies(pod, n, snap) == 1.0 for n in snap.nodes)
 
-    def test_weighted_average_of_dependency_scores(self):
-        # dep1 replica score 0.8 and dep2 replica score 0.4 on P1-A,
-        # weighted 0.75/0.25 -> 0.7
+    @staticmethod
+    def two_dependency_score(w1, w2):
+        """P1-A's score for a pod whose two dependencies score 0.8 and 0.4 there."""
         state = make_state()
         state.add_pods([PodInstance(id="d1-0", service="d1"),
                         PodInstance(id="d2-0", service="d2")])
         state.apply_placement("d1-0", "P2-A", 0.0)
         state.apply_placement("d2-0", "P2-B", 0.0)
         pod = PodInstance(id="app-0", service="app", dependencies=(
-            DependencyRef("d1", 0.75, latency_weight=0.2, metric_weight=0.8),
-            DependencyRef("d2", 0.25, latency_weight=0.6, metric_weight=0.4)))
-        score = score_dependencies(pod, "P1-A", state.snapshot())
-        assert score == pytest.approx(0.7)
+            DependencyRef("d1", w1, latency_weight=0.2, metric_weight=0.8),
+            DependencyRef("d2", w2, latency_weight=0.6, metric_weight=0.4)))
+        return score_dependencies(pod, "P1-A", state.view())
+
+    def test_weighted_average_of_dependency_scores(self):
+        # weighted 0.75/0.25 -> 0.7
+        assert self.two_dependency_score(0.75, 0.25) == pytest.approx(0.7)
+
+    def test_weights_are_normalised_where_they_are_read(self):
+        """Pods carry their descriptor's weights as declared: only the shares count."""
+        assert self.two_dependency_score(3.0, 1.0) == self.two_dependency_score(0.75, 0.25)
+        assert self.two_dependency_score(0.0, 0.0) == self.two_dependency_score(1.0, 1.0)
+        assert self.two_dependency_score(0.0, 0.0) == pytest.approx(0.6)
 
     def test_missing_replicas_contribute_zero(self):
         state = make_state()

@@ -115,13 +115,6 @@ class TestExpand:
         pods = expand(FogServiceSpec(name="one"))
         assert len(pods) == 1 and pods[0].location_scope is None
 
-    def test_dep_weights_normalized(self):
-        spec = FogServiceSpec(name="svc", dependencies=(
-            DependencyRef("a", 0.7), DependencyRef("b", 0.5)))
-        deps = expand(spec)[0].dependencies
-        assert sum(d.dep_weight for d in deps) == pytest.approx(1.0)
-        assert deps[0].dep_weight == pytest.approx(0.7 / 1.2)
-
     @given(st.integers(1, 20), st.integers(0, 5))
     def test_expansion_is_deterministic_and_counts(self, replicas, locations):
         if locations:

@@ -230,9 +230,9 @@ def test_epoch_moves_with_every_placement_write_only(monkeypatch, name):
     dispatch = simulator._Run.dispatch
     moved, stood = Counter(), Counter()
 
-    def checked(self, now, kind, payload, timeseries):
+    def checked(self, now, kind, payload):
         before, epoch = placements(self.state), self.state.epoch
-        dispatch(self, now, kind, payload, timeseries)
+        dispatch(self, now, kind, payload)
         if placements(self.state) != before:
             assert self.state.epoch != epoch, (kind.name, now)
             moved[kind.name] += 1
@@ -254,9 +254,9 @@ def test_refreshes_and_metrics_leave_placement_verdicts_standing(monkeypatch):
     dispatch = simulator._Run.dispatch
     since, passes = set(), []  # kinds since the last pass; (kinds, dry runs) per pass
 
-    def traced(self, now, kind, payload, timeseries):
+    def traced(self, now, kind, payload):
         before = calls["dry runs"]
-        dispatch(self, now, kind, payload, timeseries)
+        dispatch(self, now, kind, payload)
         if kind is simulator.EventKind.MONITOR:
             passes.append((frozenset(since), calls["dry runs"] - before))
             since.clear()

@@ -38,10 +38,13 @@ class NaiveRun(simulator._Run):
     """One heap of `(time, kind, seq, payload)` for every directive, request
     and periodic tick; the SCHEDs a dispatch queues are pushed right after it.
     A stream's next request is due `1.0 / rate_hz` after its last.  Every
-    request computes its RTT and every SAMPLE counts the pods afresh."""
+    request computes its RTT and every SAMPLE counts the pods afresh.  Metric
+    samples go stale after the finite `staleness_s`, and every LB_REFRESH
+    re-ingests each of them at the refresh's time, as the aggregator re-polls them."""
 
     def execute(self):
-        cfg, heap, seq, timeseries = self.config, [], count(), []
+        cfg, heap, seq = self.config, [], count()
+        self.state.metric_store.staleness_s = cfg.lb.refresh_period_s * cfg.lb.staleness_periods
 
         def push(time, kind, payload=None):
             heapq.heappush(heap, (time, kind, next(seq), payload))
@@ -62,11 +65,11 @@ class NaiveRun(simulator._Run):
             if kind is EventKind.REQUEST:
                 self.request(now, *payload, push)
             else:
-                self.dispatch(now, kind, payload, timeseries)
+                self.dispatch(now, kind, payload)
             for time, using in self.scheds:
                 push(time, EventKind.SCHED, using)
             self.scheds.clear()
-        return self.collect(timeseries)
+        return self.collect()
 
     def request(self, now, client, service, rate_hz, remaining, push):
         chain = self.balancers[client].chains.get(service)
@@ -81,14 +84,19 @@ class NaiveRun(simulator._Run):
         if remaining > 1:
             push(now + 1.0 / rate_hz, EventKind.REQUEST, (client, service, rate_hz, remaining - 1))
 
-    def dispatch(self, now, kind, payload, timeseries):
+    def dispatch(self, now, kind, payload):
+        if kind is EventKind.LB_REFRESH:
+            store = self.state.metric_store
+            for (service, pod), sample in list(store._samples.items()):
+                store.ingest(service, pod, sample.value, now)
         if kind is not EventKind.SAMPLE:
-            return super().dispatch(now, kind, payload, timeseries)
+            return super().dispatch(now, kind, payload)
         for node_id in sorted(self.state.nodes):
             pods = [p for p in self.state.pods.values()
                     if p.status is PodStatus.RUNNING and p.assignment == node_id]
             rt = sum(p.rt_utilization > 0 for p in pods)
-            timeseries.append((now, node_id, rt, len(pods) - rt, len(pods)))
+            self.timeseries.append((self.arm.name, self.rep, repr(now), node_id,
+                                    rt, len(pods) - rt, len(pods)))
 
 
 def run(monkeypatch, config, engine):
@@ -97,9 +105,9 @@ def run(monkeypatch, config, engine):
     order, dry_runs = [], []
     dispatch, dry_run = engine.dispatch, monitor.simulate_scheduling
 
-    def recorded(self, now, kind, payload, timeseries):
+    def recorded(self, now, kind, payload):
         order.append((self.arm.name, self.rep, now, kind, payload))
-        dispatch(self, now, kind, payload, timeseries)
+        dispatch(self, now, kind, payload)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "dispatch", recorded)

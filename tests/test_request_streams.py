@@ -29,9 +29,9 @@ def test_request_edges_reach_every_edge():
 
 
 def test_rtts_are_computed_once_per_pair_and_link_epoch(monkeypatch):
-    """Balancer refreshes re-ingest metrics and the monitor evicts, but only
-    the t=5 link change moves an RTT: each (client, node) pair of a run is
-    computed once before it and once after."""
+    """Balancers refresh and the monitor evicts, but only the t=5 link change
+    moves an RTT: each (client, node) pair of a run is computed once before
+    it and once after."""
     calls = []
 
     def counting_rtt(*args):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,7 +10,8 @@ from hypothesis import example, given, strategies as st
 from fogsim import report, simulator
 from fogsim.monitor import MonitorConfig
 from fogsim.realtime import FEASIBILITY_EPS, node_rt_utilization, rt_capacity
-from fogsim.scenarios import load_bundled
+from fogsim.scenario_io import parse_scenario
+from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.simulator import (ArmSpec, EventKind, LbSettings, NodeSettings,
                               ScenarioConfig, TopologySpec, WorkloadEvent,
                               request_rtt, run_scenario)
@@ -99,7 +102,7 @@ class TestEventOrdering:
         class FirstEvent(Exception):
             pass
 
-        def stop(self, now, kind, payload, timeseries):
+        def stop(self, now, kind, payload):
             raise FirstEvent
 
         monkeypatch.setattr(simulator._Run, "dispatch", stop)
@@ -295,8 +298,8 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, tmp_path, name):
     dispatch = simulator._Run.dispatch
     seen = set()
 
-    def checked(self, now, kind, payload, timeseries):
-        dispatch(self, now, kind, payload, timeseries)
+    def checked(self, now, kind, payload):
+        dispatch(self, now, kind, payload)
         self.state.check_invariants()
         if name in RT_FILTERED and self.arm.name == "custom":
             view = self.state.view()
@@ -322,3 +325,24 @@ def test_scheduler_and_monitor_read_views_not_copies(monkeypatch):
     monkeypatch.setattr(ClusterState, "snapshot", refuse)
     results = run_scenario(load_bundled("fig7-monitor"), repetitions=1)
     assert results.placements and results.evictions
+
+
+SCENARIO_FILES = [*(Path(simulator.__file__).parent / "scenarios" / f"{name}.ini"
+                    for name in BUNDLED),
+                  *sorted((Path(__file__).parent / "scenarios").glob("*.ini"))]
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+def test_node_listing_order_does_not_matter(tmp_path, path):
+    """Each zone's nodes listed backwards write the same bytes (ci): the
+    cluster keeps its nodes in id order, whatever order they are listed in."""
+    text = path.read_text(encoding="utf-8")
+    backwards = re.sub(r"^(zone\.\S+ *=)(.*)$",
+                       lambda m: " ".join([m[1], *reversed(m[2].split())]), text, flags=re.M)
+    configs = [parse_scenario(t, name_hint=path.stem) for t in (text, backwards)]
+    zones = [config.topology.zones for config in configs]
+    assert zones[1] == {z: nodes[::-1] for z, nodes in zones[0].items()}
+    written = [report.write_results(run_scenario(config, profile="ci"), tmp_path / side)
+               for config, side in zip(configs, ("listed", "backwards"))]
+    for listed, reversed_ in zip(*written):
+        assert listed.read_bytes() == reversed_.read_bytes(), listed.name
