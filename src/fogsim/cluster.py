@@ -4,7 +4,9 @@ A state keeps its nodes in id order, and every walk over them relies on it;
 its queue holds exactly the pending pods.  All mutation goes through
 :class:`ClusterState`, which keeps CPU allocation bookkeeping consistent
 with pod status transitions and indexes the running pods per node and per
-service.  :meth:`~ClusterState.apply_placement` and
+service, both in walk order: RT pods first, then by id, the order the
+monitor re-places them in.  A node's RT utilization is the sum over its
+list in that order.  :meth:`~ClusterState.apply_placement` and
 :meth:`~ClusterState.evict` are the only writers of these placement facts:
 each updates the index in place, touching only its own node's and service's
 lists, and recomputes its node's RT utilization sum.  The scheduler, the
@@ -226,7 +228,12 @@ class EvictionEvent:
     reason: str
 
 
-_pod_id = attrgetter("id")
+def _walk_order(pod: PodInstance) -> tuple[bool, str]:
+    # RT pods first so that re-placement settles the RT layout before
+    # regular pods are reconsidered; deterministic within each group.  All
+    # pods of one service share their RT utilization, so a service's list
+    # stays in id order.
+    return pod.rt_utilization == 0.0, pod.id
 
 
 def _rt_sum(pods: Iterable[PodInstance]) -> float:
@@ -234,8 +241,9 @@ def _rt_sum(pods: Iterable[PodInstance]) -> float:
 
 
 class _RunningIndex:
-    """Running pods per node in `pods` order and per service in id order,
-    and each node's RT utilization as the sum over its list in list order.
+    """Running pods per node and per service in walk order (RT pods first,
+    then by id), and each node's RT utilization as the sum over its list in
+    that order.
     Subclasses set `nodes`, `pods`, `_by_node`, `_by_service` and `_rt`.
     Callers must not mutate the lists."""
 
@@ -293,7 +301,6 @@ class ClusterState(_RunningIndex):
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
-        self._ordinal: dict[str, int] = {}  # pod id -> position in `pods`
         self._versions: dict[str, int] = {n: next(_versions) for n in self.nodes}
         self._service_versions: dict[str, int] = {}
         self.epoch = 0  # the version of the latest placement write
@@ -303,7 +310,6 @@ class ClusterState(_RunningIndex):
     def add_pod(self, pod: PodInstance) -> None:
         if pod.id in self.pods:
             raise ValueError(f"duplicate pod id {pod.id}")
-        self._ordinal[pod.id] = len(self.pods)
         self.pods[pod.id] = pod
         if pod.status is PodStatus.PENDING:
             self.queue.append(pod.id)
@@ -323,8 +329,8 @@ class ClusterState(_RunningIndex):
         pod.start_time = time
         self.allocated_m[node_id] += pod.cpu_request
         self.queue.remove(pod_id)
-        insort(self._by_node[node_id], pod, key=self._ordinal_of)
-        insort(self._by_service.setdefault(pod.service, []), pod, key=_pod_id)
+        insort(self._by_node[node_id], pod, key=_walk_order)
+        insort(self._by_service.setdefault(pod.service, []), pod, key=_walk_order)
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
         self.epoch = self._versions[node_id] = self._service_versions[pod.service] = next(_versions)
 
@@ -339,9 +345,8 @@ class ClusterState(_RunningIndex):
         pod.assignment = None
         self.queue.append(pod_id)
         self.eviction_log.append(EvictionEvent(time, pod_id, node_id, target_node, reason))
-        for pods, key in ((self._by_node[node_id], self._ordinal_of),
-                          (self._by_service[pod.service], _pod_id)):
-            del pods[bisect_left(pods, key(pod), key=key)]
+        for pods in (self._by_node[node_id], self._by_service[pod.service]):
+            del pods[bisect_left(pods, _walk_order(pod), key=_walk_order)]
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
         self.epoch = self._versions[node_id] = self._service_versions[pod.service] = next(_versions)
 
@@ -353,15 +358,13 @@ class ClusterState(_RunningIndex):
         self.queue.remove(pod_id)
         self.unschedulable.append(pod_id)
 
-    def reactivate_unschedulable(self) -> list[str]:
+    def reactivate_unschedulable(self) -> None:
         """Give previously unschedulable pods another chance after the
         cluster changed (new placements, evictions, topology updates)."""
-        woken = list(self.unschedulable)
-        for pod_id in woken:
+        for pod_id in self.unschedulable:
             self.pods[pod_id].status = PodStatus.PENDING
-        self.queue.extend(woken)
+        self.queue.extend(self.unschedulable)
         self.unschedulable.clear()
-        return woken
 
     # -- views ---------------------------------------------------------------
 
@@ -408,7 +411,7 @@ class ClusterState(_RunningIndex):
         the RT sums, the queue and pod statuses agree with a recount from
         `pods`."""
         by_node, by_service = {n: [] for n in self.nodes}, {}
-        for pod in self.pods.values():
+        for pod in sorted(self.pods.values(), key=_walk_order):
             if pod.status is PodStatus.RUNNING:
                 by_node[pod.assignment].append(pod)
                 by_service.setdefault(pod.service, []).append(pod)
@@ -421,8 +424,7 @@ class ClusterState(_RunningIndex):
                 problems.append(f"{n}: stale running index or RT utilization")
         problems += [f"{s}: stale per-service index"
                      for s in sorted(self._by_service.keys() | by_service.keys())
-                     if self.running_of_service(s) != sorted(by_service.get(s, []),
-                                                             key=_pod_id)]
+                     if self.running_of_service(s) != by_service.get(s, [])]
         where = {PodStatus.PENDING: (1, 0, False), PodStatus.UNSCHEDULABLE: (0, 1, False),
                  PodStatus.RUNNING: (0, 0, True)}
         for pod_id, pod in self.pods.items():
@@ -433,9 +435,6 @@ class ClusterState(_RunningIndex):
                                 f"unschedulable, placed) = {seen}")
         if problems:
             raise AssertionError("; ".join(problems))
-
-    def _ordinal_of(self, pod: PodInstance) -> int:
-        return self._ordinal[pod.id]
 
     def _pod(self, pod_id: str) -> PodInstance:
         try:

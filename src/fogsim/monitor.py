@@ -1,7 +1,8 @@
 """Cluster state monitor: dry-run rescheduling of every running pod, with
 eviction of pods whose best node has drifted away from their current one.
 
-Each pass walks the nodes and their pods in a fixed order.  A pod still
+Each pass walks the nodes in id order and each node's pods in the running
+index's walk order: RT pods first, then by id.  A pod still
 inside its minimum age (grace) or its eviction backoff is skipped before any
 work; every other pod is dry-run against a view that excludes it, and
 evicted when the simulated result names a different node.  Checking the
@@ -77,12 +78,6 @@ class ClusterMonitor:
         self._stamp = scheduler_config.hooks()[4]
         self._verdicts: dict[str, tuple] = {}  # pod -> (epoch, stamps, node)
 
-    def _pods_on(self, state: ClusterState, node_id: str) -> list[PodInstance]:
-        # RT pods first so that re-placement settles the RT layout before
-        # regular pods are reconsidered; deterministic within each group.
-        pods = state.running_on(node_id)
-        return sorted(pods, key=lambda p: (p.rt_utilization == 0.0, p.id))
-
     def _gated(self, pod: PodInstance, now: float) -> bool:
         if now - pod.start_time <= self.config.grace_s:
             return True
@@ -104,8 +99,8 @@ class ClusterMonitor:
         """One monitor pass; returns the evictions it performed."""
         evictions, view = [], None  # a view of the whole cluster, built when first read
         for node_id in state.nodes:
-            for pod in self._pods_on(state, node_id):
-                if pod.status is not PodStatus.RUNNING or self._gated(pod, now):
+            for pod in list(state.running_on(node_id)):  # a copy: the pass evicts
+                if self._gated(pod, now):
                     continue
                 view = view or state.view(now=now)
                 result = self._verdict(state, view, pod, now)

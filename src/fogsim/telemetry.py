@@ -82,25 +82,28 @@ class MetricSample:
 
 
 class MetricStore:
-    """Latest application-level sample per (service, pod); a sample keeps
-    the time it was ingested, and one older than `staleness_s` is stale to
-    every reader.  A run with request streams re-polls every sample each
-    balancer refresh, so it sets `staleness_s` infinite: no sample goes stale."""
+    """Latest application-level sample per pod, grouped by service, each
+    service's pods in first-ingest order; a sample keeps the time it was
+    ingested, and one older than `staleness_s` is stale to every reader.  A
+    run with request streams re-polls every sample each balancer refresh,
+    so it sets `staleness_s` infinite: no sample goes stale."""
 
     def __init__(self, staleness_s: float = (DEFAULT_REFRESH_PERIOD_S
                                              * DEFAULT_STALENESS_PERIODS)):
-        self._samples: dict[tuple[str, str], MetricSample] = {}
+        self._samples: dict[str, dict[str, MetricSample]] = {}  # service -> pod -> sample
         self.staleness_s = staleness_s
 
     def ingest(self, service: str, pod: str, value: float, timestamp: float) -> None:
-        key = (service, pod)
-        prev = self._samples.get(key)
+        samples = self._samples.setdefault(service, {})
+        prev = samples.get(pod)
         if prev is not None and timestamp < prev.timestamp:
-            raise ValueError(f"timestamp went backwards for {key}")
-        self._samples[key] = MetricSample(value, timestamp)
+            raise ValueError(f"timestamp went backwards for {(service, pod)}")
+        samples[pod] = MetricSample(value, timestamp)
 
-    def service_samples(self, service: str) -> dict[str, MetricSample]:
-        return {pod: s for (svc, pod), s in self._samples.items() if svc == service}
+    def service_samples(self, service: str) -> Mapping[str, MetricSample]:
+        """The service's samples by pod, or an empty mapping; the store's
+        own dict, so callers must not mutate it."""
+        return self._samples.get(service, {})
 
 
 def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],

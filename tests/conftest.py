@@ -57,7 +57,8 @@ def record(cluster) -> dict:
         "allocated_m": dict(cluster.allocated_m),
         "queue": list(getattr(cluster, "queue", ())),
         "unschedulable": list(getattr(cluster, "unschedulable", ())),
-        "samples": dict(cluster.metric_store._samples),
+        "samples": {service: dict(samples)
+                    for service, samples in cluster.metric_store._samples.items()},
     }
 
 

@@ -262,6 +262,23 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="^svc: stale per-service index$"):
             state.check_invariants()
 
+    def test_detects_a_running_list_out_of_walk_order(self, state):
+        rt = (RtProcessSpec(DeadlinePolicy(100_000, 1_000_000), name_substring="rt"),)
+        state.add_pods([pod("a"), pod("b", service="rt", rt_processes=rt)])
+        state.apply_placement("a", "P1-A", 0.0)
+        state.apply_placement("b", "P1-A", 0.0)
+        state.running_on("P1-A").reverse()
+        with pytest.raises(AssertionError, match="^P1-A: stale running index"):
+            state.check_invariants()
+
+    def test_detects_a_service_list_out_of_walk_order(self, state):
+        state.add_pods([pod("a"), pod("b")])
+        state.apply_placement("a", "P1-A", 0.0)
+        state.apply_placement("b", "P2-A", 0.0)
+        state.running_of_service("svc").reverse()
+        with pytest.raises(AssertionError, match="^svc: stale per-service index$"):
+            state.check_invariants()
+
     def test_detects_queue_inconsistency(self, state):
         state.add_pod(pod("a"))
         state.queue.append("a")

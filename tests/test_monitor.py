@@ -4,8 +4,8 @@ import pytest
 
 from fogsim import monitor as monitor_module
 from fogsim import simulator
-from fogsim.cluster import (ClusterState, DependencyRef, Node, PodInstance, PodStatus,
-                            Topology)
+from fogsim.cluster import (ClusterState, DeadlinePolicy, DependencyRef, Node, PodInstance,
+                            PodStatus, RtProcessSpec, Topology)
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
@@ -162,6 +162,26 @@ def count_dry_runs(monkeypatch) -> Counter:
 
     monkeypatch.setattr(monitor_module, "simulate_scheduling", counted)
     return calls
+
+
+def test_a_pass_walks_rt_pods_first_then_by_id(monkeypatch):
+    rt = (RtProcessSpec(DeadlinePolicy(100_000, 1_000_000), name_substring="rt"),)
+    state = two_node_state()
+    for pod_id in ["e", "a", "d", "f", "b", "c"]:
+        state.add_pod(PodInstance(id=pod_id, service="rt" if pod_id in "bde" else "svc",
+                                  rt_processes=rt if pod_id in "bde" else ()))
+        state.apply_placement(pod_id, "n1", 0.0)
+    walked = []
+
+    def dry_run(state, pod_id, config, now):
+        # `b` is sent away, so the pass evicts while it walks n1's pods
+        walked.append(pod_id)
+        return "n2" if pod_id == "b" else state.pods[pod_id].assignment
+
+    monkeypatch.setattr(monitor_module, "simulate_scheduling", dry_run)
+    evictions = ClusterMonitor(MonitorConfig(), BASELINE).pass_once(state, 500.0)
+    assert [e.pod for e in evictions] == ["b"]
+    assert walked == ["b", "d", "e", "a", "c", "f"]
 
 
 def test_gated_pods_are_not_dry_run(monkeypatch):

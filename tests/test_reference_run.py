@@ -17,12 +17,15 @@ from conftest import load_test_scenario
 
 
 class NaiveMonitor(monitor.ClusterMonitor):
-    """Dry-runs every running pod, then applies the grace and backoff gates."""
+    """Dry-runs every running pod, RT pods of a node first and then by id,
+    sorted here rather than read from the index's order; then applies the
+    grace and backoff gates."""
 
     def pass_once(self, state, now):
         evictions = []
         for node_id in sorted(state.nodes):
-            for pod in self._pods_on(state, node_id):
+            for pod in sorted(state.running_on(node_id),
+                              key=lambda p: (p.rt_utilization == 0.0, p.id)):
                 result = monitor.simulate_scheduling(state, pod.id, self.scheduler_config, now)
                 last = self.backoff.get(pod.id)
                 if (result not in (None, pod.assignment)
@@ -87,8 +90,9 @@ class NaiveRun(simulator._Run):
     def dispatch(self, now, kind, payload):
         if kind is EventKind.LB_REFRESH:
             store = self.state.metric_store
-            for (service, pod), sample in list(store._samples.items()):
-                store.ingest(service, pod, sample.value, now)
+            for service, samples in store._samples.items():
+                for pod, sample in list(samples.items()):
+                    store.ingest(service, pod, sample.value, now)
         if kind is not EventKind.SAMPLE:
             return super().dispatch(now, kind, payload)
         for node_id in sorted(self.state.nodes):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fogsim.telemetry import (HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSpec,
+from fogsim.telemetry import (HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSample, MetricSpec,
                               MetricStore, metric_scores, normalize,
                               path_latency, refresh_scoreboard)
 
@@ -68,6 +68,17 @@ class TestMetricStore:
         store.ingest("svc", "p0", 5.0, 2.0)
         with pytest.raises(ValueError):
             store.ingest("svc", "p0", 6.0, 1.0)
+
+    def test_samples_are_kept_per_service_in_first_ingest_order(self):
+        store = MetricStore()
+        for service, pod_id, t in [("web", "w2", 1.0), ("db", "d1", 1.0), ("web", "w1", 2.0),
+                                   ("db", "d0", 2.0), ("web", "w2", 3.0), ("web", "w0", 4.0)]:
+            store.ingest(service, pod_id, t * 10, t)
+        assert list(store.service_samples("web").items()) == [
+            ("w2", MetricSample(30.0, 3.0)), ("w1", MetricSample(20.0, 2.0)),
+            ("w0", MetricSample(40.0, 4.0))]
+        assert list(store.service_samples("db")) == ["d1", "d0"]
+        assert store.service_samples("cache") == {}
 
     def test_staleness_scores_worst_case(self):
         store = MetricStore()
