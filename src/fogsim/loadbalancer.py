@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .telemetry import path_latency, refresh_scoreboard
@@ -24,11 +24,16 @@ POLICIES = (POLICY_WEIGHTED, POLICY_UNIFORM)
 
 @dataclass(frozen=True)
 class RuleChain:
-    """Replicas in ascending score order with per-rule accept probabilities."""
+    """Replicas in ascending score order with per-rule accept probabilities;
+    `rules` pairs the two in walk order, once per chain."""
 
     replicas: tuple[str, ...]
     accept_probabilities: tuple[float, ...]
     selection_probabilities: tuple[float, ...]
+    rules: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(zip(self.replicas, self.accept_probabilities)))
 
 
 def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
@@ -68,10 +73,11 @@ def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:
 
 
 def select_replica(chain: RuleChain, rng: random.Random) -> str:
-    """Walk the rules in order; each accepts with its own probability and
-    takes one draw, so an empty chain takes none."""
-    for rep, p in zip(chain.replicas, chain.accept_probabilities):
-        if rng.random() < p:
+    """Walk the chain's rules in order; each takes one draw and accepts if it
+    falls below its probability, so an empty chain takes none."""
+    draw = rng.random
+    for rep, p in chain.rules:
+        if draw() < p:
             return rep
     if not chain.replicas:
         raise ValueError("empty rule chain")

@@ -10,9 +10,11 @@ passes queue run, first in first out, before the next event that sorts
 after them.  Requests write no cluster state and their times depend on the
 scenario alone, so `request_timeline` lists them once per scenario; every
 arm and repetition reads that one timeline as a cursor, merged into the
-walk in that same `(time, kind)` order.  Every source of randomness derives
-from the scenario seed, so a (config, seed) pair reproduces byte-identical
-results.
+walk in that same `(time, kind)` order.  The requests due before an event
+form a window: only events, SCHEDs and refreshes change what a request
+reads, so each stream's chain and each chosen replica's row are resolved
+once per window.  Every source of randomness derives from the scenario
+seed, so a (config, seed) pair reproduces byte-identical results.
 """
 
 from __future__ import annotations
@@ -447,9 +449,9 @@ class _Run:
         self.scheds.append((now, using))
 
     def issue_requests(self, until: float, kind: EventKind) -> None:
-        """Issue every request of the timeline whose `(t, REQUEST)` sorts
-        before an event `(until, kind)`, in timeline order.  RTT strings are
-        memoised until the next link change."""
+        """Issue the window of requests whose `(t, REQUEST)` sorts before an
+        event `(until, kind)`, in timeline order; each stream's chain and each
+        chosen replica's row tail are read once, RTTs once per link change."""
         times, streams = self.timeline
         start = self.issued
         bisect = bisect_right if kind > EventKind.REQUEST else bisect_left
@@ -460,19 +462,25 @@ class _Run:
         balancers, pods, rtts = self.balancers, self.state.pods, self.rtts
         rng, arm, rep = self.rng_requests, self.arm.name, self.rep
         append, running = self.requests.append, PodStatus.RUNNING
-        for now, (client, service) in zip(islice(times, start, end),
-                                          islice(streams, start, end)):
-            chain = balancers[client].chains.get(service)
+        window = {}  # (client, service) -> (chain, {replica: row tail or False})
+        for now, stream in zip(islice(times, start, end), islice(streams, start, end)):
+            if stream not in window:
+                window[stream] = (balancers[stream[0]].chains.get(stream[1]), {})
+            chain, tails = window[stream]
             if chain is not None:
                 replica = select_replica(chain, rng)
-                pod = pods[replica]
-                if pod.status is running:
-                    key = (client, pod.assignment)
-                    if key not in rtts:
-                        rtts[key] = repr(request_rtt(self.topology, *key,
-                                                     self.config.lb.processing_delay_ms))
-                    append((arm, rep, now, client, service, replica, pod.assignment,
-                            rtts[key]))
+                tail = tails.get(replica)
+                if tail is None:
+                    pod, tail = pods[replica], False
+                    if pod.status is running:
+                        key = (stream[0], pod.assignment)
+                        if key not in rtts:
+                            rtts[key] = repr(request_rtt(self.topology, *key,
+                                                         self.config.lb.processing_delay_ms))
+                        tail = (*stream, replica, pod.assignment, rtts[key])
+                    tails[replica] = tail
+                if tail:
+                    append((arm, rep, now) + tail)
 
     def collect(self):
         arm, rep = self.arm.name, self.rep

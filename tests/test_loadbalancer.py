@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,8 +95,8 @@ class TestSelectReplica:
         assert [select_replica(chain, rng_a) for _ in range(200)] == \
                [select_replica(chain, rng_b) for _ in range(200)]
 
-    def test_walk_draws_once_per_rule_up_to_the_chosen_one(self):
-        chain = chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5, "never": 0.0})
+    def test_walk_draws_once_per_rule_up_to_the_chosen_one(
+            self, chain=chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5, "never": 0.0})):
         rng, reference = random.Random(11), random.Random(11)
         for _ in range(500):
             picked = select_replica(chain, rng)
@@ -104,6 +105,25 @@ class TestSelectReplica:
                     break
             assert picked == rep
             assert rng.getstate() == reference.getstate()
+
+    def test_walk_draws_once_per_rule_on_a_uniform_chain(self):
+        chain = uniform_chain(["a", "b", "c", "d"])
+        self.test_walk_draws_once_per_rule_up_to_the_chosen_one(chain)
+
+    @pytest.mark.parametrize("chain", [
+        chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5}),
+        uniform_chain(["a", "b", "c", "d"]),
+        RuleChain(("x", "y"), (0.25, 1.0), (0.25, 0.75)),
+    ], ids=["weighted", "uniform", "hand-built"])
+    def test_the_walk_reads_replica_and_accept_probability_pairs(self, chain):
+        assert chain.rules == tuple(zip(chain.replicas, chain.accept_probabilities))
+        assert chain == RuleChain(chain.replicas, chain.accept_probabilities,
+                                  chain.selection_probabilities)
+        for i, (rep, _) in enumerate(chain.rules):
+            # draws of 1.0 decline every rule and 0.0 accepts any but a zero one
+            draws = iter([1.0] * i + [0.0])
+            assert select_replica(chain, SimpleNamespace(random=draws.__next__)) == rep
+            assert next(draws, None) is None
 
     def test_empty_chain_raises_without_a_draw(self):
         rng = random.Random(4)
