@@ -33,7 +33,6 @@ import copy as _copy
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
@@ -208,11 +207,11 @@ class PodInstance:
     assignment: Optional[str] = None
     start_time: float = 0.0
     status: PodStatus = PodStatus.PENDING
+    rt_utilization: float = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def rt_utilization(self) -> float:
+    def __post_init__(self):
         # deadline `runtime/period` and FIFO core fractions; rt_processes is immutable
-        return sum(proc.policy.utilization for proc in self.rt_processes)
+        self.rt_utilization = sum(proc.policy.utilization for proc in self.rt_processes)
 
 
 @dataclass(frozen=True)

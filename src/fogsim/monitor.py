@@ -75,7 +75,6 @@ class ClusterMonitor:
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
-        self._stamp = scheduler_config.hooks()[4]
         self._verdicts: dict[str, tuple] = {}  # pod -> (epoch, stamps, node)
 
     def _gated(self, pod: PodInstance, now: float) -> bool:
@@ -86,7 +85,7 @@ class ClusterMonitor:
 
     def _verdict(self, state: ClusterState, view: ClusterSnapshot, pod: PodInstance,
                  now: float) -> Optional[str]:
-        stamps = self._stamp(pod, view)
+        stamps = self.scheduler_config.stamp(pod, view)
         cached = self._verdicts.get(pod.id)
         if cached is not None and cached[0] == state.epoch and cached[1] == stamps:
             return cached[2]

@@ -133,9 +133,8 @@ class RtPriorityManager:
     """Apply RT process policies on pod start, retrying unmatched processes
     on a fixed 30-second cadence until every spec has been applied."""
 
-    def __init__(self, host: ProcessHost, retry_interval_s: float = RETRY_INTERVAL_S):
+    def __init__(self, host: ProcessHost):
         self.host = host
-        self.retry_interval_s = retry_interval_s
         self.pending: dict[str, PendingAssignment] = {}
         self._applied: set[tuple[str, int, int]] = set()  # (pod, spec index, pid)
 
@@ -150,7 +149,7 @@ class RtPriorityManager:
         applied, unmatched = self._try_apply(pod, range(len(pod.rt_processes)), now)
         entry = None
         if unmatched:
-            entry = PendingAssignment(pod.id, unmatched, now + self.retry_interval_s)
+            entry = PendingAssignment(pod.id, unmatched, now + RETRY_INTERVAL_S)
             self.pending[pod.id] = entry
         return applied, entry
 
@@ -166,7 +165,7 @@ class RtPriorityManager:
             applied_now.extend((pod_id, idx, pid) for idx, pid in applied)
             if unmatched:
                 entry.unmatched = unmatched
-                entry.next_retry = now + self.retry_interval_s
+                entry.next_retry = now + RETRY_INTERVAL_S
             else:
                 del self.pending[pod_id]
         return applied_now

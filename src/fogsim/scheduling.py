@@ -9,16 +9,16 @@ scores read the pod's shape (service, CPU request, RT utilization, location
 scope, priority class and dependencies), their node's placements and fixed
 capacities, and what the plugin's `stamp(pod, snapshot)` returns: a hashable
 value of all else they read, or None if that is not cacheable in this view.
-A config binds its plugins' hooks and stamps once, and caches each node's
-filter verdict and combined score per pod shape and stamps while the node's
-version (:class:`ClusterState`) stands; stamps of None get a throwaway
-cache.  Post-filters are never cached.
+A config binds its plugins' hooks and stamps when it is built, and caches
+each node's filter verdict and combined score per pod shape and stamps while
+the node's version (:class:`ClusterState`) stands; stamps of None get a
+throwaway cache.  Post-filters are never cached.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -103,11 +103,15 @@ class SchedulerConfig:
     Tie-breaking is lexicographic by node id by default; `seeded-random`
     picks uniformly among the top-scoring nodes using the run's RNG, which
     mirrors how stock schedulers choose among equal candidates.
+
+    Building a config builds its plugins and binds their hooks: `filters`,
+    `scorers` with their weights and `total_weight`, `post_filters`, and
+    `stamp`, one stamping plugin's stamp or a tuple of all, None if any is.
+    `cache` maps (pod shape, stamps) to {node: (version, reason, combined score)}.
     """
 
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
     tie_break: str = TIE_LEXICOGRAPHIC
-    _hooks: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.plugins]
@@ -117,46 +121,47 @@ class SchedulerConfig:
             raise ValueError("plugin weights must be positive")
         if self.tie_break not in (TIE_LEXICOGRAPHIC, TIE_SEEDED_RANDOM):
             raise ValueError(f"unknown tie-break rule: {self.tie_break}")
+        plugins = [(build_plugin(name), weight) for name, weight in self.plugins]
+        self.filters = [(p.name, p.filter) for p, _ in plugins if hasattr(p, "filter")]
+        self.scorers = [(p.name, p.score, w) for p, w in plugins if hasattr(p, "score")]
+        self.post_filters = [p.post_filter for p, _ in plugins if hasattr(p, "post_filter")]
+        self.total_weight = sum(w for _, _, w in self.scorers)
+        stampers = [p.stamp for p, _ in plugins if hasattr(p, "stamp")]
+        self.stamp = (stampers[0] if len(stampers) == 1 else partial(_stamps, stampers)
+                      if stampers else lambda pod, snapshot: ())
+        self.cache: dict[tuple, dict] = {}
 
-    def hooks(self) -> tuple:
-        """(filters, scorers, post-filters, total score weight, stamp, cache),
-        bound on the first call.  `stamp` gives one stamping plugin's stamp,
-        or a tuple of all, None if any is.  The cache maps (pod shape, stamps)
-        to {node: (version, reason, combined score)}."""
-        if self._hooks is None:
-            plugins = [(build_plugin(name), weight) for name, weight in self.plugins]
-            scorers = [(p.name, p.score, w) for p, w in plugins if hasattr(p, "score")]
-            stampers = [p.stamp for p, _ in plugins if hasattr(p, "stamp")]
-            stamp = (stampers[0] if len(stampers) == 1 else partial(_stamps, stampers)
-                     if stampers else lambda pod, snapshot: ())
-            self._hooks = ([(p.name, p.filter) for p, _ in plugins if hasattr(p, "filter")],
-                           scorers,
-                           [p.post_filter for p, _ in plugins if hasattr(p, "post_filter")],
-                           sum(w for _, _, w in scorers), stamp, {})
-        return self._hooks
+    def entries(self, pod: PodInstance, snapshot: ClusterSnapshot) -> dict:
+        """The cache entries of the pod's shape and stamps in this view, or
+        a throwaway dict when the stamps are None."""
+        stamps = self.stamp(pod, snapshot)
+        if stamps is None:
+            return {}
+        return self.cache.setdefault(
+            (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
+             pod.priority_class, pod.dependencies, stamps), {})
+
+    def evaluate(self, pod: PodInstance, node_id: str,
+                 snapshot: ClusterSnapshot) -> tuple[Optional[str], Optional[float]]:
+        """The node's filter reason, or None and its combined score."""
+        if snapshot.allocated_m[node_id] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
+            return "insufficient cpu", None
+        for name, fn in self.filters:
+            reason = fn(pod, node_id, snapshot)
+            if reason is not None:
+                return f"{name}: {reason}", None
+        acc = 0.0
+        for name, fn, weight in self.scorers:
+            s = fn(pod, node_id, snapshot)
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
+            acc += weight * s
+        return None, acc / self.total_weight if self.scorers else None
 
 
 def _stamps(stampers, pod: PodInstance, snapshot: ClusterSnapshot) -> Optional[tuple]:
     stamps = tuple(stamp(pod, snapshot) for stamp in stampers)
     return None if None in stamps else stamps
-
-
-def _evaluate(pod: PodInstance, node_id: str, snapshot: ClusterSnapshot,
-              filters, scorers, total_weight) -> tuple[Optional[str], Optional[float]]:
-    """The node's filter reason, or None and its combined score."""
-    if snapshot.allocated_m[node_id] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
-        return "insufficient cpu", None
-    for name, fn in filters:
-        reason = fn(pod, node_id, snapshot)
-        if reason is not None:
-            return f"{name}: {reason}", None
-    acc = 0.0
-    for name, fn, weight in scorers:
-        s = fn(pod, node_id, snapshot)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
-        acc += weight * s
-    return None, acc / total_weight if scorers else None
 
 
 def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
@@ -172,18 +177,13 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     node_ids = snapshot.nodes  # in id order
     if not node_ids:
         return Unschedulable("no nodes")
-    filters, scorers, post_filters, total_weight, stamp, cache = config.hooks()
-    stamps = stamp(pod, snapshot)
-    entries = {} if stamps is None else cache.setdefault(
-        (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
-         pod.priority_class, pod.dependencies, stamps), {})
-    versions = snapshot.versions
+    entries, versions = config.entries(pod, snapshot), snapshot.versions
 
     reasons, combined = [], {}  # combined: surviving node -> score, in node order
     for node_id in node_ids:
         entry, version = entries.get(node_id), versions[node_id]
         if entry is None or entry[0] != version:
-            entry = (version, *_evaluate(pod, node_id, snapshot, filters, scorers, total_weight))
+            entry = (version, *config.evaluate(pod, node_id, snapshot))
             if version is not None:
                 entries[node_id] = entry
         if entry[1] is None:
@@ -192,13 +192,13 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
             reasons.append(entry[1])
 
     if not combined:
-        for post_filter in post_filters:
+        for post_filter in config.post_filters:
             plan = post_filter(pod, snapshot)
             if plan is not None:
                 return Preempted(plan.node, tuple(plan.victims))
         # every node is filtered, so `reasons` follows `node_ids`
         return Unschedulable("; ".join(map("{}: {}".format, node_ids, reasons)))
-    if not scorers:
+    if not config.scorers:
         return Assigned(next(iter(combined)))
     best = max(combined.values())
     tied = [n for n, s in combined.items() if s == best]

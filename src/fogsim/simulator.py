@@ -62,7 +62,7 @@ class WorkloadEvent:
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """A scheduler/balancer configuration; it builds its plugins to check them."""
+    """A scheduler/balancer configuration; it builds its config to check its plugins."""
 
     name: str
     plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
@@ -70,7 +70,7 @@ class ArmSpec:
     lb_policy: str = POLICY_WEIGHTED
 
     def __post_init__(self):
-        self.scheduler_config().hooks()
+        self.scheduler_config()
         if self.lb_policy not in POLICIES:
             raise ValueError(f"unknown balancing policy: {self.lb_policy}")
 

@@ -88,10 +88,9 @@ class MetricStore:
     run with request streams re-polls every sample each balancer refresh,
     so it sets `staleness_s` infinite: no sample goes stale."""
 
-    def __init__(self, staleness_s: float = (DEFAULT_REFRESH_PERIOD_S
-                                             * DEFAULT_STALENESS_PERIODS)):
+    def __init__(self):
         self._samples: dict[str, dict[str, MetricSample]] = {}  # service -> pod -> sample
-        self.staleness_s = staleness_s
+        self.staleness_s = DEFAULT_REFRESH_PERIOD_S * DEFAULT_STALENESS_PERIODS
 
     def ingest(self, service: str, pod: str, value: float, timestamp: float) -> None:
         samples = self._samples.setdefault(service, {})

@@ -1,7 +1,13 @@
+import dataclasses
+import functools
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import fogsim
 from fogsim.cluster import (ClusterState, DeadlinePolicy, FifoPolicy, Node,
                             PodInstance, PodStatus, RtProcessSpec, Topology)
 from fogsim.realtime import RealtimePlugin, node_rt_utilization
@@ -323,3 +329,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="missing from topology"):
             ClusterState([Node(id="ghost", zone="P1")], topology)
 
+
+def test_rt_utilization_is_set_when_the_pod_is_built():
+    field = {f.name: f for f in dataclasses.fields(PodInstance)}["rt_utilization"]
+    assert (field.init, field.repr, field.compare) == (False, False, False)
+    mixed = pod("m", rt_processes=(RtProcessSpec(DeadlinePolicy(200_000, 1_000_000), pid=1),
+                                   RtProcessSpec(FifoPolicy(50, 0.25), name_substring="ctl")))
+    assert vars(mixed)["rt_utilization"] == 0.2 + 0.25
+    assert pod("plain").rt_utilization == 0.0
+
+
+def test_no_class_binds_lazily():
+    """No class finishes itself on first read with a `cached_property`: it
+    materialises the instance dict and slows every later attribute read."""
+    lazy = []
+    for info in pkgutil.iter_modules(fogsim.__path__):
+        module = importlib.import_module(f"fogsim.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                lazy += [f"{module.__name__}.{name}.{attr}" for attr, value in vars(cls).items()
+                         if isinstance(value, functools.cached_property)]
+    assert lazy == []

@@ -118,8 +118,7 @@ def run(monkeypatch, config, engine):
         m.setattr(monitor, "simulate_scheduling", lambda *a: dry_runs.append(a) or dry_run(*a))
         m.setattr(simulator, "_Run", engine)
         if engine is NaiveRun:  # no config caches a score, no monitor reuses a verdict
-            m.setattr(SchedulerConfig, "hooks", lambda self, hooks=SchedulerConfig.hooks:
-                      (*hooks(self)[:4], lambda pod, snapshot: None, {}))
+            m.setattr(SchedulerConfig, "entries", lambda self, pod, snapshot: {})
             m.setattr(simulator, "ClusterMonitor", NaiveMonitor)
         results = simulator.run_scenario(
             config, profile="ci", repetitions=2 if config.name == "fig7-monitor" else None)

@@ -11,8 +11,8 @@ from fogsim.realtime import RealtimePlugin
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scenarios import load_bundled
 from fogsim.scheduling import (Assigned, BaselinePlugin, LocationAffinityPlugin,
-                               Preempted, SchedulerConfig, Unschedulable, _evaluate,
-                               run_queue, schedule_one)
+                               Preempted, SchedulerConfig, Unschedulable, run_queue,
+                               schedule_one)
 from fogsim.simulator import run_scenario
 from fogsim.telemetry import MetricSpec
 
@@ -127,11 +127,9 @@ class TestScheduleOne:
         with pytest.raises(ValueError, match="unique"):
             SchedulerConfig(plugins=(("baseline", 1.0), ("baseline", 2.0)))
 
-    def test_unknown_plugin_rejected(self, state):
-        config = SchedulerConfig(plugins=(("mystery", 1.0),))
-        state.add_pod(pod("p"))
+    def test_unknown_plugin_rejected(self):
         with pytest.raises(ValueError, match="unknown plugin"):
-            schedule_one(state.snapshot(), state.pods["p"], config)
+            SchedulerConfig(plugins=(("mystery", 1.0),))
 
 
 class TestLocationAffinity:
@@ -292,8 +290,7 @@ def write(state, rng, node_id):
 
 def cached_entries(config, pod, view) -> dict:
     """What a decision of `pod` in `view` reads from `config`'s cache."""
-    *_, stamp, cache = config.hooks()
-    stamps = stamp(pod, view)
+    stamps, cache = config.stamp(pod, view), config.cache
     if stamps is None:
         return {}
     key = (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
@@ -345,11 +342,9 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch,
             assert got == want
             assert rng_shared.getstate() == rng_fresh.getstate()
             counting = None
-            filters, scorers, _, total_weight = fresh.hooks()[:4]
             for node_id, entry in cached_entries(shared, candidate, view).items():
                 if entry[0] == view.versions[node_id]:  # an entry the next decision reads
-                    assert entry[1:] == _evaluate(candidate, node_id, view, filters,
-                                                  scorers, total_weight)
+                    assert entry[1:] == fresh.evaluate(candidate, node_id, view)
             decisions += 1
 
     counting = None
@@ -414,14 +409,15 @@ def test_every_config_caches_under_the_stamps_of_its_plugins():
                             ((("dependencies", 1.0), ("realtime", 1.0), ("baseline", 1.0)),
                              (deps, 1))):
         config = SchedulerConfig(plugins=plugins)
-        stamp, cache = config.hooks()[4:]
-        assert stamp(app, view) == stamps and cache == {}
+        assert config.stamp(app, view) == stamps and config.cache == {}
         schedule_one(view, app, config)
-        assert [key[-1] for key in cache] == [stamps]
+        assert [key[-1] for key in config.cache] == [stamps]
     # a stale sample, and a view that hides a pod of a dependency
-    assert stamp(app, state.view(now=1000.0))[0][2] == (("b", 2.0, False),)
-    assert stamp(app, state.view(exclude="b")) is None
-    assert stamp(pod("c"), state.view(exclude="b")) == ((), 0)
+    assert config.stamp(app, state.view(now=1000.0))[0][2] == (("b", 2.0, False),)
+    assert config.stamp(app, state.view(exclude="b")) is None
+    schedule_one(state.view(exclude="b"), app, config)  # decided with a throwaway cache
+    assert [key[-1] for key in config.cache] == [(deps, 1)]
+    assert config.stamp(pod("c"), state.view(exclude="b")) == ((), 0)
 
 
 # Filter and score hook calls of one `ci` run.  A rise fails: the cache
