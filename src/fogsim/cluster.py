@@ -56,7 +56,7 @@ class PodStatus(str, Enum):
     UNSCHEDULABLE = "Unschedulable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeadlinePolicy:
     """EDF-style reservation: `runtime_us` of CPU every `period_us`."""
 
@@ -76,7 +76,7 @@ class DeadlinePolicy:
         return self.runtime_us / self.period_us
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FifoPolicy:
     """Fixed-priority policy with a declared CPU budget in core-fractions."""
 
@@ -94,7 +94,7 @@ class FifoPolicy:
         return self.cpu_request
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RtProcessSpec:
     """Selects a process (by container PID or name substring) and its policy."""
 
@@ -127,7 +127,7 @@ class DependencyRef:
             raise ValueError("latency_weight + metric_weight must equal 1")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Node:
     """A worker node: zone, cores, CPU capacity in millicores and RT bandwidth."""
 
@@ -214,7 +214,7 @@ class PodInstance:
         self.rt_utilization = sum(proc.policy.utilization for proc in self.rt_processes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EvictionEvent:
     """An eviction: when, which pod, from which node, and why.  A monitor's
     `target_node` is the node its dry run chose then; the next scheduling

@@ -16,7 +16,7 @@ from .cluster import DependencyRef, PodInstance, RtProcessSpec
 from .telemetry import MetricSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationScope:
     """One location-scoped deployment: where, how many, and local config."""
 
@@ -29,7 +29,7 @@ class LocationScope:
             raise ValueError(f"{self.location}: replicas must be >= 1, got {self.replicas}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FogServiceSpec:
     """A descriptor that checks its own fields; `cpu_limit` 0 means `cpu_request`."""
 
@@ -65,31 +65,29 @@ class FogServiceSpec:
             raise ValueError(f"runtime_class: {self.runtime_class!r} is not container or legacy")
 
 
-def expand(spec: FogServiceSpec) -> list[PodInstance]:
-    """Expand a descriptor into its pod instances.
-
-    Cluster-scoped services yield `name-0 .. name-(n-1)`.  Location-scoped
-    services yield `name-<location>-<i>` per location, each pod carrying the
-    location scope and that location's config overrides; the scope persists
-    even if scheduling later puts the pod elsewhere.  Dependency weights go
-    as declared; `score_dependencies` normalises them where it reads them.
-    """
-    pods = []
-
-    def make(pod_id, scope, config):
-        return PodInstance(
-            id=pod_id, service=spec.name,
-            cpu_request=spec.cpu_request, cpu_limit=spec.cpu_limit,
-            priority_class=spec.priority_class, location_scope=scope,
-            rt_processes=spec.rt_processes, dependencies=spec.dependencies,
-            runtime_class=spec.runtime_class, config=config)
-
+def pod_ids(spec: FogServiceSpec) -> list[tuple[str, Optional[LocationScope]]]:
+    """Each pod's id with its location scope (None for a cluster-scoped
+    service), in `expand`'s order: `name-0 .. name-(n-1)`, or
+    `name-<location>-<i>` per location."""
     if spec.locations is None:
-        for i in range(spec.replicas):
-            pods.append(make(f"{spec.name}-{i}", None, {}))
-    else:
-        for scope in spec.locations:
-            for i in range(scope.replicas):
-                pods.append(make(f"{spec.name}-{scope.location}-{i}",
-                                 scope.location, dict(scope.config)))
-    return pods
+        return [(f"{spec.name}-{i}", None) for i in range(spec.replicas)]
+    return [(f"{spec.name}-{scope.location}-{i}", scope)
+            for scope in spec.locations for i in range(scope.replicas)]
+
+
+def expand(spec: FogServiceSpec) -> list[PodInstance]:
+    """Expand a descriptor into its pod instances, one per `pod_ids` entry.
+
+    A location-scoped pod carries its location and that location's config
+    overrides; the scope persists even if scheduling later puts the pod
+    elsewhere.  Dependency weights go as declared; `score_dependencies`
+    normalises them where it reads them.
+    """
+    return [PodInstance(
+        id=pod_id, service=spec.name,
+        cpu_request=spec.cpu_request, cpu_limit=spec.cpu_limit,
+        priority_class=spec.priority_class,
+        location_scope=None if scope is None else scope.location,
+        rt_processes=spec.rt_processes, dependencies=spec.dependencies,
+        runtime_class=spec.runtime_class, config={} if scope is None else dict(scope.config))
+        for pod_id, scope in pod_ids(spec)]

@@ -100,24 +100,26 @@ class RttRuns:
     def mean_std(self) -> tuple[float, float]:
         """Mean and population standard deviation from the exact sums, each
         rounded once, as ``statistics.fmean`` and ``statistics.pstdev`` do: the
-        root is taken on integers to at least 55 bits, rounded to odd.  Where
-        the sum is past the float range, which fmean cannot take, the mean is
-        the exact mean rounded once."""
-        from fractions import Fraction  # slow to import, and only a summary needs it
-
+        sums are integers over the values' common denominator, a quotient of
+        integers rounds once, and the root is taken on integers to at least 55
+        bits, rounded to odd.  Where the sum is past the float range, which
+        fmean cannot take, the mean is the exact mean rounded once."""
         n = len(self)
-        sx = sum(c * Fraction(v) for v, c in zip(self.values, self.counts))
-        sxx = sum(c * Fraction(v) ** 2 for v, c in zip(self.values, self.counts))
-        var = (n * sxx - sx * sx) / (n * n)
-        k = (110 - var.numerator.bit_length() + var.denominator.bit_length()) // 2
-        num, den = var.numerator << max(2 * k, 0), var.denominator << max(-2 * k, 0)
-        root = math.isqrt(num // den)  # the root of var * 4**k, rounded down
-        root |= root * root * den != num
+        ratios = [v.as_integer_ratio() for v in self.values]
+        den = math.lcm(*(q for _, q in ratios))
+        nums = [p * (den // q) for p, q in ratios]  # value * den, exactly
+        sx = sum(c * a for a, c in zip(nums, self.counts))
+        sxx = sum(c * a * a for a, c in zip(nums, self.counts))
+        num, vden = n * sxx - sx * sx, (n * den) ** 2  # the variance, num / vden
+        k = (110 - num.bit_length() + vden.bit_length()) // 2
+        num, vden = num << max(2 * k, 0), vden << max(-2 * k, 0)
+        root = math.isqrt(num // vden)  # the root of var * 4**k, rounded down
+        root |= root * root * vden != num
         try:
-            mean = float(sx) / n
+            mean = sx / den / n
         except OverflowError:
-            mean = float(sx / n)
-        return mean, float(root / Fraction(2) ** k)
+            mean = sx / (den * n)
+        return mean, (root << max(-k, 0)) / (1 << max(k, 0))
 
 
 def quantile(values, q: float) -> float:

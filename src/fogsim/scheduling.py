@@ -96,7 +96,7 @@ def build_plugin(name: str):
     raise ValueError(f"unknown plugin: {name}")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SchedulerConfig:
     """Ordered plugin list with weights, plus the tie-break rule.
 

@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
                       DEFAULT_INTRA_ZONE_MS, DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
                       MAX_LATENCY_MS, ClusterState, Node, PodStatus, Topology)
-from .fogservice import FogServiceSpec, expand
+from .fogservice import FogServiceSpec, expand, pod_ids
 from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .scheduling import SchedulerConfig, run_queue
@@ -51,7 +51,7 @@ class EventKind(IntEnum):
     SAMPLE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkloadEvent:
     """One timed directive of the workload script."""
 
@@ -60,7 +60,7 @@ class WorkloadEvent:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArmSpec:
     """A scheduler/balancer configuration; it builds its config to check its plugins."""
 
@@ -78,7 +78,7 @@ class ArmSpec:
         return SchedulerConfig(plugins=self.plugins, tie_break=self.tie_break)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LbSettings:
     """Balancer refresh period, per-request processing delay and metric staleness."""
 
@@ -96,7 +96,7 @@ class LbSettings:
             raise ValueError("staleness_periods must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSettings:
     """The capacities of every node, with per-node overrides."""
 
@@ -114,7 +114,7 @@ NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # over
 CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopologySpec:
     """Zones with their nodes, uplink latencies and the base latencies."""
 
@@ -128,7 +128,7 @@ class TopologySpec:
                         self.intra_node_ms, self.intra_zone_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A whole scenario: topology, nodes, services, arms, settings and workload."""
 
@@ -212,7 +212,8 @@ class ScenarioConfig:
         (earlier, the scheduler has placed it) or pinned twice, metrics of a pod
         no deploy of their service has created by then, request streams that
         would issue nothing or divide by a zero rate, a negative time and a link
-        `topology` rejects.  Events after `duration_s` are dropped unrun."""
+        `topology` rejects.  Events after `duration_s` are dropped unrun.  A
+        deploy's pod ids come from `pod_ids`, so checking builds no pod."""
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         specs = {s.name: s for s in self.services}
         problems, created, pinned = [], {}, set()  # created: pod id -> (time, service)
@@ -229,11 +230,12 @@ class ScenarioConfig:
                     problems.append(f"{where}: unknown config {using!r}")
                 if e.at > self.duration_s:
                     continue
-                for pod in (p for n in names if n in specs for p in expand(specs[n])):
-                    if pod.id in created:
-                        problems.append(f"{where}: pod {pod.id!r} already deployed "
-                                        f"at {created[pod.id][0]:g}")
-                    created.setdefault(pod.id, (e.at, pod.service))
+                for spec in (specs[n] for n in names if n in specs):
+                    for pod_id, _ in pod_ids(spec):
+                        if pod_id in created:
+                            problems.append(f"{where}: pod {pod_id!r} already deployed "
+                                            f"at {created[pod_id][0]:g}")
+                        created.setdefault(pod_id, (e.at, spec.name))
             elif e.action == "pin":
                 pod_id, node_id = e.args
                 if node_id not in topology.zone_of:
@@ -271,7 +273,7 @@ class ScenarioConfig:
         return problems
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ResultSet:
     """The rows of a run's four result tables, each in its ``*_FIELDS`` order."""
 

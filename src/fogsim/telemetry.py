@@ -15,7 +15,7 @@ DEFAULT_REFRESH_PERIOD_S = 30.0
 DEFAULT_STALENESS_PERIODS = 3  # refresh periods a metric sample stays fresh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpec:
     """Application metric exposed by a service, plus the weights used to
     trade it off against network latency when scoring replicas."""

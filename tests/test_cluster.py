@@ -339,14 +339,63 @@ def test_rt_utilization_is_set_when_the_pod_is_built():
     assert pod("plain").rt_utilization == 0.0
 
 
-def test_no_class_binds_lazily():
-    """No class finishes itself on first read with a `cached_property`: it
-    materialises the instance dict and slows every later attribute read."""
-    lazy = []
+def _fogsim_classes():
+    """(module name, class name, class) of every class a fogsim module defines."""
     for info in pkgutil.iter_modules(fogsim.__path__):
         module = importlib.import_module(f"fogsim.{info.name}")
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
-                lazy += [f"{module.__name__}.{name}.{attr}" for attr, value in vars(cls).items()
-                         if isinstance(value, functools.cached_property)]
+                yield module.__name__, name, cls
+
+
+def test_no_class_binds_lazily():
+    """No class finishes itself on first read with a `cached_property`: it
+    materialises the instance dict and slows every later attribute read."""
+    lazy = [f"{module}.{name}.{attr}" for module, name, cls in _fogsim_classes()
+            for attr, value in vars(cls).items()
+            if isinstance(value, functools.cached_property)]
     assert lazy == []
+
+
+# (frozen, eq, repr) of each dataclass a run may import, that is of every
+# module but fogsim.runtime.  Each generated method costs import time, so eq
+# (with its hash) and repr are generated only where something reads them:
+# scheduling outcomes and samples are compared, a config's repr keys
+# test_mutations' runs.  A flag that goes is pinned anew; one that comes back
+# names its reader in CHANGES.md.  No class loses frozen.
+DATACLASS_PARAMS = {
+    "cluster.DeadlinePolicy": (True, False, True),
+    "cluster.DependencyRef": (True, True, True),
+    "cluster.EvictionEvent": (True, False, False),
+    "cluster.FifoPolicy": (True, False, True),
+    "cluster.Node": (False, False, False),
+    "cluster.PodInstance": (False, True, True),
+    "cluster.RtProcessSpec": (True, False, True),
+    "fogservice.FogServiceSpec": (True, False, True),
+    "fogservice.LocationScope": (True, False, True),
+    "loadbalancer.RuleChain": (True, True, True),
+    "monitor.MonitorConfig": (True, True, True),
+    "realtime.PreemptionPlan": (True, True, True),
+    "scheduling.Assigned": (True, True, True),
+    "scheduling.Preempted": (True, True, True),
+    "scheduling.SchedulerConfig": (False, False, False),
+    "scheduling.Unschedulable": (True, True, True),
+    "simulator.ArmSpec": (True, False, True),
+    "simulator.LbSettings": (True, False, True),
+    "simulator.NodeSettings": (True, False, True),
+    "simulator.ResultSet": (False, False, False),
+    "simulator.ScenarioConfig": (True, False, True),
+    "simulator.TopologySpec": (True, False, True),
+    "simulator.WorkloadEvent": (True, False, True),
+    "telemetry.MetricSample": (True, True, True),
+    "telemetry.MetricSpec": (True, False, True),
+}
+
+
+def test_generated_dataclass_methods_are_pinned():
+    params = {f"{module.removeprefix('fogsim.')}.{name}":
+              (cls.__dataclass_params__.frozen, cls.__dataclass_params__.eq,
+               cls.__dataclass_params__.repr)
+              for module, name, cls in _fogsim_classes()
+              if dataclasses.is_dataclass(cls) and module != "fogsim.runtime"}
+    assert params == DATACLASS_PARAMS

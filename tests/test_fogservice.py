@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fogsim.cluster import (DeadlinePolicy, DependencyRef, FifoPolicy,
                             RtProcessSpec)
-from fogsim.fogservice import FogServiceSpec, LocationScope, expand
+from fogsim.fogservice import FogServiceSpec, LocationScope, expand, pod_ids
 from fogsim.telemetry import MetricSpec
 
 from conftest import make_state
@@ -114,6 +114,14 @@ class TestExpand:
     def test_single_replica_unscoped(self):
         pods = expand(FogServiceSpec(name="one"))
         assert len(pods) == 1 and pods[0].location_scope is None
+
+    @pytest.mark.parametrize("spec", [
+        FogServiceSpec(name="db", replicas=3),
+        FogServiceSpec(name="cam", locations=[LocationScope("P1-A", 2),
+                                              LocationScope("P2-A", 1, {"res": "hd"})])])
+    def test_pod_ids_name_the_expanded_pods_in_order(self, spec):
+        assert ([(pod_id, scope and scope.location) for pod_id, scope in pod_ids(spec)]
+                == [(p.id, p.location_scope) for p in expand(spec)])
 
     @given(st.integers(1, 20), st.integers(0, 5))
     def test_expansion_is_deterministic_and_counts(self, replicas, locations):

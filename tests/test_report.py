@@ -149,7 +149,8 @@ def test_run_and_write_import_no_numpy(tmp_path):
             "for name in ('fig5-dependencies', 'fig9-loadbalancer'):\n"
             "    write_results(run_scenario(load_bundled(name), profile='ci'),\n"
             "                  sys.argv[1] + '/' + name)\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "assert 'fractions' not in sys.modules, 'fractions imported'\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -187,8 +188,9 @@ def test_written_files_do_not_depend_on_the_hash_seed(tmp_path):
 
 def test_import_leaves_out_the_process_pool():
     """The imports of a run leave out what only other paths use: the process pool
-    (`--jobs`), logging (a warning), fractions (a summary), the runtime model, and
-    the plugins, which a scenario's arms import when it is parsed."""
+    (`--jobs`), logging (a warning), the runtime model, and the plugins, which a
+    scenario's arms import when it is parsed.  No path uses fractions: a summary's
+    statistics are exact on integers."""
     code = ("import sys\n"
             "import fogsim\n"
             "from fogsim import report, scenario_io, simulator\n"

@@ -1,5 +1,7 @@
 import pytest
 
+from fogsim.cluster import PodInstance
+from fogsim.fogservice import expand
 from fogsim.monitor import MonitorConfig
 from fogsim.scenario_io import ScenarioParseError, parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
@@ -139,6 +141,18 @@ class TestBundled:
             cfg = load_bundled(name)
             assert cfg.name == name
             assert cfg.validate() == []
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_parsing_builds_no_pod(self, monkeypatch, name):
+        """Validation reads a deploy's pod ids without building its pods."""
+        built = []
+        post_init = PodInstance.__post_init__
+        monkeypatch.setattr(PodInstance, "__post_init__",
+                            lambda pod: built.append(pod.id) or post_init(pod))
+        cfg = load_bundled(name)
+        assert cfg.validate() == [] and built == []
+        expand(cfg.services[0])  # the count sees a built pod
+        assert built
 
     def test_fig5_structure(self):
         cfg = load_bundled("fig5-dependencies")
