@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .telemetry import path_latency, refresh_scoreboard
 
@@ -92,36 +92,37 @@ def uniform_chain(replicas: Sequence[str]) -> RuleChain:
 
 
 class LoadBalancer:
-    """Per-client-node balancer.
+    """One run's balancer: a rule chain per request stream `(client, service)`.
 
-    Each refresh cycle recomputes every service's replica scores from this
-    client's vantage point and rebuilds the rule chains, which are the one
-    record of the refresh.  Chains are immutable; request handling always
-    sees either the old or the new chain, never a partial one.
+    Each refresh recomputes the replica scores of every stream's service
+    from its client's vantage point and rebuilds the chains, which are the
+    one record of the refresh.  Chains are immutable; request handling
+    always sees either the old or the new chain, never a partial one.
     """
 
-    def __init__(self, client_node: str, policy: str = POLICY_WEIGHTED):
+    def __init__(self, streams: Iterable[tuple[str, str]], policy: str = POLICY_WEIGHTED):
         if policy not in POLICIES:
             raise ValueError(f"unknown balancing policy: {policy}")
-        self.client_node = client_node
+        self.streams = tuple(streams)
         self.policy = policy
-        self.chains: dict[str, RuleChain] = {}
+        self.chains: dict[tuple[str, str], RuleChain] = {}
 
     def refresh(self, view, now: float) -> None:
-        """Rebuild every service's chain from the current cluster view; a
-        service without running replicas gets no chain."""
+        """Rebuild every stream's chain from the current cluster view; a
+        stream whose service has no running replica gets no chain.  Under
+        the uniform policy every replica scores 1."""
         chains = {}
-        for service in sorted({p.service for p in view.pods.values()}):
+        for client, service in self.streams:
             replica_nodes = {p.id: p.assignment
                              for p in view.running_of_service(service)}
             if not replica_nodes:
                 continue
             if self.policy == POLICY_UNIFORM:
-                chains[service] = uniform_chain(sorted(replica_nodes))
-                continue
-            scores = refresh_scoreboard(
-                service, replica_nodes,
-                lambda node: path_latency(view.topology, self.client_node, node),
-                view.metric_store, view.metric_specs.get(service), now)
-            chains[service] = chain_probabilities(scores)
+                scores = dict.fromkeys(replica_nodes, 1.0)
+            else:
+                scores = refresh_scoreboard(
+                    service, replica_nodes,
+                    lambda node: path_latency(view.topology, client, node),
+                    view.metric_store, view.metric_specs.get(service), now)
+            chains[client, service] = chain_probabilities(scores)
         self.chains = chains

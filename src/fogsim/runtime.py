@@ -199,9 +199,7 @@ class RtPriorityManager:
 def _match(spec: RtProcessSpec, processes: list[tuple[int, str]]) -> list[int]:
     if spec.pid is not None:
         return [pid for pid, _ in processes if pid == spec.pid]
-    if spec.name_substring is not None:
-        return [pid for pid, name in processes if spec.name_substring in name]
-    return []
+    return [pid for pid, name in processes if spec.name_substring in name]
 
 
 def rt_group_limits(spec: FogServiceSpec) -> tuple[int, int]:

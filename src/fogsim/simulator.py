@@ -80,11 +80,10 @@ class ArmSpec:
 
 @dataclass(frozen=True, eq=False)
 class LbSettings:
-    """Balancer refresh period, per-request processing delay and metric staleness."""
+    """Balancer refresh period and per-request processing delay."""
 
     refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S
     processing_delay_ms: float = 0.005
-    staleness_periods: int = DEFAULT_STALENESS_PERIODS
 
     def __post_init__(self):
         if not self.refresh_period_s > 0:
@@ -92,8 +91,6 @@ class LbSettings:
         if not 0 <= self.processing_delay_ms <= MAX_LATENCY_MS:
             raise ValueError("processing_delay_ms must be non-negative and at most "
                              f"{MAX_LATENCY_MS:g} ms")
-        if self.staleness_periods < 1:
-            raise ValueError("staleness_periods must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,12 +353,12 @@ class _Run:
         self.sched_config = self.configs[arm.name]  # one config and cache per name
         self.monitor = (ClusterMonitor(config.monitor, self.sched_config)
                         if config.monitor is not None else None)
-        self.balancers = {client: LoadBalancer(client, arm.lb_policy) for client in
-                          sorted({e.args[0] for e in config.workload if e.action == "requests"})}
+        streams = dict.fromkeys(e.args[:2] for e in config.workload if e.action == "requests")
+        self.balancer = LoadBalancer(streams, arm.lb_policy) if streams else None
         # refreshes at 0, P, 2P, ... re-poll every sample: none goes stale
-        self.state.metric_store.staleness_s = (math.inf if self.balancers else
+        self.state.metric_store.staleness_s = (math.inf if streams else
                                                config.lb.refresh_period_s
-                                               * config.lb.staleness_periods)
+                                               * DEFAULT_STALENESS_PERIODS)
         self.scheds: list[tuple[float, Optional[str]]] = []  # queued (now, using)
         self.timeline = timeline
         self.issued = 0  # requests of the timeline issued so far
@@ -381,7 +378,7 @@ class _Run:
         if self.monitor is not None:
             tickers.append(_ticks(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,
                                   EventKind.MONITOR))
-        if self.balancers:
+        if self.balancer is not None:
             tickers.append(_ticks(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH))
         if cfg.sample_period_s > 0:
             tickers.append(_ticks(0.0, cfg.sample_period_s, EventKind.SAMPLE))
@@ -426,9 +423,7 @@ class _Run:
         elif kind == EventKind.LB_REFRESH:
             # metric directives declare continuously exported values, which the aggregator
             # re-polls now: a sample keeps its ingest time, and never goes stale here
-            view = self.state.view(now=now)
-            for balancer in self.balancers.values():
-                balancer.refresh(view, now)
+            self.balancer.refresh(self.state.view(now=now), now)
         elif kind == EventKind.SAMPLE:
             if self.counts_epoch != self.state.epoch:
                 self.counts_epoch = self.state.epoch
@@ -461,13 +456,13 @@ class _Run:
         if end == start:  # most events of a run come with no request due
             return
         self.issued = end
-        balancers, pods, rtts = self.balancers, self.state.pods, self.rtts
+        chains, pods, rtts = self.balancer.chains, self.state.pods, self.rtts
         rng, arm, rep = self.rng_requests, self.arm.name, self.rep
         append, running = self.requests.append, PodStatus.RUNNING
         window = {}  # (client, service) -> (chain, {replica: row tail or False})
         for now, stream in zip(islice(times, start, end), islice(streams, start, end)):
             if stream not in window:
-                window[stream] = (balancers[stream[0]].chains.get(stream[1]), {})
+                window[stream] = (chains.get(stream), {})
             chain, tails = window[stream]
             if chain is not None:
                 replica = select_replica(chain, rng)

@@ -128,18 +128,15 @@ def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],
 def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],
                        latency_of: Callable[[str], float],
                        store: MetricStore, spec: Optional[MetricSpec],
-                       now: float) -> Optional[dict[str, float]]:
+                       now: float) -> dict[str, float]:
     """Recompute one service's replica scores from a reference point.
 
     `replica_nodes` maps the service's running replicas to their nodes and
     `latency_of` gives the one-way latency from the reference point to a
     node.  Scores combine the normalized metric and latency values with the
     service's configured weights; with no metric configured the score is the
-    latency component alone.  Returns None for a service without running
-    replicas.
+    latency component alone.  `replica_nodes` must not be empty.
     """
-    if not replica_nodes:
-        return None
     replicas = sorted(replica_nodes)
     lat = normalize({pod: latency_of(replica_nodes[pod]) for pod in replicas},
                     LOWER_IS_BETTER)

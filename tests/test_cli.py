@@ -234,6 +234,7 @@ def test_mutated_bundled_scenario_exits_2_with_one_line(tmp_path, capsys, name, 
     ("[workload]", "[workload]\nevent = at 0 deploy web"),
     # balancer settings and the sample period are range-checked
     ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nprocessing_delay_ms = -5"),
+    # staleness is fixed at three refresh periods: staleness_periods is an unknown key
     ("duration_s = 5", "duration_s = 5\n[loadbalancer]\nstaleness_periods = 0"),
     ("duration_s = 5", "duration_s = 5\nsample_period_s = -1"),
 ])

@@ -4,12 +4,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from fogsim import loadbalancer
 from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer, RuleChain,
                                  chain_probabilities, select_replica,
                                  uniform_chain)
+from fogsim.simulator import run_scenario
 from fogsim.telemetry import MetricStore
 
-from conftest import walk_frequencies
+from conftest import load_test_scenario, walk_frequencies
 
 
 class TestChainProbabilities:
@@ -171,28 +173,63 @@ class FakeSnapshot:
 
 class TestLoadBalancerRefresh:
     def test_chain_changes_only_at_refresh(self, topology):
-        balancer = LoadBalancer("P1-A")
+        balancer = LoadBalancer([("P1-A", "svc")])
         snap = FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"}}, topology)
         balancer.refresh(snap, 0.0)
-        chain_before = balancer.chains.get("svc")
+        chain_before = balancer.chains.get(("P1-A", "svc"))
         # replica moves between refreshes; the chain must be unchanged
         snap.pods["s1"].assignment = "P1-B"
-        assert balancer.chains.get("svc") is chain_before
+        assert balancer.chains.get(("P1-A", "svc")) is chain_before
         balancer.refresh(snap, 30.0)
-        assert balancer.chains.get("svc") is not chain_before
+        assert balancer.chains.get(("P1-A", "svc")) is not chain_before
 
     def test_zero_replica_service_dropped(self, topology):
-        balancer = LoadBalancer("P1-A")
+        balancer = LoadBalancer([("P1-A", "svc")])
         snap = FakeSnapshot({"svc": {"s0": "P1-A"}}, topology)
         balancer.refresh(snap, 0.0)
-        assert balancer.chains.get("svc") is not None
+        assert balancer.chains.get(("P1-A", "svc")) is not None
         balancer.refresh(FakeSnapshot({"svc": {}}, topology), 30.0)
-        assert balancer.chains.get("svc") is None
+        assert balancer.chains.get(("P1-A", "svc")) is None
         assert balancer.chains == {}
 
     def test_uniform_policy_ignores_scores(self, topology):
-        balancer = LoadBalancer("P1-A", policy=POLICY_UNIFORM)
-        snap = FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"}}, topology)
+        balancer = LoadBalancer([("P1-A", "svc")], policy=POLICY_UNIFORM)
+        snap = FakeSnapshot({"svc": {"s1": "P4-B", "s0": "P1-A"}}, topology)
         balancer.refresh(snap, 0.0)
-        chain = balancer.chains.get("svc")
+        chain = balancer.chains.get(("P1-A", "svc"))
         assert chain.selection_probabilities == pytest.approx([0.5, 0.5])
+        assert chain == uniform_chain(["s0", "s1"])
+
+    def test_a_client_gets_no_chain_for_a_service_it_never_requests(self, topology):
+        balancer = LoadBalancer([("P1-A", "svc"), ("P4-B", "db")])
+        snap = FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"},
+                             "db": {"d0": "P1-B"}, "idle": {"i0": "P1-A"}}, topology)
+        balancer.refresh(snap, 0.0)
+        assert set(balancer.chains) == {("P1-A", "svc"), ("P4-B", "db")}
+
+    def test_streams_of_one_client_score_from_that_client(self, topology):
+        balancer = LoadBalancer([("P1-A", "svc"), ("P4-B", "svc")])
+        balancer.refresh(FakeSnapshot({"svc": {"s0": "P1-A", "s1": "P4-B"}}, topology), 0.0)
+        # each client's own node is its nearest replica, so it takes every request
+        assert balancer.chains["P1-A", "svc"].replicas[-1] == "s0"
+        assert balancer.chains["P4-B", "svc"].replicas[-1] == "s1"
+
+
+def test_each_refresh_builds_one_chain_per_stream_with_running_replicas(monkeypatch):
+    """refresh-drift has one stream, `a1` to `web`, and an `rt` service that
+    no client requests: every refresh builds the one `web` chain."""
+    built, refreshes = [], []
+    chain, refresh = loadbalancer.chain_probabilities, LoadBalancer.refresh
+
+    def counted_refresh(self, view, now):
+        before = len(built)
+        refresh(self, view, now)
+        served = {s for s in self.streams if view.running_of_service(s[1])}
+        assert set(self.chains) == served
+        refreshes.append(len(built) - before)
+
+    monkeypatch.setattr(loadbalancer, "chain_probabilities",
+                        lambda scores: built.append(scores) or chain(scores))
+    monkeypatch.setattr(LoadBalancer, "refresh", counted_refresh)
+    run_scenario(load_test_scenario("refresh-drift"), profile="ci")
+    assert set(refreshes) == {1} and len(built) == 62

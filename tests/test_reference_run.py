@@ -12,6 +12,7 @@ from fogsim.cluster import PodStatus
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.scheduling import SchedulerConfig
 from fogsim.simulator import ACTION_KINDS, EventKind, request_rtt
+from fogsim.telemetry import DEFAULT_STALENESS_PERIODS
 
 from conftest import load_test_scenario
 
@@ -47,7 +48,7 @@ class NaiveRun(simulator._Run):
 
     def execute(self):
         cfg, heap, seq = self.config, [], count()
-        self.state.metric_store.staleness_s = cfg.lb.refresh_period_s * cfg.lb.staleness_periods
+        self.state.metric_store.staleness_s = cfg.lb.refresh_period_s * DEFAULT_STALENESS_PERIODS
 
         def push(time, kind, payload=None):
             heapq.heappush(heap, (time, kind, next(seq), payload))
@@ -55,7 +56,7 @@ class NaiveRun(simulator._Run):
         for e in cfg.workload:
             push(e.at, ACTION_KINDS[e.action], e.args)
         loop_s = cfg.monitor.loop_period_s if cfg.monitor else 0.0  # 0: no ticks
-        refresh_s = cfg.lb.refresh_period_s if self.balancers else 0.0
+        refresh_s = cfg.lb.refresh_period_s if self.balancer else 0.0
         for start, period, kind in ((0.0, refresh_s, EventKind.LB_REFRESH),
                                     (loop_s, loop_s, EventKind.MONITOR),
                                     (0.0, cfg.sample_period_s, EventKind.SAMPLE)):
@@ -75,7 +76,7 @@ class NaiveRun(simulator._Run):
         return self.collect()
 
     def request(self, now, client, service, rate_hz, remaining, push):
-        chain = self.balancers[client].chains.get(service)
+        chain = self.balancer.chains.get((client, service))
         if chain is not None:
             replica = simulator.select_replica(chain, self.rng_requests)
             pod = self.state.pods[replica]

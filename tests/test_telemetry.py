@@ -115,10 +115,6 @@ class TestScoreboard:
                              lv={"a": 0.8, "b": 0.0, "c": 1.0}, mw=0.75, lw=0.25)
         assert scores["a"] == pytest.approx(0.75 * 0.6 + 0.25 * 0.2)
 
-    def test_no_replicas_returns_none(self):
-        assert refresh_scoreboard("svc", {}, lambda n: 0.0,
-                                  MetricStore(), None, 1.0) is None
-
     def test_refresh_idempotent(self):
         args = dict(mv={"a": 1.0, "b": 0.5}, lv={"a": 0.0, "b": 1.0}, mw=0.5, lw=0.5)
         assert self.scores(**args) == self.scores(**args)
