@@ -11,7 +11,6 @@ from collections import Counter
 
 import fogsim.scenarios as scenarios
 from fogsim.simulator import ResultSet, run_scenario
-import dataclasses
 
 
 def rt_counts(rows, t):
@@ -23,9 +22,7 @@ def rt_counts(rows, t):
 
 
 def main():
-    cfg = dataclasses.replace(scenarios.load_bundled("fig7-monitor"),
-                              repetitions=1, ci_repetitions=1)
-    results = run_scenario(cfg)
+    results = run_scenario(scenarios.load_bundled("fig7-monitor"), repetitions=1)
     series = [dict(zip(ResultSet.TIMESERIES_FIELDS, r))
               for r in results.timeseries]
 

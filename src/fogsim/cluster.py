@@ -31,18 +31,19 @@ from __future__ import annotations
 
 import copy as _copy
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
+from .records import Frozen, Record, Value, set_fields
 from .telemetry import MetricStore
 
 DEFAULT_CORES = 4
 DEFAULT_CPU_CAPACITY_M = 4000
 DEFAULT_RT_PERIOD_US = 1_000_000
 DEFAULT_RT_RUNTIME_US = 950_000
+RUNTIME_CLASSES = ("container", "legacy")  # a pod's runtime class; the first is the default
 
 DEFAULT_INTRA_NODE_MS = 0.02
 DEFAULT_INTRA_ZONE_MS = 0.01
@@ -56,95 +57,79 @@ class PodStatus(str, Enum):
     UNSCHEDULABLE = "Unschedulable"
 
 
-@dataclass(frozen=True, eq=False)
-class DeadlinePolicy:
+class DeadlinePolicy(Frozen):
     """EDF-style reservation: `runtime_us` of CPU every `period_us`."""
 
-    runtime_us: int
-    period_us: int
-    deadline_us: int = 0
-
-    def __post_init__(self):
-        if self.deadline_us == 0:
-            object.__setattr__(self, "deadline_us", self.period_us)
-        if not 0 < self.runtime_us <= self.deadline_us <= self.period_us:
+    def __init__(self, runtime_us: int, period_us: int, deadline_us: int = 0):
+        if deadline_us == 0:
+            deadline_us = period_us
+        if not 0 < runtime_us <= deadline_us <= period_us:
             raise ValueError("runtime_us: need 0 < runtime_us <= deadline_us <= period_us, "
-                             f"got {self.runtime_us}, {self.deadline_us}, {self.period_us}")
+                             f"got {runtime_us}, {deadline_us}, {period_us}")
+        set_fields(self, runtime_us=runtime_us, period_us=period_us, deadline_us=deadline_us)
 
     @property
     def utilization(self) -> float:
         return self.runtime_us / self.period_us
 
 
-@dataclass(frozen=True, eq=False)
-class FifoPolicy:
+class FifoPolicy(Frozen):
     """Fixed-priority policy with a declared CPU budget in core-fractions."""
 
-    priority: int
-    cpu_request: float
-
-    def __post_init__(self):
-        if not 1 <= self.priority <= 99:
-            raise ValueError(f"priority: must be in [1, 99], got {self.priority}")
-        if not self.cpu_request > 0:
-            raise ValueError(f"cpu_request: must be positive, got {self.cpu_request}")
+    def __init__(self, priority: int, cpu_request: float):
+        if not 1 <= priority <= 99:
+            raise ValueError(f"priority: must be in [1, 99], got {priority}")
+        if not cpu_request > 0:
+            raise ValueError(f"cpu_request: must be positive, got {cpu_request}")
+        set_fields(self, priority=priority, cpu_request=cpu_request)
 
     @property
     def utilization(self) -> float:
         return self.cpu_request
 
 
-@dataclass(frozen=True, eq=False)
-class RtProcessSpec:
+class RtProcessSpec(Frozen):
     """Selects a process (by container PID or name substring) and its policy."""
 
-    policy: DeadlinePolicy | FifoPolicy
-    pid: Optional[int] = None
-    name_substring: Optional[str] = None
-
-    def __post_init__(self):
-        if self.pid is None and self.name_substring is None:
+    def __init__(self, policy: DeadlinePolicy | FifoPolicy, pid: Optional[int] = None,
+                 name_substring: Optional[str] = None):
+        if pid is None and name_substring is None:
             raise ValueError("needs a pid or name-substring selector")
-        if not isinstance(self.policy, (DeadlinePolicy, FifoPolicy)):
-            raise ValueError(f"unknown policy type: {type(self.policy).__name__}")
+        if not isinstance(policy, (DeadlinePolicy, FifoPolicy)):
+            raise ValueError(f"unknown policy type: {type(policy).__name__}")
+        set_fields(self, policy=policy, pid=pid, name_substring=name_substring)
 
 
-@dataclass(frozen=True)
-class DependencyRef:
+class DependencyRef(Value):
     """A pod's dependency on a service, with its weight and its replicas' scoring weights."""
 
-    target_service: str
-    dep_weight: float = 1.0
-    latency_weight: float = 0.5
-    metric_weight: float = 0.5
-
-    def __post_init__(self):
-        if not self.target_service:
+    def __init__(self, target_service: str, dep_weight: float = 1.0,
+                 latency_weight: float = 0.5, metric_weight: float = 0.5):
+        if not target_service:
             raise ValueError("target_service: must be named")
-        if not all(w >= 0 for w in (self.dep_weight, self.latency_weight, self.metric_weight)):
+        if not all(w >= 0 for w in (dep_weight, latency_weight, metric_weight)):
             raise ValueError("weights must be non-negative")
-        if abs(self.latency_weight + self.metric_weight - 1.0) > 1e-9:
+        if abs(latency_weight + metric_weight - 1.0) > 1e-9:
             raise ValueError("latency_weight + metric_weight must equal 1")
+        set_fields(self, target_service=target_service, dep_weight=dep_weight,
+                   latency_weight=latency_weight, metric_weight=metric_weight)
 
 
-@dataclass(eq=False, repr=False)
 class Node:
     """A worker node: zone, cores, CPU capacity in millicores and RT bandwidth."""
 
-    id: str
-    zone: str
-    cores: int = DEFAULT_CORES
-    cpu_capacity: int = DEFAULT_CPU_CAPACITY_M
-    rt_period_us: int = DEFAULT_RT_PERIOD_US
-    rt_runtime_us: int = DEFAULT_RT_RUNTIME_US
-
-    def __post_init__(self):
-        if self.cores < 1:
-            raise ValueError(f"node {self.id}: cores must be >= 1")
-        if self.cpu_capacity < 1:
-            raise ValueError(f"node {self.id}: cpu_capacity must be >= 1")
-        if not 0 < self.rt_runtime_us <= self.rt_period_us:
-            raise ValueError(f"node {self.id}: need 0 < rt_runtime_us <= rt_period_us")
+    def __init__(self, id: str, zone: str, cores: int = DEFAULT_CORES,
+                 cpu_capacity: int = DEFAULT_CPU_CAPACITY_M,
+                 rt_period_us: int = DEFAULT_RT_PERIOD_US,
+                 rt_runtime_us: int = DEFAULT_RT_RUNTIME_US):
+        if cores < 1:
+            raise ValueError(f"node {id}: cores must be >= 1")
+        if cpu_capacity < 1:
+            raise ValueError(f"node {id}: cpu_capacity must be >= 1")
+        if not 0 < rt_runtime_us <= rt_period_us:
+            raise ValueError(f"node {id}: need 0 < rt_runtime_us <= rt_period_us")
+        self.id, self.zone, self.cores, self.cpu_capacity = id, zone, cores, cpu_capacity
+        self.rt_period_us, self.rt_runtime_us = rt_period_us, rt_runtime_us
 
 
 # far past any network, and small enough that a round trip over two links plus
@@ -190,41 +175,41 @@ class Topology:
         self.version = next(_versions)
 
 
-@dataclass
-class PodInstance:
-    """One replica of a service and its scheduling state."""
+class PodInstance(Record):
+    """One replica of a service and its scheduling state.  A falsy runtime
+    class is the default one; `rt_utilization` is set when the pod is built."""
 
-    id: str
-    service: str
-    cpu_request: int = 100
-    cpu_limit: int = 100
-    priority_class: int = 0
-    location_scope: Optional[str] = None
-    rt_processes: tuple[RtProcessSpec, ...] = ()
-    dependencies: tuple[DependencyRef, ...] = ()
-    runtime_class: str = "container"
-    config: Mapping[str, str] = field(default_factory=dict)
-    assignment: Optional[str] = None
-    start_time: float = 0.0
-    status: PodStatus = PodStatus.PENDING
-    rt_utilization: float = field(init=False, repr=False, compare=False)
+    __eq__ = Value.__eq__  # by value; a pod changes, so it has no hash
 
-    def __post_init__(self):
+    def __init__(self, id: str, service: str, cpu_request: int = 100, cpu_limit: int = 100,
+                 priority_class: int = 0, location_scope: Optional[str] = None,
+                 rt_processes: tuple[RtProcessSpec, ...] = (),
+                 dependencies: tuple[DependencyRef, ...] = (),
+                 runtime_class: str = RUNTIME_CLASSES[0],
+                 config: Optional[Mapping[str, str]] = None, assignment: Optional[str] = None,
+                 start_time: float = 0.0, status: PodStatus = PodStatus.PENDING):
+        runtime_class = runtime_class or RUNTIME_CLASSES[0]
+        if runtime_class not in RUNTIME_CLASSES:
+            raise ValueError(f"unknown runtime class: {runtime_class}")
+        self.id, self.service, self.cpu_request = id, service, cpu_request
+        self.cpu_limit, self.priority_class = cpu_limit, priority_class
+        self.location_scope, self.rt_processes = location_scope, rt_processes
+        self.dependencies, self.runtime_class = dependencies, runtime_class
+        self.config = {} if config is None else config
+        self.assignment, self.start_time, self.status = assignment, start_time, status
         # deadline `runtime/period` and FIFO core fractions; rt_processes is immutable
-        self.rt_utilization = sum(proc.policy.utilization for proc in self.rt_processes)
+        self.rt_utilization = sum(proc.policy.utilization for proc in rt_processes)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class EvictionEvent:
+class EvictionEvent(Frozen):
     """An eviction: when, which pod, from which node, and why.  A monitor's
     `target_node` is the node its dry run chose then; the next scheduling
     cycle may place the pod elsewhere, and one pass may name it twice."""
 
-    time: float
-    pod: str
-    from_node: str
-    target_node: Optional[str]
-    reason: str
+    def __init__(self, time: float, pod: str, from_node: str, target_node: Optional[str],
+                 reason: str):
+        set_fields(self, time=time, pod=pod, from_node=from_node, target_node=target_node,
+                   reason=reason)
 
 
 def _walk_order(pod: PodInstance) -> tuple[bool, str]:

@@ -9,60 +9,55 @@ weights, an optional application metric, and the runtime class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .cluster import DependencyRef, PodInstance, RtProcessSpec
+from .cluster import RUNTIME_CLASSES, DependencyRef, PodInstance, RtProcessSpec
+from .records import Frozen, set_fields
 from .telemetry import MetricSpec
 
 
-@dataclass(frozen=True, eq=False)
-class LocationScope:
+class LocationScope(Frozen):
     """One location-scoped deployment: where, how many, and local config."""
 
-    location: str
-    replicas: int = 1
-    config: Mapping[str, str] = field(default_factory=dict)
+    def __init__(self, location: str, replicas: int = 1,
+                 config: Optional[Mapping[str, str]] = None):
+        if replicas < 1:
+            raise ValueError(f"{location}: replicas must be >= 1, got {replicas}")
+        set_fields(self, location=location, replicas=replicas,
+                   config={} if config is None else config)
 
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError(f"{self.location}: replicas must be >= 1, got {self.replicas}")
 
-
-@dataclass(frozen=True, eq=False)
-class FogServiceSpec:
+class FogServiceSpec(Frozen):
     """A descriptor that checks its own fields; `cpu_limit` 0 means `cpu_request`."""
 
-    name: str
-    replicas: int = 1
-    locations: Optional[list[LocationScope]] = None
-    cpu_request: int = 100
-    cpu_limit: int = 0
-    rt_limit: float = 0.0
-    rt_processes: tuple[RtProcessSpec, ...] = ()
-    priority_class: int = 0
-    dependencies: tuple[DependencyRef, ...] = ()
-    metric: Optional[MetricSpec] = None
-    runtime_class: str = "container"
-
-    def __post_init__(self):
-        if self.cpu_limit == 0:
-            object.__setattr__(self, "cpu_limit", self.cpu_request)
-        if not self.name:
+    def __init__(self, name: str, replicas: int = 1,
+                 locations: Optional[list[LocationScope]] = None, cpu_request: int = 100,
+                 cpu_limit: int = 0, rt_limit: float = 0.0,
+                 rt_processes: tuple[RtProcessSpec, ...] = (), priority_class: int = 0,
+                 dependencies: tuple[DependencyRef, ...] = (), metric: Optional[MetricSpec] = None,
+                 runtime_class: str = RUNTIME_CLASSES[0]):
+        if cpu_limit == 0:
+            cpu_limit = cpu_request
+        if not name:
             raise ValueError("name: must be non-empty")
-        if self.locations is None and self.replicas < 1:
-            raise ValueError(f"replicas: must be >= 1, got {self.replicas}")
-        if self.locations is not None and not self.locations:
+        if locations is None and replicas < 1:
+            raise ValueError(f"replicas: must be >= 1, got {replicas}")
+        if locations is not None and not locations:
             raise ValueError("locations: must list at least one location")
-        names = [scope.location for scope in self.locations or ()]
+        names = [scope.location for scope in locations or ()]
         if len(set(names)) < len(names):
             raise ValueError(f"locations: {max(names, key=names.count)} is listed more than once")
-        if not 0 < self.cpu_request <= self.cpu_limit:
-            raise ValueError(f"cpu_request: must be in (0, cpu_limit={self.cpu_limit}]")
-        if not 0.0 <= self.rt_limit <= 1.0:
-            raise ValueError(f"rt_limit: must be within [0, 1], got {self.rt_limit}")
-        if self.runtime_class not in ("container", "legacy"):
-            raise ValueError(f"runtime_class: {self.runtime_class!r} is not container or legacy")
+        if not 0 < cpu_request <= cpu_limit:
+            raise ValueError(f"cpu_request: must be in (0, cpu_limit={cpu_limit}]")
+        if not 0.0 <= rt_limit <= 1.0:
+            raise ValueError(f"rt_limit: must be within [0, 1], got {rt_limit}")
+        if runtime_class not in RUNTIME_CLASSES:
+            raise ValueError(f"runtime_class: {runtime_class!r} is not "
+                             + " or ".join(RUNTIME_CLASSES))
+        set_fields(self, name=name, replicas=replicas, locations=locations, cpu_request=cpu_request,
+                   cpu_limit=cpu_limit, rt_limit=rt_limit, rt_processes=rt_processes,
+                   priority_class=priority_class, dependencies=dependencies, metric=metric,
+                   runtime_class=runtime_class)
 
 
 def pod_ids(spec: FogServiceSpec) -> list[tuple[str, Optional[LocationScope]]]:

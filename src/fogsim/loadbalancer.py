@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .records import Value, set_fields
 from .telemetry import path_latency, refresh_scoreboard
 
 POLICY_WEIGHTED = "weighted"
@@ -22,18 +22,15 @@ POLICY_UNIFORM = "uniform"
 POLICIES = (POLICY_WEIGHTED, POLICY_UNIFORM)
 
 
-@dataclass(frozen=True)
-class RuleChain:
+class RuleChain(Value):
     """Replicas in ascending score order with per-rule accept probabilities;
     `rules` pairs the two in walk order, once per chain."""
 
-    replicas: tuple[str, ...]
-    accept_probabilities: tuple[float, ...]
-    selection_probabilities: tuple[float, ...]
-    rules: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(zip(self.replicas, self.accept_probabilities)))
+    def __init__(self, replicas: tuple[str, ...], accept_probabilities: tuple[float, ...],
+                 selection_probabilities: tuple[float, ...]):
+        set_fields(self, replicas=replicas, accept_probabilities=accept_probabilities,
+                   selection_probabilities=selection_probabilities,
+                   rules=tuple(zip(replicas, accept_probabilities)))
 
 
 def chain_probabilities(scores: Mapping[str, float]) -> RuleChain:

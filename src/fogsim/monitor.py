@@ -26,23 +26,20 @@ pod would be placed elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cluster import ClusterSnapshot, ClusterState, EvictionEvent, PodInstance, PodStatus
+from .records import Value, fields_of, set_fields
 from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Value):
     """The monitor's pass period and its grace and backoff gates, in seconds."""
 
-    loop_period_s: float = 10.0
-    grace_s: float = 120.0
-    backoff_s: float = 120.0
-
-    def __post_init__(self):
-        for name in ("loop_period_s", "grace_s", "backoff_s"):
+    def __init__(self, loop_period_s: float = 10.0, grace_s: float = 120.0,
+                 backoff_s: float = 120.0):
+        set_fields(self, loop_period_s=loop_period_s, grace_s=grace_s, backoff_s=backoff_s)
+        for name in fields_of(MonitorConfig):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -11,9 +11,8 @@ scheduling classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cluster import ClusterSnapshot, Node, PodInstance
+from .records import Value, set_fields
 
 FEASIBILITY_EPS = 1e-9
 
@@ -29,13 +28,11 @@ def rt_capacity(node: Node) -> float:
     return node.cores * node.rt_runtime_us / node.rt_period_us
 
 
-@dataclass(frozen=True)
-class PreemptionPlan:
+class PreemptionPlan(Value):
     """The lower-priority RT pods to evict from a node, and the RT utilization they free."""
 
-    node: str
-    victims: tuple[str, ...]
-    freed_utilization: float
+    def __init__(self, node: str, victims: tuple[str, ...], freed_utilization: float):
+        set_fields(self, node=node, victims=victims, freed_utilization=freed_utilization)
 
 
 class RealtimePlugin:

@@ -10,20 +10,19 @@ out of scope.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from .cluster import DeadlinePolicy, FifoPolicy, Node, PodInstance, RtProcessSpec
+from .cluster import RUNTIME_CLASSES, DeadlinePolicy, FifoPolicy, Node, PodInstance, RtProcessSpec
 from .fogservice import FogServiceSpec
 from .realtime import rt_capacity
+from .records import Record, Value, set_fields
 
 log = logging.getLogger(__name__)
 
 RETRY_INTERVAL_S = 30.0
 RT_GROUP_PERIOD_US = 1_000_000
 
-RUNTIME_CONTAINER = "container"
-RUNTIME_LEGACY = "legacy"
+RUNTIME_CONTAINER, RUNTIME_LEGACY = RUNTIME_CLASSES
 
 
 class ProcessHost(Protocol):
@@ -33,16 +32,12 @@ class ProcessHost(Protocol):
     def set_rt_group_limits(self, pod_id: str, period_us: int, runtime_us: int) -> bool: ...
 
 
-@dataclass(frozen=True)
-class HostCall:
+class HostCall(Value):
     """One recorded call of the simulated process host."""
 
-    time: float
-    pod: str
-    call: str
-    pid: Optional[int]
-    detail: str
-    ok: bool
+    def __init__(self, time: float, pod: str, call: str, pid: Optional[int], detail: str,
+                 ok: bool):
+        set_fields(self, time=time, pod=pod, call=call, pid=pid, detail=detail, ok=ok)
 
 
 class SimulatedProcessHost:
@@ -100,19 +95,14 @@ class RecordingRuntime:
 
 class RuntimeDispatcher:
     """Route lifecycle calls to the container or legacy runtime by the pod's
-    runtime class; pods without one are treated as containerised."""
+    runtime class, which the pod checked when it was built."""
 
     def __init__(self):
         self.container = RecordingRuntime(RUNTIME_CONTAINER)
         self.legacy = RecordingRuntime(RUNTIME_LEGACY)
 
     def runtime_for(self, pod: PodInstance) -> RecordingRuntime:
-        runtime_class = pod.runtime_class or RUNTIME_CONTAINER
-        if runtime_class == RUNTIME_LEGACY:
-            return self.legacy
-        if runtime_class == RUNTIME_CONTAINER:
-            return self.container
-        raise ValueError(f"unknown runtime class: {runtime_class}")
+        return self.legacy if pod.runtime_class == RUNTIME_LEGACY else self.container
 
     def create(self, pod: PodInstance) -> RecordingRuntime:
         runtime = self.runtime_for(pod)
@@ -120,13 +110,14 @@ class RuntimeDispatcher:
         return runtime
 
 
-@dataclass
-class PendingAssignment:
-    """A started pod's RT process specs no process matched yet, and when to retry them."""
+class PendingAssignment(Record):
+    """A started pod's RT process specs no process matched yet (indexes into
+    its `rt_processes`), and when to retry them."""
 
-    pod_id: str
-    unmatched: list[int]  # indexes into the pod's rt_processes
-    next_retry: float
+    __eq__ = Value.__eq__  # by value; an entry changes, so it has no hash
+
+    def __init__(self, pod_id: str, unmatched: list[int], next_retry: float):
+        self.pod_id, self.unmatched, self.next_retry = pod_id, unmatched, next_retry
 
 
 class RtPriorityManager:

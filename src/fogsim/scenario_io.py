@@ -16,24 +16,26 @@ line:
 Other than the structured keys (`zone.`, `uplink.`, `override.`,
 `locations`, `config.<location>`, `depends_on`, `rt_processes`, `metric`,
 `plugins`, `enabled`, `events`), a section key or a `depends_on`, `metric`
-or `rt_processes` token sets the dataclass field of its name, parsed as the
-field's type; an unset field keeps its default.  Token names that differ:
-`weight`, `lw`, `mw` (`dep_weight`, `latency_weight`, `metric_weight`),
-`cpu` (`cpu_request`), `pid` and `name` (the process selector's `pid` and
-`name_substring`).  An unknown key or section, a `config.<location>` of an
-unlisted location and a repeated token key are errors.
+or `rt_processes` token sets the constructor parameter of its name, parsed
+as the parameter's annotated type; an unset parameter keeps its default.
+Token names that differ: `weight`, `lw`, `mw` (`dep_weight`,
+`latency_weight`, `metric_weight`), `cpu` (`cpu_request`), `pid` and `name`
+(the process selector's `pid` and `name_substring`).  An unknown key or
+section, a `config.<location>` of an unlisted location and a repeated token
+key are errors.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 from pathlib import Path
 
 from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, RtProcessSpec
 from .fogservice import FogServiceSpec, LocationScope
+from .loadbalancer import POLICY_WEIGHTED
 from .monitor import MonitorConfig
+from .records import fields_of
 from .simulator import (ArmSpec, LbSettings, NodeSettings, ScenarioConfig,
                         TopologySpec, WorkloadEvent)
 from .telemetry import MetricSpec
@@ -63,22 +65,23 @@ def _value(parse, where: str, key: str, value: str):
 
 
 def _build(cls, where: str, items, renames=None, **given):
-    """`cls` from `given` plus each (key, value) of `items`, which sets the
-    int, float or str field the key names, directly or through `renames`
-    (a field renamed, or in `given`, takes no key of its own name).  Raises,
-    naming `where`, on a key no field takes, a value of the wrong type, a
-    required field unset or a value `cls` rejects."""
-    fields = {f.name: f for f in dataclasses.fields(cls)
-              if f.type in SCALARS and f.name not in given}
+    """`cls` from `given` plus each (key, value) of `items`, which sets the int,
+    float or str parameter of `cls` the key names, directly or through `renames`
+    (a parameter renamed, or in `given`, takes no key of its own name).  Raises,
+    naming `where`, on a key no parameter takes, a value of the wrong type, a
+    required parameter unset or a value `cls` rejects."""
+    names, types = fields_of(cls), cls.__init__.__annotations__
+    required = names[:len(names) - len(cls.__init__.__defaults__ or ())]
+    fields = {name: SCALARS[types[name]] for name in names
+              if types.get(name) in SCALARS and name not in given}
     keys = {key: name for key, name in (renames or {}).items() if name in fields}
     keys.update((name, name) for name in fields if name not in keys.values())
     kwargs = dict(given)
     for key, value in items:
         if key not in keys:
             raise ScenarioParseError(f"{where}: unknown key {key!r}")
-        kwargs[keys[key]] = _value(SCALARS[fields[keys[key]].type], where, key, value)
-    missing = [key for key, name in keys.items()
-               if name not in kwargs and fields[name].default is dataclasses.MISSING]
+        kwargs[keys[key]] = _value(fields[keys[key]], where, key, value)
+    missing = [key for key, name in keys.items() if name not in kwargs and name in required]
     if missing:
         raise ScenarioParseError(f"{where}: missing {', '.join(missing)}")
     try:
@@ -140,9 +143,9 @@ def _parse_service(name: str, section) -> FogServiceSpec:
         for tok in section["locations"].split():
             loc, _, count = tok.partition(":")
             config = _tokens(section.get("config." + loc, "").split(), f"{where} config.{loc}")
-            count = _value(int, where, "locations", count) if count else LocationScope.replicas
+            count = {"replicas": _value(int, where, "locations", count)} if count else {}
             locations.append(_build(LocationScope, f"{where} locations", (), location=loc,
-                                    replicas=count, config=config))
+                                    config=config, **count))
     listed = {"config." + scope.location for scope in locations or ()}
     for key in section:
         if key.startswith("config.") and key not in listed:
@@ -258,7 +261,7 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
         if kind == "service":
             named[kind].append(_parse_service(name, parser[section_name]))
         elif kind in named:  # a deploy reads only a config's scheduler settings
-            fixed = {"lb_policy": ArmSpec.lb_policy} if kind == "config" else {}
+            fixed = {"lb_policy": POLICY_WEIGHTED} if kind == "config" else {}
             named[kind].append(_parse_arm(f"[{section_name}]", name, parser[section_name],
                                           **fixed))
 

@@ -18,36 +18,35 @@ throwaway cache.  Post-filters are never cached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
 from .cluster import ClusterSnapshot, ClusterState, PodInstance
+from .records import Value, set_fields
 
 TIE_LEXICOGRAPHIC = "lexicographic"
 TIE_SEEDED_RANDOM = "seeded-random"
 
 
-@dataclass(frozen=True)
-class Assigned:
+class Assigned(Value):
     """The pod fits on `node`."""
 
-    node: str
+    def __init__(self, node: str):
+        object.__setattr__(self, "node", node)
 
 
-@dataclass(frozen=True)
-class Unschedulable:
+class Unschedulable(Value):
     """No node takes the pod, for `reason`."""
 
-    reason: str
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class Preempted:
+class Preempted(Value):
     """The pod fits on `node` once `victims` are evicted."""
 
-    node: str
-    victims: tuple[str, ...]
+    def __init__(self, node: str, victims: tuple[str, ...]):
+        set_fields(self, node=node, victims=victims)
 
 
 ScheduleOutcome = Union[Assigned, Unschedulable, Preempted]
@@ -96,7 +95,6 @@ def build_plugin(name: str):
     raise ValueError(f"unknown plugin: {name}")
 
 
-@dataclass(eq=False, repr=False)
 class SchedulerConfig:
     """Ordered plugin list with weights, plus the tie-break rule.
 
@@ -110,23 +108,22 @@ class SchedulerConfig:
     `cache` maps (pod shape, stamps) to {node: (version, reason, combined score)}.
     """
 
-    plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
-    tie_break: str = TIE_LEXICOGRAPHIC
-
-    def __post_init__(self):
-        names = [name for name, _ in self.plugins]
+    def __init__(self, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
+                 tie_break: str = TIE_LEXICOGRAPHIC):
+        names = [name for name, _ in plugins]
         if len(set(names)) != len(names):
             raise ValueError("plugin names must be unique")
-        if any(w <= 0 for _, w in self.plugins):
+        if any(w <= 0 for _, w in plugins):
             raise ValueError("plugin weights must be positive")
-        if self.tie_break not in (TIE_LEXICOGRAPHIC, TIE_SEEDED_RANDOM):
-            raise ValueError(f"unknown tie-break rule: {self.tie_break}")
-        plugins = [(build_plugin(name), weight) for name, weight in self.plugins]
-        self.filters = [(p.name, p.filter) for p, _ in plugins if hasattr(p, "filter")]
-        self.scorers = [(p.name, p.score, w) for p, w in plugins if hasattr(p, "score")]
-        self.post_filters = [p.post_filter for p, _ in plugins if hasattr(p, "post_filter")]
+        if tie_break not in (TIE_LEXICOGRAPHIC, TIE_SEEDED_RANDOM):
+            raise ValueError(f"unknown tie-break rule: {tie_break}")
+        self.plugins, self.tie_break = plugins, tie_break
+        built = [(build_plugin(name), weight) for name, weight in plugins]
+        self.filters = [(p.name, p.filter) for p, _ in built if hasattr(p, "filter")]
+        self.scorers = [(p.name, p.score, w) for p, w in built if hasattr(p, "score")]
+        self.post_filters = [p.post_filter for p, _ in built if hasattr(p, "post_filter")]
         self.total_weight = sum(w for _, _, w in self.scorers)
-        stampers = [p.stamp for p, _ in plugins if hasattr(p, "stamp")]
+        stampers = [p.stamp for p, _ in built if hasattr(p, "stamp")]
         self.stamp = (stampers[0] if len(stampers) == 1 else partial(_stamps, stampers)
                       if stampers else lambda pod, snapshot: ())
         self.cache: dict[tuple, dict] = {}

@@ -23,7 +23,6 @@ import heapq
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import count, islice
 from operator import itemgetter
@@ -35,6 +34,7 @@ from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_
 from .fogservice import FogServiceSpec, expand, pod_ids
 from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
+from .records import Frozen, set_fields
 from .scheduling import SchedulerConfig, run_queue
 from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
 
@@ -51,57 +51,50 @@ class EventKind(IntEnum):
     SAMPLE = 8
 
 
-@dataclass(frozen=True, eq=False)
-class WorkloadEvent:
-    """One timed directive of the workload script."""
+class WorkloadEvent(Frozen):
+    """One timed directive of the workload script: deploy, pin, metric,
+    requests or link."""
 
-    at: float
-    action: str  # deploy | pin | metric | requests | link
-    args: tuple = ()
+    def __init__(self, at: float, action: str, args: tuple = ()):
+        set_fields(self, at=at, action=action, args=args)
 
 
-@dataclass(frozen=True, eq=False)
-class ArmSpec:
+class ArmSpec(Frozen):
     """A scheduler/balancer configuration; it builds its config to check its plugins."""
 
-    name: str
-    plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),)
-    tie_break: str = "lexicographic"
-    lb_policy: str = POLICY_WEIGHTED
-
-    def __post_init__(self):
+    def __init__(self, name: str, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
+                 tie_break: str = "lexicographic", lb_policy: str = POLICY_WEIGHTED):
+        set_fields(self, name=name, plugins=plugins, tie_break=tie_break, lb_policy=lb_policy)
         self.scheduler_config()
-        if self.lb_policy not in POLICIES:
-            raise ValueError(f"unknown balancing policy: {self.lb_policy}")
+        if lb_policy not in POLICIES:
+            raise ValueError(f"unknown balancing policy: {lb_policy}")
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(plugins=self.plugins, tie_break=self.tie_break)
 
 
-@dataclass(frozen=True, eq=False)
-class LbSettings:
+class LbSettings(Frozen):
     """Balancer refresh period and per-request processing delay."""
 
-    refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S
-    processing_delay_ms: float = 0.005
-
-    def __post_init__(self):
-        if not self.refresh_period_s > 0:
+    def __init__(self, refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S,
+                 processing_delay_ms: float = 0.005):
+        if not refresh_period_s > 0:
             raise ValueError("refresh_period_s must be positive")
-        if not 0 <= self.processing_delay_ms <= MAX_LATENCY_MS:
+        if not 0 <= processing_delay_ms <= MAX_LATENCY_MS:
             raise ValueError("processing_delay_ms must be non-negative and at most "
                              f"{MAX_LATENCY_MS:g} ms")
+        set_fields(self, refresh_period_s=refresh_period_s, processing_delay_ms=processing_delay_ms)
 
 
-@dataclass(frozen=True, eq=False)
-class NodeSettings:
+class NodeSettings(Frozen):
     """The capacities of every node, with per-node overrides."""
 
-    cores: int = DEFAULT_CORES
-    cpu_capacity: int = DEFAULT_CPU_CAPACITY_M
-    rt_period_us: int = DEFAULT_RT_PERIOD_US
-    rt_runtime_us: int = DEFAULT_RT_RUNTIME_US
-    overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    def __init__(self, cores: int = DEFAULT_CORES, cpu_capacity: int = DEFAULT_CPU_CAPACITY_M,
+                 rt_period_us: int = DEFAULT_RT_PERIOD_US,
+                 rt_runtime_us: int = DEFAULT_RT_RUNTIME_US,
+                 overrides: Optional[Mapping[str, Mapping[str, int]]] = None):
+        set_fields(self, cores=cores, cpu_capacity=cpu_capacity, rt_period_us=rt_period_us,
+                   rt_runtime_us=rt_runtime_us, overrides={} if overrides is None else overrides)
 
 
 # a run walks the workload script in (time, kind) order
@@ -111,43 +104,36 @@ NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # over
 CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
 
-@dataclass(frozen=True, eq=False)
-class TopologySpec:
+class TopologySpec(Frozen):
     """Zones with their nodes, uplink latencies and the base latencies."""
 
-    zones: Mapping[str, tuple[str, ...]]
-    uplinks_ms: Mapping[str, float]
-    intra_node_ms: float = DEFAULT_INTRA_NODE_MS
-    intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS
+    def __init__(self, zones: Mapping[str, tuple[str, ...]], uplinks_ms: Mapping[str, float],
+                 intra_node_ms: float = DEFAULT_INTRA_NODE_MS,
+                 intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS):
+        set_fields(self, zones=zones, uplinks_ms=uplinks_ms, intra_node_ms=intra_node_ms,
+                   intra_zone_ms=intra_zone_ms)
 
     def build(self) -> Topology:
         return Topology(self.zones, self.uplinks_ms,
                         self.intra_node_ms, self.intra_zone_ms)
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    """A whole scenario: topology, nodes, services, arms, settings and workload."""
+class ScenarioConfig(Frozen):
+    """A whole scenario: topology, nodes, services, arms, settings and workload.
+    A `monitor` of None runs no passes; `named_configs` serve only `deploy ... using=`."""
 
-    name: str
-    topology: TopologySpec
-    services: tuple[FogServiceSpec, ...]
-    arms: tuple[ArmSpec, ...]
-    workload: tuple[WorkloadEvent, ...]
-    description: str = ""
-    seed: int = 42
-    duration_s: float = 10.0
-    repetitions: int = 1
-    ci_repetitions: int = 1
-    nodes: NodeSettings = NodeSettings()
-    monitor: Optional[MonitorConfig] = None  # None: no monitor passes
-    lb: LbSettings = LbSettings()
-    sample_period_s: float = 0.0
-    # extra scheduler configs addressable from `deploy ... using=<name>`
-    # without running them as full arms
-    named_configs: tuple[ArmSpec, ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, name: str, topology: TopologySpec, services: tuple[FogServiceSpec, ...],
+                 arms: tuple[ArmSpec, ...], workload: tuple[WorkloadEvent, ...],
+                 description: str = "", seed: int = 42, duration_s: float = 10.0,
+                 repetitions: int = 1, ci_repetitions: int = 1,
+                 nodes: NodeSettings = NodeSettings(), monitor: Optional[MonitorConfig] = None,
+                 lb: LbSettings = LbSettings(), sample_period_s: float = 0.0,
+                 named_configs: tuple[ArmSpec, ...] = ()):
+        set_fields(self, name=name, topology=topology, services=services, arms=arms,
+                   workload=workload, description=description, seed=seed, duration_s=duration_s,
+                   repetitions=repetitions, ci_repetitions=ci_repetitions, nodes=nodes,
+                   monitor=monitor, lb=lb, sample_period_s=sample_period_s,
+                   named_configs=named_configs)
         if problems := self.validate():
             raise ValueError("; ".join(problems))
 
@@ -270,17 +256,14 @@ class ScenarioConfig:
         return problems
 
 
-@dataclass(eq=False, repr=False)
 class ResultSet:
     """The rows of a run's four result tables, each in its ``*_FIELDS`` order."""
 
-    scenario: str
-    seed: int
-    profile: str
-    placements: list = field(default_factory=list)
-    timeseries: list = field(default_factory=list)
-    requests: list = field(default_factory=list)
-    evictions: list = field(default_factory=list)
+    def __init__(self, scenario: str, seed: int, profile: str, placements: list = (),
+                 timeseries: list = (), requests: list = (), evictions: list = ()):
+        self.scenario, self.seed, self.profile = scenario, seed, profile
+        self.placements, self.timeseries = list(placements), list(timeseries)
+        self.requests, self.evictions = list(requests), list(evictions)
 
     PLACEMENT_FIELDS = ("arm", "rep", "pod", "service", "node", "status", "time")
     TIMESERIES_FIELDS = ("arm", "rep", "t", "node", "rt_pods", "regular_pods", "total")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
+
+from .records import Frozen, Value, set_fields
 
 if TYPE_CHECKING:
     from .cluster import Topology
@@ -15,22 +16,19 @@ DEFAULT_REFRESH_PERIOD_S = 30.0
 DEFAULT_STALENESS_PERIODS = 3  # refresh periods a metric sample stays fresh
 
 
-@dataclass(frozen=True, eq=False)
-class MetricSpec:
+class MetricSpec(Frozen):
     """Application metric exposed by a service, plus the weights used to
     trade it off against network latency when scoring replicas."""
 
-    name: str
-    direction: str = LOWER_IS_BETTER
-    metric_weight: float = 0.5
-    latency_weight: float = 0.5
-
-    def __post_init__(self):
-        if self.direction not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
-            raise ValueError(f"direction: unknown direction {self.direction!r}")
-        if not (min(self.metric_weight, self.latency_weight) >= 0
-                and abs(self.metric_weight + self.latency_weight - 1.0) <= 1e-9):
+    def __init__(self, name: str, direction: str = LOWER_IS_BETTER,
+                 metric_weight: float = 0.5, latency_weight: float = 0.5):
+        if direction not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
+            raise ValueError(f"direction: unknown direction {direction!r}")
+        if not (min(metric_weight, latency_weight) >= 0
+                and abs(metric_weight + latency_weight - 1.0) <= 1e-9):
             raise ValueError("metric_weight, latency_weight: need two weights >= 0 summing to 1")
+        set_fields(self, name=name, direction=direction, metric_weight=metric_weight,
+                   latency_weight=latency_weight)
 
 
 def path_latency(topology: Topology, a: str, b: str) -> float:
@@ -73,12 +71,11 @@ def normalize(values: Mapping, direction: str) -> dict:
     raise ValueError(f"unknown direction: {direction}")
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(Value):
     """One application metric value and when it was taken."""
 
-    value: float
-    timestamp: float
+    def __init__(self, value: float, timestamp: float):
+        set_fields(self, value=value, timestamp=timestamp)
 
 
 class MetricStore:

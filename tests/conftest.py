@@ -1,4 +1,4 @@
-import dataclasses
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from fogsim.cluster import ClusterState, Node, Topology
+from fogsim.records import fields_of
 from fogsim.scenario_io import load_scenario
 
 # Every Hypothesis test draws the same examples on every run, so the suite's
@@ -40,6 +41,24 @@ def make_state(cores: int = 4, cpu_capacity: int = 4000,
     return ClusterState(nodes, topology)
 
 
+def replace(record, **changes):
+    """A record of `record`'s class built anew from its fields, with `changes`."""
+    fields = {name: getattr(record, name) for name in fields_of(type(record))}
+    return type(record)(**{**fields, **changes})
+
+
+def plain(value):
+    """A deep copy of `value` as plain data: an object as its class name and
+    the values of its attributes, a container element by element."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(plain, value))
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, Enum) or not hasattr(value, "__dict__"):
+        return value
+    return type(value).__name__, plain(vars(value))
+
+
 def record(cluster) -> dict:
     """A deep, comparable record of a ClusterState or ClusterSnapshot: every
     pod and node field, the topology's zones, uplinks and base latencies,
@@ -49,16 +68,15 @@ def record(cluster) -> dict:
     of these."""
     topology = cluster.topology
     return {
-        "pods": {pod_id: dataclasses.asdict(pod) for pod_id, pod in cluster.pods.items()},
-        "nodes": {node_id: dataclasses.asdict(node) for node_id, node in cluster.nodes.items()},
+        "pods": plain(cluster.pods),
+        "nodes": plain(cluster.nodes),
         "zones": {zone: list(nodes) for zone, nodes in topology.zones.items()},
         "uplinks_ms": dict(topology.uplinks_ms),
         "base_ms": (topology.intra_node_ms, topology.intra_zone_ms),
         "allocated_m": dict(cluster.allocated_m),
         "queue": list(getattr(cluster, "queue", ())),
         "unschedulable": list(getattr(cluster, "unschedulable", ())),
-        "samples": {service: dict(samples)
-                    for service, samples in cluster.metric_store._samples.items()},
+        "samples": plain(cluster.metric_store._samples),
     }
 
 

@@ -1,18 +1,29 @@
-import dataclasses
 import functools
 import importlib
 import inspect
+import os
 import pkgutil
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fogsim
-from fogsim.cluster import (ClusterState, DeadlinePolicy, FifoPolicy, Node,
-                            PodInstance, PodStatus, RtProcessSpec, Topology)
-from fogsim.realtime import RealtimePlugin, node_rt_utilization
-from fogsim.scheduling import SchedulerConfig, schedule_one
-from fogsim.telemetry import MetricSample
+from fogsim.cluster import (ClusterState, DeadlinePolicy, DependencyRef, EvictionEvent,
+                            FifoPolicy, Node, PodInstance, PodStatus, RtProcessSpec, Topology)
+from fogsim.fogservice import FogServiceSpec, LocationScope
+from fogsim.loadbalancer import RuleChain
+from fogsim.monitor import MonitorConfig
+from fogsim.realtime import PreemptionPlan, RealtimePlugin, node_rt_utilization
+from fogsim.records import Record, fields_of
+from fogsim.runtime import HostCall, PendingAssignment
+from fogsim.scheduling import (Assigned, Preempted, SchedulerConfig, Unschedulable,
+                               schedule_one)
+from fogsim.simulator import (ArmSpec, LbSettings, NodeSettings, ResultSet, ScenarioConfig,
+                              TopologySpec, WorkloadEvent)
+from fogsim.telemetry import MetricSample, MetricSpec
 
 from conftest import make_state, record
 
@@ -331,8 +342,8 @@ class TestValidation:
 
 
 def test_rt_utilization_is_set_when_the_pod_is_built():
-    field = {f.name: f for f in dataclasses.fields(PodInstance)}["rt_utilization"]
-    assert (field.init, field.repr, field.compare) == (False, False, False)
+    with pytest.raises(TypeError):
+        PodInstance(id="m", service="svc", rt_utilization=0.5)
     mixed = pod("m", rt_processes=(RtProcessSpec(DeadlinePolicy(200_000, 1_000_000), pid=1),
                                    RtProcessSpec(FifoPolicy(50, 0.25), name_substring="ctl")))
     assert vars(mixed)["rt_utilization"] == 0.2 + 0.25
@@ -357,45 +368,85 @@ def test_no_class_binds_lazily():
     assert lazy == []
 
 
-# (frozen, eq, repr) of each dataclass a run may import, that is of every
-# module but fogsim.runtime.  Each generated method costs import time, so eq
-# (with its hash) and repr are generated only where something reads them:
-# scheduling outcomes and samples are compared, a config's repr keys
-# test_mutations' runs.  A flag that goes is pinned anew; one that comes back
-# names its reader in CHANGES.md.  No class loses frozen.
-DATACLASS_PARAMS = {
-    "cluster.DeadlinePolicy": (True, False, True),
-    "cluster.DependencyRef": (True, True, True),
-    "cluster.EvictionEvent": (True, False, False),
-    "cluster.FifoPolicy": (True, False, True),
-    "cluster.Node": (False, False, False),
-    "cluster.PodInstance": (False, True, True),
-    "cluster.RtProcessSpec": (True, False, True),
-    "fogservice.FogServiceSpec": (True, False, True),
-    "fogservice.LocationScope": (True, False, True),
-    "loadbalancer.RuleChain": (True, True, True),
-    "monitor.MonitorConfig": (True, True, True),
-    "realtime.PreemptionPlan": (True, True, True),
-    "scheduling.Assigned": (True, True, True),
-    "scheduling.Preempted": (True, True, True),
-    "scheduling.SchedulerConfig": (False, False, False),
-    "scheduling.Unschedulable": (True, True, True),
-    "simulator.ArmSpec": (True, False, True),
-    "simulator.LbSettings": (True, False, True),
-    "simulator.NodeSettings": (True, False, True),
-    "simulator.ResultSet": (False, False, False),
-    "simulator.ScenarioConfig": (True, False, True),
-    "simulator.TopologySpec": (True, False, True),
-    "simulator.WorkloadEvent": (True, False, True),
-    "telemetry.MetricSample": (True, True, True),
-    "telemetry.MetricSpec": (True, False, True),
+def test_no_module_loads_dataclasses_or_inspect():
+    """Importing every fogsim module loads neither `dataclasses` nor
+    `inspect`, which would add about 8 ms to the start of every run."""
+    modules = ", ".join(info.name for info in pkgutil.iter_modules(fogsim.__path__))
+    code = (f"import sys, fogsim\nfrom fogsim import {modules}\n"
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fogsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+SCENARIO_TOPOLOGY = {"zones": {"Z": ("n",)}, "uplinks_ms": {"Z": 1.0}}
+
+# (frozen, compared by value, shown by value) of each record class, and a
+# function that makes a new record from the same fields on each call.  A
+# frozen record refuses assignment; one compared by value equals a record of
+# its class built from equal fields, and hashes as it if frozen (a changing
+# record has no hash); every other record is equal only to itself.  Records
+# of two classes are never equal, even with equal fields.  Every
+# `records.Record` shows its fields in its repr.
+RECORDS = {
+    "cluster.DeadlinePolicy": ((True, False, True), lambda: DeadlinePolicy(100, 1000)),
+    "cluster.DependencyRef": ((True, True, True), lambda: DependencyRef("n")),
+    "cluster.EvictionEvent": ((True, False, True),
+                              lambda: EvictionEvent(1.0, "p", "n", None, "monitor")),
+    "cluster.FifoPolicy": ((True, False, True), lambda: FifoPolicy(50, 0.2)),
+    "cluster.Node": ((False, False, False), lambda: Node("n", "Z")),
+    "cluster.PodInstance": ((False, True, True), lambda: PodInstance("n", "svc")),
+    "cluster.RtProcessSpec": ((True, False, True),
+                              lambda: RtProcessSpec(FifoPolicy(50, 0.2), pid=1)),
+    "fogservice.FogServiceSpec": ((True, False, True), lambda: FogServiceSpec("n")),
+    "fogservice.LocationScope": ((True, False, True), lambda: LocationScope("n")),
+    "loadbalancer.RuleChain": ((True, True, True), lambda: RuleChain(("n",), (1.0,), (1.0,))),
+    "monitor.MonitorConfig": ((True, True, True), lambda: MonitorConfig()),
+    "realtime.PreemptionPlan": ((True, True, True), lambda: PreemptionPlan("n", ("v",), 0.5)),
+    "runtime.HostCall": ((True, True, True),
+                         lambda: HostCall(0.0, "n", "set_policy", 1, "fifo:50:0.2", True)),
+    "runtime.PendingAssignment": ((False, True, True), lambda: PendingAssignment("n", [0], 30.0)),
+    "scheduling.Assigned": ((True, True, True), lambda: Assigned("n")),
+    "scheduling.Preempted": ((True, True, True), lambda: Preempted("n", ("v",))),
+    "scheduling.SchedulerConfig": ((False, False, False), lambda: SchedulerConfig()),
+    "scheduling.Unschedulable": ((True, True, True), lambda: Unschedulable("n")),
+    "simulator.ArmSpec": ((True, False, True), lambda: ArmSpec("n")),
+    "simulator.LbSettings": ((True, False, True), lambda: LbSettings()),
+    "simulator.NodeSettings": ((True, False, True), lambda: NodeSettings()),
+    "simulator.ResultSet": ((False, False, False), lambda: ResultSet("n", 1, "ci")),
+    "simulator.ScenarioConfig": ((True, False, True), lambda: ScenarioConfig(
+        "n", TopologySpec(**SCENARIO_TOPOLOGY), (), (ArmSpec("n"),), ())),
+    "simulator.TopologySpec": ((True, False, True), lambda: TopologySpec(**SCENARIO_TOPOLOGY)),
+    "simulator.WorkloadEvent": ((True, False, True), lambda: WorkloadEvent(0.0, "deploy")),
+    "telemetry.MetricSample": ((True, True, True), lambda: MetricSample(1.0, 0.0)),
+    "telemetry.MetricSpec": ((True, False, True), lambda: MetricSpec("n")),
 }
 
 
-def test_generated_dataclass_methods_are_pinned():
-    params = {f"{module.removeprefix('fogsim.')}.{name}":
-              (cls.__dataclass_params__.frozen, cls.__dataclass_params__.eq,
-               cls.__dataclass_params__.repr)
-              for module, name, cls in _fogsim_classes()
-              if dataclasses.is_dataclass(cls) and module != "fogsim.runtime"}
-    assert params == DATACLASS_PARAMS
+def test_every_record_class_is_pinned():
+    """The table names every class with a field-built constructor: each
+    `records.Record`, and the plain classes shown by identity."""
+    records = {f"{module.removeprefix('fogsim.')}.{name}"
+               for module, name, cls in _fogsim_classes()
+               if issubclass(cls, Record) and module != "fogsim.records"}
+    assert records == {name for name, ((_, _, shown), _) in RECORDS.items() if shown}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_behaviour_is_pinned(name):
+    (frozen, by_value, shown), build = RECORDS[name]
+    a, b = build(), build()
+    assert f"{type(a).__module__}.{type(a).__qualname__}" == f"fogsim.{name}"
+    field = fields_of(type(a))[0]
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    else:
+        setattr(a, field, getattr(a, field))
+    assert a == a and (a == b) is by_value and (a != b) is not by_value
+    if by_value:
+        assert (type(a).__hash__ is None) is not frozen
+        assert not frozen or hash(a) == hash(b)
+    assert all(a != other() for key, (_, other) in RECORDS.items() if key != name)
+    assert (repr(a) == repr(b) and repr(a).startswith(f"{type(a).__qualname__}(")) is shown

@@ -3,7 +3,6 @@ duplicated, and each number replaced by 0, -1 and a non-number.  A mutant
 either parses or raises ScenarioParseError (which the CLI turns into exit 2
 with one line), and a mutant that parses runs without raising."""
 
-import dataclasses
 import re
 
 import pytest
@@ -11,6 +10,8 @@ import pytest
 from fogsim.scenario_io import ScenarioParseError, parse_scenario
 from fogsim.scenarios import BUNDLED, _bundled_text
 from fogsim.simulator import run_scenario
+
+from conftest import replace
 
 NUMBER = re.compile(r"\b\d+(?:\.\d+)?\b")  # "dependency-0" has one, "P1-A" none
 # fig9's parsed mutants are not run: together they would add seconds to the suite
@@ -44,7 +45,7 @@ def test_each_mutant_parses_and_runs_or_is_rejected(name):
             pytest.fail(f"{name}, {what}: parse raised {type(exc).__name__}: {exc}")
         outcomes["parsed"] += 1
         # a run depends on the config's fields alone, so equal configs run once
-        key = repr(dataclasses.replace(config, description=""))
+        key = repr(replace(config, description=""))
         if name in RUN and key not in ran:
             ran.add(key)
             try:

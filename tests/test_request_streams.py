@@ -4,14 +4,12 @@ end at `duration_s`, the RTT memo and the one `select_replica` call per
 request are checked here; that the timeline issues what a heap event per
 request would is checked against `NaiveRun` in `test_reference_run.py`."""
 
-import dataclasses
-
 from fogsim import report, simulator
 from fogsim.loadbalancer import select_replica
 from fogsim.scenarios import load_bundled
 from fogsim.simulator import WorkloadEvent, request_rtt
 
-from conftest import load_test_scenario
+from conftest import load_test_scenario, replace
 
 
 def test_request_edges_reach_every_edge():
@@ -63,7 +61,7 @@ def test_the_timeline_stops_at_duration_s(tmp_path):
     written = []
     for count in (200, 1_000_000_000):
         stream = WorkloadEvent(0.0, "requests", ("a1", "web", 10.0, count))
-        scenario = dataclasses.replace(config, workload=(*script, stream))
+        scenario = replace(config, workload=(*script, stream))
         times, streams = simulator.request_timeline(scenario)
         assert len(streams) == len(times) < 200
         assert max(map(float, times)) <= scenario.duration_s

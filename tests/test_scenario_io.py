@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fogsim.cluster import PodInstance
@@ -143,15 +145,17 @@ class TestBundled:
             assert cfg.validate() == []
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_parsing_builds_no_pod(self, monkeypatch, name):
+    def test_parsing_builds_no_pod(self, name):
         """Validation reads a deploy's pod ids without building its pods."""
-        built = []
-        post_init = PodInstance.__post_init__
-        monkeypatch.setattr(PodInstance, "__post_init__",
-                            lambda pod: built.append(pod.id) or post_init(pod))
-        cfg = load_bundled(name)
-        assert cfg.validate() == [] and built == []
-        expand(cfg.services[0])  # the count sees a built pod
+        built, init = [], PodInstance.__init__.__code__
+        sys.setprofile(lambda frame, event, _: event == "call" and frame.f_code is init
+                       and built.append(frame.f_locals["id"]))
+        try:
+            cfg = load_bundled(name)
+            assert cfg.validate() == [] and built == []
+            expand(cfg.services[0])  # the count sees a built pod
+        finally:
+            sys.setprofile(None)
         assert built
 
     def test_fig5_structure(self):

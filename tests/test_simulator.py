@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -18,7 +17,7 @@ from fogsim.simulator import (ArmSpec, EventKind, LbSettings, NodeSettings,
 from fogsim.fogservice import FogServiceSpec
 from fogsim.cluster import ClusterState, DependencyRef
 
-from conftest import UPLINKS, ZONES, make_topology
+from conftest import UPLINKS, ZONES, make_topology, replace
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -46,7 +45,7 @@ class TestDeterminism:
 
     def test_different_seed_can_differ(self):
         cfg = load_bundled("fig6-realtime")
-        cfg = dataclasses.replace(cfg, repetitions=2, ci_repetitions=2)
+        cfg = replace(cfg, repetitions=2, ci_repetitions=2)
         a = run_scenario(cfg, seed=1)
         b = run_scenario(cfg, seed=2)
         assert a.placements != b.placements
@@ -82,7 +81,7 @@ class TestEventOrdering:
     def test_pin_applies_before_scheduling(self):
         # deploy and pins share t=0; the pinned pods must not be rescheduled
         cfg = load_bundled("fig5-dependencies")
-        cfg = dataclasses.replace(cfg, repetitions=1, ci_repetitions=1)
+        cfg = replace(cfg, repetitions=1, ci_repetitions=1)
         res = run_scenario(cfg)
         nodes = {r[2]: r[4] for r in res.placements if r[0] == "custom"}
         assert nodes["dependency-0"] == "P1-A"
@@ -106,7 +105,7 @@ class TestEventOrdering:
             raise FirstEvent
 
         monkeypatch.setattr(simulator._Run, "dispatch", stop)
-        cfg = dataclasses.replace(load_bundled("fig7-monitor"), duration_s=100_000.0)
+        cfg = replace(load_bundled("fig7-monitor"), duration_s=100_000.0)
         tracemalloc.start()
         try:
             with pytest.raises(FirstEvent):
@@ -186,10 +185,10 @@ def test_dependency_score_reads_the_balancer_staleness(refresh_period_s, node):
     # 3 refresh periods of 30 s, stale for 3 of 10 s, which leaves latency
     # alone to rank P1-A and P2-A equal (the lexicographic tie goes to P1-A)
     cfg = load_bundled("fig5-dependencies")
-    workload = tuple(dataclasses.replace(e, at=40.0) if e.at == 1.0 else e
+    workload = tuple(replace(e, at=40.0) if e.at == 1.0 else e
                      for e in cfg.workload)
-    cfg = dataclasses.replace(cfg, workload=workload, duration_s=50.0, arms=cfg.arms[:1],
-                              lb=LbSettings(refresh_period_s=refresh_period_s))
+    cfg = replace(cfg, workload=workload, duration_s=50.0, arms=cfg.arms[:1],
+                  lb=LbSettings(refresh_period_s=refresh_period_s))
     rows = run_scenario(cfg, repetitions=1).placements
     assert [row[4] for row in rows if row[2] == "candidate-0"] == [node]
 
