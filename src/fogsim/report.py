@@ -2,16 +2,16 @@
 
 Results are written as four CSV files (placements.csv, timeseries.csv,
 requests.csv, evictions.csv) plus a human-readable summary.txt rendered from
-the run's own rows.  Each table's rows are formatted with one format string,
-to the bytes csv.writer would write: no cell ever needs quoting, because a
-row's only free text is zone, node, service and arm names (pod ids derive
-from them), which ``ScenarioConfig.validate`` keeps free of commas, double
-quotes and line breaks; every other cell is a number or a fixed word.  The
-report command recomputes every summary number from the CSVs alone.  Every
-table holds rows in its ``ResultSet.*_FIELDS`` order: typed values in memory,
-strings read back from a CSV; the summary converts each number it reads, so
-both give the same text.  It counts each table in one pass, so an arm's RTTs
-are (value, count) runs with exact statistics.
+the run's own rows.  Every table holds rows in its ``ResultSet.*_FIELDS``
+order, and each cell is a string: a run's row holds the same strings as its
+CSV row.  A table is written by joining each row's cells with commas, to the
+bytes csv.writer would write: no cell ever needs quoting, because a row's
+only free text is zone, node, service and arm names (pod ids derive from
+them), which ``ScenarioConfig.validate`` keeps free of commas, double quotes
+and line breaks; every other cell is a number or a fixed word.  The report
+command recomputes every summary number from the CSVs alone: the summary
+converts each number it reads.  It counts each table in one pass, so an
+arm's RTTs are (value, count) runs with exact statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import csv
 import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate, starmap
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,10 +41,9 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
     written = []
     for stem, fields in CSV_FILES.items():
         path = outdir / f"{stem}.csv"
-        line = ",".join(["{}"] * len(fields)) + "\r\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(line.format(*fields))
-            fh.writelines(starmap(line.format, getattr(results, stem)))
+            rows = chain((fields,), getattr(results, stem))
+            fh.writelines(map(str.__add__, map(",".join, rows), repeat("\r\n")))
         written.append(path)
     summary = outdir / "summary.txt"
     summary.write_text(render_summary({stem: getattr(results, stem) for stem in CSV_FILES},

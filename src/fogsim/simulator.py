@@ -257,7 +257,7 @@ class ScenarioConfig(Frozen):
 
 
 class ResultSet:
-    """The rows of a run's four result tables, each in its ``*_FIELDS`` order."""
+    """A run's four result tables: rows in ``*_FIELDS`` order, each cell its CSV text."""
 
     def __init__(self, scenario: str, seed: int, profile: str, placements: list = (),
                  timeseries: list = (), requests: list = (), evictions: list = ()):
@@ -290,8 +290,8 @@ def request_timeline(config: ScenarioConfig) -> tuple[list[str], list[tuple[str,
     """Every request up to `duration_s`, in issue order: its time `t` as
     `repr(t)`, which `float` reads back exactly, and in a parallel list its
     stream's `(client, service)`, one tuple per stream.  A stream's next time
-    accumulates as `t + 1.0 / rate_hz`; tied times go in the order of their
-    streams' previous requests, as first requests go in workload order."""
+    accumulates as `t + 1.0 / rate_hz`.  Of tied times, first requests go first, in
+    workload order, then the rest in the order of their streams' previous requests."""
     heap = [(e.at, i, e.args[:2], 1.0 / e.args[2], e.args[3])
             for i, e in enumerate(config.workload) if e.action == "requests"]
     heapq.heapify(heap)
@@ -321,7 +321,7 @@ class _Run:
                  timeline: tuple[list[str], list[tuple[str, str]]]):
         self.config = config
         self.arm = arm
-        self.rep = rep
+        self.rep = str(rep)  # the rep cell of each result row
         self.rng_workload = random.Random(f"{seed}:{rep}:workload")
         self.rng_sched = random.Random(f"{seed}:{rep}:sched:{arm.name}")
         self.rng_requests = random.Random(f"{seed}:{rep}:requests")
@@ -348,9 +348,9 @@ class _Run:
         self.requests: list[tuple] = []  # requests.csv rows
         self.timeseries: list[tuple] = []  # timeseries.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
-        # per-node (node, rt, regular, total) pod counts of the last sample,
-        # recounted only after `state.epoch` moved
-        self.counts: list[tuple[str, int, int, int]] = []
+        # per-node (node, rt, regular, total) pod count cells of the last
+        # sample, recounted only after `state.epoch` moved
+        self.counts: list[tuple[str, str, str, str]] = []
         self.counts_epoch: Optional[int] = None
 
     def execute(self):
@@ -414,7 +414,7 @@ class _Run:
                 for node_id in self.state.nodes:
                     pods = self.state.running_on(node_id)
                     rt = sum(1 for p in pods if p.rt_utilization > 0)
-                    self.counts.append((node_id, rt, len(pods) - rt, len(pods)))
+                    self.counts.append((node_id, str(rt), str(len(pods) - rt), str(len(pods))))
             head = (self.arm.name, self.rep, repr(now))
             self.timeseries.extend((*head, *row) for row in self.counts)
 

@@ -104,11 +104,11 @@ def test_criterion_03_deadline_feasibility():
 
 def test_criterion_04_monitor_convergence():
     res = run_scenario(load_bundled("fig7-monitor"))
-    reps = sorted({rep for _, rep, *_ in res.timeseries})
+    reps = sorted({int(rep) for _, rep, *_ in res.timeseries})
     assert len(reps) == 10
     final_by_rep = defaultdict(dict)
     for arm, rep, t, node, rt_pods, regular_pods, total in res.timeseries:
-        final_by_rep[rep][(float(t), node)] = (rt_pods, regular_pods)
+        final_by_rep[int(rep)][(float(t), node)] = (int(rt_pods), int(regular_pods))
     converged = []
     settled = convergence_times(res.timeseries)
     for rep in reps:

@@ -44,7 +44,12 @@ class NaiveRun(simulator._Run):
     A stream's next request is due `1.0 / rate_hz` after its last.  Every
     request computes its RTT and every SAMPLE counts the pods afresh.  Metric
     samples go stale after the finite `staleness_s`, and every LB_REFRESH
-    re-ingests each of them at the refresh's time, as the aggregator re-polls them."""
+    re-ingests each of them at the refresh's time, as the aggregator re-polls them.
+    Its request and timeseries rows convert each cell here, the repetition too."""
+
+    def __init__(self, config, arm, rep, seed, timeline):
+        super().__init__(config, arm, rep, seed, timeline)
+        self.repetition = rep
 
     def execute(self):
         cfg, heap, seq = self.config, [], count()
@@ -83,8 +88,8 @@ class NaiveRun(simulator._Run):
             if pod.status is PodStatus.RUNNING:
                 rtt = request_rtt(self.topology, client, pod.assignment,
                                   self.config.lb.processing_delay_ms)
-                self.requests.append((self.arm.name, self.rep, repr(now), client, service,
-                                      replica, pod.assignment, repr(rtt)))
+                self.requests.append((self.arm.name, str(self.repetition), repr(now), client,
+                                      service, replica, pod.assignment, repr(rtt)))
         if remaining > 1:
             push(now + 1.0 / rate_hz, EventKind.REQUEST, (client, service, rate_hz, remaining - 1))
 
@@ -100,8 +105,8 @@ class NaiveRun(simulator._Run):
             pods = [p for p in self.state.pods.values()
                     if p.status is PodStatus.RUNNING and p.assignment == node_id]
             rt = sum(p.rt_utilization > 0 for p in pods)
-            self.timeseries.append((self.arm.name, self.rep, repr(now), node_id,
-                                    rt, len(pods) - rt, len(pods)))
+            self.timeseries.append((self.arm.name, str(self.repetition), repr(now), node_id,
+                                    str(rt), str(len(pods) - rt), str(len(pods))))
 
 
 def run(monkeypatch, config, engine):

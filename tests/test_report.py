@@ -19,7 +19,10 @@ from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.simulator import ResultSet, run_scenario
 
+from conftest import load_test_scenario
+
 ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_FILES = sorted(p.stem for p in (ROOT / "tests" / "scenarios").glob("*.ini"))
 GRID = np.arange(CDF_STEP, 1.0 + CDF_STEP / 2, CDF_STEP)
 # sha256 of summary.txt per bundled scenario in the ci profile, and of the
 # fig9 `fogsim report` text: a change to these bytes says why in CHANGES.md
@@ -62,7 +65,7 @@ def test_run_statistics_are_exact(seed):
         pool = [rng.uniform(0.1, 5.0) for _ in range(rng.choice([1, 2, 3, 17]))]
         pool[0] = rng.choice([pool[0], 0.1, 0.3])  # decimals a float sum rounds
         values[arm] = [rng.choice(pool) for _ in range(rng.randint(1, 200))]
-    rows = [(arm, 0, "1.0", "a1", "web", rng.choice(["web-0", "web-1"]), "a1", repr(v))
+    rows = [(arm, "0", "1.0", "a1", "web", rng.choice(["web-0", "web-1"]), "a1", repr(v))
             for arm in values for v in values[arm]]
     rng.shuffle(rows)
     _, runs = report._summary({"placements": [], "timeseries": [], "requests": rows,
@@ -94,11 +97,12 @@ NAMES = st.one_of(st.text(st.characters(exclude_categories=("Cs",),
                   st.text("aZ09-._éµ東", min_size=1, max_size=6))
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                    st.sampled_from(["1e-05", "-0.0", "1e+16"]))
-CELLS = {"rep": st.integers(0, 99), "rt_pods": st.integers(), "regular_pods": st.integers(),
-         "total": st.integers(), "t": FLOATS, "time": FLOATS, "rtt_ms": FLOATS}
+COUNTS = st.integers().map(str)
+CELLS = {"rep": st.integers(0, 99).map(str), "rt_pods": COUNTS, "regular_pods": COUNTS,
+         "total": COUNTS, "t": FLOATS, "time": FLOATS, "rtt_ms": FLOATS}
 # two RTTs whose sum is past the float range, which once failed the summary's mean
 HUGE_RTTS = {"placements": [], "timeseries": [], "evictions": [],
-             "requests": [("a", 0, "0.0", "c", "s", "s-0", "n", "8.99e+307")] * 2}
+             "requests": [("a", "0", "0.0", "c", "s", "s-0", "n", "8.99e+307")] * 2}
 
 
 @given(st.fixed_dictionaries({
@@ -124,12 +128,21 @@ def test_summary_bytes_are_pinned(tmp_path, name):
         assert sha256(render_comparison(load_results(tmp_path))) == FIG9_REPORT_SHA256
 
 
-@pytest.mark.parametrize("name", ["fig7-monitor", "fig9-loadbalancer"])
+@pytest.mark.parametrize("name", [*BUNDLED, *SCENARIO_FILES])
 def test_summary_of_rows_equals_summary_of_csvs(tmp_path, name):
-    write_results(run_scenario(load_bundled(name), profile="ci"), tmp_path)
+    """A run's rows are, cell for cell, the strings its CSVs read back as, so
+    the run and `fogsim report` summarise the same rows."""
+    config = load_bundled(name) if name in BUNDLED else load_test_scenario(name)
+    results = run_scenario(config, profile="ci")
+    write_results(results, tmp_path)
+    loaded = load_results(tmp_path)
+    for stem in report.CSV_FILES:
+        rows = getattr(results, stem)
+        assert loaded[stem] == [list(r) for r in rows], stem
+        assert all(type(cell) is str for row in rows for cell in row), stem
     header, rest = (tmp_path / "summary.txt").read_text().split("\n", 1)
-    assert header.startswith(f"scenario: {name}")
-    assert rest == render_summary(load_results(tmp_path))
+    assert header.startswith(f"scenario: {config.name}")
+    assert rest == render_summary(loaded)
 
 
 def test_one_request_stream_writes_a_summary(tmp_path):

@@ -15,9 +15,9 @@ from conftest import load_test_scenario, replace
 def test_request_edges_reach_every_edge():
     """The scenario still exercises what its comments say it does."""
     results = simulator.run_scenario(load_test_scenario("request-edges"))
-    rows = [r for r in results.requests if r[:2] == ("weighted", 0)]
+    rows = [r for r in results.requests if r[:2] == ("weighted", "0")]
     assert {(r[2], r[3]) for r in rows if r[2] == "0.5"} == {("0.5", "a1"), ("0.5", "b1")}
-    assert {(e[3], e[6]) for e in results.evictions if e[:2] == ("weighted", 0)} == {
+    assert {(e[3], e[6]) for e in results.evictions if e[:2] == ("weighted", "0")} == {
         ("boss-0", "monitor"), ("web-1", "preemption")}
     # the web streams issue 80 requests; those that chose web-1 after t=3 leave no row
     assert len([r for r in rows if r[4] == "web"]) < 80
@@ -50,6 +50,22 @@ def test_tied_requests_go_in_the_order_of_their_previous_request():
     assert [client for t, (client, _) in zip(times, streams)
             if t in ("0.5", "1.0", "1.5")] == ["b1", "a1"] * 3
     assert sorted(times, key=float) == times
+
+
+def test_a_first_request_goes_before_a_tied_continuing_one():
+    """`b1`'s stream is listed after `a1`'s and starts at 1.0, when `a1`'s
+    third request is due: a first request has no previous one, so it goes
+    before every continuing stream's; at 1.5, `b1`'s previous request came first."""
+    config = load_test_scenario("request-ties")
+    script = tuple(e for e in config.workload if e.action != "requests")
+    scenario = replace(config, workload=(
+        *script, WorkloadEvent(0.0, "requests", ("a1", "web", 2.0, 4)),
+        WorkloadEvent(1.0, "requests", ("b1", "web", 2.0, 2))))
+    times, streams = simulator.request_timeline(scenario)
+    assert times == ["0.0", "0.5", "1.0", "1.0", "1.5", "1.5"]
+    assert [client for client, _ in streams] == ["a1", "a1", "b1", "a1", "b1", "a1"]
+    rows = simulator.run_scenario(scenario).requests
+    assert [r[3] for r in rows if r[:2] == ("weighted", "0")] == [c for c, _ in streams]
 
 
 def test_the_timeline_stops_at_duration_s(tmp_path):
