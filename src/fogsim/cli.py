@@ -95,10 +95,7 @@ def main(argv=None) -> int:
         return cmd_run(args)
     if args.command == "list":
         return cmd_list()
-    if args.command == "report":
-        return cmd_report(args)
-    parser.print_usage(sys.stderr)
-    return 2
+    return cmd_report(args)
 
 
 if __name__ == "__main__":

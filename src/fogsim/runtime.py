@@ -1,18 +1,15 @@
 """Workload runtime layer: runtime-class dispatch, RT priority assignment
-with a 30-second pending queue, and RT group limit computation.
-
-Everything operates against an abstract process host.  The simulated host
-used in tests records every call so that ordering, retries and
-exactly-once application can be asserted; integration with a real host is
-out of scope.
+with a 30-second pending queue, and RT group limit computation, all against
+a simulated process host that records every call, so that ordering, retries
+and exactly-once application can be asserted.  A real host is out of scope.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Optional, Protocol
+from typing import Optional
 
-from .cluster import RUNTIME_CLASSES, DeadlinePolicy, FifoPolicy, Node, PodInstance, RtProcessSpec
+from .cluster import RUNTIME_CLASSES, DeadlinePolicy, FifoPolicy, Node, PodInstance
 from .fogservice import FogServiceSpec
 from .realtime import rt_capacity
 from .records import Record, Value, set_fields
@@ -23,13 +20,6 @@ RETRY_INTERVAL_S = 30.0
 RT_GROUP_PERIOD_US = 1_000_000
 
 RUNTIME_CONTAINER, RUNTIME_LEGACY = RUNTIME_CLASSES
-
-
-class ProcessHost(Protocol):
-    def list_processes(self, pod_id: str) -> list[tuple[int, str]]: ...
-    def set_policy(self, pod_id: str, pid: int,
-                   policy: DeadlinePolicy | FifoPolicy) -> bool: ...
-    def set_rt_group_limits(self, pod_id: str, period_us: int, runtime_us: int) -> bool: ...
 
 
 class HostCall(Value):
@@ -60,10 +50,12 @@ class SimulatedProcessHost:
         return [(pid, name) for at, pid, name in self._procs.get(pod_id, ())
                 if at <= self.now]
 
-    def set_policy(self, pod_id: str, pid: int, policy) -> bool:
+    def set_policy(self, pod_id: str, pid: int, policy: DeadlinePolicy | FifoPolicy) -> bool:
         ok = pid not in self._fail_pids
-        self.calls.append(HostCall(self.now, pod_id, "set_policy", pid,
-                                   _policy_text(policy), ok))
+        detail = (f"deadline:{policy.runtime_us}:{policy.period_us}:{policy.deadline_us}"
+                  if isinstance(policy, DeadlinePolicy)
+                  else f"fifo:{policy.priority}:{policy.cpu_request}")
+        self.calls.append(HostCall(self.now, pod_id, "set_policy", pid, detail, ok))
         return ok
 
     def set_rt_group_limits(self, pod_id: str, period_us: int, runtime_us: int) -> bool:
@@ -76,21 +68,12 @@ class SimulatedProcessHost:
                 and (pod_id is None or c.pod == pod_id)]
 
 
-def _policy_text(policy) -> str:
-    if isinstance(policy, DeadlinePolicy):
-        return f"deadline:{policy.runtime_us}:{policy.period_us}:{policy.deadline_us}"
-    return f"fifo:{policy.priority}:{policy.cpu_request}"
-
-
 class RecordingRuntime:
     """Lifecycle recorder standing in for a concrete runtime backend."""
 
     def __init__(self, kind: str):
         self.kind = kind
         self.events: list[tuple[str, str]] = []
-
-    def create(self, pod: PodInstance) -> None:
-        self.events.append(("create", pod.id))
 
 
 class RuntimeDispatcher:
@@ -101,12 +84,9 @@ class RuntimeDispatcher:
         self.container = RecordingRuntime(RUNTIME_CONTAINER)
         self.legacy = RecordingRuntime(RUNTIME_LEGACY)
 
-    def runtime_for(self, pod: PodInstance) -> RecordingRuntime:
-        return self.legacy if pod.runtime_class == RUNTIME_LEGACY else self.container
-
     def create(self, pod: PodInstance) -> RecordingRuntime:
-        runtime = self.runtime_for(pod)
-        runtime.create(pod)
+        runtime = self.legacy if pod.runtime_class == RUNTIME_LEGACY else self.container
+        runtime.events.append(("create", pod.id))
         return runtime
 
 
@@ -124,7 +104,7 @@ class RtPriorityManager:
     """Apply RT process policies on pod start, retrying unmatched processes
     on a fixed 30-second cadence until every spec has been applied."""
 
-    def __init__(self, host: ProcessHost):
+    def __init__(self, host: SimulatedProcessHost):
         self.host = host
         self.pending: dict[str, PendingAssignment] = {}
         self._applied: set[tuple[str, int, int]] = set()  # (pod, spec index, pid)
@@ -137,12 +117,11 @@ class RtPriorityManager:
         entry created for unmatched specs, if any.  Specs are applied in
         declaration order.
         """
-        applied, unmatched = self._try_apply(pod, range(len(pod.rt_processes)), now)
-        entry = None
-        if unmatched:
-            entry = PendingAssignment(pod.id, unmatched, now + RETRY_INTERVAL_S)
+        entry = PendingAssignment(pod.id, list(range(len(pod.rt_processes))), now)
+        applied = self._retry(pod, entry, now)
+        if entry.unmatched:
             self.pending[pod.id] = entry
-        return applied, entry
+        return applied, entry if entry.unmatched else None
 
     def tick(self, pod_lookup, now: float) -> list[tuple[str, int, int]]:
         """Revisit the pending queue; returns (pod, spec index, pid) applied."""
@@ -151,28 +130,24 @@ class RtPriorityManager:
             entry = self.pending[pod_id]
             if now < entry.next_retry:
                 continue
-            pod = pod_lookup(pod_id)
-            applied, unmatched = self._try_apply(pod, entry.unmatched, now)
-            applied_now.extend((pod_id, idx, pid) for idx, pid in applied)
-            if unmatched:
-                entry.unmatched = unmatched
-                entry.next_retry = now + RETRY_INTERVAL_S
-            else:
+            applied_now.extend((pod_id, idx, pid)
+                               for idx, pid in self._retry(pod_lookup(pod_id), entry, now))
+            if not entry.unmatched:
                 del self.pending[pod_id]
         return applied_now
 
-    def _try_apply(self, pod: PodInstance, spec_indexes, now: float):
+    def _retry(self, pod: PodInstance, entry: PendingAssignment,
+               now: float) -> list[tuple[int, int]]:
+        """Apply the entry's specs once per (pod, spec, pid); keep each spec that
+        matched nothing or failed on the entry, due again one interval on."""
         processes = self.host.list_processes(pod.id)
-        applied = []
-        unmatched = []
-        for idx in spec_indexes:
+        applied, unmatched = [], []
+        for idx in entry.unmatched:
             spec = pod.rt_processes[idx]
-            matches = _match(spec, processes)
-            if not matches:
-                unmatched.append(idx)
-                continue
-            all_ok = True
-            for pid in matches:
+            pids = [pid for pid, name in processes
+                    if (pid == spec.pid if spec.pid is not None else spec.name_substring in name)]
+            done = bool(pids)
+            for pid in pids:
                 key = (pod.id, idx, pid)
                 if key in self._applied:
                     continue
@@ -181,16 +156,11 @@ class RtPriorityManager:
                     applied.append((idx, pid))
                 else:
                     log.error("set_policy failed for pod %s pid %d", pod.id, pid)
-                    all_ok = False
-            if not all_ok:
+                    done = False
+            if not done:
                 unmatched.append(idx)
-        return applied, unmatched
-
-
-def _match(spec: RtProcessSpec, processes: list[tuple[int, str]]) -> list[int]:
-    if spec.pid is not None:
-        return [pid for pid, _ in processes if pid == spec.pid]
-    return [pid for pid, name in processes if spec.name_substring in name]
+        entry.unmatched, entry.next_retry = unmatched, now + RETRY_INTERVAL_S
+        return applied
 
 
 def rt_group_limits(spec: FogServiceSpec) -> tuple[int, int]:
@@ -214,7 +184,7 @@ def rt_group_limits_for_node(spec: FogServiceSpec, node: Node) -> tuple[int, int
 
 
 def apply_rt_limits(pod: PodInstance, spec: FogServiceSpec, node: Node,
-                    host: ProcessHost) -> tuple[int, int]:
+                    host: SimulatedProcessHost) -> tuple[int, int]:
     period_us, runtime_us = rt_group_limits_for_node(spec, node)
     host.set_rt_group_limits(pod.id, period_us, runtime_us)
     return period_us, runtime_us

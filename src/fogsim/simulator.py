@@ -35,7 +35,7 @@ from .fogservice import FogServiceSpec, expand, pod_ids
 from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
 from .records import Frozen, set_fields
-from .scheduling import SchedulerConfig, run_queue
+from .scheduling import TIE_LEXICOGRAPHIC, SchedulerConfig, run_queue
 from .telemetry import DEFAULT_REFRESH_PERIOD_S, DEFAULT_STALENESS_PERIODS, path_latency
 
 
@@ -63,7 +63,7 @@ class ArmSpec(Frozen):
     """A scheduler/balancer configuration; it builds its config to check its plugins."""
 
     def __init__(self, name: str, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
-                 tie_break: str = "lexicographic", lb_policy: str = POLICY_WEIGHTED):
+                 tie_break: str = TIE_LEXICOGRAPHIC, lb_policy: str = POLICY_WEIGHTED):
         set_fields(self, name=name, plugins=plugins, tie_break=tie_break, lb_policy=lb_policy)
         self.scheduler_config()
         if lb_policy not in POLICIES:

@@ -32,6 +32,13 @@ class TestList:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_no_subcommand_exits_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "fogsim: error: the following arguments are required: command\n")
+
 
 class TestRun:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):

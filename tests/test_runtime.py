@@ -5,9 +5,10 @@ import pytest
 from fogsim.cluster import (DeadlinePolicy, FifoPolicy, Node, PodInstance,
                             RtProcessSpec)
 from fogsim.fogservice import FogServiceSpec
-from fogsim.runtime import (RtPriorityManager, RuntimeDispatcher,
-                            SimulatedProcessHost, apply_rt_limits,
-                            rt_group_limits, rt_group_limits_for_node)
+from fogsim.runtime import (PendingAssignment, RtPriorityManager,
+                            RuntimeDispatcher, SimulatedProcessHost,
+                            apply_rt_limits, rt_group_limits,
+                            rt_group_limits_for_node)
 
 
 def pod_with_specs(*specs, pod_id="pod-0", runtime_class="container"):
@@ -16,6 +17,16 @@ def pod_with_specs(*specs, pod_id="pod-0", runtime_class="container"):
 
 
 DEADLINE = DeadlinePolicy(100_000, 1_000_000)
+
+
+class FailsOnceHost(SimulatedProcessHost):
+    """A host on which each pid passed to `fail_pid` refuses its first
+    `set_policy` call and accepts every later one."""
+
+    def set_policy(self, pod_id, pid, policy):
+        ok = super().set_policy(pod_id, pid, policy)
+        self._fail_pids.discard(pid)
+        return ok
 
 
 class TestDispatch:
@@ -128,6 +139,33 @@ class TestPriorityAssignment:
             applied, pending = manager.assign_priorities(pod, now=0.0)
         assert applied == [] and pending is not None
         assert "set_policy failed" in caplog.text
+
+    def test_tick_before_next_retry_does_nothing(self):
+        host = SimulatedProcessHost()
+        host.spawn("pod-0", pid=7, name="detector", at=10.0)
+        manager = RtPriorityManager(host)
+        pod = pod_with_specs(RtProcessSpec(policy=DEADLINE, name_substring="detector"))
+        _, pending = manager.assign_priorities(pod, now=0.0)
+        host.now = 20.0  # the process is there, but the entry is due at 30
+        assert manager.tick({"pod-0": pod}.get, 20.0) == []
+        assert host.calls == []
+        assert manager.pending == {"pod-0": pending}
+        assert pending == PendingAssignment("pod-0", [0], 30.0)
+
+    def test_retry_calls_only_the_pid_that_failed(self):
+        host = FailsOnceHost()
+        host.spawn("pod-0", pid=1, name="worker-a")
+        host.spawn("pod-0", pid=2, name="worker-b")
+        host.fail_pid(2)
+        manager = RtPriorityManager(host)
+        pod = pod_with_specs(RtProcessSpec(policy=DEADLINE, name_substring="worker"))
+        applied, pending = manager.assign_priorities(pod, now=0.0)
+        assert applied == [(0, 1)] and pending.unmatched == [0]
+        host.now = 30.0
+        assert manager.tick({"pod-0": pod}.get, 30.0) == [("pod-0", 0, 2)]
+        assert [(c.time, c.pid, c.ok) for c in host.policy_calls("pod-0")] == [
+            (0.0, 1, True), (0.0, 2, False), (30.0, 2, True)]
+        assert manager.pending == {}
 
     def test_pid_selector(self):
         host = SimulatedProcessHost()
