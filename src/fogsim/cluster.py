@@ -29,7 +29,6 @@ pending queue are not counted.
 
 from __future__ import annotations
 
-import copy as _copy
 from bisect import bisect_left, insort
 from enum import Enum
 from itertools import count
@@ -383,7 +382,8 @@ class ClusterState(_RunningIndex):
         """A view of a deep copy of this state, so later mutations never
         reach it.  An excluded running pod is evicted from the copy, and an
         excluded pod of any status is dropped from the copy's `pods`."""
-        state = _copy.deepcopy(self)
+        import copy  # only a snapshot needs it
+        state = copy.deepcopy(self)
         if exclude is not None:
             if state._pod(exclude).status is PodStatus.RUNNING:
                 state.evict(exclude, now)

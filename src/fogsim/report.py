@@ -4,8 +4,9 @@ Results are written as four CSV files (placements.csv, timeseries.csv,
 requests.csv, evictions.csv) plus a human-readable summary.txt rendered from
 the run's own rows.  Every table holds rows in its ``ResultSet.*_FIELDS``
 order, and each cell is a string: a run's row holds the same strings as its
-CSV row.  A table is written by joining each row's cells with commas, to the
-bytes csv.writer would write: no cell ever needs quoting, because a row's
+CSV row.  A table is written in blocks of BLOCK_ROWS rows, each block one
+string of rows joined by line ends and each row its cells joined by commas, to
+the bytes csv.writer would write: no cell ever needs quoting, because a row's
 only free text is zone, node, service and arm names (pod ids derive from
 them), which ``ScenarioConfig.validate`` keeps free of commas, double quotes
 and line breaks; every other cell is a number or a fixed word.  The report
@@ -16,11 +17,10 @@ arm's RTTs are (value, count) runs with exact statistics.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,6 +33,7 @@ CSV_FILES = {
     "evictions": ResultSet.EVICTION_FIELDS,
 }
 CDF_STEP = 0.01
+BLOCK_ROWS = 1024  # rows per write: fewer calls, and no whole-table string
 
 
 def write_results(results: ResultSet, outdir) -> list[Path]:
@@ -43,7 +44,8 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
         path = outdir / f"{stem}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             rows = chain((fields,), getattr(results, stem))
-            fh.writelines(map(str.__add__, map(",".join, rows), repeat("\r\n")))
+            while block := list(islice(rows, BLOCK_ROWS)):
+                fh.write("\r\n".join(map(",".join, block)) + "\r\n")
         written.append(path)
     summary = outdir / "summary.txt"
     summary.write_text(render_summary({stem: getattr(results, stem) for stem in CSV_FILES},
@@ -58,6 +60,7 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
 def load_results(directory) -> dict[str, list[list[str]]]:
     """The four tables of a result directory.  Raises FileNotFoundError on a
     missing file and ValueError on a wrong header or a row of the wrong length."""
+    import csv  # only reading results needs it
     directory = Path(directory)
     loaded = {}
     for stem, fields in CSV_FILES.items():

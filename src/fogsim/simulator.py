@@ -287,18 +287,20 @@ def request_rtt(topology: Topology, client: str, node: str,
 
 
 def request_timeline(config: ScenarioConfig) -> tuple[list[str], list[tuple[str, str]]]:
-    """Every request up to `duration_s`, in issue order: its time `t` as
-    `repr(t)`, which `float` reads back exactly, and in a parallel list its
-    stream's `(client, service)`, one tuple per stream.  A stream's next time
+    """Every request up to `duration_s`, in issue order: its time `t` as `repr(t)`,
+    which `float` reads back exactly, one text shared by tied times, and in a parallel
+    list its stream's `(client, service)`, one tuple per stream.  A stream's next time
     accumulates as `t + 1.0 / rate_hz`.  Of tied times, first requests go first, in
     workload order, then the rest in the order of their streams' previous requests."""
     heap = [(e.at, i, e.args[:2], 1.0 / e.args[2], e.args[3])
             for i, e in enumerate(config.workload) if e.action == "requests"]
     heapq.heapify(heap)
-    seq, times, streams = len(config.workload), [], []
+    seq, times, streams, last = len(config.workload), [], [], None
     while heap and heap[0][0] <= config.duration_s:
         now, _, stream, step, remaining = heap[0]
-        times.append(repr(now))
+        if now != last or not now:  # 0.0 == -0.0, but their reprs differ
+            last, text = now, repr(now)
+        times.append(text)
         streams.append(stream)
         if remaining > 1:
             heapq.heapreplace(heap, (now + step, seq, stream, step, remaining - 1))

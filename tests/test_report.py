@@ -120,6 +120,27 @@ def test_written_tables_are_csv_writer_bytes(tables):
                     == (out / f"{stem}.csv").read_bytes()), stem
 
 
+@pytest.mark.parametrize("n", [0, 1, report.BLOCK_ROWS - 1, report.BLOCK_ROWS,
+                               report.BLOCK_ROWS + 1, 2 * report.BLOCK_ROWS + 1])
+def test_tables_across_write_blocks_are_csv_writer_bytes(tmp_path, n):
+    """A table is written in blocks of BLOCK_ROWS rows, its header first: tables
+    that end just short of a block, on its end and just past it write the
+    bytes csv.writer writes."""
+    def cell(field, i):
+        if field in ("t", "time", "rtt_ms"):
+            return repr(i / 8)
+        return str(i) if field in ("rep", "rt_pods", "regular_pods", "total") else f"{field}{i % 5}"
+
+    tables = {stem: [tuple(cell(f, i) for f in fields) for i in range(n)]
+              for stem, fields in report.CSV_FILES.items()}
+    write_results(ResultSet("blocks", 0, "ci", **tables), tmp_path / "written")
+    for stem, fields in report.CSV_FILES.items():
+        with open(tmp_path / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([fields, *tables[stem]])
+        assert ((tmp_path / "written" / f"{stem}.csv").read_bytes()
+                == (tmp_path / f"{stem}.csv").read_bytes()), stem
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_summary_bytes_are_pinned(tmp_path, name):
     write_results(run_scenario(load_bundled(name), profile="ci"), tmp_path)
@@ -201,15 +222,17 @@ def test_written_files_do_not_depend_on_the_hash_seed(tmp_path):
 
 def test_import_leaves_out_the_process_pool():
     """The imports of a run leave out what only other paths use: the process pool
-    (`--jobs`), logging (a warning), the runtime model, and the plugins, which a
-    scenario's arms import when it is parsed.  No path uses fractions: a summary's
-    statistics are exact on integers."""
+    (`--jobs`), logging (a warning), the runtime model, the plugins, which a
+    scenario's arms import when it is parsed, csv (reading results) and copy (a
+    cluster snapshot).  No path uses fractions: a summary's statistics are exact
+    on integers."""
     code = ("import sys\n"
             "import fogsim\n"
             "from fogsim import report, scenario_io, simulator\n"
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
             "                         'logging', 'fractions', 'decimal', 'fogsim.runtime',\n"
-            "                         'fogsim.realtime', 'fogsim.dependencies')\n"
+            "                         'fogsim.realtime', 'fogsim.dependencies', 'csv',\n"
+            "                         'copy')\n"
             "             if m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -4,12 +4,20 @@ end at `duration_s`, the RTT memo and the one `select_replica` call per
 request are checked here; that the timeline issues what a heap event per
 request would is checked against `NaiveRun` in `test_reference_run.py`."""
 
-from fogsim import report, simulator
+import sys
+from pathlib import Path
+
+from fogsim import report, scenario_io, simulator
 from fogsim.loadbalancer import select_replica
 from fogsim.scenarios import load_bundled
 from fogsim.simulator import WorkloadEvent, request_rtt
 
 from conftest import load_test_scenario, replace
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_request_edges_reach_every_edge():
@@ -66,6 +74,32 @@ def test_a_first_request_goes_before_a_tied_continuing_one():
     assert [client for client, _ in streams] == ["a1", "a1", "b1", "a1", "b1", "a1"]
     rows = simulator.run_scenario(scenario).requests
     assert [r[3] for r in rows if r[:2] == ("weighted", "0")] == [c for c, _ in streams]
+
+
+def test_a_zero_time_keeps_its_sign_when_tied():
+    """`-0.0 == 0.0`, but the two have different texts: streams that start at
+    -0.0 and at 0.0 tie, and each first request keeps its own text."""
+    config = load_test_scenario("request-ties")
+    script = tuple(e for e in config.workload if e.action != "requests")
+    scenario = replace(config, workload=(
+        *script, WorkloadEvent(-0.0, "requests", ("a1", "web", 2.0, 2)),
+        WorkloadEvent(0.0, "requests", ("b1", "web", 2.0, 2))))
+    times, _ = simulator.request_timeline(scenario)
+    assert times == ["-0.0", "0.0", "0.5", "0.5"]
+
+
+def test_tied_times_share_one_text():
+    """Each run of equal, non-zero times is one `str` object: the timeline
+    formats each distinct time once.  Checked on request-ties and on the
+    request-stream benchmark workload at seed 433, whose 24,000 requests have
+    14,644 distinct times."""
+    stream = workloads.build("request-stream", 433, CHECKOUT)
+    for config in (load_test_scenario("request-ties"),
+                   scenario_io.parse_scenario(stream.text, name_hint=stream.name)):
+        times, _ = simulator.request_timeline(config)
+        tied = [(a, b) for a, b in zip(times, times[1:]) if a == b and float(a)]
+        assert tied
+        assert all(a is b for a, b in tied)
 
 
 def test_the_timeline_stops_at_duration_s(tmp_path):
