@@ -22,12 +22,14 @@ Token names that differ: `weight`, `lw`, `mw` (`dep_weight`,
 `latency_weight`, `metric_weight`), `cpu` (`cpu_request`), `pid` and `name`
 (the process selector's `pid` and `name_substring`).  An unknown key or
 section, a `config.<location>` of an unlisted location and a repeated token
-key are errors.
+key are errors.  The file is configparser's INI dialect with `=` the only
+delimiter and no interpolation: whole-line `#` or `;` comments, and values
+continued on lines indented deeper than their key.  There is no `[DEFAULT]`
+section; a malformed line, or a repeated section or key, is an error naming its line.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from pathlib import Path
 
@@ -217,24 +219,47 @@ def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
 
 
 SECTIONS = ("scenario", "topology", "nodes", "monitor", "loadbalancer", "workload")
+BOOLEAN_STATES = {**dict.fromkeys(("1", "yes", "true", "on"), True),
+                  **dict.fromkeys(("0", "no", "false", "off"), False)}
+
+
+def read_sections(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of `text`, whose lines end at "\n" only; a value's
+    lines are stripped and joined by "\n", and its blank lines dropped."""
+    sections, section, lines, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if lines is not None and depth > indent:
+            lines.append(stripped)
+            continue
+        indent, lines, end = depth, None, stripped.rfind("]")
+        if stripped[0] == "[" and end > 1:  # text after the last "]" is ignored
+            name = stripped[1:end]
+            if name in sections:
+                raise ScenarioParseError(f"line {number}: repeated section {stripped!r}")
+            section = sections[name] = {}
+            continue
+        key, eq, value = map(str.strip, stripped.partition("="))
+        if section is None:
+            raise ScenarioParseError(f"line {number}: {stripped!r} comes before any [section]")
+        if not (eq and key):
+            raise ScenarioParseError(f"line {number}: expected <key> = <value>, got {stripped!r}")
+        if key in section:
+            raise ScenarioParseError(f"line {number}: repeated key {key!r}")
+        lines = section[key] = [value]
+    return {name: {k: "\n".join(v) for k, v in keys.items()} for name, keys in sections.items()}
 
 
 def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str  # zone and node names are case-sensitive
-    parser.read_dict({"nodes": {}, "monitor": {}, "loadbalancer": {}})  # absent: defaults
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioParseError(str(exc)) from None
-    if parser.defaults():  # configparser would copy these keys into every section
-        raise ScenarioParseError(f"[DEFAULT]: {', '.join(parser.defaults())}: not "
-                                 "supported; put each key in its own section")
+    sections = {"nodes": {}, "monitor": {}, "loadbalancer": {}, **read_sections(text)}
 
     for required in ("scenario", "topology", "workload"):
-        if required not in parser:
+        if required not in sections:
             raise ScenarioParseError(f"missing [{required}] section")
-    topo = parser["topology"]
+    topo = sections["topology"]
     zones = {k[5:]: tuple(v.split()) for k, v in topo.items() if k.startswith("zone.")}
     if not zones:
         raise ScenarioParseError("topology defines no zones")
@@ -244,47 +269,46 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
                                                if k.startswith("uplink.")})
 
     overrides = {}
-    for key, value in parser["nodes"].items():
+    for key, value in sections["nodes"].items():
         if key.startswith("override."):
             node_id, dot, attr = key[len("override."):].partition(".")
             if not dot:
                 raise ScenarioParseError(f"[nodes]: {key}: expected override.<node>.<field>")
             overrides.setdefault(node_id, {})[attr] = _value(int, "[nodes]", key, value)
-    nodes = _build(NodeSettings, "[nodes]", _rest(parser["nodes"], ("override.",)),
+    nodes = _build(NodeSettings, "[nodes]", _rest(sections["nodes"], ("override.",)),
                    overrides=overrides)
 
     named = {"service": [], "arm": [], "config": []}  # [<kind> <name>] sections
-    for section_name in parser.sections():
+    for section_name, section in sections.items():
         kind, _, name = section_name.partition(" ")
         if not (kind in named if name else kind in SECTIONS):
             raise ScenarioParseError(f"unknown section [{section_name}]")
         if kind == "service":
-            named[kind].append(_parse_service(name, parser[section_name]))
+            named[kind].append(_parse_service(name, section))
         elif kind in named:  # a deploy reads only a config's scheduler settings
             fixed = {"lb_policy": POLICY_WEIGHTED} if kind == "config" else {}
-            named[kind].append(_parse_arm(f"[{section_name}]", name, parser[section_name],
-                                          **fixed))
+            named[kind].append(_parse_arm(f"[{section_name}]", name, section, **fixed))
 
     # built, and so checked, even when the monitor is off or unset
-    monitor = _build(MonitorConfig, "[monitor]", _rest(parser["monitor"], ("enabled",)))
-    enabled = parser["monitor"].get("enabled", "false").lower()
-    if enabled not in parser.BOOLEAN_STATES:
+    monitor = _build(MonitorConfig, "[monitor]", _rest(sections["monitor"], ("enabled",)))
+    enabled = sections["monitor"].get("enabled", "false").lower()
+    if enabled not in BOOLEAN_STATES:
         raise ScenarioParseError(f"[monitor]: enabled: expected true or false, got {enabled!r}")
-    monitor = monitor if parser.BOOLEAN_STATES[enabled] else None
+    monitor = monitor if BOOLEAN_STATES[enabled] else None
 
-    lb = _build(LbSettings, "[loadbalancer]", parser["loadbalancer"].items())
+    lb = _build(LbSettings, "[loadbalancer]", sections["loadbalancer"].items())
 
-    for key, _ in _rest(parser["workload"], ("events",)):
+    for key, _ in _rest(sections["workload"], ("events",)):
         raise ScenarioParseError(f"[workload]: unknown key {key!r}")
     workload = []
-    for line in parser["workload"].get("events", "").splitlines():
+    for line in sections["workload"].get("events", "").splitlines():
         if line.strip():
             try:
                 workload.append(_parse_workload_line(line))
             except ValueError as exc:
                 raise ScenarioParseError(f"workload line {line.strip()!r}: {exc}") from None
 
-    meta = parser["scenario"]
+    meta = sections["scenario"]
     ci = ([("ci_repetitions", meta["repetitions"])]  # the ci profile's default
           if "repetitions" in meta and "ci_repetitions" not in meta else [])
     return _build(ScenarioConfig, "[scenario]", [("name", name_hint or "scenario"),

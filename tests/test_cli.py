@@ -276,8 +276,6 @@ BAD_VALUES = [
      "[loadbalancer]", "refresh_period_s"),
     ("duration_s = 5", "duration_s = 5\n[monitor]\ngrace_s = 0", "[monitor]", "grace_s"),
     ("duration_s = 5", "duration_s = 5\n[monitor]\nenabled = maybe", "[monitor]", "enabled"),
-    # configparser would copy [DEFAULT] keys into every section
-    ("[scenario]", "[DEFAULT]\nseed = 3\n[scenario]", "[DEFAULT]", "seed"),
     # a deploy's `using=` takes a config's scheduler settings, never its balancer
     ("[workload]", "[config stock]\nlb_policy = uniform\n[workload]", "[config stock]",
      "unknown key 'lb_policy'"),
@@ -293,6 +291,40 @@ def test_bad_value_names_section_and_key(tmp_path, capsys, field, bad, section, 
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert f"{section}: {key}" in err
+
+
+@pytest.mark.parametrize("section", ["[servce x]", "[loadbalancr]", "[service]", "[DEFAULT]"])
+def test_unknown_section_is_named(tmp_path, capsys, section):
+    """A section nothing reads is an error, `[DEFAULT]` too: its keys set nothing."""
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="").replace(
+        "[scenario]", f"{section}\nseed = 3\n[scenario]"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert f"unknown section {section}" in err
+
+
+# a line the INI reader rejects, as (field, its replacement, the line named)
+INI_ERRORS = {
+    "no-equals": ("duration_s = 5", "duration_s = 5\nfoo", 5),
+    "before-any-header": ("[scenario]", "seed = 3\n[scenario]", 2),
+    "empty-key": ("duration_s = 5", "duration_s = 5\n= 5", 5),
+    "repeated-key": ("duration_s = 5", "duration_s = 5\nduration_s = 6", 5),
+    "repeated-section": ("[arm custom]", "[service web]\n[arm custom]", 15),
+}
+
+
+@pytest.mark.parametrize("case", INI_ERRORS)
+def test_ini_syntax_error_names_its_line(tmp_path, capsys, case):
+    field, bad, line = INI_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_BASE.format(line="").replace(field, bad))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: line {line}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_named_like_an_arm_exits_2_with_one_line(tmp_path, capsys):

@@ -1,15 +1,22 @@
+import configparser
 import sys
+from pathlib import Path
 
 import pytest
 
 from fogsim.cluster import PodInstance
 from fogsim.fogservice import expand
 from fogsim.monitor import MonitorConfig
-from fogsim.scenario_io import ScenarioParseError, parse_scenario
-from fogsim.scenarios import BUNDLED, load_bundled
+from fogsim.scenario_io import ScenarioParseError, parse_scenario, read_sections
+from fogsim.scenarios import BUNDLED, _bundled_text, load_bundled
 from fogsim.simulator import ScenarioConfig, run_scenario
 
 from conftest import load_test_scenario
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
+
+import workloads  # noqa: E402
 
 MINIMAL = """
 [scenario]
@@ -179,3 +186,46 @@ class TestBundled:
         assert names["high"].priority_class == 10
         assert names["high-last"].replicas == 1
         assert cfg.workload[-1].at == 5.0
+
+
+def configparser_sections(text: str) -> list:
+    """`text` as the scenario reader read it with configparser, each value's
+    blank continuation lines dropped: [(section, [(key, value), ...]), ...]."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.optionxform = str
+    parser.read_string(text)
+    return [(name, [(key, without_blank_lines(value)) for key, value in parser[name].items()])
+            for name in parser.sections()]
+
+
+def without_blank_lines(value: str) -> str:
+    first, *rest = value.split("\n")
+    return "\n".join([first, *filter(None, rest)])
+
+
+SCENARIO_TEXTS = {
+    **{name: _bundled_text(name) for name in BUNDLED},
+    **{path.name: path.read_text(encoding="utf-8")
+       for path in sorted((CHECKOUT / "tests" / "scenarios").glob("*.ini"))},
+    **{f"{name}@{seed}": workloads.build(name, seed, CHECKOUT).text
+       for name in ("monitor-converge", "placement-burst", "request-stream")
+       for seed in (1, 433)},
+    "indented-key-under-header": "[a]\n    k = 1\n    j = 2\n      more\n",
+    "shallower-line-is-a-key": "[a]\n  k = 1\n  j = 2\n x = 3\n    y\n[b]\n\tt = 4\n",
+    "comments-and-blanks-in-events": (
+        "[workload]\nevents =\n    at 0 deploy web\n\n    # a comment\n  ; another\n"
+        "\n    at 1 deploy db\n\n\n[scenario]\nname = x\n"),
+    "crlf": "[a]\r\nk = 1\r\nv =\r\n    x\r\n\r\n    y\r\n[b c]\r\nk=2\r\n",
+    "separators-in-names": (
+        "[topology]\nzone.A = a\x85b c\u2028d\nzone.B\x85 = \x85e\n\x85  f\n"
+        "[service w\u2028x]\nreplicas = 1\n[arm a]b] c\nk = v = w\n"),
+}
+
+
+@pytest.mark.parametrize("case", SCENARIO_TEXTS)
+def test_read_sections_reads_as_configparser(case):
+    """The reader gives configparser's sections, keys and values, in its order."""
+    text = SCENARIO_TEXTS[case]
+    sections = read_sections(text)
+    assert [(name, list(keys.items())) for name, keys in sections.items()] == \
+        configparser_sections(text)
