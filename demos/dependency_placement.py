@@ -19,8 +19,7 @@ UPLINKS = {"P1": 0.5, "P2": 0.8, "P3": 1.0, "P4": 1.2}
 
 def main():
     topology = Topology(ZONES, UPLINKS)
-    state = ClusterState([Node(id=n, zone=z) for z, ns in ZONES.items() for n in ns],
-                         topology)
+    state = ClusterState([Node(id=n) for ns in ZONES.values() for n in ns], topology)
     state.metric_specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
 
     state.add_pods([PodInstance(id="dependency-0", service="dependency"),

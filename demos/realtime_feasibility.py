@@ -22,8 +22,8 @@ def rt_pod(pod_id, utilization, priority=0):
 
 def main():
     topology = Topology({"edge": ["n1", "n2"]}, {"edge": 0.4})
-    nodes = [Node(id=n, zone="edge", cores=1, cpu_capacity=1000,
-                  rt_runtime_us=950_000) for n in ("n1", "n2")]
+    nodes = [Node(id=n, cores=1, cpu_capacity=1000, rt_runtime_us=950_000)
+             for n in ("n1", "n2")]
     state = ClusterState(nodes, topology)
     plugin = RealtimePlugin()
 

@@ -49,7 +49,7 @@ def main():
 
     spec = FogServiceSpec(name="analytics", rt_limit=0.5)
     print(f"\nrt_limit 0.5 -> group limits {rt_group_limits(spec)}")
-    tight_node = Node(id="edge-1", zone="z", cores=1, rt_runtime_us=400_000)
+    tight_node = Node(id="edge-1", cores=1, rt_runtime_us=400_000)
     print(f"clamped on a node with a 0.4 quota -> "
           f"{rt_group_limits_for_node(spec, tight_node)}")
 

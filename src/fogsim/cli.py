@@ -11,12 +11,19 @@ from . import report, scenarios
 from .scenario_io import ScenarioParseError
 from .simulator import run_scenario
 
+# each character `str.splitlines` breaks at, escaped, so that an error is one line
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error(message) -> str:
+    return f"error: {str(message).translate(_ONE_LINE)}\n"
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with a one-line message, like a bad scenario."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: {_error(message)}")
 
 
 def _at_least_one(text: str) -> int:
@@ -56,14 +63,14 @@ def cmd_run(args) -> int:
     try:
         config = scenarios.resolve(args.scenario)
     except (ScenarioParseError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error(exc))
         return 2
     try:
         results = run_scenario(config, seed=args.seed, repetitions=args.reps,
                                profile=args.profile, jobs=args.jobs)
         written = report.write_results(results, args.out)
     except Exception as exc:  # noqa: BLE001 - report any runtime failure as exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error(exc))
         return 1
     for path in written:
         print(path)
@@ -80,7 +87,7 @@ def cmd_report(args) -> int:
     try:
         text = report.render_comparison(report.load_results(Path(args.directory)))
     except (OSError, ValueError) as exc:  # a missing file, bad header, row or value
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error(exc))
         return 1
     # a name the locale cannot encode prints escaped, as stderr does, not as a crash
     sys.stdout.reconfigure(errors="backslashreplace")

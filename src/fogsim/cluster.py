@@ -16,15 +16,12 @@ allocation map, RT sums and metric store, so a view and any list it or the
 state hands out are invalid after the next mutation.  Anything held across
 mutations takes a :meth:`~ClusterState.snapshot`: a view of a deep copy.
 
-Each node, service and topology has a version from one module-wide counter,
-so no two states, nor a state and its deep copy, give one a version for
-different contents.  `apply_placement` and `evict` renew their node's and
-their pod's service's (0 until then), and `ClusterState.epoch` is the latest
-of them (0 before the first write); `Topology.set_uplink` renews the
-topology's.  While a version stands, so does what it counts: a node's running
-list, allocation and RT sum, a service's running list, or the link latencies;
-while the epoch stands, so do all placements.  Metric samples, `now` and the
-pending queue are not counted.
+Each node has a version from one module-wide counter, so no two states, nor a
+state and its deep copy, give one version to different contents.
+`apply_placement` and `evict` renew their node's; `ClusterState.epoch` is the
+latest (0 before the first write).  While a node's version stands, so do its
+running list, allocation and RT sum; while the epoch stands, so do all
+placements.  Links, samples, `now` and the queue are not counted.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ RUNTIME_CLASSES = ("container", "legacy")  # a pod's runtime class; the first is
 DEFAULT_INTRA_NODE_MS = 0.02
 DEFAULT_INTRA_ZONE_MS = 0.01
 
-_versions = count(1)  # node, service and topology versions, shared by every state and copy
+_versions = count(1)  # node versions, shared by every state and copy
 
 
 class PodStatus(str, Enum):
@@ -115,9 +112,9 @@ class DependencyRef(Value):
 
 
 class Node:
-    """A worker node: zone, cores, CPU capacity in millicores and RT bandwidth."""
+    """A worker node: cores, CPU capacity in millicores and RT bandwidth."""
 
-    def __init__(self, id: str, zone: str, cores: int = DEFAULT_CORES,
+    def __init__(self, id: str, cores: int = DEFAULT_CORES,
                  cpu_capacity: int = DEFAULT_CPU_CAPACITY_M,
                  rt_period_us: int = DEFAULT_RT_PERIOD_US,
                  rt_runtime_us: int = DEFAULT_RT_RUNTIME_US):
@@ -127,7 +124,7 @@ class Node:
             raise ValueError(f"node {id}: cpu_capacity must be >= 1")
         if not 0 < rt_runtime_us <= rt_period_us:
             raise ValueError(f"node {id}: need 0 < rt_runtime_us <= rt_period_us")
-        self.id, self.zone, self.cores, self.cpu_capacity = id, zone, cores, cpu_capacity
+        self.id, self.cores, self.cpu_capacity = id, cores, cpu_capacity
         self.rt_period_us, self.rt_runtime_us = rt_period_us, rt_runtime_us
 
 
@@ -165,13 +162,11 @@ class Topology:
         for zone in self.uplinks_ms:
             if zone not in self.zones:
                 raise ValueError(f"uplink {zone} has no zone")
-        self.version = next(_versions)
 
     def set_uplink(self, zone: str, latency_ms: float) -> None:
         if zone not in self.uplinks_ms:
             raise KeyError(f"unknown link: {zone}")
         self.uplinks_ms[zone] = _latency(latency_ms)
-        self.version = next(_versions)
 
 
 class PodInstance(Record):
@@ -245,7 +240,7 @@ class ClusterSnapshot(_RunningIndex):
     :meth:`ClusterState.view` or an isolated one from :meth:`ClusterState.snapshot`."""
 
     def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
-                 metric_specs, by_node, by_service, rt, versions, service_versions):
+                 metric_specs, by_node, by_service, rt, versions):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
@@ -257,7 +252,6 @@ class ClusterSnapshot(_RunningIndex):
         self._by_service: dict[str, list[PodInstance]] = by_service
         self._rt: dict[str, float] = rt
         self.versions: dict[str, Optional[int]] = versions  # None: the view's own
-        self.service_versions: dict[str, Optional[int]] = service_versions  # as `versions`
         self.memo: dict = {}  # readers' results that hold for this view alone
         self.max_pod_count = max(map(len, by_node.values()), default=0)
 
@@ -285,7 +279,6 @@ class ClusterState(_RunningIndex):
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
         self._versions: dict[str, int] = {n: next(_versions) for n in self.nodes}
-        self._service_versions: dict[str, int] = {}
         self.epoch = 0  # the version of the latest placement write
 
     # -- pod lifecycle -----------------------------------------------------
@@ -315,7 +308,7 @@ class ClusterState(_RunningIndex):
         insort(self._by_node[node_id], pod, key=_walk_order)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_walk_order)
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch = self._versions[node_id] = self._service_versions[pod.service] = next(_versions)
+        self.epoch = self._versions[node_id] = next(_versions)
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -331,7 +324,7 @@ class ClusterState(_RunningIndex):
         for pods in (self._by_node[node_id], self._by_service[pod.service]):
             del pods[bisect_left(pods, _walk_order(pod), key=_walk_order)]
         self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch = self._versions[node_id] = self._service_versions[pod.service] = next(_versions)
+        self.epoch = self._versions[node_id] = next(_versions)
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -357,11 +350,10 @@ class ClusterState(_RunningIndex):
         view is invalid after the next one.  An excluded running pod's node
         and service get their own lists and its node its own RT sum, and the
         allocation map is copied to release its CPU by integer subtraction;
-        the shared `pods` map still holds the excluded pod, and its node and
-        service have version None: their contents are the view's alone."""
+        the shared `pods` map still holds the excluded pod, and its node has
+        version None: that node's contents are the view's alone."""
         by_node, by_service, rt = self._by_node, self._by_service, self._rt
-        versions, service_versions = self._versions, self._service_versions
-        allocated = self.allocated_m
+        versions, allocated = self._versions, self.allocated_m
         if exclude is not None:
             pod = self._pod(exclude)
             if pod.status is PodStatus.RUNNING:
@@ -373,10 +365,9 @@ class ClusterState(_RunningIndex):
                               service: [p for p in by_service[service] if p is not pod]}
                 rt = {**rt, node_id: _rt_sum(running)}
                 versions = {**versions, node_id: None}
-                service_versions = {**service_versions, service: None}
         return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
                                self.metric_store, self.metric_specs, by_node, by_service,
-                               rt, versions, service_versions)
+                               rt, versions)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """A view of a deep copy of this state, so later mutations never

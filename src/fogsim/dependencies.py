@@ -152,18 +152,18 @@ class DependenciesPlugin:
 
     name = "dependencies"
 
-    def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot):
-        """The link latencies' version, each dependency's version and its
-        samples' pod, value and freshness; None if the view hides its pod."""
+    def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot) -> tuple:
+        """What a score reads beyond the pod and its node: link latencies, and each
+        dependency's replicas as (pod, node) and samples as (pod, value, fresh)."""
         if not pod.dependencies:
             return ()
         services = [d.target_service for d in pod.dependencies]
-        versions = tuple(snapshot.service_versions.get(s, 0) for s in services)
         store, now = snapshot.metric_store, snapshot.now
-        return None if None in versions else (
-            snapshot.topology.version, versions,
-            tuple((p, v.value, now - v.timestamp <= store.staleness_s)
-                  for s in services for p, v in store.service_samples(s).items()))
+        return (tuple(snapshot.topology.uplinks_ms.values()),
+                tuple((r.id, r.assignment) for s in services
+                      for r in snapshot.running_of_service(s)),
+                tuple((p, v.value, now - v.timestamp <= store.staleness_s)
+                      for s in services for p, v in store.service_samples(s).items()))
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         return score_dependencies(pod, node_id, snapshot)

@@ -10,10 +10,10 @@ gates first changes no eviction, because a dry run mutates nothing.
 
 A dry run reads what :attr:`ClusterState.epoch` counts (the running lists,
 allocation map and RT sums) and what the config's plugins stamp (for the
-dependency score: link latencies, and the value and freshness of its
-dependencies' samples).  So each pod's last verdict is kept with the epoch
-and the stamps, taken on a view of the whole cluster, and reused while both
-stand; balancer refreshes and what no stamp covers leave it standing.
+dependency score: link latencies, its dependencies' replicas and the value
+and freshness of their samples).  So each pod's last verdict is kept with the
+epoch and the stamps, taken on a view of the whole cluster, and reused while
+both stand; balancer refreshes and what no stamp covers leave it standing.
 
 Evaluation is sequential with immediate eviction, and evicted pods stay
 pending until the scheduling cycle after the pass, so its later dry runs
@@ -87,8 +87,7 @@ class ClusterMonitor:
         if cached is not None and cached[0] == state.epoch and cached[1] == stamps:
             return cached[2]
         result = simulate_scheduling(state, pod.id, self.scheduler_config, now)
-        if stamps is not None:
-            self._verdicts[pod.id] = (state.epoch, stamps, result)
+        self._verdicts[pod.id] = (state.epoch, stamps, result)
         return result
 
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:

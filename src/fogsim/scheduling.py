@@ -7,18 +7,16 @@ in [0, 1]) and `post_filter(pod, snapshot)` (a preemption plan).  A CPU-fit
 filter (allocated + request <= capacity) is always active.  Filters and
 scores read the pod's shape (service, CPU request, RT utilization, location
 scope, priority class and dependencies), their node's placements and fixed
-capacities, and what the plugin's `stamp(pod, snapshot)` returns: a hashable
-value of all else they read, or None if that is not cacheable in this view.
-A config binds its plugins' hooks and stamps when it is built, and caches
-each node's filter verdict and combined score per pod shape and stamps while
-the node's version (:class:`ClusterState`) stands; stamps of None get a
-throwaway cache.  Post-filters are never cached.
+capacities, and what the plugin's `stamp(pod, snapshot)` returns: the values
+of all else they read, as one hashable value.  A config binds its plugins'
+hooks and stamps when it is built, and caches each node's filter verdict and
+combined score per pod shape and stamps while the node's version
+(:class:`ClusterState`) stands.  Post-filters are never cached.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Optional, Union
 
 from .cluster import ClusterSnapshot, ClusterState, PodInstance
@@ -104,8 +102,8 @@ class SchedulerConfig:
 
     Building a config builds its plugins and binds their hooks: `filters`,
     `scorers` with their weights and `total_weight`, `post_filters`, and
-    `stamp`, one stamping plugin's stamp or a tuple of all, None if any is.
-    `cache` maps (pod shape, stamps) to {node: (version, reason, combined score)}.
+    `stamp`, one stamping plugin's stamp or a tuple of all.  `cache` maps
+    (pod shape, stamps) to {node: (version, reason, combined score)}.
     """
 
     def __init__(self, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
@@ -124,19 +122,15 @@ class SchedulerConfig:
         self.post_filters = [p.post_filter for p, _ in built if hasattr(p, "post_filter")]
         self.total_weight = sum(w for _, _, w in self.scorers)
         stampers = [p.stamp for p, _ in built if hasattr(p, "stamp")]
-        self.stamp = (stampers[0] if len(stampers) == 1 else partial(_stamps, stampers)
-                      if stampers else lambda pod, snapshot: ())
+        self.stamp = (stampers[0] if len(stampers) == 1 else
+                      lambda pod, snapshot: tuple(fn(pod, snapshot) for fn in stampers))
         self.cache: dict[tuple, dict] = {}
 
     def entries(self, pod: PodInstance, snapshot: ClusterSnapshot) -> dict:
-        """The cache entries of the pod's shape and stamps in this view, or
-        a throwaway dict when the stamps are None."""
-        stamps = self.stamp(pod, snapshot)
-        if stamps is None:
-            return {}
+        """The cache entries of the pod's shape and stamps in this view."""
         return self.cache.setdefault(
             (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
-             pod.priority_class, pod.dependencies, stamps), {})
+             pod.priority_class, pod.dependencies, self.stamp(pod, snapshot)), {})
 
     def evaluate(self, pod: PodInstance, node_id: str,
                  snapshot: ClusterSnapshot) -> tuple[Optional[str], Optional[float]]:
@@ -154,11 +148,6 @@ class SchedulerConfig:
                 raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
             acc += weight * s
         return None, acc / self.total_weight if self.scorers else None
-
-
-def _stamps(stampers, pod: PodInstance, snapshot: ClusterSnapshot) -> Optional[tuple]:
-    stamps = tuple(stamp(pod, snapshot) for stamp in stampers)
-    return None if None in stamps else stamps
 
 
 def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,

@@ -272,13 +272,10 @@ class ResultSet:
 
 
 def build_nodes(topology_spec: TopologySpec, settings: NodeSettings) -> list[Node]:
-    nodes = []
-    for zone in sorted(topology_spec.zones):
-        for node_id in topology_spec.zones[zone]:
-            over = settings.overrides.get(node_id, {})
-            nodes.append(Node(node_id, zone, **{f: over.get(f, getattr(settings, f))
-                                               for f in NODE_FIELDS}))
-    return nodes
+    # zone by zone in sorted order, which decides the first bad node a scenario names
+    return [Node(n, **{f: settings.overrides.get(n, {}).get(f, getattr(settings, f))
+                       for f in NODE_FIELDS})
+            for zone in sorted(topology_spec.zones) for n in topology_spec.zones[zone]]
 
 
 def request_rtt(topology: Topology, client: str, node: str,

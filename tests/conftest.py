@@ -35,9 +35,8 @@ def make_topology(**kwargs) -> Topology:
 def make_state(cores: int = 4, cpu_capacity: int = 4000,
                rt_runtime_us: int = 950_000) -> ClusterState:
     topology = make_topology()
-    nodes = [Node(id=n, zone=z, cores=cores, cpu_capacity=cpu_capacity,
-                  rt_runtime_us=rt_runtime_us)
-             for z, ns in ZONES.items() for n in ns]
+    nodes = [Node(id=n, cores=cores, cpu_capacity=cpu_capacity, rt_runtime_us=rt_runtime_us)
+             for ns in ZONES.values() for n in ns]
     return ClusterState(nodes, topology)
 
 

@@ -269,6 +269,9 @@ BAD_VALUES = [
     ("replicas = 2", "locations = a1 b1 a1:2", "[service web]", "locations"),
     ("[arm custom]", "[service cam]\nlocations = b1 b1\n[arm custom]", "[service cam]",
      "locations"),
+    # a line break `str.splitlines` knows, in a section's name, prints escaped
+    ("[arm custom]", "[service we\x85b]\ncpu_request = zero\n[arm custom]",
+     "[service we\\x85b]", "cpu_request"),
     ("plugins = baseline:1.0", "plugins = baseline:x", "[arm custom]", "plugins"),
     ("plugins = baseline:1.0", "plugins = baseline:inf", "[arm custom]", "plugins"),
     ("duration_s = 5", "duration_s = nan", "[scenario]", "duration_s"),
@@ -293,16 +296,18 @@ def test_bad_value_names_section_and_key(tmp_path, capsys, field, bad, section, 
     assert f"{section}: {key}" in err
 
 
-@pytest.mark.parametrize("section", ["[servce x]", "[loadbalancr]", "[service]", "[DEFAULT]"])
+@pytest.mark.parametrize("section", ["[servce x]", "[loadbalancr]", "[service]", "[DEFAULT]",
+                                     "[servce a\x85b]", "[servce a\u2028b]"])
 def test_unknown_section_is_named(tmp_path, capsys, section):
-    """A section nothing reads is an error, `[DEFAULT]` too: its keys set nothing."""
+    """A section nothing reads is an error, `[DEFAULT]` too: its keys set nothing.
+    A line break in its name prints escaped, so the message stays one line."""
     path = tmp_path / "bad.ini"
     path.write_text(MALFORMED_BASE.format(line="").replace(
         "[scenario]", f"{section}\nseed = 3\n[scenario]"))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert f"unknown section {section}" in err
+    assert f"unknown section {section.encode('unicode_escape').decode()}" in err
 
 
 # a line the INI reader rejects, as (field, its replacement, the line named)
@@ -360,6 +365,15 @@ def test_csv_special_name_exits_2_with_one_line(tmp_path, capsys, kind, char):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert f"{kind} {f'x{char}y'!r}: a name must not hold" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_usage_error_escapes_line_breaks(capsys):
+    """argparse names an unrecognized argument unquoted; its line break prints escaped."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["list", "a\u2028b"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "unrecognized arguments: a\\u2028b" in err
 
 
 @pytest.mark.parametrize("flag", ["--reps", "--jobs"])

@@ -204,8 +204,8 @@ def test_view_agrees_with_isolated_snapshot_over_random_sequences():
     plans = 0
     for _ in range(6):
         # three one-core nodes fill up fast: filters reject and RT pods preempt
-        state = ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
-                              for n, z in (("n1", "z1"), ("n2", "z1"), ("n3", "z2"))],
+        state = ClusterState([Node(id=n, cores=1, cpu_capacity=600)
+                              for n in ("n1", "n2", "n3")],
                              Topology({"z1": ["n1", "n2"], "z2": ["n3"]},
                                       {"z1": 0.5, "z2": 0.8}))
         next_id = 0
@@ -318,11 +318,11 @@ def test_running_pods_have_valid_nodes_in_one_zone(state):
 class TestValidation:
     def test_node_rejects_zero_cores(self):
         with pytest.raises(ValueError, match="cores"):
-            Node(id="n", zone="z", cores=0)
+            Node(id="n", cores=0)
 
     def test_node_rejects_bad_rt_quota(self):
         with pytest.raises(ValueError, match="rt_runtime_us"):
-            Node(id="n", zone="z", rt_runtime_us=2_000_000, rt_period_us=1_000_000)
+            Node(id="n", rt_runtime_us=2_000_000, rt_period_us=1_000_000)
 
     def test_topology_rejects_duplicate_node(self):
         with pytest.raises(ValueError, match="more than one zone"):
@@ -338,7 +338,7 @@ class TestValidation:
 
     def test_state_rejects_node_missing_from_topology(self, topology):
         with pytest.raises(ValueError, match="missing from topology"):
-            ClusterState([Node(id="ghost", zone="P1")], topology)
+            ClusterState([Node(id="ghost")], topology)
 
 
 def test_rt_utilization_is_set_when_the_pod_is_built():
@@ -396,7 +396,7 @@ RECORDS = {
     "cluster.EvictionEvent": ((True, False, True),
                               lambda: EvictionEvent(1.0, "p", "n", None, "monitor")),
     "cluster.FifoPolicy": ((True, False, True), lambda: FifoPolicy(50, 0.2)),
-    "cluster.Node": ((False, False, False), lambda: Node("n", "Z")),
+    "cluster.Node": ((False, False, False), lambda: Node("n")),
     "cluster.PodInstance": ((False, True, True), lambda: PodInstance("n", "svc")),
     "cluster.RtProcessSpec": ((True, False, True),
                               lambda: RtProcessSpec(FifoPolicy(50, 0.2), pid=1)),

@@ -21,7 +21,7 @@ ANCHORED = SchedulerConfig(plugins=(("baseline", 1.0), ("location-affinity", 1.0
 
 def two_node_state():
     topology = Topology({"z": ["n1", "n2"]}, {"z": 0.1})
-    nodes = [Node(id=n, zone="z", cpu_capacity=1000) for n in ("n1", "n2")]
+    nodes = [Node(id=n, cpu_capacity=1000) for n in ("n1", "n2")]
     return ClusterState(nodes, topology)
 
 
@@ -33,7 +33,7 @@ def pod(pod_id, request=100, scope=None):
 class TestSimulateScheduling:
     def test_single_node_returns_current(self):
         topology = Topology({"z": ["n1"]}, {"z": 0.1})
-        state = ClusterState([Node(id="n1", zone="z")], topology)
+        state = ClusterState([Node(id="n1")], topology)
         state.add_pod(pod("p"))
         state.apply_placement("p", "n1", 0.0)
         assert simulate_scheduling(state, "p", BASELINE) == "n1"

@@ -28,7 +28,7 @@ def rt_pod(pod_id, utilization, priority=0, request=100):
 
 def single_node_state(quota_runtime_us=950_000, cores=1, capacity=1000):
     topology = Topology({"z": ["n1"]}, {"z": 0.5})
-    node = Node(id="n1", zone="z", cores=cores, cpu_capacity=capacity,
+    node = Node(id="n1", cores=cores, cpu_capacity=capacity,
                 rt_runtime_us=quota_runtime_us)
     return ClusterState([node], topology)
 
@@ -85,9 +85,9 @@ class TestNodeUtilization:
 
 class TestCapacityAndFilter:
     def test_capacity_from_node_fields(self):
-        node = Node(id="n", zone="z", cores=4, rt_runtime_us=950_000)
+        node = Node(id="n", cores=4, rt_runtime_us=950_000)
         assert rt_capacity(node) == pytest.approx(3.8)
-        node = Node(id="m", zone="z", cores=2, rt_period_us=500_000, rt_runtime_us=200_000)
+        node = Node(id="m", cores=2, rt_period_us=500_000, rt_runtime_us=200_000)
         assert rt_capacity(node) == pytest.approx(0.8)
 
     def test_two_high_utilization_pods_infeasible(self):

@@ -187,7 +187,7 @@ class TestGroupLimits:
 
     def test_clamped_to_node_quota(self, caplog):
         spec = FogServiceSpec(name="svc", rt_limit=0.99)
-        node = Node(id="n", zone="z", cores=1, rt_runtime_us=950_000)
+        node = Node(id="n", cores=1, rt_runtime_us=950_000)
         with caplog.at_level(logging.WARNING):
             period, runtime = rt_group_limits_for_node(spec, node)
         assert (period, runtime) == (1_000_000, 950_000)
@@ -196,7 +196,7 @@ class TestGroupLimits:
     def test_applied_through_host(self):
         host = SimulatedProcessHost()
         spec = FogServiceSpec(name="svc", rt_limit=0.4)
-        node = Node(id="n", zone="z")
+        node = Node(id="n")
         pod = pod_with_specs()
         apply_rt_limits(pod, spec, node, host)
         call = host.calls[-1]

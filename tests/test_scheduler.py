@@ -16,7 +16,7 @@ from fogsim.scheduling import (Assigned, BaselinePlugin, LocationAffinityPlugin,
 from fogsim.simulator import run_scenario
 from fogsim.telemetry import MetricSpec
 
-from conftest import load_test_scenario, make_state
+from conftest import UPLINKS, load_test_scenario, make_state
 
 
 def pod(pod_id, request=100, priority=0, **kwargs):
@@ -40,7 +40,7 @@ BASELINE = SchedulerConfig(plugins=(("baseline", 1.0),))
 class TestScheduleOne:
     def test_single_surviving_node(self):
         topology = Topology({"z": ["n1"]}, {"z": 0.1})
-        state = ClusterState([Node(id="n1", zone="z")], topology)
+        state = ClusterState([Node(id="n1")], topology)
         state.add_pod(pod("p"))
         outcome = schedule_one(state.snapshot(), state.pods["p"], BASELINE)
         assert outcome == Assigned("n1")
@@ -85,8 +85,8 @@ class TestScheduleOne:
 
     def test_cpu_fit_filter_always_active(self):
         topology = Topology({"z": ["n1", "n2"]}, {"z": 0.1})
-        nodes = [Node(id="n1", zone="z", cpu_capacity=100),
-                 Node(id="n2", zone="z", cpu_capacity=1000)]
+        nodes = [Node(id="n1", cpu_capacity=100),
+                 Node(id="n2", cpu_capacity=1000)]
         state = ClusterState(nodes, topology)
         state.add_pod(pod("p", request=500))
         outcome = schedule_one(state.snapshot(), state.pods["p"],
@@ -155,7 +155,7 @@ class TestBaselineScore:
 
     def test_full_node_scores_zero(self):
         topology = Topology({"z": ["n1"]}, {"z": 0.1})
-        state = ClusterState([Node(id="n1", zone="z", cpu_capacity=1000)], topology)
+        state = ClusterState([Node(id="n1", cpu_capacity=1000)], topology)
         state.add_pod(pod("p0", request=900))
         state.apply_placement("p0", "n1", 0.0)
         score = BaselinePlugin().score(pod("p", request=100), "n1", state.snapshot())
@@ -172,7 +172,7 @@ class TestBaselineScore:
 class TestRunQueue:
     def test_sequential_scheduling_sees_prior_outcomes(self):
         topology = Topology({"z": ["n1", "n2"]}, {"z": 0.1})
-        nodes = [Node(id=n, zone="z", cpu_capacity=1000) for n in ("n1", "n2")]
+        nodes = [Node(id=n, cpu_capacity=1000) for n in ("n1", "n2")]
         state = ClusterState(nodes, topology)
         state.add_pods([pod("a", request=600), pod("b", request=600)])
         outcomes = dict(run_queue(state, BASELINE, 0.0))
@@ -266,8 +266,8 @@ def shaped_pod(rng, pod_id):
 def small_rt_cluster():
     # four one-core nodes fill up fast: filters reject and RT pods preempt
     zones = {"z1": ["n1", "n2"], "z2": ["n3"], "z3": ["n4"]}
-    state = ClusterState([Node(id=n, zone=z, cores=1, cpu_capacity=600)
-                          for z, nodes in zones.items() for n in nodes],
+    state = ClusterState([Node(id=n, cores=1, cpu_capacity=600)
+                          for nodes in zones.values() for n in nodes],
                          Topology(zones, {"z1": 0.5, "z2": 0.8, "z3": 1.2}))
     state.metric_specs = {"db": MetricSpec("load")}
     state.metric_store.staleness_s = 30.0
@@ -290,13 +290,10 @@ def write(state, rng, node_id):
 
 def cached_entries(config, pod, view) -> dict:
     """What a decision of `pod` in `view` reads from `config`'s cache."""
-    stamps, cache = config.stamp(pod, view), config.cache
-    if stamps is None:
-        return {}
     key = (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
-           pod.priority_class, pod.dependencies, stamps)
-    assert key in cache
-    return cache[key]
+           pod.priority_class, pod.dependencies, config.stamp(pod, view))
+    assert key in config.cache
+    return config.cache[key]
 
 
 def count_hook_calls(monkeypatch, key) -> Counter:
@@ -335,6 +332,9 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch,
             seed = rng.random()
             fresh = SchedulerConfig(plugins=plugins, tie_break="seeded-random")
             rng_shared, rng_fresh = random.Random(seed), random.Random(seed)
+            stamps = shared.stamp(candidate, view)
+            assert stamps is not None
+            hash(stamps)  # raises unless every part of the stamps is hashable
             counting = "shared"
             got = schedule_one(view, candidate, shared, rng_shared)
             counting = "fresh"
@@ -402,7 +402,8 @@ def test_every_config_caches_under_the_stamps_of_its_plugins():
     state.metric_store.ingest("db", "b", 2.0, 0.0)
     app = pod("app", dependencies=(DependencyRef("db"),))
     view = state.view(now=5.0)
-    deps = (state.topology.version, (state.epoch,), (("b", 2.0, True),))
+    links = tuple(UPLINKS.values())
+    deps = (links, (("b", "P1-A"),), (("b", 2.0, True),))
     for plugins, stamps in (((("realtime", 1.0), ("location-affinity", 1.0)), ()),
                             ((("baseline", 1.0),), 1),
                             ((("dependencies", 1.0),), deps),
@@ -414,10 +415,29 @@ def test_every_config_caches_under_the_stamps_of_its_plugins():
         assert [key[-1] for key in config.cache] == [stamps]
     # a stale sample, and a view that hides a pod of a dependency
     assert config.stamp(app, state.view(now=1000.0))[0][2] == (("b", 2.0, False),)
-    assert config.stamp(app, state.view(exclude="b")) is None
-    schedule_one(state.view(exclude="b"), app, config)  # decided with a throwaway cache
-    assert [key[-1] for key in config.cache] == [(deps, 1)]
+    hidden = (links, (), (("b", 2.0, True),))
+    assert config.stamp(app, state.view(exclude="b")) == (hidden, 0)
+    schedule_one(state.view(exclude="b"), app, config)  # cached, but not b's own node
+    assert [key[-1] for key in config.cache] == [(deps, 1), (hidden, 0)]
+    assert set(config.cache[next(reversed(config.cache))]) == set(state.nodes) - {"P1-A"}
     assert config.stamp(pod("c"), state.view(exclude="b")) == ((), 0)
+
+
+def test_a_link_set_back_to_its_latency_reuses_its_decisions(monkeypatch):
+    state = make_state()
+    state.add_pod(pod("b", service="db"))
+    state.apply_placement("b", "P1-A", 0.0)
+    state.metric_store.ingest("db", "b", 2.0, 0.0)
+    app = pod("app", dependencies=(DependencyRef("db"),))
+    calls = count_hook_calls(monkeypatch, lambda hook: hook)
+    config = SchedulerConfig(plugins=(("dependencies", 1.0),))
+    evaluated = []
+    for latency in (0.8, 3.0, 0.8):
+        state.topology.set_uplink("P2", latency)
+        before = calls["dependencies.score"]
+        schedule_one(state.view(now=5.0), app, config)
+        evaluated.append(calls["dependencies.score"] - before)
+    assert evaluated == [len(state.nodes), len(state.nodes), 0]
 
 
 # Filter and score hook calls of one `ci` run.  A rise fails: the cache
