@@ -20,7 +20,7 @@ UPLINKS = {"P1": 0.5, "P2": 0.8, "P3": 1.0, "P4": 1.2}
 def main():
     topology = Topology(ZONES, UPLINKS)
     state = ClusterState([Node(id=n) for ns in ZONES.values() for n in ns], topology)
-    state.metric_specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
+    state.metric_store.specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
 
     state.add_pods([PodInstance(id="dependency-0", service="dependency"),
                     PodInstance(id="dependency-1", service="dependency")])

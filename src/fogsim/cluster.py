@@ -12,8 +12,9 @@ each updates the index in place, touching only its own node's and service's
 lists, and recomputes its node's RT utilization sum.  The scheduler, the
 monitor's dry run and the load-balancer refresh read a
 :meth:`ClusterState.view`, which shares the live objects, index lists,
-allocation map, RT sums and metric store, so a view and any list it or the
-state hands out are invalid after the next mutation.  Anything held across
+allocation map, RT sums and metric store (each service's samples and
+metric), so a view and any list it or the state hands out are invalid after
+the next mutation.  Anything held across
 mutations takes a :meth:`~ClusterState.snapshot`: a view of a deep copy.
 
 Each node has a version from one module-wide counter, so no two states, nor a
@@ -240,14 +241,13 @@ class ClusterSnapshot(_RunningIndex):
     :meth:`ClusterState.view` or an isolated one from :meth:`ClusterState.snapshot`."""
 
     def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
-                 metric_specs, by_node, by_service, rt, versions):
+                 by_node, by_service, rt, versions):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
         self.allocated_m: dict[str, int] = allocated_m
         self.now = now
         self.metric_store: MetricStore = metric_store
-        self.metric_specs: dict = metric_specs
         self._by_node: dict[str, list[PodInstance]] = by_node
         self._by_service: dict[str, list[PodInstance]] = by_service
         self._rt: dict[str, float] = rt
@@ -274,7 +274,6 @@ class ClusterState(_RunningIndex):
         self.unschedulable: list[str] = []
         self.eviction_log: list[EvictionEvent] = []
         self.metric_store = MetricStore()
-        self.metric_specs: dict = {}  # service -> MetricSpec, set by the simulator
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
         self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
@@ -366,8 +365,7 @@ class ClusterState(_RunningIndex):
                 rt = {**rt, node_id: _rt_sum(running)}
                 versions = {**versions, node_id: None}
         return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
-                               self.metric_store, self.metric_specs, by_node, by_service,
-                               rt, versions)
+                               self.metric_store, by_node, by_service, rt, versions)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """A view of a deep copy of this state, so later mutations never

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cluster import ClusterSnapshot, DependencyRef, PodInstance
-from .telemetry import LOWER_IS_BETTER, metric_scores, normalize, path_latency
+from .telemetry import LOWER_IS_BETTER, normalize, path_latency
 
 SMOOTHING_EPS = 1e-9
 POWER_ITER_TOL = 1e-10
@@ -112,15 +112,8 @@ def replica_scores(pod: PodInstance, node_id: str, dep: DependencyRef,
             {n: path_latency(snapshot.topology, node_id, n) for n in lat_nodes},
             LOWER_IS_BETTER)
     if dep.target_service not in memo:
-        replica_ids = [r.id for r in replicas]
-        spec = snapshot.metric_specs.get(dep.target_service)
-        if spec is None:
-            memo[dep.target_service] = {r: 1.0 for r in replica_ids}
-        else:
-            samples = snapshot.metric_store.service_samples(dep.target_service)
-            memo[dep.target_service] = metric_scores(
-                samples, replica_ids, spec.direction, snapshot.now,
-                snapshot.metric_store.staleness_s)
+        memo[dep.target_service] = snapshot.metric_store.scores(
+            dep.target_service, [r.id for r in replicas], snapshot.now)
     lat_norm, mv = memo[lat_key], memo[dep.target_service]
     return {r.id: lat_norm[r.assignment] * dep.latency_weight
             + mv[r.id] * dep.metric_weight
@@ -153,8 +146,9 @@ class DependenciesPlugin:
     name = "dependencies"
 
     def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot) -> tuple:
-        """What a score reads beyond the pod and its node: link latencies, and each
-        dependency's replicas as (pod, node) and samples as (pod, value, fresh)."""
+        """What a score reads beyond the pod and its node: link latencies, and
+        each dependency's replicas as (pod, node) and the store's readings of
+        its samples, which a dependency with no metric has none of."""
         if not pod.dependencies:
             return ()
         services = [d.target_service for d in pod.dependencies]
@@ -162,8 +156,7 @@ class DependenciesPlugin:
         return (tuple(snapshot.topology.uplinks_ms.values()),
                 tuple((r.id, r.assignment) for s in services
                       for r in snapshot.running_of_service(s)),
-                tuple((p, v.value, now - v.timestamp <= store.staleness_s)
-                      for s in services for p, v in store.service_samples(s).items()))
+                tuple(reading for s in services for reading in store.readings(s, now)))
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         return score_dependencies(pod, node_id, snapshot)

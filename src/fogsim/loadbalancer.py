@@ -120,6 +120,6 @@ class LoadBalancer:
                 scores = refresh_scoreboard(
                     service, replica_nodes,
                     lambda node: path_latency(view.topology, client, node),
-                    view.metric_store, view.metric_specs.get(service), now)
+                    view.metric_store, now)
             chains[client, service] = chain_probabilities(scores)
         self.chains = chains

@@ -10,8 +10,9 @@ gates first changes no eviction, because a dry run mutates nothing.
 
 A dry run reads what :attr:`ClusterState.epoch` counts (the running lists,
 allocation map and RT sums) and what the config's plugins stamp (for the
-dependency score: link latencies, its dependencies' replicas and the value
-and freshness of their samples).  So each pod's last verdict is kept with the
+dependency score: link latencies, its dependencies' replicas and the metric
+store's readings of their samples, value and freshness, which a dependency
+with no metric has none of).  So each pod's last verdict is kept with the
 epoch and the stamps, taken on a view of the whole cluster, and reused while
 both stand; balancer refreshes and what no stamp covers leave it standing.
 

@@ -327,8 +327,8 @@ class _Run:
         self.topology = config.topology.build()
         self.state = ClusterState(build_nodes(config.topology, config.nodes),
                                   self.topology)
-        self.state.metric_specs = {s.name: s.metric for s in config.services
-                                   if s.metric is not None}
+        self.state.metric_store.specs = {s.name: s.metric for s in config.services
+                                        if s.metric is not None}
         self.services = {s.name: s for s in config.services}
         self.configs = {a.name: a.scheduler_config()
                         for a in (*config.arms, *config.named_configs)}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .records import Frozen, Value, set_fields
 
@@ -80,13 +80,14 @@ class MetricSample(Value):
 
 class MetricStore:
     """Latest application-level sample per pod, grouped by service, each
-    service's pods in first-ingest order; a sample keeps the time it was
-    ingested, and one older than `staleness_s` is stale to every reader.  A
-    run with request streams re-polls every sample each balancer refresh,
-    so it sets `staleness_s` infinite: no sample goes stale."""
+    service's pods in first-ingest order, and each service's `MetricSpec`
+    in `specs`; a sample keeps the time it was ingested, and one older than
+    `staleness_s` is stale.  A run with request streams re-polls every sample
+    each balancer refresh, so it sets `staleness_s` infinite: none goes stale."""
 
     def __init__(self):
         self._samples: dict[str, dict[str, MetricSample]] = {}  # service -> pod -> sample
+        self.specs: dict[str, MetricSpec] = {}  # service -> its metric, set by the simulator
         self.staleness_s = DEFAULT_REFRESH_PERIOD_S * DEFAULT_STALENESS_PERIODS
 
     def ingest(self, service: str, pod: str, value: float, timestamp: float) -> None:
@@ -96,52 +97,45 @@ class MetricStore:
             raise ValueError(f"timestamp went backwards for {(service, pod)}")
         samples[pod] = MetricSample(value, timestamp)
 
-    def service_samples(self, service: str) -> Mapping[str, MetricSample]:
-        """The service's samples by pod, or an empty mapping; the store's
-        own dict, so callers must not mutate it."""
-        return self._samples.get(service, {})
+    def scores(self, service: str, replicas: list[str], now: float) -> dict[str, float]:
+        """Normalized metric score per replica: 1 for each when the service has
+        no metric or no replica has a sample (even if other pods of the service
+        do), else 0 for a replica whose sample is stale or missing, so that
+        degraded or invisible replicas lose traffic instead of vanishing."""
+        known = [r for r in self.readings(service, now) if r[0] in replicas]
+        if not known:
+            return {pod: 1.0 for pod in replicas}
+        fresh = {pod: value for pod, value, is_fresh in known if is_fresh}
+        if not fresh:
+            return {pod: 0.0 for pod in replicas}
+        norm = normalize(fresh, self.specs[service].direction)
+        return {pod: norm.get(pod, 0.0) for pod in replicas}
 
-
-def metric_scores(samples: Mapping[str, MetricSample], replicas: list[str],
-                  direction: str, now: float, staleness_s: float) -> dict[str, float]:
-    """Normalized metric score per replica.
-
-    Replicas whose sample is stale or missing score 0 so that degraded or
-    invisible replicas lose traffic instead of vanishing.  A service with no
-    samples at all has no exporter; its metric carries no information and
-    every replica scores 1.
-    """
-    known = {pod: s for pod, s in samples.items() if pod in replicas}
-    if not known:
-        return {pod: 1.0 for pod in replicas}
-    fresh = {pod: s.value for pod, s in known.items()
-             if now - s.timestamp <= staleness_s}
-    if not fresh:
-        return {pod: 0.0 for pod in replicas}
-    norm = normalize(fresh, direction)
-    return {pod: norm.get(pod, 0.0) for pod in replicas}
+    def readings(self, service: str, now: float) -> tuple:
+        """`(pod, value, fresh)` per sample of the service in first-ingest
+        order: what `scores` reads, so none for a service with no metric."""
+        if service not in self.specs:
+            return ()
+        return tuple((pod, s.value, now - s.timestamp <= self.staleness_s)
+                     for pod, s in self._samples.get(service, {}).items())
 
 
 def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],
                        latency_of: Callable[[str], float],
-                       store: MetricStore, spec: Optional[MetricSpec],
-                       now: float) -> dict[str, float]:
+                       store: MetricStore, now: float) -> dict[str, float]:
     """Recompute one service's replica scores from a reference point.
 
     `replica_nodes` maps the service's running replicas to their nodes and
     `latency_of` gives the one-way latency from the reference point to a
-    node.  Scores combine the normalized metric and latency values with the
-    service's configured weights; with no metric configured the score is the
-    latency component alone.  `replica_nodes` must not be empty.
+    node.  Scores combine the store's metric scores and the normalized
+    latency values with the service's configured weights; with no metric
+    configured the score is the latency component alone.  `replica_nodes`
+    must not be empty.
     """
     replicas = sorted(replica_nodes)
     lat = normalize({pod: latency_of(replica_nodes[pod]) for pod in replicas},
                     LOWER_IS_BETTER)
-    if spec is None:
-        mv = {pod: 1.0 for pod in replicas}
-        mw, lw = 0.0, 1.0
-    else:
-        mv = metric_scores(store.service_samples(service), replicas,
-                           spec.direction, now, store.staleness_s)
-        mw, lw = spec.metric_weight, spec.latency_weight
+    mv = store.scores(service, replicas, now)
+    spec = store.specs.get(service)
+    mw, lw = (0.0, 1.0) if spec is None else (spec.metric_weight, spec.latency_weight)
     return {pod: mv[pod] * mw + lat[pod] * lw for pod in replicas}

@@ -61,7 +61,7 @@ class TestSnapshot:
         assert record(snap) == before
         assert snap.pods["a"].status is PodStatus.RUNNING
         assert snap.allocated_m["P1-A"] == 100
-        assert snap.metric_store.service_samples("svc") == {"a": MetricSample(1.0, 1.0)}
+        assert snap.metric_store._samples == {"svc": {"a": MetricSample(1.0, 1.0)}}
 
     def test_exclude_releases_allocation_in_view(self, state):
         state.add_pod(pod("a", request=300))

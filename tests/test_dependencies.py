@@ -3,11 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from fogsim import scenarios, simulator
 from fogsim.cluster import DependencyRef, PodInstance
 from fogsim.dependencies import (expected_quality, markov_matrix, replica_scores,
                                  score_dependencies, stationary_distribution)
-from fogsim.loadbalancer import chain_probabilities
-from fogsim.telemetry import LOWER_IS_BETTER, MetricSpec
+from fogsim.loadbalancer import LoadBalancer, chain_probabilities
+from fogsim.scenario_io import parse_scenario
+from fogsim.scheduling import schedule_one
+from fogsim.telemetry import LOWER_IS_BETTER, MetricSpec, path_latency, refresh_scoreboard
 
 from conftest import make_state, walk_frequencies
 
@@ -15,7 +18,7 @@ from conftest import make_state, walk_frequencies
 def table_fixture():
     """Two dependency replicas on P1-A/P2-A with static metrics 5.0/1.0."""
     state = make_state()
-    state.metric_specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
+    state.metric_store.specs = {"dependency": MetricSpec("load", LOWER_IS_BETTER)}
     state.add_pods([
         PodInstance(id="dependency-0", service="dependency"),
         PodInstance(id="dependency-1", service="dependency"),
@@ -231,3 +234,83 @@ class TestScoreDependencies:
             after = {n: score_dependencies(candidate, n, snap) for n in snap.nodes}
             rank = lambda d: sorted(d, key=lambda n: (-d[n], n))  # noqa: E731
             assert rank(before) == rank(after)
+
+
+def test_a_sample_of_a_dependency_with_no_metric_moves_no_stamp_and_no_decision():
+    """fig5-dependencies without its `metric =` line, up to the candidate's
+    deploy: its dependency's samples reach no score, so a new one neither
+    changes the stamp nor splits the arm's cache."""
+    text = "".join(line for line in scenarios._bundled_text("fig5-dependencies")
+                   .splitlines(keepends=True) if not line.startswith("metric ="))
+    config = parse_scenario(text)
+    arm = next(a for a in config.arms if a.name == "custom")
+    run = simulator._Run(config, arm, 0, config.seed, simulator.request_timeline(config))
+    for e in config.workload:  # deploy, pins and samples at 0, the candidate at 1
+        run.dispatch(e.at, simulator.ACTION_KINDS[e.action], e.args)
+    candidate = run.state.pods["candidate-0"]
+
+    def decide():
+        view = run.state.view(now=1.0)
+        outcome = schedule_one(view, candidate, run.sched_config)
+        scores = {n: score_dependencies(candidate, n, view) for n in view.nodes}
+        return run.sched_config.stamp(candidate, view), outcome, scores
+
+    before = decide()
+    assert before[0][2] == ()
+    run.state.metric_store.ingest("dependency", "dependency-1", 9.0, 1.0)
+    assert decide() == before
+    assert len(run.sched_config.cache) == 1
+
+
+LOAD = MetricSpec("load", LOWER_IS_BETTER, metric_weight=1.0, latency_weight=0.0)
+SAMPLES = {"d0": 5.0, "d1": 3.0, "d2": 1.0}
+
+
+def metric_rule_state(spec, samples):
+    """Replicas d0-d2 of `db` in zone P2, equally far from a client on P1-A,
+    a pending `db` pod d9, and a dependent pod that weighs only the metric."""
+    state = make_state()
+    state.add_pods([PodInstance(id=f"d{i}", service="db") for i in (0, 1, 2, 9)])
+    for pod_id, node in (("d0", "P2-A"), ("d1", "P2-B"), ("d2", "P2-A")):
+        state.apply_placement(pod_id, node, 0.0)
+    if spec is not None:
+        state.metric_store.specs = {"db": spec}
+    for pod_id, value in samples.items():
+        state.metric_store.ingest("db", pod_id, value, 0.0)
+    dep = DependencyRef("db", 1.0, latency_weight=0.0, metric_weight=1.0)
+    return state, dep, PodInstance(id="app-0", service="app", dependencies=(dep,))
+
+
+@pytest.mark.parametrize("spec, samples, now, expected", [
+    (None, SAMPLES, 0.0, (1.0, 1.0, 1.0)),
+    (LOAD, {"d9": 1.0}, 0.0, (1.0, 1.0, 1.0)),
+    (LOAD, SAMPLES, 1000.0, (0.0, 0.0, 0.0)),
+    (LOAD, SAMPLES, 0.0, (0.0, 0.5, 1.0)),
+], ids=["no-metric", "no-replica-sample", "all-stale", "fresh"])
+def test_dependency_scores_and_the_balancer_read_one_metric_rule(spec, samples, now, expected):
+    state, dep, candidate = metric_rule_state(spec, samples)
+    view = state.view(now=now)
+    scores = state.metric_store.scores("db", ["d0", "d1", "d2"], now)
+    assert scores == dict(zip(["d0", "d1", "d2"], expected))
+    assert replica_scores(candidate, "P3-A", dep, view) == scores
+    nodes = {p.id: p.assignment for p in view.running_of_service("db")}
+    assert refresh_scoreboard("db", nodes, lambda n: path_latency(view.topology, "P1-A", n),
+                              view.metric_store, now) == scores
+    balancer = LoadBalancer([("P1-A", "db")])
+    balancer.refresh(view, now)
+    assert balancer.chains["P1-A", "db"] == chain_probabilities(scores)
+
+
+def test_with_no_metric_samples_move_neither_the_chain_nor_the_dependency_score():
+    results = []
+    for samples in (SAMPLES, dict(zip(SAMPLES, reversed(SAMPLES.values())))):
+        state, _, candidate = metric_rule_state(None, samples)
+        view = state.view(now=0.0)
+        balancer = LoadBalancer([("P1-A", "db")])
+        balancer.refresh(view, 0.0)
+        results.append((balancer.chains["P1-A", "db"],
+                        [score_dependencies(candidate, n, view) for n in view.nodes]))
+    assert results[0] == results[1]
+    assert results[0][1][0] == 1.0
+    state, _, candidate = metric_rule_state(LOAD, SAMPLES)  # with a metric, samples count
+    assert score_dependencies(candidate, "P1-A", state.view()) < 1.0

@@ -163,7 +163,7 @@ class FakeSnapshot:
                     id=pod_id, service=service, assignment=node,
                     status=PodStatus.RUNNING)
         self.metric_store = MetricStore()
-        self.metric_specs = specs or {}
+        self.metric_store.specs = specs or {}
         self.now = now
 
     def running_of_service(self, service):

@@ -199,7 +199,7 @@ def test_verdicts_are_reused_while_the_epoch_and_the_stamps_stand(monkeypatch, c
     state.add_pods([PodInstance(id=f"w{i}", service="web", dependencies=(DependencyRef("svc"),))
                     for i in range(4)])
     run_queue(state, BASELINE, 0.0)
-    state.metric_specs = {"svc": MetricSpec("load")}
+    state.metric_store.specs = {"svc": MetricSpec("load")}
     state.metric_store.ingest("svc", "p0", 1.0, 150.0)  # fresh up to t=240
     calls = count_dry_runs(monkeypatch)
     monitor = ClusterMonitor(MonitorConfig(), config)

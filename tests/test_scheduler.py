@@ -269,7 +269,7 @@ def small_rt_cluster():
     state = ClusterState([Node(id=n, cores=1, cpu_capacity=600)
                           for nodes in zones.values() for n in nodes],
                          Topology(zones, {"z1": 0.5, "z2": 0.8, "z3": 1.2}))
-    state.metric_specs = {"db": MetricSpec("load")}
+    state.metric_store.specs = {"db": MetricSpec("load")}
     state.metric_store.staleness_s = 30.0
     return state
 
@@ -399,6 +399,7 @@ def test_every_config_caches_under_the_stamps_of_its_plugins():
     state = make_state()
     state.add_pods([pod("a"), pod("b", service="db")])
     state.apply_placement("b", "P1-A", 0.0)
+    state.metric_store.specs = {"db": MetricSpec("load")}  # the stamp holds metric samples only
     state.metric_store.ingest("db", "b", 2.0, 0.0)
     app = pod("app", dependencies=(DependencyRef("db"),))
     view = state.view(now=5.0)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fogsim.telemetry import (HIGHER_IS_BETTER, LOWER_IS_BETTER, MetricSample, MetricSpec,
-                              MetricStore, metric_scores, normalize,
-                              path_latency, refresh_scoreboard)
+                              MetricStore, normalize, path_latency, refresh_scoreboard)
 
 
 
@@ -61,7 +60,7 @@ class TestMetricStore:
         store = MetricStore()
         store.ingest("svc", "p0", 5.0, 1.0)
         store.ingest("svc", "p0", 7.0, 2.0)
-        assert store.service_samples("svc")["p0"].value == 7.0
+        assert store._samples["svc"]["p0"] == MetricSample(7.0, 2.0)
 
     def test_backwards_timestamp_rejected(self):
         store = MetricStore()
@@ -74,24 +73,50 @@ class TestMetricStore:
         for service, pod_id, t in [("web", "w2", 1.0), ("db", "d1", 1.0), ("web", "w1", 2.0),
                                    ("db", "d0", 2.0), ("web", "w2", 3.0), ("web", "w0", 4.0)]:
             store.ingest(service, pod_id, t * 10, t)
-        assert list(store.service_samples("web").items()) == [
+        assert list(store._samples["web"].items()) == [
             ("w2", MetricSample(30.0, 3.0)), ("w1", MetricSample(20.0, 2.0)),
             ("w0", MetricSample(40.0, 4.0))]
-        assert list(store.service_samples("db")) == ["d1", "d0"]
-        assert store.service_samples("cache") == {}
+        assert list(store._samples["db"]) == ["d1", "d0"]
+        assert "cache" not in store._samples
+
+    @staticmethod
+    def store(metric=True):
+        store = MetricStore()
+        store.specs = {"svc": MetricSpec("m", LOWER_IS_BETTER)} if metric else {}
+        store.staleness_s = 90.0
+        return store
 
     def test_staleness_scores_worst_case(self):
-        store = MetricStore()
+        store = self.store()
         store.ingest("svc", "p0", 1.0, 0.0)
         store.ingest("svc", "p1", 9.0, 100.0)
-        out = metric_scores(store.service_samples("svc"), ["p0", "p1"],
-                            LOWER_IS_BETTER, now=120.0, staleness_s=90.0)
+        out = store.scores("svc", ["p0", "p1"], now=120.0)
         assert out["p0"] == 0.0  # 120 s old sample
         assert out["p1"] == 1.0
 
     def test_no_samples_is_neutral(self):
-        out = metric_scores({}, ["p0", "p1"], LOWER_IS_BETTER, 0.0, 90.0)
-        assert out == {"p0": 1.0, "p1": 1.0}
+        assert self.store().scores("svc", ["p0", "p1"], 0.0) == {"p0": 1.0, "p1": 1.0}
+
+    def test_no_sample_of_a_current_replica_is_neutral(self):
+        store = self.store()
+        store.ingest("svc", "gone", 1.0, 0.0)  # a pod that is no replica now
+        assert store.scores("svc", ["p0", "p1"], 0.0) == {"p0": 1.0, "p1": 1.0}
+        assert store.scores("svc", ["p0", "gone"], 0.0) == {"p0": 0.0, "gone": 1.0}
+
+    def test_a_service_with_no_metric_scores_and_reads_no_sample(self):
+        store = self.store(metric=False)
+        store.ingest("svc", "p0", 1.0, 0.0)
+        store.ingest("svc", "p1", 9.0, 0.0)
+        assert store.scores("svc", ["p0", "p1"], 0.0) == {"p0": 1.0, "p1": 1.0}
+        assert store.readings("svc", 0.0) == ()
+
+    def test_readings_are_each_sample_with_its_freshness_in_first_ingest_order(self):
+        store = self.store()
+        store.ingest("svc", "p1", 9.0, 100.0)
+        store.ingest("svc", "p0", 1.0, 0.0)
+        assert store.readings("svc", 90.0) == (("p1", 9.0, True), ("p0", 1.0, True))
+        assert store.readings("svc", 120.0) == (("p1", 9.0, True), ("p0", 1.0, False))
+        assert store.readings("cache", 0.0) == ()
 
 
 class TestScoreboard:
@@ -100,9 +125,10 @@ class TestScoreboard:
         # invert lower-is-better inputs so the normalized values equal mv
         for pod, value in mv.items():
             store.ingest("svc", pod, value, now)
-        spec = MetricSpec("m", HIGHER_IS_BETTER, metric_weight=mw, latency_weight=lw)
+        store.specs = {"svc": MetricSpec("m", HIGHER_IS_BETTER, metric_weight=mw,
+                                         latency_weight=lw)}
         nodes = {pod: pod for pod in mv}
-        return refresh_scoreboard("svc", nodes, lv.get, store, spec, now)
+        return refresh_scoreboard("svc", nodes, lv.get, store, now)
 
     def test_endpoint_scores(self):
         scores = self.scores(mv={"a": 1.0, "b": 0.0}, lv={"a": 0.0, "b": 1.0},
