@@ -6,30 +6,27 @@ its queue holds exactly the pending pods.  All mutation goes through
 with pod status transitions and indexes the running pods per node and per
 service, both in walk order: RT pods first, then by id, the order the
 monitor re-places them in.  A node's RT utilization is the sum over its
-list in that order.  :meth:`~ClusterState.apply_placement` and
+list in that order.  A node's `load` is one tuple of its allocated CPU in
+millicores, its pod count and that sum: all that a cached filter or score
+reads of the node's placements.  :meth:`~ClusterState.apply_placement` and
 :meth:`~ClusterState.evict` are the only writers of these placement facts:
 each updates the index in place, touching only its own node's and service's
-lists, and recomputes its node's RT utilization sum.  The scheduler, the
+lists, and writes its node's load as a new tuple.  The scheduler, the
 monitor's dry run and the load-balancer refresh read a
-:meth:`ClusterState.view`, which shares the live objects, index lists,
-allocation map, RT sums and metric store (each service's samples and
-metric), so a view and any list it or the state hands out are invalid after
-the next mutation.  Anything held across
-mutations takes a :meth:`~ClusterState.snapshot`: a view of a deep copy.
+:meth:`ClusterState.view`, which shares the live objects, index lists, load
+map and metric store (each service's samples and metric), so a view and any
+list it or the state hands out are invalid after the next mutation.
+Anything held across mutations takes a :meth:`~ClusterState.snapshot`: a
+view of a deep copy.
 
-Each node has a version from one module-wide counter, so no two states, nor a
-state and its deep copy, give one version to different contents.
-`apply_placement` and `evict` renew their node's; `ClusterState.epoch` is the
-latest (0 before the first write).  While a node's version stands, so do its
-running list, allocation and RT sum; while the epoch stands, so do all
-placements.  Links, samples, `now` and the queue are not counted.
+`ClusterState.epoch` counts the placement writes: while it stands, so do
+all placements.  Links, samples, `now` and the queue are not counted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from enum import Enum
-from itertools import count
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
@@ -44,8 +41,6 @@ RUNTIME_CLASSES = ("container", "legacy")  # a pod's runtime class; the first is
 
 DEFAULT_INTRA_NODE_MS = 0.02
 DEFAULT_INTRA_ZONE_MS = 0.01
-
-_versions = count(1)  # node versions, shared by every state and copy
 
 
 class PodStatus(str, Enum):
@@ -215,22 +210,19 @@ def _walk_order(pod: PodInstance) -> tuple[bool, str]:
     return pod.rt_utilization == 0.0, pod.id
 
 
-def _rt_sum(pods: Iterable[PodInstance]) -> float:
-    return sum(pod.rt_utilization for pod in pods)
+def _load(allocated: int, running: list[PodInstance]) -> tuple[int, int, float]:
+    """A node's load: allocated CPU, pod count, and RT utilization summed
+    over its running list in walk order."""
+    return allocated, len(running), sum(pod.rt_utilization for pod in running)
 
 
 class _RunningIndex:
     """Running pods per node and per service in walk order (RT pods first,
-    then by id), and each node's RT utilization as the sum over its list in
-    that order.
-    Subclasses set `nodes`, `pods`, `_by_node`, `_by_service` and `_rt`.
-    Callers must not mutate the lists."""
+    then by id).  Subclasses set `nodes`, `pods`, `load`, `_by_node` and
+    `_by_service`.  Callers must not mutate the lists."""
 
     def running_on(self, node_id: str) -> list[PodInstance]:
         return self._by_node[node_id]
-
-    def rt_utilization(self, node_id: str) -> float:
-        return self._rt[node_id]
 
     def running_of_service(self, service: str) -> list[PodInstance]:
         return self._by_service.get(service, [])
@@ -240,18 +232,15 @@ class ClusterSnapshot(_RunningIndex):
     """Read-only cluster picture for scheduler plugins: a live view from
     :meth:`ClusterState.view` or an isolated one from :meth:`ClusterState.snapshot`."""
 
-    def __init__(self, nodes, topology, pods, allocated_m, now, metric_store,
-                 by_node, by_service, rt, versions):
+    def __init__(self, nodes, topology, pods, load, now, metric_store, by_node, by_service):
         self.nodes: dict[str, Node] = nodes
         self.topology: Topology = topology
         self.pods: dict[str, PodInstance] = pods
-        self.allocated_m: dict[str, int] = allocated_m
+        self.load: dict[str, tuple[int, int, float]] = load
         self.now = now
         self.metric_store: MetricStore = metric_store
         self._by_node: dict[str, list[PodInstance]] = by_node
         self._by_service: dict[str, list[PodInstance]] = by_service
-        self._rt: dict[str, float] = rt
-        self.versions: dict[str, Optional[int]] = versions  # None: the view's own
         self.memo: dict = {}  # readers' results that hold for this view alone
         self.max_pod_count = max(map(len, by_node.values()), default=0)
 
@@ -269,16 +258,14 @@ class ClusterState(_RunningIndex):
                 raise ValueError(f"node {node.id} missing from topology")
             self.nodes[node.id] = node
         self.pods: dict[str, PodInstance] = {}
-        self.allocated_m: dict[str, int] = {n: 0 for n in self.nodes}
+        self.load: dict[str, tuple[int, int, float]] = {n: (0, 0, 0.0) for n in self.nodes}
         self.queue: list[str] = []
         self.unschedulable: list[str] = []
         self.eviction_log: list[EvictionEvent] = []
         self.metric_store = MetricStore()
         self._by_node: dict[str, list[PodInstance]] = {n: [] for n in self.nodes}
         self._by_service: dict[str, list[PodInstance]] = {}
-        self._rt: dict[str, float] = {n: 0.0 for n in self.nodes}
-        self._versions: dict[str, int] = {n: next(_versions) for n in self.nodes}
-        self.epoch = 0  # the version of the latest placement write
+        self.epoch = 0  # placement writes so far
 
     # -- pod lifecycle -----------------------------------------------------
 
@@ -302,12 +289,12 @@ class ClusterState(_RunningIndex):
         pod.status = PodStatus.RUNNING
         pod.assignment = node_id
         pod.start_time = time
-        self.allocated_m[node_id] += pod.cpu_request
         self.queue.remove(pod_id)
-        insort(self._by_node[node_id], pod, key=_walk_order)
+        running = self._by_node[node_id]
+        insort(running, pod, key=_walk_order)
         insort(self._by_service.setdefault(pod.service, []), pod, key=_walk_order)
-        self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch = self._versions[node_id] = next(_versions)
+        self.load[node_id] = _load(self.load[node_id][0] + pod.cpu_request, running)
+        self.epoch += 1
 
     def evict(self, pod_id: str, time: float, reason: str = "evicted",
               target_node: Optional[str] = None) -> None:
@@ -315,15 +302,15 @@ class ClusterState(_RunningIndex):
         if pod.status is not PodStatus.RUNNING:
             raise ValueError(f"pod {pod_id} is not running")
         node_id = pod.assignment
-        self.allocated_m[node_id] -= pod.cpu_request
         pod.status = PodStatus.PENDING
         pod.assignment = None
         self.queue.append(pod_id)
         self.eviction_log.append(EvictionEvent(time, pod_id, node_id, target_node, reason))
-        for pods in (self._by_node[node_id], self._by_service[pod.service]):
+        running = self._by_node[node_id]
+        for pods in (running, self._by_service[pod.service]):
             del pods[bisect_left(pods, _walk_order(pod), key=_walk_order)]
-        self._rt[node_id] = _rt_sum(self._by_node[node_id])
-        self.epoch = self._versions[node_id] = next(_versions)
+        self.load[node_id] = _load(self.load[node_id][0] - pod.cpu_request, running)
+        self.epoch += 1
 
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
@@ -344,28 +331,24 @@ class ClusterState(_RunningIndex):
     # -- views ---------------------------------------------------------------
 
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
-        """Snapshot sharing this state's pods, index lists, allocation map,
-        RT sums and metric store.  Mutations update them in place, so the
-        view is invalid after the next one.  An excluded running pod's node
-        and service get their own lists and its node its own RT sum, and the
-        allocation map is copied to release its CPU by integer subtraction;
-        the shared `pods` map still holds the excluded pod, and its node has
-        version None: that node's contents are the view's alone."""
-        by_node, by_service, rt = self._by_node, self._by_service, self._rt
-        versions, allocated = self._versions, self.allocated_m
+        """Snapshot sharing this state's pods, index lists, load map and
+        metric store.  Mutations update them in place, so the view is
+        invalid after the next one.  An excluded running pod's node and
+        service get their own lists, and its node its own load tuple, which
+        releases its CPU by integer subtraction; the shared `pods` map still
+        holds the excluded pod."""
+        by_node, by_service, load = self._by_node, self._by_service, self.load
         if exclude is not None:
             pod = self._pod(exclude)
             if pod.status is PodStatus.RUNNING:
                 node_id, service = pod.assignment, pod.service
                 running = [p for p in by_node[node_id] if p is not pod]
-                allocated = {**allocated, node_id: allocated[node_id] - pod.cpu_request}
                 by_node = {**by_node, node_id: running}
                 by_service = {**by_service,
                               service: [p for p in by_service[service] if p is not pod]}
-                rt = {**rt, node_id: _rt_sum(running)}
-                versions = {**versions, node_id: None}
-        return ClusterSnapshot(self.nodes, self.topology, self.pods, allocated, now,
-                               self.metric_store, by_node, by_service, rt, versions)
+                load = {**load, node_id: _load(load[node_id][0] - pod.cpu_request, running)}
+        return ClusterSnapshot(self.nodes, self.topology, self.pods, load, now,
+                               self.metric_store, by_node, by_service)
 
     def snapshot(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """A view of a deep copy of this state, so later mutations never
@@ -380,9 +363,8 @@ class ClusterState(_RunningIndex):
         return state.view(now=now)
 
     def check_invariants(self) -> None:
-        """Raise AssertionError unless the allocation map, the running index,
-        the RT sums, the queue and pod statuses agree with a recount from
-        `pods`."""
+        """Raise AssertionError unless the running index, the loads, the
+        queue and pod statuses agree with a recount from `pods`."""
         by_node, by_service = {n: [] for n in self.nodes}, {}
         for pod in sorted(self.pods.values(), key=_walk_order):
             if pod.status is PodStatus.RUNNING:
@@ -391,10 +373,10 @@ class ClusterState(_RunningIndex):
         problems = [f"{p}: queued but unknown"
                     for p in set(self.queue + self.unschedulable) - self.pods.keys()]
         for n, running in by_node.items():
-            if self.allocated_m[n] != sum(p.cpu_request for p in running):
-                problems.append(f"{n}: allocated_m is not the running requests")
-            if self._by_node[n] != running or self._rt[n] != _rt_sum(running):
-                problems.append(f"{n}: stale running index or RT utilization")
+            if self._by_node[n] != running:
+                problems.append(f"{n}: stale running index")
+            if self.load[n] != _load(sum(p.cpu_request for p in running), running):
+                problems.append(f"{n}: load is not a recount of the running pods")
         problems += [f"{s}: stale per-service index"
                      for s in sorted(self._by_service.keys() | by_service.keys())
                      if self.running_of_service(s) != by_service.get(s, [])]

@@ -148,15 +148,16 @@ class DependenciesPlugin:
     def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot) -> tuple:
         """What a score reads beyond the pod and its node: link latencies, and
         each dependency's replicas as (pod, node) and the store's readings of
-        its samples, which a dependency with no metric has none of."""
+        their samples, which a dependency with no metric has none of."""
         if not pod.dependencies:
             return ()
         services = [d.target_service for d in pod.dependencies]
+        replicas = [snapshot.running_of_service(s) for s in services]
         store, now = snapshot.metric_store, snapshot.now
         return (tuple(snapshot.topology.uplinks_ms.values()),
-                tuple((r.id, r.assignment) for s in services
-                      for r in snapshot.running_of_service(s)),
-                tuple(reading for s in services for reading in store.readings(s, now)))
+                tuple((r.id, r.assignment) for reps in replicas for r in reps),
+                tuple(reading for s, reps in zip(services, replicas)
+                      for reading in store.readings(s, [r.id for r in reps], now)))
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         return score_dependencies(pod, node_id, snapshot)

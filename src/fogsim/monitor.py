@@ -8,8 +8,8 @@ work; every other pod is dry-run against a view that excludes it, and
 evicted when the simulated result names a different node.  Checking the
 gates first changes no eviction, because a dry run mutates nothing.
 
-A dry run reads what :attr:`ClusterState.epoch` counts (the running lists,
-allocation map and RT sums) and what the config's plugins stamp (for the
+A dry run reads what :attr:`ClusterState.epoch` counts (the running lists
+and the node loads) and what the config's plugins stamp (for the
 dependency score: link latencies, its dependencies' replicas and the metric
 store's readings of their samples, value and freshness, which a dependency
 with no metric has none of).  So each pod's last verdict is kept with the

@@ -18,8 +18,8 @@ FEASIBILITY_EPS = 1e-9
 
 
 def node_rt_utilization(node_id: str, snapshot: ClusterSnapshot) -> float:
-    """Sum over the node's running pods, kept current by each placement write."""
-    return snapshot.rt_utilization(node_id)
+    """Sum over the node's running pods, kept in its load by each placement write."""
+    return snapshot.load[node_id][2]
 
 
 def rt_capacity(node: Node) -> float:
@@ -90,7 +90,7 @@ class RealtimePlugin:
         capacity = rt_capacity(node)
         running = snapshot.running_on(node_id)
         current = node_rt_utilization(node_id, snapshot)
-        allocated = snapshot.allocated_m[node_id]
+        allocated = snapshot.load[node_id][0]
         candidates = [p for p in running
                       if p.priority_class < pod.priority_class and p.rt_utilization > 0]
         candidates.sort(key=lambda p: (p.priority_class, p.rt_utilization, p.id))

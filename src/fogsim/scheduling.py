@@ -6,12 +6,14 @@ Plugins are stateless objects exposing any of `filter(pod, node, snapshot)`
 in [0, 1]) and `post_filter(pod, snapshot)` (a preemption plan).  A CPU-fit
 filter (allocated + request <= capacity) is always active.  Filters and
 scores read the pod's shape (service, CPU request, RT utilization, location
-scope, priority class and dependencies), their node's placements and fixed
-capacities, and what the plugin's `stamp(pod, snapshot)` returns: the values
-of all else they read, as one hashable value.  A config binds its plugins'
-hooks and stamps when it is built, and caches each node's filter verdict and
-combined score per pod shape and stamps while the node's version
-(:class:`ClusterState`) stands.  Post-filters are never cached.
+scope, priority class and dependencies), their node's id, fixed capacities
+and load (allocated CPU, pod count and RT utilization, see
+:class:`ClusterState`), and what the plugin's `stamp(pod, snapshot)`
+returns: the values of all else they read, as one hashable value.  A config
+binds its plugins' hooks and stamps when it is built, and caches each node's
+filter verdict and combined score per pod shape and stamps while the node's
+load stands; the states a config serves must give a node id one set of
+capacities.  Post-filters are never cached.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ class BaselinePlugin:
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         node = snapshot.nodes[node_id]
-        cpu_after = (snapshot.allocated_m[node_id] + pod.cpu_request) / node.cpu_capacity
+        allocated, pod_count, _ = snapshot.load[node_id]
+        cpu_after = (allocated + pod.cpu_request) / node.cpu_capacity
         max_count = snapshot.max_pod_count
-        count_frac = len(snapshot.running_on(node_id)) / max_count if max_count > 0 else 0.0
+        count_frac = pod_count / max_count if max_count > 0 else 0.0
         score = 0.5 * (1.0 - cpu_after) + 0.5 * (1.0 - count_frac)
         return min(max(score, 0.0), 1.0)
 
@@ -103,11 +106,13 @@ class SchedulerConfig:
     Building a config builds its plugins and binds their hooks: `filters`,
     `scorers` with their weights and `total_weight`, `post_filters`, and
     `stamp`, one stamping plugin's stamp or a tuple of all.  `cache` maps
-    (pod shape, stamps) to {node: (version, reason, combined score)}.
+    (pod shape, stamps) to {node: (load, reason, combined score)}.
     """
 
     def __init__(self, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
                  tie_break: str = TIE_LEXICOGRAPHIC):
+        if not plugins:
+            raise ValueError("plugins: need at least one")
         names = [name for name, _ in plugins]
         if len(set(names)) != len(names):
             raise ValueError("plugin names must be unique")
@@ -135,7 +140,7 @@ class SchedulerConfig:
     def evaluate(self, pod: PodInstance, node_id: str,
                  snapshot: ClusterSnapshot) -> tuple[Optional[str], Optional[float]]:
         """The node's filter reason, or None and its combined score."""
-        if snapshot.allocated_m[node_id] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
+        if snapshot.load[node_id][0] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
             return "insufficient cpu", None
         for name, fn in self.filters:
             reason = fn(pod, node_id, snapshot)
@@ -147,7 +152,7 @@ class SchedulerConfig:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
             acc += weight * s
-        return None, acc / self.total_weight if self.scorers else None
+        return None, acc / self.total_weight
 
 
 def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
@@ -163,15 +168,13 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     node_ids = snapshot.nodes  # in id order
     if not node_ids:
         return Unschedulable("no nodes")
-    entries, versions = config.entries(pod, snapshot), snapshot.versions
+    entries, load = config.entries(pod, snapshot), snapshot.load
 
     reasons, combined = [], {}  # combined: surviving node -> score, in node order
     for node_id in node_ids:
-        entry, version = entries.get(node_id), versions[node_id]
-        if entry is None or entry[0] != version:
-            entry = (version, *config.evaluate(pod, node_id, snapshot))
-            if version is not None:
-                entries[node_id] = entry
+        entry, node_load = entries.get(node_id), load[node_id]
+        if entry is None or entry[0] != node_load:
+            entry = entries[node_id] = (node_load, *config.evaluate(pod, node_id, snapshot))
         if entry[1] is None:
             combined[node_id] = entry[2]
         else:
@@ -184,8 +187,6 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
                 return Preempted(plan.node, tuple(plan.victims))
         # every node is filtered, so `reasons` follows `node_ids`
         return Unschedulable("; ".join(map("{}: {}".format, node_ids, reasons)))
-    if not config.scorers:
-        return Assigned(next(iter(combined)))
     best = max(combined.values())
     tied = [n for n, s in combined.items() if s == best]
     if len(tied) > 1 and config.tie_break == TIE_SEEDED_RANDOM and rng is not None:

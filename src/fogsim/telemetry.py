@@ -102,7 +102,7 @@ class MetricStore:
         no metric or no replica has a sample (even if other pods of the service
         do), else 0 for a replica whose sample is stale or missing, so that
         degraded or invisible replicas lose traffic instead of vanishing."""
-        known = [r for r in self.readings(service, now) if r[0] in replicas]
+        known = self.readings(service, replicas, now)
         if not known:
             return {pod: 1.0 for pod in replicas}
         fresh = {pod: value for pod, value, is_fresh in known if is_fresh}
@@ -111,13 +111,14 @@ class MetricStore:
         norm = normalize(fresh, self.specs[service].direction)
         return {pod: norm.get(pod, 0.0) for pod in replicas}
 
-    def readings(self, service: str, now: float) -> tuple:
-        """`(pod, value, fresh)` per sample of the service in first-ingest
+    def readings(self, service: str, replicas: list[str], now: float) -> tuple:
+        """`(pod, value, fresh)` per replica with a sample, in `replicas`
         order: what `scores` reads, so none for a service with no metric."""
         if service not in self.specs:
             return ()
-        return tuple((pod, s.value, now - s.timestamp <= self.staleness_s)
-                     for pod, s in self._samples.get(service, {}).items())
+        samples = self._samples.get(service, {})
+        known = [(pod, samples[pod]) for pod in replicas if pod in samples]
+        return tuple((pod, s.value, now - s.timestamp <= self.staleness_s) for pod, s in known)
 
 
 def refresh_scoreboard(service: str, replica_nodes: Mapping[str, str],

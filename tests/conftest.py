@@ -61,7 +61,7 @@ def plain(value):
 def record(cluster) -> dict:
     """A deep, comparable record of a ClusterState or ClusterSnapshot: every
     pod and node field, the topology's zones, uplinks and base latencies,
-    the allocation map, the queue, the unschedulable list and the metric
+    the node loads, the queue, the unschedulable list and the metric
     samples.  It shares nothing with the cluster, so a record taken before
     an operation equals one taken after it iff the operation changed none
     of these."""
@@ -72,7 +72,7 @@ def record(cluster) -> dict:
         "zones": {zone: list(nodes) for zone, nodes in topology.zones.items()},
         "uplinks_ms": dict(topology.uplinks_ms),
         "base_ms": (topology.intra_node_ms, topology.intra_zone_ms),
-        "allocated_m": dict(cluster.allocated_m),
+        "load": dict(cluster.load),
         "queue": list(getattr(cluster, "queue", ())),
         "unschedulable": list(getattr(cluster, "unschedulable", ())),
         "samples": plain(cluster.metric_store._samples),

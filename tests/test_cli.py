@@ -192,6 +192,17 @@ def test_mutated_bundled_scenario_exits_2_with_one_line(tmp_path, capsys, name, 
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_an_arm_with_no_plugins_exits_2_with_one_line(tmp_path, capsys):
+    # with none the arm would place by CPU fit alone, a scheduler no arm names
+    path = tmp_path / "fig7-monitor.ini"
+    path.write_text(_bundled_text("fig7-monitor").replace(
+        "plugins = realtime:10.0 baseline:1.0", "plugins ="))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [arm custom]: plugins: need at least one\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, bad", [
     ("duration_s = 5", "duration_s = soon"),
     ("uplink.B = 1.5", "uplink.B = far"),

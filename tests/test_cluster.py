@@ -60,14 +60,14 @@ class TestSnapshot:
         state.topology.set_uplink("P1", 9.0)
         assert record(snap) == before
         assert snap.pods["a"].status is PodStatus.RUNNING
-        assert snap.allocated_m["P1-A"] == 100
+        assert snap.load["P1-A"] == (100, 1, 0.0)
         assert snap.metric_store._samples == {"svc": {"a": MetricSample(1.0, 1.0)}}
 
     def test_exclude_releases_allocation_in_view(self, state):
         state.add_pod(pod("a", request=300))
         state.apply_placement("a", "P1-A", 0.0)
         snap = state.snapshot(exclude="a")
-        assert snap.allocated_m["P1-A"] == 0
+        assert snap.load["P1-A"] == (0, 0, 0.0)
 
 
 class TestViewSharing:
@@ -75,7 +75,7 @@ class TestViewSharing:
         state.add_pods([pod("a"), pod("b")])
         state.apply_placement("a", "P1-A", 0.0)
         for view in (state.view(), state.view(exclude="b")):  # b is pending
-            assert view.allocated_m is state.allocated_m
+            assert view.load is state.load
             assert view.metric_store is state.metric_store
             assert all(view.running_on(n) is state.running_on(n) for n in state.nodes)
 
@@ -86,10 +86,10 @@ class TestViewSharing:
         state.apply_placement("c", "P2-A", 0.0)
         view = state.view(exclude="a")
         assert view.metric_store is state.metric_store
-        assert view.allocated_m is not state.allocated_m
-        assert {n: a for n, a in view.allocated_m.items()
-                if a != state.allocated_m[n]} == {"P1-A": 100}
-        assert state.allocated_m["P1-A"] == 400
+        assert view.load is not state.load
+        assert {n: load for n, load in view.load.items()
+                if load != state.load[n]} == {"P1-A": (100, 1, 0.0)}
+        assert state.load["P1-A"] == (400, 2, 0.0)
         assert [p.id for p in view.running_on("P1-A")] == ["b"]
         assert [p.id for p in state.running_on("P1-A")] == ["a", "b"]
         assert all(view.running_on(n) is state.running_on(n)
@@ -114,7 +114,7 @@ class TestPlacementLifecycle:
     def test_allocation_bookkeeping(self, state):
         state.add_pod(pod("p", request=250))
         state.apply_placement("p", "P3-B", 0.0)
-        assert state.allocated_m["P3-B"] == 250
+        assert state.load["P3-B"] == (250, 1, 0.0)
 
     def test_unknown_node_rejected(self, state):
         state.add_pod(pod("p"))
@@ -134,7 +134,7 @@ class TestPlacementLifecycle:
         state.add_pod(pod("p", request=400))
         state.apply_placement("p", "P1-A", 0.0)
         state.evict("p", 1.0)
-        assert state.allocated_m["P1-A"] == 0
+        assert state.load["P1-A"] == (0, 0, 0.0)
 
     def test_evict_pending_rejected(self, state):
         state.add_pod(pod("p"))
@@ -158,9 +158,10 @@ def test_conservation_over_random_sequences():
                 state.evict(rng.choice(running), 0.0)
             total_running = sum(p.cpu_request for p in state.pods.values()
                                 if p.status is PodStatus.RUNNING)
-            assert sum(state.allocated_m.values()) == total_running
-        for node_id, alloc in state.allocated_m.items():
+            assert sum(alloc for alloc, _, _ in state.load.values()) == total_running
+        for node_id, (alloc, pod_count, _) in state.load.items():
             assert alloc == sum(p.cpu_request for p in state.running_on(node_id))
+            assert pod_count == len(state.running_on(node_id))
 
 
 RT_FIRST = SchedulerConfig(plugins=(("realtime", 10.0), ("baseline", 1.0)))
@@ -228,7 +229,8 @@ def test_view_agrees_with_isolated_snapshot_over_random_sequences():
                 # the excluded pod and recounts its index from that copy
                 assert view.pods is state.pods
                 assert set(snap.pods) == set(state.pods) - {exclude}
-                assert view.allocated_m == snap.allocated_m == {
+                assert view.load == snap.load
+                assert {n: snap.load[n][0] for n in state.nodes} == {
                     n: sum(p.cpu_request for p in snap.running_on(n)) for n in state.nodes}
                 assert view.max_pod_count == snap.max_pod_count
                 candidate = (state.pods[exclude] if exclude is not None
@@ -257,8 +259,8 @@ class TestInvariants:
     def test_detects_allocation_drift(self, state):
         state.add_pod(pod("a"))
         state.apply_placement("a", "P1-A", 0.0)
-        state.allocated_m["P1-A"] += 1
-        with pytest.raises(AssertionError, match="P1-A: allocated_m"):
+        state.load["P1-A"] = (101, 1, 0.0)
+        with pytest.raises(AssertionError, match="^P1-A: load is not a recount"):
             state.check_invariants()
 
     def test_detects_stale_cache(self, state):
@@ -267,7 +269,7 @@ class TestInvariants:
         state.view()
         state.pods["a"].status = PodStatus.PENDING  # bypasses evict()
         state.queue.append("a")
-        state.allocated_m["P1-A"] = 0
+        state.load["P1-A"] = (0, 0, 0.0)
         with pytest.raises(AssertionError, match="stale running index"):
             state.check_invariants()
 

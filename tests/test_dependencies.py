@@ -5,8 +5,8 @@ import pytest
 
 from fogsim import scenarios, simulator
 from fogsim.cluster import DependencyRef, PodInstance
-from fogsim.dependencies import (expected_quality, markov_matrix, replica_scores,
-                                 score_dependencies, stationary_distribution)
+from fogsim.dependencies import (DependenciesPlugin, expected_quality, markov_matrix,
+                                 replica_scores, score_dependencies, stationary_distribution)
 from fogsim.loadbalancer import LoadBalancer, chain_probabilities
 from fogsim.scenario_io import parse_scenario
 from fogsim.scheduling import schedule_one
@@ -299,6 +299,11 @@ def test_dependency_scores_and_the_balancer_read_one_metric_rule(spec, samples, 
     balancer = LoadBalancer([("P1-A", "db")])
     balancer.refresh(view, now)
     assert balancer.chains["P1-A", "db"] == chain_probabilities(scores)
+    # the stamp holds what the scores read: no sample of the pending pod d9
+    stamp = DependenciesPlugin().stamp(candidate, view)
+    state.metric_store.ingest("db", "d9", 7.0, 0.0)
+    assert DependenciesPlugin().stamp(candidate, state.view(now=now)) == stamp
+    assert state.metric_store.scores("db", ["d0", "d1", "d2"], now) == scores
 
 
 def test_with_no_metric_samples_move_neither_the_chain_nor_the_dependency_score():

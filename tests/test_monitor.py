@@ -239,10 +239,8 @@ def test_stale_drift_moves_with_the_clock():
 
 
 def placements(state) -> tuple:
-    """What the epoch counts: the running lists, the allocation map and the
-    RT sums of every node."""
-    return ({n: [p.id for p in state.running_on(n)] for n in state.nodes},
-            dict(state.allocated_m), {n: state.rt_utilization(n) for n in state.nodes})
+    """What the epoch counts: the running list and the load of every node."""
+    return {n: [p.id for p in state.running_on(n)] for n in state.nodes}, dict(state.load)
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, *DRIFT])

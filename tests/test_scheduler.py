@@ -249,6 +249,12 @@ DEPENDS_ON = {"app": (DependencyRef("db", 2.0), DependencyRef("cache", 1.0, 0.7,
               "web": (DependencyRef("db", 1.0, 0.3, 0.7),)}
 
 
+def rt_processes(utilization):
+    """One deadline process of `utilization`, or none for 0."""
+    return ((RtProcessSpec(DeadlinePolicy(int(utilization * 1e6), 1_000_000), pid=1),)
+            if utilization else ())
+
+
 def shaped_pod(rng, pod_id):
     """A pod of one of a few shapes, so that decisions repeat shapes: `svc`
     pods differ in one field at a time, RT utilization included, and every
@@ -256,9 +262,7 @@ def shaped_pod(rng, pod_id):
     service = rng.choice(["svc", "svc", "db", "cache", "app", "web"])
     if service != "svc":
         return pod(pod_id, request=50, service=service, dependencies=DEPENDS_ON.get(service, ()))
-    utilization = rng.choice([0.0, 0.3, 0.45, 0.6])
-    procs = ((RtProcessSpec(DeadlinePolicy(int(utilization * 1e6), 1_000_000), pid=1),)
-             if utilization else ())
+    procs = rt_processes(rng.choice([0.0, 0.3, 0.45, 0.6]))
     return pod(pod_id, request=rng.choice([50, 150]), priority=rng.choice([0, 5]),
                rt_processes=procs, location_scope=rng.choice([None, None, "n2"]))
 
@@ -277,7 +281,7 @@ def small_rt_cluster():
 def write(state, rng, node_id):
     """Place a pending pod on `node_id` if one fits its CPU, else evict one
     of its pods; False if neither is possible."""
-    room = state.nodes[node_id].cpu_capacity - state.allocated_m[node_id]
+    room = state.nodes[node_id].cpu_capacity - state.load[node_id][0]
     fits = [p for p in state.queue if state.pods[p].cpu_request <= room]
     if fits:
         state.apply_placement(rng.choice(fits), node_id, 1.0)
@@ -343,8 +347,7 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch,
             assert rng_shared.getstate() == rng_fresh.getstate()
             counting = None
             for node_id, entry in cached_entries(shared, candidate, view).items():
-                if entry[0] == view.versions[node_id]:  # an entry the next decision reads
-                    assert entry[1:] == fresh.evaluate(candidate, node_id, view)
+                assert entry[1:] == fresh.evaluate(candidate, node_id, view)  # what it read
             decisions += 1
 
     counting = None
@@ -375,7 +378,7 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch,
             elif roll < 0.7:
                 decide(state.snapshot(exclude=exclude, now=now), candidates + excluded)
             elif roll < 0.85:
-                # a monitor-style dry run: the excluded pod's node is the view's alone
+                # a monitor-style dry run: the excluded pod's node has a load of the view's own
                 decide(state.view(exclude=exclude, now=now), candidates + excluded)
             else:
                 # a decision on a deep copy, then a write to the same node of the original
@@ -416,11 +419,12 @@ def test_every_config_caches_under_the_stamps_of_its_plugins():
         assert [key[-1] for key in config.cache] == [stamps]
     # a stale sample, and a view that hides a pod of a dependency
     assert config.stamp(app, state.view(now=1000.0))[0][2] == (("b", 2.0, False),)
-    hidden = (links, (), (("b", 2.0, True),))
+    hidden = (links, (), ())  # b's sample is of no running replica, so no score reads it
     assert config.stamp(app, state.view(exclude="b")) == (hidden, 0)
-    schedule_one(state.view(exclude="b"), app, config)  # cached, but not b's own node
+    schedule_one(state.view(exclude="b"), app, config)  # cached, b's own node too
     assert [key[-1] for key in config.cache] == [(deps, 1), (hidden, 0)]
-    assert set(config.cache[next(reversed(config.cache))]) == set(state.nodes) - {"P1-A"}
+    assert config.cache[next(reversed(config.cache))]["P1-A"][0] == (0, 0, 0.0)
+    assert set(config.cache[next(reversed(config.cache))]) == set(state.nodes)
     assert config.stamp(pod("c"), state.view(exclude="b")) == ((), 0)
 
 
@@ -441,15 +445,77 @@ def test_a_link_set_back_to_its_latency_reuses_its_decisions(monkeypatch):
     assert evaluated == [len(state.nodes), len(state.nodes), 0]
 
 
+def test_a_node_set_back_to_an_earlier_load_reuses_its_decisions(monkeypatch):
+    """A node's entries stand while its load stands: across a placement and
+    the eviction that undoes it, and across the views of two dry runs that
+    each exclude one of two same-shape pods from one node."""
+    state = make_state()
+    state.add_pods([pod("a"), pod("b"), pod("x")])
+    state.apply_placement("a", "P1-A", 0.0)
+    state.apply_placement("b", "P1-A", 0.0)
+    calls = count_hook_calls(monkeypatch, lambda hook: hook)
+    config = SchedulerConfig(plugins=PLACEMENT_ONLY)
+    evaluated = []
+
+    def hook_calls(decide, *args):
+        before = sum(calls.values())
+        decide(*args)
+        evaluated.append(sum(calls.values()) - before)
+
+    hook_calls(schedule_one, state.view(), pod("c"), config)
+    state.apply_placement("x", "P2-A", 1.0)
+    state.evict("x", 2.0)
+    hook_calls(schedule_one, state.view(), pod("c"), config)
+    hook_calls(simulate_scheduling, state, "a", config)
+    hook_calls(simulate_scheduling, state, "b", config)
+    per_node = len(PLACEMENT_ONLY) + 1  # the realtime filter and each score
+    assert evaluated == [per_node * len(state.nodes), 0, per_node * len(state.nodes), 0]
+
+
+@pytest.mark.parametrize("before, after", [
+    (((100, 0.0),), ((50, 0.0), (50, 0.0))),
+    (((100, 0.1),), ((100, 0.2),)),
+    (((100, 0.0),), ((200, 0.0),)),
+], ids=["pod-count", "rt-sum", "allocation"])
+def test_a_node_whose_load_moved_in_one_field_is_evaluated_anew(before, after):
+    """Pods of (CPU request, RT utilization) `before` on P1-A, then `after`
+    in their place: the node's entry follows, though the other two fields
+    of its load and the stamps are as they were."""
+    olds, news = ([pod(f"{tag}{i}", request=request, rt_processes=rt_processes(u))
+                   for i, (request, u) in enumerate(shapes)]
+                  for tag, shapes in (("old", before), ("new", after)))
+    state = make_state()
+    state.add_pods([pod("m1"), pod("m2"), *olds, *news])
+    for pod_id in ("m1", "m2"):  # P2-A keeps the baseline's stamp, the max pod count, at 2
+        state.apply_placement(pod_id, "P2-A", 0.0)
+    config, candidate = SchedulerConfig(plugins=PLACEMENT_ONLY), pod("c")
+
+    def entry_of_p1a():
+        view = state.view()
+        schedule_one(view, candidate, config)
+        entry = cached_entries(config, candidate, view)["P1-A"][1:]
+        assert entry == SchedulerConfig(plugins=PLACEMENT_ONLY).evaluate(candidate, "P1-A", view)
+        return entry
+
+    for p in olds:
+        state.apply_placement(p.id, "P1-A", 0.0)
+    first = entry_of_p1a()
+    for p in olds:
+        state.evict(p.id, 1.0)
+    for p in news:
+        state.apply_placement(p.id, "P1-A", 1.0)
+    assert entry_of_p1a() != first
+
+
 # Filter and score hook calls of one `ci` run.  A rise fails: the cache
 # lost hits.  A fall is pinned anew, with the reason in CHANGES.md.
 HOOK_CALLS = {
     "fig5-dependencies": {"baseline.score": 400, "dependencies.score": 400},
     "fig6-realtime": {"baseline.score": 15955, "realtime.filter": 8223,
                       "realtime.score": 8223},
-    "fig7-monitor": {"baseline.score": 11662, "realtime.filter": 7804,
-                     "realtime.score": 7802},
-    "stale-drift": {"baseline.score": 36, "dependencies.score": 72},
+    "fig7-monitor": {"baseline.score": 9742, "realtime.filter": 5884,
+                     "realtime.score": 5882},
+    "stale-drift": {"baseline.score": 28, "dependencies.score": 56},
 }
 
 

@@ -108,15 +108,18 @@ class TestMetricStore:
         store.ingest("svc", "p0", 1.0, 0.0)
         store.ingest("svc", "p1", 9.0, 0.0)
         assert store.scores("svc", ["p0", "p1"], 0.0) == {"p0": 1.0, "p1": 1.0}
-        assert store.readings("svc", 0.0) == ()
+        assert store.readings("svc", ["p0", "p1"], 0.0) == ()
 
-    def test_readings_are_each_sample_with_its_freshness_in_first_ingest_order(self):
+    def test_readings_are_each_replica_sample_with_its_freshness_in_replica_order(self):
         store = self.store()
         store.ingest("svc", "p1", 9.0, 100.0)
         store.ingest("svc", "p0", 1.0, 0.0)
-        assert store.readings("svc", 90.0) == (("p1", 9.0, True), ("p0", 1.0, True))
-        assert store.readings("svc", 120.0) == (("p1", 9.0, True), ("p0", 1.0, False))
-        assert store.readings("cache", 0.0) == ()
+        store.ingest("svc", "gone", 5.0, 100.0)  # a pod that is no replica now
+        replicas = ["p0", "p1", "p2"]
+        assert store.readings("svc", replicas, 90.0) == (("p0", 1.0, True), ("p1", 9.0, True))
+        assert store.readings("svc", replicas, 120.0) == (("p0", 1.0, False), ("p1", 9.0, True))
+        assert store.readings("svc", ["p1"], 120.0) == (("p1", 9.0, True),)
+        assert store.readings("cache", replicas, 0.0) == ()
 
 
 class TestScoreboard:
