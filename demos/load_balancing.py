@@ -9,8 +9,7 @@ normalized score's share of requests.
 
 import random
 
-from fogsim import (Topology, chain_probabilities, request_rtt, select_replica,
-                    uniform_chain)
+from fogsim import Topology, chain_probabilities, request_rtt, select_replica
 
 ZONES = {"P1": ["P1-A", "P1-B"], "P2": ["P2-A", "P2-B"],
          "P3": ["P3-A", "P3-B"], "P4": ["P4-A", "P4-B"]}
@@ -24,6 +23,11 @@ SCORES = {"server-0": 1.0, "server-1": 0.3215, "server-2": 0.0831,
 
 def mean(values):
     return sum(values) / len(values)
+
+
+def uniform_chain(replicas):
+    """Maximum-fairness baseline: every replica equally likely."""
+    return chain_probabilities(dict.fromkeys(replicas, 1.0))
 
 
 def issue(topology, chain, count, rng):

@@ -13,8 +13,7 @@ _HOMES = {
     "dependencies": ("markov_matrix", "replica_scores", "score_dependencies",
                      "stationary_distribution"),
     "fogservice": ("FogServiceSpec", "LocationScope", "expand"),
-    "loadbalancer": ("LoadBalancer", "RuleChain", "chain_probabilities", "select_replica",
-                     "uniform_chain"),
+    "loadbalancer": ("LoadBalancer", "RuleChain", "chain_probabilities", "select_replica"),
     "monitor": ("ClusterMonitor", "MonitorConfig", "simulate_scheduling"),
     "realtime": ("RealtimePlugin", "node_rt_utilization", "rt_capacity"),
     "runtime": ("RtPriorityManager", "RuntimeDispatcher", "SimulatedProcessHost",

@@ -25,6 +25,7 @@ all placements.  Links, samples, `now` and the queue are not counted.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from enum import Enum
 from operator import attrgetter
@@ -71,8 +72,8 @@ class FifoPolicy(Frozen):
     def __init__(self, priority: int, cpu_request: float):
         if not 1 <= priority <= 99:
             raise ValueError(f"priority: must be in [1, 99], got {priority}")
-        if not cpu_request > 0:
-            raise ValueError(f"cpu_request: must be positive, got {cpu_request}")
+        if not 0 < cpu_request < math.inf:
+            raise ValueError(f"cpu_request: must be positive and finite, got {cpu_request}")
         set_fields(self, priority=priority, cpu_request=cpu_request)
 
     @property
@@ -99,15 +100,15 @@ class DependencyRef(Value):
                  latency_weight: float = 0.5, metric_weight: float = 0.5):
         if not target_service:
             raise ValueError("target_service: must be named")
-        if not all(w >= 0 for w in (dep_weight, latency_weight, metric_weight)):
-            raise ValueError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in (dep_weight, latency_weight, metric_weight)):
+            raise ValueError("weights must be non-negative and finite")
         if abs(latency_weight + metric_weight - 1.0) > 1e-9:
             raise ValueError("latency_weight + metric_weight must equal 1")
         set_fields(self, target_service=target_service, dep_weight=dep_weight,
                    latency_weight=latency_weight, metric_weight=metric_weight)
 
 
-class Node:
+class Node(Frozen):
     """A worker node: cores, CPU capacity in millicores and RT bandwidth."""
 
     def __init__(self, id: str, cores: int = DEFAULT_CORES,
@@ -120,8 +121,8 @@ class Node:
             raise ValueError(f"node {id}: cpu_capacity must be >= 1")
         if not 0 < rt_runtime_us <= rt_period_us:
             raise ValueError(f"node {id}: need 0 < rt_runtime_us <= rt_period_us")
-        self.id, self.cores, self.cpu_capacity = id, cores, cpu_capacity
-        self.rt_period_us, self.rt_runtime_us = rt_period_us, rt_runtime_us
+        set_fields(self, id=id, cores=cores, cpu_capacity=cpu_capacity,
+                   rt_period_us=rt_period_us, rt_runtime_us=rt_runtime_us)
 
 
 # far past any network, and small enough that a round trip over two links plus

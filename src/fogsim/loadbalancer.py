@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .records import Value, set_fields
 from .telemetry import path_latency, refresh_scoreboard
@@ -79,13 +79,6 @@ def select_replica(chain: RuleChain, rng: random.Random) -> str:
     if not chain.replicas:
         raise ValueError("empty rule chain")
     return chain.replicas[-1]
-
-
-def uniform_chain(replicas: Sequence[str]) -> RuleChain:
-    """Maximum-fairness baseline: every replica equally likely."""
-    if not replicas:
-        raise ValueError("cannot build a chain without replicas")
-    return chain_probabilities({r: 1.0 for r in replicas})
 
 
 class LoadBalancer:

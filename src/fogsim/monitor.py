@@ -27,6 +27,7 @@ pod would be placed elsewhere.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .cluster import ClusterSnapshot, ClusterState, EvictionEvent, PodInstance, PodStatus
@@ -41,8 +42,8 @@ class MonitorConfig(Value):
                  backoff_s: float = 120.0):
         set_fields(self, loop_period_s=loop_period_s, grace_s=grace_s, backoff_s=backoff_s)
         for name in fields_of(MonitorConfig):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def simulate_scheduling(state: ClusterState, pod_id: str,

@@ -1,7 +1,9 @@
 """Scenario files: INI-style sections describing topology, services,
 scheduler arms, monitor/balancer settings, and a timed workload script.
 
-Sections: [scenario], [topology], [nodes], one [service <name>] per
+Sections: [scenario], [topology], [nodes] (the `Node` parameters of every
+node, and `override.<node>.<field>` of one; the reader builds one `Node` per
+node, zone by zone in sorted order), one [service <name>] per
 service, one [arm <name>] per scheduler configuration to run, optional
 [config <name>] scheduler settings (`plugins`, `tie_break`) for a deploy's
 `using=`, [monitor], [loadbalancer], and [workload] with one directive per
@@ -33,13 +35,13 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, RtProcessSpec
+from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, Node, RtProcessSpec
 from .fogservice import FogServiceSpec, LocationScope
 from .loadbalancer import POLICY_WEIGHTED
 from .monitor import MonitorConfig
 from .records import fields_of
-from .simulator import (ArmSpec, LbSettings, NodeSettings, ScenarioConfig,
-                        TopologySpec, WorkloadEvent)
+from .simulator import (ACTION_ARGS, ArmSpec, LbSettings, ScenarioConfig, TopologySpec,
+                        WorkloadEvent)
 from .telemetry import MetricSpec
 
 
@@ -171,10 +173,6 @@ def _parse_arm(where: str, name: str, section, **given) -> ArmSpec:
     return _build(ArmSpec, where, _rest(section, ("plugins",)), **given)
 
 
-REQUEST_KEYS = ("client", "service", "rate_hz", "count")
-ARITY = {"pin": 2, "metric": 3, "link": 2}
-
-
 def _parse_workload_line(line: str) -> WorkloadEvent:
     """One directive's event; any malformed field raises ValueError."""
     tokens = line.split()
@@ -188,23 +186,23 @@ def _parse_workload_line(line: str) -> WorkloadEvent:
         if not names or options.keys() - {"using"}:
             raise ValueError("deploy takes one or more services and an optional using=")
         return WorkloadEvent(at, "deploy", (names, options.get("using")))
+    if action not in ACTION_ARGS:
+        raise ValueError(f"unknown workload action: {action}")
+    keys = ACTION_ARGS[action]
     if action == "requests":
         kwargs = _tokens(rest, action)
-        if sorted(kwargs) != sorted(REQUEST_KEYS):
-            raise ValueError("requests takes " + " ".join(f"{k}=" for k in REQUEST_KEYS))
+        if sorted(kwargs) != sorted(keys):
+            raise ValueError("requests takes " + " ".join(f"{k}=" for k in keys))
         rate_hz = _value(float, action, "rate_hz", kwargs["rate_hz"])
         count = _value(int, action, "count", kwargs["count"])
         return WorkloadEvent(at, "requests",
                              (kwargs["client"], kwargs["service"], rate_hz, count))
-    if action not in ARITY:
-        raise ValueError(f"unknown workload action: {action}")
-    if len(rest) != ARITY[action]:
-        raise ValueError(f"{action} takes {ARITY[action]} arguments, got {len(rest)}")
+    if len(rest) != len(keys):
+        raise ValueError(f"{action} takes {len(keys)} arguments, got {len(rest)}")
     if action == "pin":
         return WorkloadEvent(at, "pin", (rest[0], rest[1]))
     # metric <service> <pod> <value>, link <zone> <one-way-ms>
-    number = _value(float, action, "value" if action == "metric" else "latency_ms", rest[-1])
-    return WorkloadEvent(at, action, (*rest[:-1], number))
+    return WorkloadEvent(at, action, (*rest[:-1], _value(float, action, keys[-1], rest[-1])))
 
 
 def parse_scenario(text: str, name_hint: str = "") -> ScenarioConfig:
@@ -268,15 +266,22 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
                                                for k, v in topo.items()
                                                if k.startswith("uplink.")})
 
-    overrides = {}
+    settable, listed = fields_of(Node)[1:], {n for ns in zones.values() for n in ns}
+    settings = {}  # node id, or None for every node -> {field: value}
     for key, value in sections["nodes"].items():
+        node_id, field = None, key
         if key.startswith("override."):
-            node_id, dot, attr = key[len("override."):].partition(".")
+            node_id, dot, field = key[len("override."):].partition(".")
             if not dot:
                 raise ScenarioParseError(f"[nodes]: {key}: expected override.<node>.<field>")
-            overrides.setdefault(node_id, {})[attr] = _value(int, "[nodes]", key, value)
-    nodes = _build(NodeSettings, "[nodes]", _rest(sections["nodes"], ("override.",)),
-                   overrides=overrides)
+            if node_id not in listed:
+                raise ScenarioParseError(f"[nodes]: {key}: unknown node")
+        if field not in settable:
+            raise ScenarioParseError(f"[nodes]: unknown key {key!r}")
+        settings.setdefault(node_id, {})[field] = _value(int, "[nodes]", key, value)
+    # zone by zone in sorted order, which decides the first bad node a scenario names
+    nodes = tuple(Node(n, **{**settings.get(None, {}), **settings.get(n, {})})
+                  for zone in sorted(zones) for n in zones[zone])
 
     named = {"service": [], "arm": [], "config": []}  # [<kind> <name>] sections
     for section_name, section in sections.items():

@@ -18,6 +18,7 @@ capacities.  Post-filters are never cached.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional, Union
 
@@ -116,8 +117,8 @@ class SchedulerConfig:
         names = [name for name, _ in plugins]
         if len(set(names)) != len(names):
             raise ValueError("plugin names must be unique")
-        if any(w <= 0 for _, w in plugins):
-            raise ValueError("plugin weights must be positive")
+        if not all(0 < w < math.inf for _, w in plugins):
+            raise ValueError("plugin weights must be positive and finite")
         if tie_break not in (TIE_LEXICOGRAPHIC, TIE_SEEDED_RANDOM):
             raise ValueError(f"unknown tie-break rule: {tie_break}")
         self.plugins, self.tie_break = plugins, tie_break

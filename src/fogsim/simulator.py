@@ -28,9 +28,8 @@ from itertools import count, islice
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .cluster import (DEFAULT_CORES, DEFAULT_CPU_CAPACITY_M, DEFAULT_INTRA_NODE_MS,
-                      DEFAULT_INTRA_ZONE_MS, DEFAULT_RT_PERIOD_US, DEFAULT_RT_RUNTIME_US,
-                      MAX_LATENCY_MS, ClusterState, Node, PodStatus, Topology)
+from .cluster import (DEFAULT_INTRA_NODE_MS, DEFAULT_INTRA_ZONE_MS, MAX_LATENCY_MS,
+                      ClusterState, Node, PodStatus, Topology)
 from .fogservice import FogServiceSpec, expand, pod_ids
 from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
@@ -53,9 +52,14 @@ class EventKind(IntEnum):
 
 class WorkloadEvent(Frozen):
     """One timed directive of the workload script: deploy, pin, metric,
-    requests or link."""
+    requests or link, with the arguments `ACTION_ARGS` names."""
 
     def __init__(self, at: float, action: str, args: tuple = ()):
+        if action not in ACTION_KINDS:
+            raise ValueError(f"unknown workload action: {action}")
+        for key, value in (("at", at), *zip(ACTION_ARGS[action], args)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{action}: {key}: expected a finite number, got {value!r}")
         set_fields(self, at=at, action=action, args=args)
 
 
@@ -78,29 +82,20 @@ class LbSettings(Frozen):
 
     def __init__(self, refresh_period_s: float = DEFAULT_REFRESH_PERIOD_S,
                  processing_delay_ms: float = 0.005):
-        if not refresh_period_s > 0:
-            raise ValueError("refresh_period_s must be positive")
+        if not 0 < refresh_period_s < math.inf:
+            raise ValueError("refresh_period_s must be positive and finite")
         if not 0 <= processing_delay_ms <= MAX_LATENCY_MS:
             raise ValueError("processing_delay_ms must be non-negative and at most "
                              f"{MAX_LATENCY_MS:g} ms")
         set_fields(self, refresh_period_s=refresh_period_s, processing_delay_ms=processing_delay_ms)
 
 
-class NodeSettings(Frozen):
-    """The capacities of every node, with per-node overrides."""
-
-    def __init__(self, cores: int = DEFAULT_CORES, cpu_capacity: int = DEFAULT_CPU_CAPACITY_M,
-                 rt_period_us: int = DEFAULT_RT_PERIOD_US,
-                 rt_runtime_us: int = DEFAULT_RT_RUNTIME_US,
-                 overrides: Optional[Mapping[str, Mapping[str, int]]] = None):
-        set_fields(self, cores=cores, cpu_capacity=cpu_capacity, rt_period_us=rt_period_us,
-                   rt_runtime_us=rt_runtime_us, overrides={} if overrides is None else overrides)
-
-
 # a run walks the workload script in (time, kind) order
 ACTION_KINDS = {"link": EventKind.LINK, "deploy": EventKind.SUBMIT, "pin": EventKind.PIN,
                 "metric": EventKind.METRIC, "requests": EventKind.REQUEST}
-NODE_FIELDS = ("cores", "cpu_capacity", "rt_period_us", "rt_runtime_us")  # overridable
+ACTION_ARGS = {"link": ("zone", "latency_ms"), "deploy": ("services", "using"),
+               "pin": ("pod", "node"), "metric": ("service", "pod", "value"),
+               "requests": ("client", "service", "rate_hz", "count")}
 CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
 
@@ -119,31 +114,33 @@ class TopologySpec(Frozen):
 
 
 class ScenarioConfig(Frozen):
-    """A whole scenario: topology, nodes, services, arms, settings and workload.
-    A `monitor` of None runs no passes; `named_configs` serve only `deploy ... using=`."""
+    """A whole scenario: topology, its nodes (each listed once), services, arms,
+    settings and workload, which is kept in walk order: by time, then kind, then
+    as listed.  A `monitor` of None runs no passes; `named_configs` serve only
+    `deploy ... using=`."""
 
-    def __init__(self, name: str, topology: TopologySpec, services: tuple[FogServiceSpec, ...],
-                 arms: tuple[ArmSpec, ...], workload: tuple[WorkloadEvent, ...],
-                 description: str = "", seed: int = 42, duration_s: float = 10.0,
-                 repetitions: int = 1, ci_repetitions: int = 1,
-                 nodes: NodeSettings = NodeSettings(), monitor: Optional[MonitorConfig] = None,
-                 lb: LbSettings = LbSettings(), sample_period_s: float = 0.0,
-                 named_configs: tuple[ArmSpec, ...] = ()):
-        set_fields(self, name=name, topology=topology, services=services, arms=arms,
-                   workload=workload, description=description, seed=seed, duration_s=duration_s,
-                   repetitions=repetitions, ci_repetitions=ci_repetitions, nodes=nodes,
-                   monitor=monitor, lb=lb, sample_period_s=sample_period_s,
-                   named_configs=named_configs)
+    def __init__(self, name: str, topology: TopologySpec, nodes: tuple[Node, ...],
+                 services: tuple[FogServiceSpec, ...], arms: tuple[ArmSpec, ...],
+                 workload: tuple[WorkloadEvent, ...], description: str = "", seed: int = 42,
+                 duration_s: float = 10.0, repetitions: int = 1, ci_repetitions: int = 1,
+                 monitor: Optional[MonitorConfig] = None, lb: LbSettings = LbSettings(),
+                 sample_period_s: float = 0.0, named_configs: tuple[ArmSpec, ...] = ()):
+        workload = tuple(sorted(workload, key=lambda e: (e.at, ACTION_KINDS[e.action])))
+        set_fields(self, name=name, topology=topology, nodes=nodes, services=services,
+                   arms=arms, workload=workload, description=description, seed=seed,
+                   duration_s=duration_s, repetitions=repetitions,
+                   ci_repetitions=ci_repetitions, monitor=monitor, lb=lb,
+                   sample_period_s=sample_period_s, named_configs=named_configs)
         if problems := self.validate():
             raise ValueError("; ".join(problems))
 
     def validate(self) -> list[str]:
         """Scenario-wide rules and cross-references; each part checks its own fields."""
         problems = []
-        if self.duration_s <= 0:
-            problems.append("duration_s must be positive")
-        if not self.sample_period_s >= 0:
-            problems.append("sample_period_s must be >= 0")
+        if not 0 < self.duration_s < math.inf:
+            problems.append("duration_s must be positive and finite")
+        if not 0 <= self.sample_period_s < math.inf:
+            problems.append("sample_period_s must be >= 0 and finite")
         if self.repetitions < 1 or self.ci_repetitions < 1:
             problems.append("repetitions must be >= 1")
         if not self.arms:
@@ -173,15 +170,8 @@ class ScenarioConfig(Frozen):
             topology = self.topology.build()
         except ValueError as exc:
             return problems + [f"topology: {exc}"]
-        try:
-            build_nodes(self.topology, self.nodes)
-        except ValueError as exc:
-            problems.append(str(exc))
-        for node_id, over in self.nodes.overrides.items():
-            if node_id not in topology.zone_of:
-                problems.append(f"override.{node_id}: unknown node")
-            problems += [f"override.{node_id}.{key}: unknown node setting"
-                         for key in over if key not in NODE_FIELDS]
+        if sorted(n.id for n in self.nodes) != sorted(topology.zone_of):
+            problems.append("nodes must list each node of the topology once")
         for spec in self.services:
             problems += [f"service {spec.name}: unknown location node {s.location!r}"
                          for s in spec.locations or () if s.location not in topology.zone_of]
@@ -200,8 +190,7 @@ class ScenarioConfig(Frozen):
         configs = {a.name for a in (*self.arms, *self.named_configs)}
         specs = {s.name: s for s in self.services}
         problems, created, pinned = [], {}, set()  # created: pod id -> (time, service)
-        # in the order of a run: by time, then kind, then script order
-        for e in sorted(self.workload, key=lambda e: (e.at, ACTION_KINDS[e.action])):
+        for e in self.workload:  # in the order of a run
             where = f"at {e.at:g} {e.action}"
             if e.at < 0:
                 problems.append(f"{where}: time must be >= 0")
@@ -271,13 +260,6 @@ class ResultSet:
     EVICTION_FIELDS = ("arm", "rep", "t", "pod", "from_node", "target_node", "reason")
 
 
-def build_nodes(topology_spec: TopologySpec, settings: NodeSettings) -> list[Node]:
-    # zone by zone in sorted order, which decides the first bad node a scenario names
-    return [Node(n, **{f: settings.overrides.get(n, {}).get(f, getattr(settings, f))
-                       for f in NODE_FIELDS})
-            for zone in sorted(topology_spec.zones) for n in topology_spec.zones[zone]]
-
-
 def request_rtt(topology: Topology, client: str, node: str,
                 processing_delay_ms: float) -> float:
     return 2.0 * path_latency(topology, client, node) + processing_delay_ms
@@ -325,8 +307,7 @@ class _Run:
         self.rng_sched = random.Random(f"{seed}:{rep}:sched:{arm.name}")
         self.rng_requests = random.Random(f"{seed}:{rep}:requests")
         self.topology = config.topology.build()
-        self.state = ClusterState(build_nodes(config.topology, config.nodes),
-                                  self.topology)
+        self.state = ClusterState(config.nodes, self.topology)
         self.state.metric_store.specs = {s.name: s.metric for s in config.services
                                         if s.metric is not None}
         self.services = {s.name: s for s in config.services}
@@ -354,8 +335,8 @@ class _Run:
 
     def execute(self):
         cfg = self.config
-        script = sorted(((e.at, ACTION_KINDS[e.action], e.args) for e in cfg.workload
-                         if e.action != "requests"), key=itemgetter(0, 1))  # stable
+        script = [(e.at, ACTION_KINDS[e.action], e.args) for e in cfg.workload
+                  if e.action != "requests"]
         tickers = []
         if self.monitor is not None:
             tickers.append(_ticks(cfg.monitor.loop_period_s, cfg.monitor.loop_period_s,

@@ -32,12 +32,18 @@ def make_topology(**kwargs) -> Topology:
     return Topology(ZONES, UPLINKS, **kwargs)
 
 
+def make_nodes(zones=ZONES, overrides=None, **capacities) -> tuple[Node, ...]:
+    """A `Node` for each node of `zones`, with `capacities`, and with the
+    capacities `overrides` maps its id to, if any."""
+    overrides = overrides or {}
+    return tuple(Node(n, **{**capacities, **overrides.get(n, {})})
+                 for ns in zones.values() for n in ns)
+
+
 def make_state(cores: int = 4, cpu_capacity: int = 4000,
                rt_runtime_us: int = 950_000) -> ClusterState:
-    topology = make_topology()
-    nodes = [Node(id=n, cores=cores, cpu_capacity=cpu_capacity, rt_runtime_us=rt_runtime_us)
-             for ns in ZONES.values() for n in ns]
-    return ClusterState(nodes, topology)
+    return ClusterState(make_nodes(cores=cores, cpu_capacity=cpu_capacity,
+                                   rt_runtime_us=rt_runtime_us), make_topology())
 
 
 def replace(record, **changes):

@@ -21,11 +21,11 @@ from fogsim.records import Record, fields_of
 from fogsim.runtime import HostCall, PendingAssignment
 from fogsim.scheduling import (Assigned, Preempted, SchedulerConfig, Unschedulable,
                                schedule_one)
-from fogsim.simulator import (ArmSpec, LbSettings, NodeSettings, ResultSet, ScenarioConfig,
-                              TopologySpec, WorkloadEvent)
+from fogsim.simulator import (ArmSpec, LbSettings, ResultSet, ScenarioConfig, TopologySpec,
+                              WorkloadEvent)
 from fogsim.telemetry import MetricSample, MetricSpec
 
-from conftest import make_state, record
+from conftest import make_nodes, make_state, record
 
 
 def pod(pod_id, request=100, **kwargs):
@@ -398,7 +398,7 @@ RECORDS = {
     "cluster.EvictionEvent": ((True, False, True),
                               lambda: EvictionEvent(1.0, "p", "n", None, "monitor")),
     "cluster.FifoPolicy": ((True, False, True), lambda: FifoPolicy(50, 0.2)),
-    "cluster.Node": ((False, False, False), lambda: Node("n")),
+    "cluster.Node": ((True, False, True), lambda: Node("n")),
     "cluster.PodInstance": ((False, True, True), lambda: PodInstance("n", "svc")),
     "cluster.RtProcessSpec": ((True, False, True),
                               lambda: RtProcessSpec(FifoPolicy(50, 0.2), pid=1)),
@@ -416,10 +416,10 @@ RECORDS = {
     "scheduling.Unschedulable": ((True, True, True), lambda: Unschedulable("n")),
     "simulator.ArmSpec": ((True, False, True), lambda: ArmSpec("n")),
     "simulator.LbSettings": ((True, False, True), lambda: LbSettings()),
-    "simulator.NodeSettings": ((True, False, True), lambda: NodeSettings()),
     "simulator.ResultSet": ((False, False, False), lambda: ResultSet("n", 1, "ci")),
     "simulator.ScenarioConfig": ((True, False, True), lambda: ScenarioConfig(
-        "n", TopologySpec(**SCENARIO_TOPOLOGY), (), (ArmSpec("n"),), ())),
+        "n", TopologySpec(**SCENARIO_TOPOLOGY), make_nodes(SCENARIO_TOPOLOGY["zones"]), (),
+        (ArmSpec("n"),), ())),
     "simulator.TopologySpec": ((True, False, True), lambda: TopologySpec(**SCENARIO_TOPOLOGY)),
     "simulator.WorkloadEvent": ((True, False, True), lambda: WorkloadEvent(0.0, "deploy")),
     "telemetry.MetricSample": ((True, True, True), lambda: MetricSample(1.0, 0.0)),

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from fogsim import loadbalancer
 from fogsim.loadbalancer import (POLICY_UNIFORM, LoadBalancer, RuleChain,
-                                 chain_probabilities, select_replica,
-                                 uniform_chain)
+                                 chain_probabilities, select_replica)
 from fogsim.simulator import run_scenario
 from fogsim.telemetry import MetricStore
 
@@ -109,12 +108,12 @@ class TestSelectReplica:
             assert rng.getstate() == reference.getstate()
 
     def test_walk_draws_once_per_rule_on_a_uniform_chain(self):
-        chain = uniform_chain(["a", "b", "c", "d"])
+        chain = chain_probabilities(dict.fromkeys(["a", "b", "c", "d"], 1.0))
         self.test_walk_draws_once_per_rule_up_to_the_chosen_one(chain)
 
     @pytest.mark.parametrize("chain", [
         chain_probabilities({"a": 0.2, "b": 0.3, "c": 0.5}),
-        uniform_chain(["a", "b", "c", "d"]),
+        chain_probabilities(dict.fromkeys(["a", "b", "c", "d"], 1.0)),
         RuleChain(("x", "y"), (0.25, 1.0), (0.25, 0.75)),
     ], ids=["weighted", "uniform", "hand-built"])
     def test_the_walk_reads_replica_and_accept_probability_pairs(self, chain):
@@ -146,7 +145,7 @@ class TestSelectReplica:
 
 
 def test_uniform_chain_is_exactly_fair():
-    chain = uniform_chain(["a", "b", "c", "d"])
+    chain = chain_probabilities(dict.fromkeys(["a", "b", "c", "d"], 1.0))
     assert chain.selection_probabilities == pytest.approx([0.25] * 4)
 
 
@@ -198,7 +197,7 @@ class TestLoadBalancerRefresh:
         balancer.refresh(snap, 0.0)
         chain = balancer.chains.get(("P1-A", "svc"))
         assert chain.selection_probabilities == pytest.approx([0.5, 0.5])
-        assert chain == uniform_chain(["s0", "s1"])
+        assert chain == chain_probabilities(dict.fromkeys(["s0", "s1"], 1.0))
 
     def test_a_client_gets_no_chain_for_a_service_it_never_requests(self, topology):
         balancer = LoadBalancer([("P1-A", "svc"), ("P4-B", "db")])

@@ -85,8 +85,10 @@ class TestParse:
         assert cfg.name == "tiny"
         assert cfg.topology.zones == {"A": ("a1", "a2"), "B": ("b1",)}
         assert cfg.topology.uplinks_ms == {"A": 0.5, "B": 1.5}
-        assert cfg.nodes.cores == 2
-        assert cfg.nodes.overrides == {"a1": {"cpu_capacity": 500}}
+        assert {n.id: (n.cores, n.cpu_capacity, n.rt_period_us, n.rt_runtime_us)
+                for n in cfg.nodes} == {"a1": (2, 500, 1_000_000, 950_000),
+                                        "a2": (2, 2000, 1_000_000, 950_000),
+                                        "b1": (2, 2000, 1_000_000, 950_000)}
         assert [s.name for s in cfg.services] == ["web", "worker"]
         web, worker = cfg.services
         assert web.metric.direction == "lower-is-better"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -11,19 +12,18 @@ from fogsim.monitor import MonitorConfig
 from fogsim.realtime import FEASIBILITY_EPS, node_rt_utilization, rt_capacity
 from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
-from fogsim.simulator import (ArmSpec, EventKind, LbSettings, NodeSettings,
-                              ScenarioConfig, TopologySpec, WorkloadEvent,
-                              request_rtt, run_scenario)
+from fogsim.simulator import (ArmSpec, EventKind, LbSettings, ScenarioConfig, TopologySpec,
+                              WorkloadEvent, request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec
-from fogsim.cluster import ClusterState, DependencyRef
+from fogsim.cluster import ClusterState, DependencyRef, FifoPolicy, RtProcessSpec
 
-from conftest import UPLINKS, ZONES, make_topology, replace
+from conftest import UPLINKS, ZONES, load_test_scenario, make_nodes, make_topology, replace
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
     base = dict(
         name="small",
-        topology=TopologySpec(zones=ZONES, uplinks_ms=UPLINKS),
+        topology=TopologySpec(zones=ZONES, uplinks_ms=UPLINKS), nodes=make_nodes(),
         services=(FogServiceSpec(name="web", replicas=6, cpu_request=100,
                                  cpu_limit=100),),
         arms=(ArmSpec(name="custom", plugins=(("baseline", 1.0),)),),
@@ -179,6 +179,53 @@ def test_a_name_is_rejected_exactly_when_utf8_cannot_encode_it(name):
             assert small_scenario(**overrides).validate() == []
 
 
+DEPLOY = WorkloadEvent(0.0, "deploy", (("web",), None))
+NON_FINITE = {  # a field and a scenario that gives it a value the file reader rejects
+    "at": lambda: small_scenario(workload=(replace(DEPLOY, at=math.nan),)),
+    "duration_s-nan": lambda: small_scenario(duration_s=math.nan),
+    "duration_s-inf": lambda: small_scenario(duration_s=math.inf),
+    "sample_period_s": lambda: small_scenario(sample_period_s=math.inf),
+    "value": lambda: small_scenario(workload=(
+        DEPLOY, WorkloadEvent(0.0, "metric", ("web", "web-0", math.nan)))),
+    "rate_hz": lambda: small_scenario(workload=(
+        DEPLOY, WorkloadEvent(1.0, "requests", ("P1-A", "web", math.inf, 3)))),
+    "loop_period_s": lambda: small_scenario(monitor=MonitorConfig(loop_period_s=math.inf)),
+    "refresh_period_s": lambda: small_scenario(lb=LbSettings(refresh_period_s=math.inf)),
+    "plugin weights": lambda: small_scenario(arms=(ArmSpec("custom", (("baseline", math.inf),)),)),
+    "weights": lambda: small_scenario(services=(FogServiceSpec(
+        "web", dependencies=(DependencyRef("web", dep_weight=math.inf),)),)),
+    "cpu_request": lambda: small_scenario(services=(FogServiceSpec(
+        "web", rt_processes=(RtProcessSpec(FifoPolicy(50, math.inf), pid=1),)),)),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_a_python_built_scenario_rejects_a_number_that_is_not_finite(field):
+    """Each record rejects, when it is built, a nan or infinite number, as the
+    file reader does, and names the field.  None of these scenarios is run:
+    one that lasts nan seconds and has a periodic event would never end."""
+    with pytest.raises(ValueError, match=rf"\b{field.partition('-')[0]}:? .*finite"):
+        NON_FINITE[field]()
+
+
+@pytest.mark.parametrize("nodes", [make_nodes()[1:], make_nodes() + make_nodes()[:1],
+                                   make_nodes() + make_nodes({"P9": ("P9-A",)})],
+                         ids=["missing", "repeated", "unknown"])
+def test_the_nodes_are_the_topology_nodes_each_once(nodes):
+    with pytest.raises(ValueError, match="nodes must list each node of the topology once"):
+        small_scenario(nodes=nodes)
+
+
+def test_the_workload_is_kept_in_walk_order():
+    """By time, then kind (link, deploy, pin, metric, requests), then as listed."""
+    late_link = WorkloadEvent(1.0, "link", ("P1", 2.0))
+    metric_1 = WorkloadEvent(0.0, "metric", ("web", "web-1", 1.0))
+    metric_0 = WorkloadEvent(0.0, "metric", ("web", "web-0", 2.0))
+    link = WorkloadEvent(0.0, "link", ("P2", 1.0))
+    cfg = small_scenario(workload=(late_link, metric_1, DEPLOY, metric_0, link))
+    assert cfg.workload == (link, DEPLOY, metric_1, metric_0, late_link)
+
+
 @pytest.mark.parametrize("refresh_period_s, node", [(30.0, "P2-A"), (10.0, "P1-A")])
 def test_dependency_score_reads_the_balancer_staleness(refresh_period_s, node):
     # fig5's metric samples are 40 s old when the candidate deploys: fresh for
@@ -219,8 +266,6 @@ class TestLinkInjection:
         # starved nodes; the app itself can only run on the other nodes of
         # zones P3/P4.  Raising P3's uplink makes the P4 node the better
         # host, so the monitor migrates the app after its grace period.
-        nodes = NodeSettings(overrides={"P1-A": {"cpu_capacity": 100},
-                                        "P2-A": {"cpu_capacity": 100}})
         services = (
             FogServiceSpec(name="db", replicas=2, cpu_request=100, cpu_limit=100),
             FogServiceSpec(name="app", replicas=1, cpu_request=100, cpu_limit=100,
@@ -228,10 +273,10 @@ class TestLinkInjection:
                                                        latency_weight=1.0,
                                                        metric_weight=0.0),)),
         )
-        topology = TopologySpec(zones={"P1": ("P1-A",), "P2": ("P2-A",),
-                                       "P3": ("P3-A",), "P4": ("P4-A",)},
-                                uplinks_ms={"P1": 0.1, "P2": 0.5,
-                                            "P3": 0.2, "P4": 1.0})
+        zones = {"P1": ("P1-A",), "P2": ("P2-A",), "P3": ("P3-A",), "P4": ("P4-A",)}
+        topology = TopologySpec(zones=zones, uplinks_ms={"P1": 0.1, "P2": 0.5,
+                                                         "P3": 0.2, "P4": 1.0})
+        nodes = make_nodes(zones, {"P1-A": {"cpu_capacity": 100}, "P2-A": {"cpu_capacity": 100}})
         workload = (
             WorkloadEvent(0.0, "deploy", (("db",), None)),
             WorkloadEvent(0.0, "pin", ("db-0", "P1-A")),
@@ -260,7 +305,7 @@ class TestLinkInjection:
 # filter: every config there includes it and no pod is pinned past it
 RT_FILTERED = ("fig6-realtime", "fig6-deadline")
 
-# sha256 of each result file of a bundled scenario's `ci` run: a change that
+# sha256 of each result file of a bundled or test scenario's `ci` run: a change that
 # moves one changes what the scenario reports and says why in CHANGES.md
 NO_ROWS = {"timeseries.csv": "78458686763678189d1eb416daa89614319baa4a34fec7026d842ff6fd0939a7",
            "requests.csv": "4e623e32d909cf492004f4fe7f687d414b229a9cff13a8a7d1f32d15f67d47a1",
@@ -289,6 +334,41 @@ RESULT_SHA256 = {
         "placements.csv": "2d15f5bafb1895c7a9937507a17ca6356d5ad2790f33964ec8b30fbcccbf3583",
         "requests.csv": "a443f66369c3377f6b34624b72e7d2313f72b04da4f8a527dfb4a731f0daa34f",
         "summary.txt": "5bc774a1554af97366e5e244a7ca50a224360680b4b7b4900ec7c7fc9ae5a93c"},
+    # the suite's own scenarios, tests/scenarios/<name>.ini
+    "fig6-deadline-preemption": {
+        **NO_ROWS,
+        "placements.csv": "2a88f184397aefa117ef0a268c32ebffa2dc1b0a911880c16001935357a7b81f",
+        "evictions.csv": "49aa53429099dc195866ab902682a58d12e3a617cf97e684b113b716d5202327",
+        "summary.txt": "5fa31b8ff44b0ead3fb63ce35454f0dfa387a1c02096fcbd397befdb8f9b7ab0"},
+    "refresh-drift": {
+        **NO_ROWS,
+        "placements.csv": "6fa86f626b6a3c2c3ce98075fdeb583186e8dfdc3126e33219d2e5a9baef86f9",
+        "requests.csv": "0ad6df68450c123e122fcd8a1535d0b0783e18697bd2c02c2aafc5abeec2fb94",
+        "evictions.csv": "58a9ceb5b79d0f938e092a0ca75a7d851575cd58ca8491e2757ba405f52716c9",
+        "summary.txt": "d04c22c96da7f9a60222ca19674a350b7bfd654571f13fa2456ff86711a70c08"},
+    "request-edges": {
+        "placements.csv": "cbc908e09b56b002c7340eab5ef8aa13b2cba5f7467e61bcf6fc8c29f8aaf60c",
+        "timeseries.csv": "743a773eba74ca5f58106864c7f4991706a8004231d975cee74a24df4eb07eea",
+        "requests.csv": "da17e691a80c49d472496955636893c84a5d926e9b41dbe7bc4018bfabd72f6f",
+        "evictions.csv": "2448c30c180639042d774d30093ba3fb94bf8940d3e7d2e174935ef389197365",
+        "summary.txt": "9240a0ab768b40d816b45b494901c185c3ed804e5083b1495fcfb6ab40d14adb"},
+    "request-ties": {
+        **NO_ROWS,
+        "placements.csv": "3f7b22b611fa1735beb3233547fe90444d00b46113b11081a5209ddcfb83fec6",
+        "requests.csv": "e5eaf177bd92c8c8c8c205c1d3cac54f8d0d161031ec4af75ebfda02f926a7b4",
+        "summary.txt": "3d4fca34445b433588ab851485faed19d7703f717937a5ec5f66b11b9aff3b57"},
+    "sched-ties": {
+        **NO_ROWS,
+        "placements.csv": "7d0b27ca5feacb4a912d9ae95ff339ece1ff2b76227e139a1bc8416b8e65f18d",
+        "timeseries.csv": "bd3cb2b1e3c9baf923ec44d10dd93906570bbdaaeb8b020bed3251a71b164efa",
+        "evictions.csv": "9349a28616926f1d341add18b1deff7beb42a96ef43023f5dca868a9a9050cf9",
+        "summary.txt": "513080025f81945b8845c821528061ecb40a3df8750f13672e8c7b02bdc87b52"},
+    "stale-drift": {  # the one scenario with per-node capacities (override.<node>.<field>)
+        **NO_ROWS,
+        "placements.csv": "e3eca94b3a20ab6a03f1c42e08c4a8837f913b5b165617dd7ba369b8c5cd76d3",
+        "timeseries.csv": "93562d96871a261d30a8ba1f66617151671f1efe7d9670342a0ec5541e6c38da",
+        "evictions.csv": "fef43414dec05e1303aa50186064d8bc7ccc3d483ae34a2499a4abc1c4596bd3",
+        "summary.txt": "8f88915628f8aaf5d9d1ddff5c54ea4a4b1ad2e153c971566da42cf064594bea"},
 }
 
 
@@ -308,7 +388,8 @@ def test_cluster_invariants_hold_after_every_event(monkeypatch, tmp_path, name):
         seen.add(kind)
 
     monkeypatch.setattr(simulator._Run, "dispatch", checked)
-    results = run_scenario(load_bundled(name), profile="ci")
+    config = load_bundled(name) if name in BUNDLED else load_test_scenario(name)
+    results = run_scenario(config, profile="ci")
     assert EventKind.SCHED in seen and results.placements
     if name == "fig7-monitor":
         assert EventKind.MONITOR in seen and results.evictions
