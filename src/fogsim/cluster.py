@@ -31,7 +31,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
-from .records import Frozen, Record, Value, set_fields
+from .records import Frozen, Record, Value, check_integers, set_fields
 from .telemetry import MetricStore
 
 DEFAULT_CORES = 4
@@ -56,6 +56,7 @@ class DeadlinePolicy(Frozen):
     def __init__(self, runtime_us: int, period_us: int, deadline_us: int = 0):
         if deadline_us == 0:
             deadline_us = period_us
+        check_integers(runtime_us=runtime_us, period_us=period_us, deadline_us=deadline_us)
         if not 0 < runtime_us <= deadline_us <= period_us:
             raise ValueError("runtime_us: need 0 < runtime_us <= deadline_us <= period_us, "
                              f"got {runtime_us}, {deadline_us}, {period_us}")
@@ -70,6 +71,7 @@ class FifoPolicy(Frozen):
     """Fixed-priority policy with a declared CPU budget in core-fractions."""
 
     def __init__(self, priority: int, cpu_request: float):
+        check_integers(priority=priority)
         if not 1 <= priority <= 99:
             raise ValueError(f"priority: must be in [1, 99], got {priority}")
         if not 0 < cpu_request < math.inf:
@@ -88,6 +90,8 @@ class RtProcessSpec(Frozen):
                  name_substring: Optional[str] = None):
         if pid is None and name_substring is None:
             raise ValueError("needs a pid or name-substring selector")
+        if pid is not None:
+            check_integers(pid=pid)
         if not isinstance(policy, (DeadlinePolicy, FifoPolicy)):
             raise ValueError(f"unknown policy type: {type(policy).__name__}")
         set_fields(self, policy=policy, pid=pid, name_substring=name_substring)
@@ -115,6 +119,8 @@ class Node(Frozen):
                  cpu_capacity: int = DEFAULT_CPU_CAPACITY_M,
                  rt_period_us: int = DEFAULT_RT_PERIOD_US,
                  rt_runtime_us: int = DEFAULT_RT_RUNTIME_US):
+        check_integers(f"node {id}: ", cores=cores, cpu_capacity=cpu_capacity,
+                       rt_period_us=rt_period_us, rt_runtime_us=rt_runtime_us)
         if cores < 1:
             raise ValueError(f"node {id}: cores must be >= 1")
         if cpu_capacity < 1:

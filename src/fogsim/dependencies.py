@@ -144,6 +144,7 @@ class DependenciesPlugin:
     """Score extension point ranking nodes by dependency communication quality."""
 
     name = "dependencies"
+    pod_fields = ("dependencies",)
 
     def stamp(self, pod: PodInstance, snapshot: ClusterSnapshot) -> tuple:
         """What a score reads beyond the pod and its node: link latencies, and

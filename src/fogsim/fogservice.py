@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .cluster import RUNTIME_CLASSES, DependencyRef, PodInstance, RtProcessSpec
-from .records import Frozen, set_fields
+from .records import Frozen, check_integers, set_fields
 from .telemetry import MetricSpec
 
 
@@ -21,6 +21,7 @@ class LocationScope(Frozen):
 
     def __init__(self, location: str, replicas: int = 1,
                  config: Optional[Mapping[str, str]] = None):
+        check_integers(f"{location}: ", replicas=replicas)
         if replicas < 1:
             raise ValueError(f"{location}: replicas must be >= 1, got {replicas}")
         set_fields(self, location=location, replicas=replicas,
@@ -38,6 +39,8 @@ class FogServiceSpec(Frozen):
                  runtime_class: str = RUNTIME_CLASSES[0]):
         if cpu_limit == 0:
             cpu_limit = cpu_request
+        check_integers(replicas=replicas, cpu_request=cpu_request, cpu_limit=cpu_limit,
+                       priority_class=priority_class)
         if not name:
             raise ValueError("name: must be non-empty")
         if locations is None and replicas < 1:

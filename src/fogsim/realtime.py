@@ -39,6 +39,7 @@ class RealtimePlugin:
     """Filter / Score / PostFilter extension points for RT workloads."""
 
     name = "realtime"
+    pod_fields = None
 
     def filter(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot):
         """Admit the pod only if the node's RT quota can absorb it."""

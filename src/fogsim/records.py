@@ -27,6 +27,14 @@ def set_fields(record: Frozen, **fields) -> None:
         object.__setattr__(record, name, value)
 
 
+def check_integers(prefix: str = "", **fields) -> None:
+    """Raise ValueError, naming the field, on the first of `fields` that is not
+    an int: what the scenario reader reads as an integer, a record takes as one."""
+    for name, value in fields.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{prefix}{name}: expected an integer, got {value!r}")
+
+
 class Record:
     """A record shown by value; it equals only itself."""
 

@@ -9,11 +9,17 @@ scores read the pod's shape (service, CPU request, RT utilization, location
 scope, priority class and dependencies), their node's id, fixed capacities
 and load (allocated CPU, pod count and RT utilization, see
 :class:`ClusterState`), and what the plugin's `stamp(pod, snapshot)`
-returns: the values of all else they read, as one hashable value.  A config
-binds its plugins' hooks and stamps when it is built, and caches each node's
-filter verdict and combined score per pod shape and stamps while the node's
-load stands; the states a config serves must give a node id one set of
-capacities.  Post-filters are never cached.
+returns: the values of all else they read, as one hashable value.  A
+plugin's `pod_fields` says whether its score reads the node's load: None
+if it does, else the pod fields the score reads.  A config binds its
+plugins' hooks and stamps when it is built, and caches each node's filter
+verdict and combined score per pod shape and stamps while the node's load
+stands; the states a config serves must give a node id one set of
+capacities.  It caches each load-free score on its own too, per node under
+its plugin's pod fields and stamp, so a write that moves only loads
+computes none of them anew; the combined score still adds each weighted
+score in plugin order.  Both caches keep every stamp they meet, so they
+grow with a run whose stamps keep changing.  Post-filters are never cached.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class BaselinePlugin:
     with more allocated CPU and more pods than their peers."""
 
     name = "baseline"
+    pod_fields = None
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         node = snapshot.nodes[node_id]
@@ -76,6 +83,7 @@ class LocationAffinityPlugin:
     """Favour a location-scoped pod's own node; neutral for unscoped pods."""
 
     name = "location-affinity"
+    pod_fields = ("location_scope",)
 
     def score(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot) -> float:
         if pod.location_scope is None:
@@ -97,6 +105,16 @@ def build_plugin(name: str):
     raise ValueError(f"unknown plugin: {name}")
 
 
+class Entries(dict):
+    """A cache key's {node: (load, reason, combined score)} and its `scorers`."""
+
+
+def cached(score, scores: dict):
+    """`score`, computed once per node into `scores`."""
+    return lambda pod, node, view: (scores[node] if node in scores else
+                                    scores.setdefault(node, score(pod, node, view)))
+
+
 class SchedulerConfig:
     """Ordered plugin list with weights, plus the tie-break rule.
 
@@ -105,9 +123,14 @@ class SchedulerConfig:
     mirrors how stock schedulers choose among equal candidates.
 
     Building a config builds its plugins and binds their hooks: `filters`,
-    `scorers` with their weights and `total_weight`, `post_filters`, and
-    `stamp`, one stamping plugin's stamp or a tuple of all.  `cache` maps
-    (pod shape, stamps) to {node: (load, reason, combined score)}.
+    `scorers`, each (plugin, score, weight), and `total_weight`,
+    `post_filters`, and `stamp`, one stamping plugin's stamp or a tuple of
+    all.  `cache` maps (pod shape, stamps) to its :class:`Entries`, {node:
+    (load, reason, combined score)}.  `load_free` holds each load-free
+    scorer's index in `scorers`, plugin and map from (its pod fields, its
+    stamp) to {node: score}; an `Entries`' own `scorers` read each score
+    through that map.  A plain dict in place of an `Entries` evaluates with
+    `scorers` and caches no score.
     """
 
     def __init__(self, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
@@ -124,7 +147,8 @@ class SchedulerConfig:
         self.plugins, self.tie_break = plugins, tie_break
         built = [(build_plugin(name), weight) for name, weight in plugins]
         self.filters = [(p.name, p.filter) for p, _ in built if hasattr(p, "filter")]
-        self.scorers = [(p.name, p.score, w) for p, w in built if hasattr(p, "score")]
+        self.scorers = [(p, p.score, w) for p, w in built if hasattr(p, "score")]
+        self.load_free = [(i, p, {}) for i, (p, _, _) in enumerate(self.scorers) if p.pod_fields]
         self.post_filters = [p.post_filter for p, _ in built if hasattr(p, "post_filter")]
         self.total_weight = sum(w for _, _, w in self.scorers)
         stampers = [p.stamp for p, _ in built if hasattr(p, "stamp")]
@@ -134,12 +158,20 @@ class SchedulerConfig:
 
     def entries(self, pod: PodInstance, snapshot: ClusterSnapshot) -> dict:
         """The cache entries of the pod's shape and stamps in this view."""
-        return self.cache.setdefault(
-            (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
-             pod.priority_class, pod.dependencies, self.stamp(pod, snapshot)), {})
+        key = (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
+               pod.priority_class, pod.dependencies, self.stamp(pod, snapshot))
+        entries = self.cache.get(key)
+        if entries is None:
+            entries = self.cache[key] = Entries()
+            entries.scorers = list(self.scorers)
+            for i, p, maps in self.load_free:
+                stamp = p.stamp(pod, snapshot) if hasattr(p, "stamp") else None
+                scores = maps.setdefault((*map(pod.__getattribute__, p.pod_fields), stamp), {})
+                entries.scorers[i] = (p, cached(p.score, scores), self.scorers[i][2])
+        return entries
 
-    def evaluate(self, pod: PodInstance, node_id: str,
-                 snapshot: ClusterSnapshot) -> tuple[Optional[str], Optional[float]]:
+    def evaluate(self, pod: PodInstance, node_id: str, snapshot: ClusterSnapshot,
+                 entries=None) -> tuple[Optional[str], Optional[float]]:
         """The node's filter reason, or None and its combined score."""
         if snapshot.load[node_id][0] + pod.cpu_request > snapshot.nodes[node_id].cpu_capacity:
             return "insufficient cpu", None
@@ -148,10 +180,10 @@ class SchedulerConfig:
             if reason is not None:
                 return f"{name}: {reason}", None
         acc = 0.0
-        for name, fn, weight in self.scorers:
+        for plugin, fn, weight in getattr(entries, "scorers", self.scorers):
             s = fn(pod, node_id, snapshot)
             if not 0.0 <= s <= 1.0:
-                raise ValueError(f"plugin {name} returned {s} out of [0, 1]")
+                raise ValueError(f"plugin {plugin.name} returned {s} out of [0, 1]")
             acc += weight * s
         return None, acc / self.total_weight
 
@@ -170,12 +202,14 @@ def schedule_one(snapshot: ClusterSnapshot, pod: PodInstance,
     if not node_ids:
         return Unschedulable("no nodes")
     entries, load = config.entries(pod, snapshot), snapshot.load
+    entry_of = entries.get  # looked up once: a method of a dict subclass is slower to find
 
     reasons, combined = [], {}  # combined: surviving node -> score, in node order
     for node_id in node_ids:
-        entry, node_load = entries.get(node_id), load[node_id]
+        entry, node_load = entry_of(node_id), load[node_id]
         if entry is None or entry[0] != node_load:
-            entry = entries[node_id] = (node_load, *config.evaluate(pod, node_id, snapshot))
+            entry = entries[node_id] = (node_load,
+                                        *config.evaluate(pod, node_id, snapshot, entries))
         if entry[1] is None:
             combined[node_id] = entry[2]
         else:

@@ -14,8 +14,9 @@ from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
 from fogsim.simulator import (ArmSpec, EventKind, LbSettings, ScenarioConfig, TopologySpec,
                               WorkloadEvent, request_rtt, run_scenario)
-from fogsim.fogservice import FogServiceSpec
-from fogsim.cluster import ClusterState, DependencyRef, FifoPolicy, RtProcessSpec
+from fogsim.fogservice import FogServiceSpec, LocationScope
+from fogsim.cluster import (ClusterState, DeadlinePolicy, DependencyRef, FifoPolicy, Node,
+                            RtProcessSpec)
 
 from conftest import UPLINKS, ZONES, load_test_scenario, make_nodes, make_topology, replace
 
@@ -206,6 +207,34 @@ def test_a_python_built_scenario_rejects_a_number_that_is_not_finite(field):
     one that lasts nan seconds and has a periodic event would never end."""
     with pytest.raises(ValueError, match=rf"\b{field.partition('-')[0]}:? .*finite"):
         NON_FINITE[field]()
+
+
+NOT_AN_INTEGER = {  # a record with a field the file reader reads as an integer, not one
+    "replicas": lambda: FogServiceSpec("web", replicas=2.0),
+    "cpu_request-inf": lambda: FogServiceSpec("web", cpu_request=math.inf),
+    "cpu_request-100.5": lambda: FogServiceSpec("web", cpu_request=100.5),
+    "cpu_limit": lambda: FogServiceSpec("web", cpu_limit=math.inf),
+    "priority_class": lambda: FogServiceSpec("web", priority_class=math.nan),
+    "cores": lambda: Node("n", cores=1.5),
+    "cpu_capacity": lambda: Node("n", cpu_capacity=2500.5),
+    "rt_period_us": lambda: Node("n", rt_period_us=math.inf),
+    "rt_runtime_us": lambda: Node("n", rt_runtime_us=950_000.0),
+    "replicas-location": lambda: LocationScope("P1-A", replicas=1.5),
+    "runtime_us": lambda: DeadlinePolicy(100_000.5, 1_000_000),
+    "period_us": lambda: DeadlinePolicy(100_000, math.inf),
+    "deadline_us": lambda: DeadlinePolicy(100_000, 1_000_000, 500_000.0),
+    "priority": lambda: FifoPolicy(50.5, 0.5),
+    "pid": lambda: RtProcessSpec(FifoPolicy(50, 0.5), pid=1.0),
+}
+
+
+@pytest.mark.parametrize("field", NOT_AN_INTEGER)
+def test_a_python_built_record_rejects_a_number_that_is_not_an_integer(field):
+    """A field the file reader reads as an integer takes only an int, also
+    from Python, and a value that is not one is named with its field."""
+    field_name = field.partition("-")[0]
+    with pytest.raises(ValueError, match=rf"\b{field_name}: expected an integer, got"):
+        NOT_AN_INTEGER[field]()
 
 
 @pytest.mark.parametrize("nodes", [make_nodes()[1:], make_nodes() + make_nodes()[:1],
