@@ -11,13 +11,15 @@ millicores, its pod count and that sum: all that a cached filter or score
 reads of the node's placements.  :meth:`~ClusterState.apply_placement` and
 :meth:`~ClusterState.evict` are the only writers of these placement facts:
 each updates the index in place, touching only its own node's and service's
-lists, and writes its node's load as a new tuple.  The scheduler, the
-monitor's dry run and the load-balancer refresh read a
-:meth:`ClusterState.view`, which shares the live objects, index lists, load
-map and metric store (each service's samples and metric), so a view and any
-list it or the state hands out are invalid after the next mutation.
-Anything held across mutations takes a :meth:`~ClusterState.snapshot`: a
-view of a deep copy.
+lists, and writes its node's load as a new tuple.  A link change is a state
+write too: :meth:`~ClusterState.set_uplink` replaces the state's frozen
+:class:`Topology` by a new one.  The scheduler, the monitor's dry run and the
+load-balancer refresh read a :meth:`ClusterState.view`, which shares the live
+objects, index lists, load map and metric store (each service's samples and
+metric), so a view and any list it or the state hands out are invalid after
+the next mutation; a view keeps the topology it was built with.  Anything
+held across mutations takes a :meth:`~ClusterState.snapshot`: a view of a
+deep copy.
 
 `ClusterState.epoch` counts the placement writes: while it stands, so do
 all placements.  Links, samples, `now` and the queue are not counted.
@@ -143,33 +145,37 @@ def _latency(ms: float) -> float:
     return ms
 
 
-class Topology:
+class Topology(Frozen):
     """Star layout: every node hangs off its zone switch, every zone switch
-    off one core switch.  Links carry one-way latencies in milliseconds."""
+    off one core switch.  Links carry one-way latencies in milliseconds.  A
+    topology checks itself when built and never changes: a link change is a
+    new topology, from :meth:`with_uplink`."""
 
     def __init__(self, zones: Mapping[str, Iterable[str]], uplinks_ms: Mapping[str, float],
                  intra_node_ms: float = DEFAULT_INTRA_NODE_MS,
                  intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS):
-        self.zones = {z: list(nodes) for z, nodes in zones.items()}
-        self.uplinks_ms = {zone: _latency(ms) for zone, ms in uplinks_ms.items()}
-        self.intra_node_ms = _latency(intra_node_ms)
-        self.intra_zone_ms = _latency(intra_zone_ms)
-        self.zone_of: dict[str, str] = {}
+        set_fields(self, zones={z: tuple(nodes) for z, nodes in zones.items()},
+                   uplinks_ms={zone: _latency(ms) for zone, ms in uplinks_ms.items()},
+                   intra_node_ms=_latency(intra_node_ms), intra_zone_ms=_latency(intra_zone_ms))
+        zone_of: dict[str, str] = {}
         for zone, nodes in self.zones.items():
             if zone not in self.uplinks_ms:
                 raise ValueError(f"zone {zone} has no uplink latency")
             for n in nodes:
-                if n in self.zone_of:
+                if n in zone_of:
                     raise ValueError(f"node {n} appears in more than one zone")
-                self.zone_of[n] = zone
+                zone_of[n] = zone
         for zone in self.uplinks_ms:
             if zone not in self.zones:
                 raise ValueError(f"uplink {zone} has no zone")
+        set_fields(self, zone_of=zone_of)
 
-    def set_uplink(self, zone: str, latency_ms: float) -> None:
+    def with_uplink(self, zone: str, latency_ms: float) -> Topology:
+        """This topology with `zone`'s uplink at `latency_ms`."""
         if zone not in self.uplinks_ms:
             raise KeyError(f"unknown link: {zone}")
-        self.uplinks_ms[zone] = _latency(latency_ms)
+        return Topology(self.zones, {**self.uplinks_ms, zone: latency_ms},
+                        self.intra_node_ms, self.intra_zone_ms)
 
 
 class PodInstance(Record):
@@ -319,6 +325,11 @@ class ClusterState(_RunningIndex):
         self.load[node_id] = _load(self.load[node_id][0] - pod.cpu_request, running)
         self.epoch += 1
 
+    def set_uplink(self, zone: str, latency_ms: float) -> None:
+        """Replace the topology by one with `zone`'s uplink at `latency_ms`.
+        Placements stand, so `epoch` does not move."""
+        self.topology = self.topology.with_uplink(zone, latency_ms)
+
     def mark_unschedulable(self, pod_id: str) -> None:
         pod = self._pod(pod_id)
         if pod.status is not PodStatus.PENDING:
@@ -340,10 +351,11 @@ class ClusterState(_RunningIndex):
     def view(self, exclude: Optional[str] = None, now: float = 0.0) -> ClusterSnapshot:
         """Snapshot sharing this state's pods, index lists, load map and
         metric store.  Mutations update them in place, so the view is
-        invalid after the next one.  An excluded running pod's node and
-        service get their own lists, and its node its own load tuple, which
-        releases its CPU by integer subtraction; the shared `pods` map still
-        holds the excluded pod."""
+        invalid after the next one; it keeps the topology it was built with,
+        which a link change replaces rather than updates.  An excluded
+        running pod's node and service get their own lists, and its node its
+        own load tuple, which releases its CPU by integer subtraction; the
+        shared `pods` map still holds the excluded pod."""
         by_node, by_service, load = self._by_node, self._by_service, self.load
         if exclude is not None:
             pod = self._pod(exclude)

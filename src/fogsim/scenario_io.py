@@ -1,13 +1,13 @@
 """Scenario files: INI-style sections describing topology, services,
 scheduler arms, monitor/balancer settings, and a timed workload script.
 
-Sections: [scenario], [topology], [nodes] (the `Node` parameters of every
+Sections: [scenario], [topology] (the reader builds the scenario's one
+`Topology`, which checks itself), [nodes] (the `Node` parameters of every
 node, and `override.<node>.<field>` of one; the reader builds one `Node` per
-node, zone by zone in sorted order), one [service <name>] per
-service, one [arm <name>] per scheduler configuration to run, optional
-[config <name>] scheduler settings (`plugins`, `tie_break`) for a deploy's
-`using=`, [monitor], [loadbalancer], and [workload] with one directive per
-line:
+node, zone by zone in sorted order), one [service <name>] per service, one
+[arm <name>] per scheduler configuration to run, optional [config <name>]
+scheduler settings (`plugins`, `tie_break`) for a deploy's `using=`,
+[monitor], [loadbalancer], and [workload] with one directive per line:
 
     at <t> deploy <service...> [using=<config>]
     at <t> pin <pod> <node>
@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, Node, RtProcessSpec
+from .cluster import DeadlinePolicy, DependencyRef, FifoPolicy, Node, RtProcessSpec, Topology
 from .fogservice import FogServiceSpec, LocationScope
 from .loadbalancer import POLICY_WEIGHTED
 from .monitor import MonitorConfig
 from .records import fields_of
-from .simulator import (ACTION_ARGS, ArmSpec, LbSettings, ScenarioConfig, TopologySpec,
-                        WorkloadEvent)
+from .simulator import ACTION_ARGS, ArmSpec, LbSettings, ScenarioConfig, WorkloadEvent
 from .telemetry import MetricSpec
 
 
@@ -261,12 +260,12 @@ def _parse_scenario(text: str, name_hint: str) -> ScenarioConfig:
     zones = {k[5:]: tuple(v.split()) for k, v in topo.items() if k.startswith("zone.")}
     if not zones:
         raise ScenarioParseError("topology defines no zones")
-    topology = _build(TopologySpec, "[topology]", _rest(topo, ("zone.", "uplink.")),
+    topology = _build(Topology, "[topology]", _rest(topo, ("zone.", "uplink.")),
                       zones=zones, uplinks_ms={k[7:]: _value(float, "[topology]", k, v)
                                                for k, v in topo.items()
                                                if k.startswith("uplink.")})
 
-    settable, listed = fields_of(Node)[1:], {n for ns in zones.values() for n in ns}
+    settable, listed = fields_of(Node)[1:], topology.zone_of
     settings = {}  # node id, or None for every node -> {field: value}
     for key, value in sections["nodes"].items():
         node_id, field = None, key

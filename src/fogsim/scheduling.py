@@ -124,13 +124,15 @@ class SchedulerConfig:
 
     Building a config builds its plugins and binds their hooks: `filters`,
     `scorers`, each (plugin, score, weight), and `total_weight`,
-    `post_filters`, and `stamp`, one stamping plugin's stamp or a tuple of
-    all.  `cache` maps (pod shape, stamps) to its :class:`Entries`, {node:
-    (load, reason, combined score)}.  `load_free` holds each load-free
-    scorer's index in `scorers`, plugin and map from (its pod fields, its
-    stamp) to {node: score}; an `Entries`' own `scorers` read each score
-    through that map.  A plain dict in place of an `Entries` evaluates with
-    `scorers` and caches no score.
+    `post_filters`, and `stamp`, the one stamping plugin's stamp
+    (`one_stamp`) or a tuple of all.  `cache` maps (pod shape, stamps) to its
+    :class:`Entries`, {node: (load, reason, combined score)}.  `load_free`
+    holds each load-free scorer's index in `scorers`, plugin, map from (its
+    pod fields, its stamp) to {node: score} and its stamp's index among the
+    stamping plugins (None if it has none), so that a new key's stamps give
+    each its own; an `Entries`' own `scorers` read each score through that
+    map.  A plain dict in place of an `Entries` evaluates with `scorers` and
+    caches no score.
     """
 
     def __init__(self, plugins: tuple[tuple[str, float], ...] = (("baseline", 1.0),),
@@ -148,12 +150,15 @@ class SchedulerConfig:
         built = [(build_plugin(name), weight) for name, weight in plugins]
         self.filters = [(p.name, p.filter) for p, _ in built if hasattr(p, "filter")]
         self.scorers = [(p, p.score, w) for p, w in built if hasattr(p, "score")]
-        self.load_free = [(i, p, {}) for i, (p, _, _) in enumerate(self.scorers) if p.pod_fields]
         self.post_filters = [p.post_filter for p, _ in built if hasattr(p, "post_filter")]
         self.total_weight = sum(w for _, _, w in self.scorers)
-        stampers = [p.stamp for p, _ in built if hasattr(p, "stamp")]
-        self.stamp = (stampers[0] if len(stampers) == 1 else
-                      lambda pod, snapshot: tuple(fn(pod, snapshot) for fn in stampers))
+        stampers = [p for p, _ in built if hasattr(p, "stamp")]
+        stamps = [p.stamp for p in stampers]
+        self.stamp = (stamps[0] if len(stamps) == 1 else
+                      lambda pod, snapshot: tuple(fn(pod, snapshot) for fn in stamps))
+        self.one_stamp = len(stamps) == 1
+        self.load_free = [(i, p, {}, stampers.index(p) if p in stampers else None)
+                          for i, (p, _, _) in enumerate(self.scorers) if p.pod_fields]
         self.cache: dict[tuple, dict] = {}
 
     def entries(self, pod: PodInstance, snapshot: ClusterSnapshot) -> dict:
@@ -164,8 +169,9 @@ class SchedulerConfig:
         if entries is None:
             entries = self.cache[key] = Entries()
             entries.scorers = list(self.scorers)
-            for i, p, maps in self.load_free:
-                stamp = p.stamp(pod, snapshot) if hasattr(p, "stamp") else None
+            stamps = (key[-1],) if self.one_stamp else key[-1]
+            for i, p, maps, at in self.load_free:
+                stamp = None if at is None else stamps[at]
                 scores = maps.setdefault((*map(pod.__getattribute__, p.pod_fields), stamp), {})
                 entries.scorers[i] = (p, cached(p.score, scores), self.scorers[i][2])
         return entries

@@ -26,10 +26,9 @@ from bisect import bisect_left, bisect_right
 from enum import IntEnum
 from itertools import count, islice
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import Optional
 
-from .cluster import (DEFAULT_INTRA_NODE_MS, DEFAULT_INTRA_ZONE_MS, MAX_LATENCY_MS,
-                      ClusterState, Node, PodStatus, Topology)
+from .cluster import MAX_LATENCY_MS, ClusterState, Node, PodStatus, Topology
 from .fogservice import FogServiceSpec, expand, pod_ids
 from .loadbalancer import POLICIES, POLICY_WEIGHTED, LoadBalancer, select_replica
 from .monitor import ClusterMonitor, MonitorConfig
@@ -99,27 +98,14 @@ ACTION_ARGS = {"link": ("zone", "latency_ms"), "deploy": ("services", "using"),
 CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell could only hold quoted
 
 
-class TopologySpec(Frozen):
-    """Zones with their nodes, uplink latencies and the base latencies."""
-
-    def __init__(self, zones: Mapping[str, tuple[str, ...]], uplinks_ms: Mapping[str, float],
-                 intra_node_ms: float = DEFAULT_INTRA_NODE_MS,
-                 intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS):
-        set_fields(self, zones=zones, uplinks_ms=uplinks_ms, intra_node_ms=intra_node_ms,
-                   intra_zone_ms=intra_zone_ms)
-
-    def build(self) -> Topology:
-        return Topology(self.zones, self.uplinks_ms,
-                        self.intra_node_ms, self.intra_zone_ms)
-
-
 class ScenarioConfig(Frozen):
     """A whole scenario: topology, its nodes (each listed once), services, arms,
     settings and workload, which is kept in walk order: by time, then kind, then
-    as listed.  A `monitor` of None runs no passes; `named_configs` serve only
-    `deploy ... using=`."""
+    as listed.  Every run starts from the one `topology`, which is frozen; a
+    link directive gives a run's state a new one.  A `monitor` of None runs no
+    passes; `named_configs` serve only `deploy ... using=`."""
 
-    def __init__(self, name: str, topology: TopologySpec, nodes: tuple[Node, ...],
+    def __init__(self, name: str, topology: Topology, nodes: tuple[Node, ...],
                  services: tuple[FogServiceSpec, ...], arms: tuple[ArmSpec, ...],
                  workload: tuple[WorkloadEvent, ...], description: str = "", seed: int = 42,
                  duration_s: float = 10.0, repetitions: int = 1, ci_repetitions: int = 1,
@@ -150,8 +136,8 @@ class ScenarioConfig(Frozen):
         if len(set(names)) != len(names):
             problems.append("arm and config names must be unique together")
         # the only free text of a result row, which report.write_results never quotes
-        named = {"zone": self.topology.zones,
-                 "node": [n for nodes in self.topology.zones.values() for n in nodes],
+        topology = self.topology
+        named = {"zone": topology.zones, "node": topology.zone_of,
                  "service": [s.name for s in self.services],
                  "arm": [a.name for a in self.arms],
                  "config": [a.name for a in self.named_configs]}
@@ -166,10 +152,6 @@ class ScenarioConfig(Frozen):
         services = {s.name for s in self.services}
         if len(services) != len(self.services):
             problems.append("service names must be unique")
-        try:
-            topology = self.topology.build()
-        except ValueError as exc:
-            return problems + [f"topology: {exc}"]
         if sorted(n.id for n in self.nodes) != sorted(topology.zone_of):
             problems.append("nodes must list each node of the topology once")
         for spec in self.services:
@@ -231,7 +213,7 @@ class ScenarioConfig(Frozen):
                                     f"creates pod {pod_id!r}")
             elif e.action == "link":
                 try:
-                    topology.set_uplink(*e.args)
+                    topology.with_uplink(*e.args)
                 except (KeyError, ValueError) as exc:
                     problems.append(f"{where}: {exc.args[0]}")
             elif e.action == "requests":
@@ -306,8 +288,7 @@ class _Run:
         self.rng_workload = random.Random(f"{seed}:{rep}:workload")
         self.rng_sched = random.Random(f"{seed}:{rep}:sched:{arm.name}")
         self.rng_requests = random.Random(f"{seed}:{rep}:requests")
-        self.topology = config.topology.build()
-        self.state = ClusterState(config.nodes, self.topology)
+        self.state = ClusterState(config.nodes, config.topology)
         self.state.metric_store.specs = {s.name: s.metric for s in config.services
                                         if s.metric is not None}
         self.services = {s.name: s for s in config.services}
@@ -366,7 +347,7 @@ class _Run:
     def dispatch(self, now: float, kind: EventKind, payload) -> None:
         if kind == EventKind.LINK:
             zone, latency_ms = payload
-            self.topology.set_uplink(zone, latency_ms)
+            self.state.set_uplink(zone, latency_ms)
             self.rtts.clear()  # RTTs depend on the topology alone
         elif kind == EventKind.SUBMIT:
             self.handle_deploy(now, payload)
@@ -435,7 +416,7 @@ class _Run:
                     if pod.status is running:
                         key = (stream[0], pod.assignment)
                         if key not in rtts:
-                            rtts[key] = repr(request_rtt(self.topology, *key,
+                            rtts[key] = repr(request_rtt(self.state.topology, *key,
                                                          self.config.lb.processing_delay_ms))
                         tail = (*stream, replica, pod.assignment, rtts[key])
                     tails[replica] = tail

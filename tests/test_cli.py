@@ -267,6 +267,12 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, field, bad):
 BAD_VALUES = [
     ("replicas = 2", "replicas = two", "[service web]", "replicas"),
     ("uplink.B = 1.5", "uplink.B = far", "[topology]", "uplink.B"),
+    # the reader builds the topology, which checks its zones, uplinks and latencies
+    ("uplink.B = 1.5", "uplink.B = 1.5\nzone.C = c1", "[topology]",
+     "zone C has no uplink latency"),
+    ("uplink.B = 1.5", "uplink.B = 1.5\nuplink.C = 3", "[topology]", "uplink C has no zone"),
+    ("zone.B = b1", "zone.B = b1 a1", "[topology]", "node a1 appears in more than one zone"),
+    ("uplink.B = 1.5", "uplink.B = -1", "[topology]", "latency must be non-negative"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = x",
      "[nodes]", "override.a1.cores"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1 = 3", "[nodes]", "override.a1"),
@@ -357,7 +363,7 @@ def test_config_named_like_an_arm_exits_2_with_one_line(tmp_path, capsys):
 
 # each names one zone, node, service, arm or config `x<char>y`
 CSV_NAMES = {
-    "zone": ("uplink.B = 1.5", "uplink.B = 1.5\nzone.x{}y = b2"),
+    "zone": ("uplink.B = 1.5", "uplink.B = 1.5\nzone.x{0}y = b2\nuplink.x{0}y = 1.0"),
     "node": ("zone.A = a1 a2", "zone.A = a1 a2 x{}y"),
     "service": ("[arm custom]", "[service x{}y]\n[arm custom]"),
     "arm": ("[arm custom]", "[arm x{}y]\n[arm custom]"),

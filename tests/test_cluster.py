@@ -21,8 +21,7 @@ from fogsim.records import Record, fields_of
 from fogsim.runtime import HostCall, PendingAssignment
 from fogsim.scheduling import (Assigned, Preempted, SchedulerConfig, Unschedulable,
                                schedule_one)
-from fogsim.simulator import (ArmSpec, LbSettings, ResultSet, ScenarioConfig, TopologySpec,
-                              WorkloadEvent)
+from fogsim.simulator import ArmSpec, LbSettings, ResultSet, ScenarioConfig, WorkloadEvent
 from fogsim.telemetry import MetricSample, MetricSpec
 
 from conftest import make_nodes, make_state, record
@@ -57,7 +56,7 @@ class TestSnapshot:
         state.evict("a", 3.0)
         state.metric_store.ingest("svc", "a", 2.0, 4.0)
         state.metric_store.ingest("svc", "b", 3.0, 4.0)
-        state.topology.set_uplink("P1", 9.0)
+        state.set_uplink("P1", 9.0)
         assert record(snap) == before
         assert snap.pods["a"].status is PodStatus.RUNNING
         assert snap.load["P1-A"] == (100, 1, 0.0)
@@ -338,6 +337,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Topology({"a": ["n1"]}, {"a": -1.0})
 
+    def test_a_new_uplink_is_a_new_topology(self, topology):
+        """`RECORDS` pins that a topology refuses assignment."""
+        moved = topology.with_uplink("P2", 3.0)
+        assert topology.uplinks_ms["P2"] == 0.8 and moved.uplinks_ms["P2"] == 3.0
+        assert moved.zones == topology.zones and moved.zone_of == topology.zone_of
+        with pytest.raises(ValueError, match="non-negative"):
+            topology.with_uplink("P2", -1.0)
+
+    def test_a_link_change_replaces_the_state_topology_and_keeps_the_epoch(self, state):
+        before, view, epoch = state.topology, state.view(), state.epoch
+        state.set_uplink("P1", 2.0)
+        assert state.topology is not before and state.topology.uplinks_ms["P1"] == 2.0
+        assert view.topology is before and before.uplinks_ms["P1"] == 0.5
+        assert state.epoch == epoch and state.view().topology is state.topology
+
     def test_state_rejects_node_missing_from_topology(self, topology):
         with pytest.raises(ValueError, match="missing from topology"):
             ClusterState([Node(id="ghost")], topology)
@@ -402,6 +416,7 @@ RECORDS = {
     "cluster.PodInstance": ((False, True, True), lambda: PodInstance("n", "svc")),
     "cluster.RtProcessSpec": ((True, False, True),
                               lambda: RtProcessSpec(FifoPolicy(50, 0.2), pid=1)),
+    "cluster.Topology": ((True, False, True), lambda: Topology(**SCENARIO_TOPOLOGY)),
     "fogservice.FogServiceSpec": ((True, False, True), lambda: FogServiceSpec("n")),
     "fogservice.LocationScope": ((True, False, True), lambda: LocationScope("n")),
     "loadbalancer.RuleChain": ((True, True, True), lambda: RuleChain(("n",), (1.0,), (1.0,))),
@@ -418,9 +433,8 @@ RECORDS = {
     "simulator.LbSettings": ((True, False, True), lambda: LbSettings()),
     "simulator.ResultSet": ((False, False, False), lambda: ResultSet("n", 1, "ci")),
     "simulator.ScenarioConfig": ((True, False, True), lambda: ScenarioConfig(
-        "n", TopologySpec(**SCENARIO_TOPOLOGY), make_nodes(SCENARIO_TOPOLOGY["zones"]), (),
+        "n", Topology(**SCENARIO_TOPOLOGY), make_nodes(SCENARIO_TOPOLOGY["zones"]), (),
         (ArmSpec("n"),), ())),
-    "simulator.TopologySpec": ((True, False, True), lambda: TopologySpec(**SCENARIO_TOPOLOGY)),
     "simulator.WorkloadEvent": ((True, False, True), lambda: WorkloadEvent(0.0, "deploy")),
     "telemetry.MetricSample": ((True, True, True), lambda: MetricSample(1.0, 0.0)),
     "telemetry.MetricSpec": ((True, False, True), lambda: MetricSpec("n")),

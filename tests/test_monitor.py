@@ -215,7 +215,7 @@ def test_verdicts_are_reused_while_the_epoch_and_the_stamps_stand(monkeypatch, c
     assert judge(200.0) == 16
     assert judge(230.0) == 16  # a later clock, but every sample is as fresh
     assert judge(250.0) == 16 + stamped  # the sample went stale
-    state.topology.set_uplink("P1", 0.7)  # a link change moves no placement
+    state.set_uplink("P1", 0.7)  # a link change moves no placement
     assert judge(260.0) == 16 + 2 * stamped
     state.metric_store.ingest("web", "w0", 1.0, 270.0)  # a sample no score reads
     assert judge(280.0) == 16 + 2 * stamped

@@ -86,7 +86,7 @@ class NaiveRun(simulator._Run):
             replica = simulator.select_replica(chain, self.rng_requests)
             pod = self.state.pods[replica]
             if pod.status is PodStatus.RUNNING:
-                rtt = request_rtt(self.topology, client, pod.assignment,
+                rtt = request_rtt(self.state.topology, client, pod.assignment,
                                   self.config.lb.processing_delay_ms)
                 self.requests.append((self.arm.name, str(self.repetition), repr(now), client,
                                       service, replica, pod.assignment, repr(rtt)))

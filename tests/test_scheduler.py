@@ -371,8 +371,8 @@ def test_shared_config_decides_as_a_fresh_one_over_random_sequences(monkeypatch,
                 state.evict(rng.choice(running), 2.0)
             elif roll < 0.5:  # between two decisions of the same pods
                 decide(state.view(now=now), candidates)
-                state.topology.set_uplink(rng.choice(sorted(state.topology.zones)),
-                                          rng.choice([0.1, 0.5, 3.0]))
+                state.set_uplink(rng.choice(sorted(state.topology.zones)),
+                                 rng.choice([0.1, 0.5, 3.0]))
             elif roll < 0.6:
                 for p in rng.sample(list(state.pods.values()), min(3, len(state.pods))):
                     state.metric_store.ingest(p.service, p.id, rng.choice([1.0, 4.0, 9.0]), now)
@@ -439,7 +439,7 @@ def test_a_link_set_back_to_its_latency_reuses_its_decisions(monkeypatch):
     config = SchedulerConfig(plugins=(("dependencies", 1.0),))
     evaluated = []
     for latency in (0.8, 3.0, 0.8):
-        state.topology.set_uplink("P2", latency)
+        state.set_uplink("P2", latency)
         before = calls["dependencies.score"]
         schedule_one(state.view(now=5.0), app, config)
         evaluated.append(calls["dependencies.score"] - before)
@@ -482,11 +482,35 @@ def test_a_dependency_score_is_computed_once_per_node_and_input(monkeypatch):
     assert decide() == []
     state.metric_store.ingest("db", "b", 3.0, 4.0)
     assert decide() == nodes
-    state.topology.set_uplink("P2", 3.0)
+    state.set_uplink("P2", 3.0)
     assert decide() == nodes
     state.evict("b", 4.0)
     state.apply_placement("b", "P3-A", 4.0)
     assert decide() == nodes
+
+
+@pytest.mark.parametrize("plugins", [
+    (("dependencies", 1.0),), (("dependencies", 1.0), ("baseline", 1.0)),
+    (("location-affinity", 1.0), ("baseline", 1.0), ("dependencies", 1.0))],
+    ids=["dependencies", "dependencies-baseline", "affinity-baseline-dependencies"])
+def test_a_decision_that_makes_a_key_reads_each_stamp_once(monkeypatch, plugins):
+    """A load-free scorer's stamp is read out of the new key's stamps, not
+    stamped again, whether its plugin stamps alone or with others."""
+    calls = Counter()
+    for cls in (BaselinePlugin, DependenciesPlugin):
+        def counted(self, *args, _original=cls.stamp, _name=cls.name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(cls, "stamp", counted)
+    state = make_state()
+    state.add_pod(pod("b", service="db"))
+    state.apply_placement("b", "P1-A", 0.0)
+    config = SchedulerConfig(plugins=plugins)
+    for i, scope in enumerate((None, "P2-A")):  # two pod shapes: two new keys
+        app = pod("app", dependencies=(DependencyRef("db"),), location_scope=scope)
+        assert isinstance(schedule_one(state.view(now=1.0), app, config), Assigned)
+        assert len(config.cache) == i + 1
+        assert calls == {name: i + 1 for name, _ in plugins if name != "location-affinity"}
 
 
 def test_a_node_set_back_to_an_earlier_load_reuses_its_decisions(monkeypatch):

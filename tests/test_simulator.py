@@ -12,19 +12,19 @@ from fogsim.monitor import MonitorConfig
 from fogsim.realtime import FEASIBILITY_EPS, node_rt_utilization, rt_capacity
 from fogsim.scenario_io import parse_scenario
 from fogsim.scenarios import BUNDLED, load_bundled
-from fogsim.simulator import (ArmSpec, EventKind, LbSettings, ScenarioConfig, TopologySpec,
-                              WorkloadEvent, request_rtt, run_scenario)
+from fogsim.simulator import (ArmSpec, EventKind, LbSettings, ScenarioConfig, WorkloadEvent,
+                              request_rtt, run_scenario)
 from fogsim.fogservice import FogServiceSpec, LocationScope
 from fogsim.cluster import (ClusterState, DeadlinePolicy, DependencyRef, FifoPolicy, Node,
-                            RtProcessSpec)
+                            RtProcessSpec, Topology)
 
-from conftest import UPLINKS, ZONES, load_test_scenario, make_nodes, make_topology, replace
+from conftest import load_test_scenario, make_nodes, make_topology, replace
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
     base = dict(
         name="small",
-        topology=TopologySpec(zones=ZONES, uplinks_ms=UPLINKS), nodes=make_nodes(),
+        topology=make_topology(), nodes=make_nodes(),
         services=(FogServiceSpec(name="web", replicas=6, cpu_request=100,
                                  cpu_limit=100),),
         arms=(ArmSpec(name="custom", plugins=(("baseline", 1.0),)),),
@@ -272,23 +272,19 @@ def test_dependency_score_reads_the_balancer_staleness(refresh_period_s, node):
 class TestLinkInjection:
     def test_uplink_change_reflected_in_paths(self):
         from fogsim.telemetry import path_latency
-        topology = make_topology()
-        topology.set_uplink("P2", 0.8)
+        topology = make_topology().with_uplink("P2", 0.8)
         assert path_latency(topology, "P1-A", "P2-A") == pytest.approx(1.3)
-        topology.set_uplink("P2", 2.0)
+        topology = topology.with_uplink("P2", 2.0)
         assert path_latency(topology, "P1-A", "P2-A") == pytest.approx(2.5)
 
     def test_zero_latency_collapses_to_hop_bases(self):
         from fogsim.telemetry import path_latency
-        topology = make_topology()
-        topology.set_uplink("P1", 0.0)
-        topology.set_uplink("P2", 0.0)
+        topology = make_topology().with_uplink("P1", 0.0).with_uplink("P2", 0.0)
         assert path_latency(topology, "P1-A", "P2-A") == 0.0
 
     def test_unknown_link_rejected(self):
-        topology = make_topology()
         with pytest.raises(KeyError):
-            topology.set_uplink("P9", 1.0)
+            make_topology().with_uplink("P9", 1.0)
 
     def test_mid_run_change_triggers_monitor_migration(self):
         # An app depends on a service with replicas pinned on two capacity-
@@ -303,8 +299,8 @@ class TestLinkInjection:
                                                        metric_weight=0.0),)),
         )
         zones = {"P1": ("P1-A",), "P2": ("P2-A",), "P3": ("P3-A",), "P4": ("P4-A",)}
-        topology = TopologySpec(zones=zones, uplinks_ms={"P1": 0.1, "P2": 0.5,
-                                                         "P3": 0.2, "P4": 1.0})
+        topology = Topology(zones=zones, uplinks_ms={"P1": 0.1, "P2": 0.5,
+                                                     "P3": 0.2, "P4": 1.0})
         nodes = make_nodes(zones, {"P1-A": {"cpu_capacity": 100}, "P2-A": {"cpu_capacity": 100}})
         workload = (
             WorkloadEvent(0.0, "deploy", (("db",), None)),
@@ -369,6 +365,12 @@ RESULT_SHA256 = {
         "placements.csv": "2a88f184397aefa117ef0a268c32ebffa2dc1b0a911880c16001935357a7b81f",
         "evictions.csv": "49aa53429099dc195866ab902682a58d12e3a617cf97e684b113b716d5202327",
         "summary.txt": "5fa31b8ff44b0ead3fb63ce35454f0dfa387a1c02096fcbd397befdb8f9b7ab0"},
+    "location-scope": {  # the one scenario with location-scoped services (locations =)
+        "placements.csv": "142214d834e9f2945c7cd694ccb2780c65580c401807109cc664f67a6b4904c7",
+        "timeseries.csv": "43b0e7e6789a758a1574119b5e2899eb84f38c919159203cde5ee3fcd2b71742",
+        "requests.csv": "95433d552e2b5cd45427d6abdeac7b53be544552b841f780ee735d2e03da4105",
+        "evictions.csv": "1bd9c1ef5d82b703096d9f80eea3680da39de952afcdb07bc1f82ababf98854b",
+        "summary.txt": "5755d29c8cc4b94a9a23f44750afd30148cf0853246746415c13771e9c46ce56"},
     "refresh-drift": {
         **NO_ROWS,
         "placements.csv": "6fa86f626b6a3c2c3ce98075fdeb583186e8dfdc3126e33219d2e5a9baef86f9",
