@@ -5,8 +5,8 @@ its queue holds exactly the pending pods.  All mutation goes through
 :class:`ClusterState`, which keeps CPU allocation bookkeeping consistent
 with pod status transitions and indexes the running pods per node and per
 service, both in walk order: RT pods first, then by id, the order the
-monitor re-places them in.  A node's RT utilization is the sum over its
-list in that order.  A node's `load` is one tuple of its allocated CPU in
+monitor re-places them in.  A node's RT utilization is the exactly rounded
+sum over its list.  A node's `load` is one tuple of its allocated CPU in
 millicores, its pod count and that sum: all that a cached filter or score
 reads of the node's placements.  :meth:`~ClusterState.apply_placement` and
 :meth:`~ClusterState.evict` are the only writers of these placement facts:
@@ -138,10 +138,10 @@ class Node(Frozen):
 MAX_LATENCY_MS = 1e300
 
 
-def _latency(ms: float) -> float:
+def _latency(key: str, ms: float) -> float:
     if not 0 <= ms <= MAX_LATENCY_MS:
-        raise ValueError(f"latency must be non-negative and at most {MAX_LATENCY_MS:g} ms, "
-                         f"got {ms!r}")
+        raise ValueError(f"{key}: latency must be non-negative and at most "
+                         f"{MAX_LATENCY_MS:g} ms, got {ms!r}")
     return ms
 
 
@@ -155,8 +155,9 @@ class Topology(Frozen):
                  intra_node_ms: float = DEFAULT_INTRA_NODE_MS,
                  intra_zone_ms: float = DEFAULT_INTRA_ZONE_MS):
         set_fields(self, zones={z: tuple(nodes) for z, nodes in zones.items()},
-                   uplinks_ms={zone: _latency(ms) for zone, ms in uplinks_ms.items()},
-                   intra_node_ms=_latency(intra_node_ms), intra_zone_ms=_latency(intra_zone_ms))
+                   uplinks_ms={z: _latency(f"uplink.{z}", ms) for z, ms in uplinks_ms.items()},
+                   intra_node_ms=_latency("intra_node_ms", intra_node_ms),
+                   intra_zone_ms=_latency("intra_zone_ms", intra_zone_ms))
         zone_of: dict[str, str] = {}
         for zone, nodes in self.zones.items():
             if zone not in self.uplinks_ms:
@@ -225,8 +226,8 @@ def _walk_order(pod: PodInstance) -> tuple[bool, str]:
 
 def _load(allocated: int, running: list[PodInstance]) -> tuple[int, int, float]:
     """A node's load: allocated CPU, pod count, and RT utilization summed
-    over its running list in walk order."""
-    return allocated, len(running), sum(pod.rt_utilization for pod in running)
+    exactly rounded over its running list, which makes it order-free."""
+    return allocated, len(running), math.fsum(pod.rt_utilization for pod in running)
 
 
 class _RunningIndex:

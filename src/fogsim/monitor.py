@@ -9,12 +9,18 @@ evicted when the simulated result names a different node.  Checking the
 gates first changes no eviction, because a dry run mutates nothing.
 
 A dry run reads what :attr:`ClusterState.epoch` counts (the running lists
-and the node loads) and what the config's plugins stamp (for the
-dependency score: link latencies, its dependencies' replicas and the metric
-store's readings of their samples, value and freshness, which a dependency
-with no metric has none of).  So each pod's last verdict is kept with the
-epoch and the stamps, taken on a view of the whole cluster, and reused while
-both stand; balancer refreshes and what no stamp covers leave it standing.
+and the node loads) and what the config's plugins stamp (for the dependency
+score: link latencies, its dependencies' replicas and the metric store's
+readings of their samples, value and freshness, which a dependency with no
+metric has none of).  So a verdict is kept with the epoch and the stamps,
+taken on a view of the whole cluster, and reused while both stand; balancer
+refreshes and what no stamp covers leave it standing.  Pods of one shape on
+one node share one: the node has one load without either (its RT sum is
+order-free), and a victim has a strictly lower priority than the pod.  A pod
+whose service depends on itself keeps its own.  After a pass that evicts
+nothing, passes are skipped while its epoch and each shape's stamps stand
+and the clock is strictly before its first gate opens: gates open only
+with the clock and close only on a placement.
 
 Evaluation is sequential with immediate eviction, and evicted pods stay
 pending until the scheduling cycle after the pass, so its later dry runs
@@ -32,7 +38,7 @@ from typing import Optional
 
 from .cluster import ClusterSnapshot, ClusterState, EvictionEvent, PodInstance, PodStatus
 from .records import Value, fields_of, set_fields
-from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one
+from .scheduling import Assigned, Preempted, SchedulerConfig, schedule_one, shape
 
 
 class MonitorConfig(Value):
@@ -52,9 +58,9 @@ def simulate_scheduling(state: ClusterState, pod_id: str,
 
     Runs the live scheduler configuration against a self-excluding view,
     which shares the state's pods and caches, so it is dropped here before
-    the caller mutates anything.  Nothing is mutated and preemption plans
-    are only inspected, never applied.  Returns the chosen node id, or None
-    when the dry run deems the pod unschedulable.
+    the caller mutates anything.  Nothing is mutated and preemption plans,
+    whose victims have strictly lower priorities, are only inspected.
+    Returns the chosen node id, or None when it deems the pod unschedulable.
     """
     pod = state.pods[pod_id]
     if pod.status is not PodStatus.RUNNING:
@@ -67,14 +73,16 @@ def simulate_scheduling(state: ClusterState, pod_id: str,
 
 class ClusterMonitor:
     """Periodic rescheduling monitor with grace and backoff gates.  It
-    serves one :class:`ClusterState`: its backoff and verdict memory are
-    keyed by pod id."""
+    serves one :class:`ClusterState`: its backoff is keyed by pod id, its
+    verdicts by pod shape and node (by pod id if the service depends on itself)."""
 
     def __init__(self, config: MonitorConfig, scheduler_config: SchedulerConfig):
         self.config = config
         self.scheduler_config = scheduler_config
         self.backoff: dict[str, float] = {}
-        self._verdicts: dict[str, tuple] = {}  # pod -> (epoch, stamps, node)
+        self._verdicts: dict = {}  # (shape, node), or a pod id -> (epoch, stamps, node)
+        self._stamped: dict = {}  # shape -> (pod, stamps), of the current pass
+        self._quiet = None  # a pass that evicted nothing: (epoch, opens, its `_stamped`)
 
     def _gated(self, pod: PodInstance, now: float) -> bool:
         if now - pod.start_time <= self.config.grace_s:
@@ -84,20 +92,30 @@ class ClusterMonitor:
 
     def _verdict(self, state: ClusterState, view: ClusterSnapshot, pod: PodInstance,
                  now: float) -> Optional[str]:
-        stamps = self.scheduler_config.stamp(pod, view)
-        cached = self._verdicts.get(pod.id)
+        pod_shape, stamps = shape(pod), self.scheduler_config.stamp(pod, view)
+        self._stamped[pod_shape] = pod, stamps
+        key = (pod.id if pod.service in {d.target_service for d in pod.dependencies}
+               else (pod_shape, pod.assignment))
+        cached = self._verdicts.get(key)
         if cached is not None and cached[0] == state.epoch and cached[1] == stamps:
             return cached[2]
         result = simulate_scheduling(state, pod.id, self.scheduler_config, now)
-        self._verdicts[pod.id] = (state.epoch, stamps, result)
+        self._verdicts[key] = (state.epoch, stamps, result)
         return result
 
     def pass_once(self, state: ClusterState, now: float) -> list[EvictionEvent]:
         """One monitor pass; returns the evictions it performed."""
-        evictions, view = [], None  # a view of the whole cluster, built when first read
+        evictions, view = [], state.view(now=now)  # of the whole cluster; an eviction drops it
+        epoch, opens, stamped = self._quiet or (None, 0.0, {})
+        if epoch == state.epoch and now < opens and all(
+                self.scheduler_config.stamp(pod, view) == was for pod, was in stamped.values()):
+            return evictions
+        opens, self._stamped = math.inf, {}
         for node_id in state.nodes:
             for pod in list(state.running_on(node_id)):  # a copy: the pass evicts
                 if self._gated(pod, now):
+                    ends = self.backoff.get(pod.id, -math.inf) + self.config.backoff_s
+                    opens = min(opens, max(pod.start_time + self.config.grace_s, ends))
                     continue
                 view = view or state.view(now=now)
                 result = self._verdict(state, view, pod, now)
@@ -107,4 +125,5 @@ class ClusterMonitor:
                 view = None
                 self.backoff[pod.id] = now
                 evictions.append(state.eviction_log[-1])
+        self._quiet = None if evictions else (state.epoch, opens, self._stamped)
         return evictions

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import attrgetter
 from typing import Optional, Union
 
 from .cluster import ClusterSnapshot, ClusterState, PodInstance
@@ -115,6 +116,11 @@ def cached(score, scores: dict):
                                     scores.setdefault(node, score(pod, node, view)))
 
 
+# a pod's shape: all that a filter or score reads of the pod itself
+shape = attrgetter("service", "cpu_request", "rt_utilization", "location_scope",
+                   "priority_class", "dependencies")
+
+
 class SchedulerConfig:
     """Ordered plugin list with weights, plus the tie-break rule.
 
@@ -163,8 +169,7 @@ class SchedulerConfig:
 
     def entries(self, pod: PodInstance, snapshot: ClusterSnapshot) -> dict:
         """The cache entries of the pod's shape and stamps in this view."""
-        key = (pod.service, pod.cpu_request, pod.rt_utilization, pod.location_scope,
-               pod.priority_class, pod.dependencies, self.stamp(pod, snapshot))
+        key = (shape(pod), self.stamp(pod, snapshot))
         entries = self.cache.get(key)
         if entries is None:
             entries = self.cache[key] = Entries()

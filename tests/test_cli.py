@@ -272,7 +272,9 @@ BAD_VALUES = [
      "zone C has no uplink latency"),
     ("uplink.B = 1.5", "uplink.B = 1.5\nuplink.C = 3", "[topology]", "uplink C has no zone"),
     ("zone.B = b1", "zone.B = b1 a1", "[topology]", "node a1 appears in more than one zone"),
-    ("uplink.B = 1.5", "uplink.B = -1", "[topology]", "latency must be non-negative"),
+    ("uplink.B = 1.5", "uplink.B = -1", "[topology]", "uplink.B: latency must be non-negative"),
+    ("uplink.B = 1.5", "uplink.B = 1.5\nintra_node_ms = -1", "[topology]",
+     "intra_node_ms: latency must be non-negative"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1.cores = x",
      "[nodes]", "override.a1.cores"),
     ("duration_s = 5", "duration_s = 5\n[nodes]\noverride.a1 = 3", "[nodes]", "override.a1"),

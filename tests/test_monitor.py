@@ -8,7 +8,7 @@ from fogsim.cluster import (ClusterState, DeadlinePolicy, DependencyRef, Node, P
                             PodStatus, RtProcessSpec, Topology)
 from fogsim.monitor import ClusterMonitor, MonitorConfig, simulate_scheduling
 from fogsim.scenarios import BUNDLED, load_bundled
-from fogsim.scheduling import Assigned, SchedulerConfig, run_queue, schedule_one
+from fogsim.scheduling import Assigned, Preempted, SchedulerConfig, run_queue, schedule_one
 from fogsim.telemetry import MetricSpec
 
 from conftest import load_test_scenario, make_state, record
@@ -167,8 +167,9 @@ def count_dry_runs(monkeypatch) -> Counter:
 def test_a_pass_walks_rt_pods_first_then_by_id(monkeypatch):
     rt = (RtProcessSpec(DeadlinePolicy(100_000, 1_000_000), name_substring="rt"),)
     state = two_node_state()
-    for pod_id in ["e", "a", "d", "f", "b", "c"]:
+    for pod_id in ["e", "a", "d", "f", "b", "c"]:  # each of its own shape: none shares a verdict
         state.add_pod(PodInstance(id=pod_id, service="rt" if pod_id in "bde" else "svc",
+                                  cpu_request=10 + "abcdef".index(pod_id),
                                   rt_processes=rt if pod_id in "bde" else ()))
         state.apply_placement(pod_id, "n1", 0.0)
     walked = []
@@ -182,6 +183,104 @@ def test_a_pass_walks_rt_pods_first_then_by_id(monkeypatch):
     evictions = ClusterMonitor(MonitorConfig(), BASELINE).pass_once(state, 500.0)
     assert [e.pod for e in evictions] == ["b"]
     assert walked == ["b", "d", "e", "a", "c", "f"]
+
+
+def counted(monkeypatch, monitor) -> Counter:
+    """Count `monitor`'s dry runs, gate checks and stamps of its config."""
+    calls = count_dry_runs(monkeypatch)
+    for owner, name, label in ((monitor, "_gated", "gates"),
+                               (monitor.scheduler_config, "stamp", "stamps")):
+        def hook(*args, fn=getattr(owner, name), label=label):
+            calls[label] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, hook)
+    return calls
+
+
+DEPS = SchedulerConfig(plugins=(("baseline", 1.0), ("dependencies", 1.0)))
+
+
+def quiet_state(young_at=100.0, sample_at=150.0):
+    """12 `svc` pods and 4 `web` pods reading a `svc` sample, placed at t=0,
+    and a `young` `svc` pod placed at `young_at`: a fixed point under DEPS
+    while the sample, taken anew at `sample_at`, stays fresh."""
+    state = make_state()
+    state.metric_store.specs = {"svc": MetricSpec("load")}
+    state.add_pods([pod(f"p{i}") for i in range(12)])
+    run_queue(state, DEPS, 0.0)
+    state.metric_store.ingest("svc", "p0", 1.0, 0.0)
+    state.add_pods([PodInstance(id=f"w{i}", service="web", dependencies=(DependencyRef("svc"),))
+                    for i in range(4)])
+    run_queue(state, DEPS, 0.0)
+    state.add_pod(pod("young"))
+    run_queue(state, DEPS, young_at)  # gated up to young_at + 120
+    state.metric_store.ingest("svc", "p0", 1.0, sample_at)  # fresh up to sample_at + 90
+    return state
+
+
+def test_a_pass_after_a_quiet_one_checks_only_the_stamp_of_each_shape(monkeypatch):
+    state = quiet_state()
+    monitor = ClusterMonitor(MonitorConfig(), DEPS)
+    assert monitor.pass_once(state, 200.0) == []
+    calls = counted(monkeypatch, monitor)
+    for now in (210.0, 219.0, 219.99):
+        assert monitor.pass_once(state, now) == []
+    assert calls == Counter(stamps=3 * 2)  # `svc` and `web`; no gate checked, no dry run
+
+
+@pytest.mark.parametrize("event", ["placement", "gate", "sample"])
+def test_a_placement_an_opening_gate_or_a_stale_sample_makes_a_pass_walk(monkeypatch, event):
+    # the young pod's gate opens at 220, and the sample goes stale after 240,
+    # unless the event moves either to 215
+    state = quiet_state(young_at=95.0 if event == "gate" else 100.0,
+                        sample_at=120.0 if event == "sample" else 150.0)
+    monitor = ClusterMonitor(MonitorConfig(), DEPS)
+    assert monitor.pass_once(state, 200.0) == []
+    calls = counted(monkeypatch, monitor)
+    assert monitor.pass_once(state, 210.0) == [] and calls["gates"] == 0
+    if event == "placement":
+        state.add_pod(pod("late"))
+        run_queue(state, DEPS, 212.0)
+    monitor.pass_once(state, 215.0)
+    assert calls["gates"] == sum(len(state.running_on(n)) for n in state.nodes)
+
+
+def test_replicas_of_a_self_dependent_service_keep_their_own_verdicts():
+    # a `mesh` replica's dry run reads the other replicas' samples: without `a`,
+    # low-valued `b` (n1) beats `c` (n3), and without `b`, `c` beats high-valued `a`
+    state = ClusterState([Node(id="n1"), Node(id="n3")],
+                         Topology({"z1": ["n1"], "z3": ["n3"]}, {"z1": 0.5, "z3": 0.5}))
+    state.metric_store.specs = {"mesh": MetricSpec("load")}
+    for pod_id, node, value in (("a", "n1", 9.0), ("b", "n1", 1.0), ("c", "n3", 4.0)):
+        state.add_pod(PodInstance(id=pod_id, service="mesh",
+                                  dependencies=(DependencyRef("mesh"),)))
+        state.apply_placement(pod_id, node, 0.0)
+        state.metric_store.ingest("mesh", pod_id, value, 100.0)
+    config = SchedulerConfig(plugins=(("dependencies", 1.0),))
+    assert [simulate_scheduling(state, p, config, 130.0) for p in "abc"] == ["n1", "n3", "n1"]
+    evictions = ClusterMonitor(MonitorConfig(), config).pass_once(state, 130.0)
+    # `b` is judged by its own dry run, not by `a`'s, though both are of one shape on n1
+    assert [(e.pod, e.target_node) for e in evictions] == [("b", "n3"), ("c", "n1")]
+
+
+def test_a_preempting_dry_run_never_evicts_a_pod_of_its_own_shape(monkeypatch):
+    # n1 is over its RT quota: neither `p` nor `q` fits back without evicting
+    # the lower-priority `r`, and a victim has a strictly lower priority
+    state = ClusterState([Node(id="n1", cores=1)], Topology({"z": ["n1"]}, {"z": 0.5}))
+    for pod_id, priority, runtime_us in (("p", 5, 300_000), ("q", 5, 300_000),
+                                         ("r", 0, 500_000)):
+        policy = DeadlinePolicy(runtime_us, 1_000_000)
+        state.add_pod(PodInstance(id=pod_id, service="rt", priority_class=priority, rt_processes=(
+            RtProcessSpec(policy, name_substring="rt"),)))
+        state.apply_placement(pod_id, "n1", 0.0)
+    config = SchedulerConfig(plugins=(("realtime", 1.0),))
+    for pod_id in "pq":
+        outcome = schedule_one(state.view(exclude=pod_id), state.pods[pod_id], config)
+        assert outcome == Preempted("n1", ("r",))
+    calls = count_dry_runs(monkeypatch)
+    assert ClusterMonitor(MonitorConfig(), config).pass_once(state, 500.0) == []
+    assert calls["dry runs"] == 2  # `p` and `q` share one; `r` is unschedulable
 
 
 def test_gated_pods_are_not_dry_run(monkeypatch):
@@ -203,7 +302,14 @@ def test_verdicts_are_reused_while_the_epoch_and_the_stamps_stand(monkeypatch, c
     state.metric_store.ingest("svc", "p0", 1.0, 150.0)  # fresh up to t=240
     calls = count_dry_runs(monkeypatch)
     monitor = ClusterMonitor(MonitorConfig(), config)
-    stamped = 4 if "dependencies" in dict(config.plugins) else 0  # the `web` pods
+
+    def keys(*services):  # one verdict per shape and node: here a shape is a service
+        return len({(p.service, p.assignment) for p in state.pods.values()
+                    if p.status is PodStatus.RUNNING and p.service in services})
+
+    first = keys("svc", "web")
+    assert first < 16  # two pods of one service share a node
+    stamped = keys("web") if "dependencies" in dict(config.plugins) else 0
 
     def judge(now):  # a pass's verdicts, with no eviction
         view = state.view(now=now)
@@ -212,15 +318,15 @@ def test_verdicts_are_reused_while_the_epoch_and_the_stamps_stand(monkeypatch, c
                 monitor._verdict(state, view, p, now)
         return calls["dry runs"]
 
-    assert judge(200.0) == 16
-    assert judge(230.0) == 16  # a later clock, but every sample is as fresh
-    assert judge(250.0) == 16 + stamped  # the sample went stale
+    assert judge(200.0) == first
+    assert judge(230.0) == first  # a later clock, but every sample is as fresh
+    assert judge(250.0) == first + stamped  # the sample went stale
     state.set_uplink("P1", 0.7)  # a link change moves no placement
-    assert judge(260.0) == 16 + 2 * stamped
+    assert judge(260.0) == first + 2 * stamped
     state.metric_store.ingest("web", "w0", 1.0, 270.0)  # a sample no score reads
-    assert judge(280.0) == 16 + 2 * stamped
+    assert judge(280.0) == first + 2 * stamped
     state.evict("p1", 280.0)
-    assert judge(290.0) == 16 + 2 * stamped + 15
+    assert judge(290.0) == first + 2 * stamped + keys("svc", "web")
 
 
 # Scenarios whose dry-run verdicts move with the clock, a link change and

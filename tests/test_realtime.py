@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -79,7 +80,7 @@ class TestNodeUtilization:
             # the memo read after each mutation, whole and without one pod
             for exclude in [None, *(p.id for p in state.running_on("P2-B")[:1])]:
                 view = state.view(exclude=exclude)
-                expected = sum(p.rt_utilization for p in view.running_on("P2-B"))
+                expected = math.fsum(p.rt_utilization for p in view.running_on("P2-B"))
                 assert node_rt_utilization("P2-B", view) == expected
 
 
