@@ -5,16 +5,20 @@ samples, link changes, scheduler cycles, monitor passes, balancer
 refreshes, requests, allocation samples) in timestamp order with a
 documented tie-break: equal timestamps resolve by event kind, then by
 script order.  One lazy walk merges the sorted workload script with a
-ticker per periodic kind; the SCHEDs that deploys and evicting monitor
-passes queue run, first in first out, before the next event that sorts
-after them.  Requests write no cluster state and their times depend on the
+ticker for monitor passes and one for balancer refreshes; the SCHEDs that
+deploys and evicting monitor passes queue run, first in first out, before
+the next event that sorts after them.  Requests and allocation samples
+write no cluster state, so neither is walked.  Request times depend on the
 scenario alone, so `request_timeline` lists them once per scenario; every
 arm and repetition reads that one timeline as a cursor, merged into the
 walk in that same `(time, kind)` order.  The requests due before an event
 form a window: only events, SCHEDs and refreshes change what a request
 reads, so each stream's chain and each chosen replica's row are resolved
-once per window.  Every source of randomness derives from the scenario
-seed, so a (config, seed) pair reproduces byte-identical results.
+once per window.  Samples rank after every kind at their time, so the
+ticks due strictly before an event are written once its due SCHEDs have
+run, from one pod count per window.  Every source of randomness derives
+from the scenario seed, so a (config, seed) pair reproduces byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class EventKind(IntEnum):
     MONITOR = 5
     LB_REFRESH = 6
     REQUEST = 7  # ranks requests, which come from the timeline, among the kinds
-    SAMPLE = 8
+    SAMPLE = 8  # ranks samples, written between events, after every kind
 
 
 class WorkloadEvent(Frozen):
@@ -310,9 +314,10 @@ class _Run:
         self.timeseries: list[tuple] = []  # timeseries.csv rows
         self.rtts: dict[tuple[str, str], str] = {}  # (client, node) -> repr(RTT)
         # per-node (node, rt, regular, total) pod count cells of the last
-        # sample, recounted only after `state.epoch` moved
+        # sampled window, recounted only after `state.epoch` moved
         self.counts: list[tuple[str, str, str, str]] = []
         self.counts_epoch: Optional[int] = None
+        self.sampled = 0  # sample ticks written so far
 
     def execute(self):
         cfg = self.config
@@ -324,17 +329,17 @@ class _Run:
                                   EventKind.MONITOR))
         if self.balancer is not None:
             tickers.append(_ticks(0.0, cfg.lb.refresh_period_s, EventKind.LB_REFRESH))
-        if cfg.sample_period_s > 0:
-            tickers.append(_ticks(0.0, cfg.sample_period_s, EventKind.SAMPLE))
         for time, kind, payload in heapq.merge(script, *tickers, key=itemgetter(0, 1)):
             if self.scheds and (self.scheds[0][0], EventKind.SCHED) < (time, kind):
                 self.run_scheds()
             if time > cfg.duration_s:
                 break
+            self.issue_samples(time)
             self.issue_requests(time, kind)
             self.dispatch(time, kind, payload)
         self.run_scheds()
-        self.issue_requests(cfg.duration_s, EventKind.SAMPLE)  # up to duration_s
+        self.issue_samples(math.nextafter(cfg.duration_s, math.inf))  # up to duration_s
+        self.issue_requests(cfg.duration_s, EventKind.SAMPLE)
         return self.collect()
 
     def run_scheds(self) -> None:
@@ -368,16 +373,6 @@ class _Run:
             # metric directives declare continuously exported values, which the aggregator
             # re-polls now: a sample keeps its ingest time, and never goes stale here
             self.balancer.refresh(self.state.view(now=now), now)
-        elif kind == EventKind.SAMPLE:
-            if self.counts_epoch != self.state.epoch:
-                self.counts_epoch = self.state.epoch
-                self.counts = []
-                for node_id in self.state.nodes:
-                    pods = self.state.running_on(node_id)
-                    rt = sum(1 for p in pods if p.rt_utilization > 0)
-                    self.counts.append((node_id, str(rt), str(len(pods) - rt), str(len(pods))))
-            head = (self.arm.name, self.rep, repr(now))
-            self.timeseries.extend((*head, *row) for row in self.counts)
 
     def handle_deploy(self, now: float, args: tuple) -> None:
         names, using = args
@@ -388,6 +383,26 @@ class _Run:
         self.state.add_pods(pods)
         self.state.reactivate_unschedulable()
         self.scheds.append((now, using))
+
+    def issue_samples(self, until: float) -> None:
+        """Write the rows of each sample tick `0.0 + k * sample_period_s` before
+        `until`, in tick order; samples write no state, so one count serves a window."""
+        period, k = self.config.sample_period_s, self.sampled
+        if not period or 0.0 + k * period >= until:  # most events come with no tick due
+            return
+        if self.counts_epoch != self.state.epoch:
+            self.counts_epoch = self.state.epoch
+            self.counts = []
+            for node_id in self.state.nodes:
+                pods = self.state.running_on(node_id)
+                rt = sum(1 for p in pods if p.rt_utilization > 0)
+                self.counts.append((node_id, str(rt), str(len(pods) - rt), str(len(pods))))
+        arm, rep, counts, extend = self.arm.name, self.rep, self.counts, self.timeseries.extend
+        while (now := 0.0 + k * period) < until:
+            head = (arm, rep, repr(now))  # one time text per tick, shared by its rows
+            extend([head + row for row in counts])
+            k += 1
+        self.sampled = k
 
     def issue_requests(self, until: float, kind: EventKind) -> None:
         """Issue the window of requests whose `(t, REQUEST)` sorts before an

@@ -9,6 +9,9 @@ where no byte pin sees it, and through any change of the bytes themselves.
     no deploy names, give the same row block for each (rep, arm).  Both are
     checked in one run: each held on its own, and one run keeps the file
     within its budget.
+(e) Sampling is read-only: with `sample_period_s = 0` the run gives the same
+    placements, requests and evictions and no timeseries rows.  This is why
+    a run may write its samples between events rather than walk them.
 
 Renaming an arm is not a relation: its seeded-random ties draw from a stream
 seeded with its name.
@@ -82,3 +85,12 @@ def test_arm_order_and_inert_additions_only_move_row_blocks(path):
     for got, want in zip(tables(varied), tables(full)):
         assert blocks(got) == blocks(want)
         assert list(blocks(got)) == sorted(blocks(want), key=lambda k: (int(k[0]), position[k[1]]))
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.stem)
+def test_sampling_is_read_only(path):
+    config, full = full_run(path)
+    unsampled = run_scenario(replace(config, sample_period_s=0.0), profile="ci")
+    assert not unsampled.timeseries
+    assert ((unsampled.placements, unsampled.requests, unsampled.evictions)
+            == (full.placements, full.requests, full.evictions))

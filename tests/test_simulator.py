@@ -117,6 +117,73 @@ class TestEventOrdering:
         assert peak < 1_000_000
 
 
+def sampled(results) -> dict:
+    """Timeseries rows as `{(arm, rep, t): {node: total}}`."""
+    ticks = {}
+    for arm, rep, t, node, _, _, total in results.timeseries:
+        ticks.setdefault((arm, rep, t), {})[node] = int(total)
+    return ticks
+
+
+class TestSamples:
+    """Samples are written between the walked events: a tick comes after
+    every event at its time and after the scheduler cycles they queued."""
+
+    def test_a_sample_at_a_deploy_counts_the_pods_it_placed(self):
+        services = (FogServiceSpec(name="web", replicas=6, cpu_request=100, cpu_limit=100),
+                    FogServiceSpec(name="api", replicas=2, cpu_request=100, cpu_limit=100))
+        cfg = small_scenario(services=services, sample_period_s=1.0, workload=(
+            WorkloadEvent(0.0, "deploy", (("web",), None)),
+            WorkloadEvent(2.0, "deploy", (("api",), None)),
+            WorkloadEvent(2.5, "link", ("P1", 1.0))))
+        totals = {key: sum(nodes.values()) for key, nodes in sampled(run_scenario(cfg)).items()}
+        assert totals == {("custom", rep, repr(float(t))): 6 if t < 2 else 8
+                          for rep in ("0", "1") for t in range(6)}
+
+    def test_a_sample_at_a_monitor_eviction_counts_the_moved_pod(self):
+        # as in the migration test: raising P3's uplink at 50 s makes the
+        # monitor move app-0 from P3-A to P4-A at a pass, here also a tick
+        services = (
+            FogServiceSpec(name="db", replicas=2, cpu_request=100, cpu_limit=100),
+            FogServiceSpec(name="app", replicas=1, cpu_request=100, cpu_limit=100,
+                           dependencies=(DependencyRef("db", 1.0, latency_weight=1.0,
+                                                       metric_weight=0.0),)))
+        zones = {"P1": ("P1-A",), "P2": ("P2-A",), "P3": ("P3-A",), "P4": ("P4-A",)}
+        cfg = ScenarioConfig(
+            name="drift", services=services,
+            topology=Topology(zones, {"P1": 0.1, "P2": 0.5, "P3": 0.2, "P4": 1.0}),
+            nodes=make_nodes(zones, {"P1-A": {"cpu_capacity": 100},
+                                     "P2-A": {"cpu_capacity": 100}}),
+            arms=(ArmSpec(name="custom", plugins=(("dependencies", 1.0),)),),
+            workload=(WorkloadEvent(0.0, "deploy", (("db",), None)),
+                      WorkloadEvent(0.0, "pin", ("db-0", "P1-A")),
+                      WorkloadEvent(0.0, "pin", ("db-1", "P2-A")),
+                      WorkloadEvent(1.0, "deploy", (("app",), None)),
+                      WorkloadEvent(50.0, "link", ("P3", 5.0))),
+            duration_s=300.0, monitor=MonitorConfig(), sample_period_s=10.0, seed=4)
+        res = run_scenario(cfg)
+        [(_, _, t, pod, from_node, target, _)] = res.evictions
+        assert (pod, from_node, target) == ("app-0", "P3-A", "P4-A")
+        ticks = sampled(res)
+        before = ticks["custom", "0", repr(float(t) - 10.0)]
+        assert before == {"P1-A": 1, "P2-A": 1, "P3-A": 1, "P4-A": 0}
+        assert ticks["custom", "0", t] == {"P1-A": 1, "P2-A": 1, "P3-A": 0, "P4-A": 1}
+
+    def test_every_tick_up_to_the_duration_is_written_after_the_script_ends(self):
+        # no monitor, balancer or request stream: the walk ends at the deploy
+        ticks = sampled(run_scenario(small_scenario(sample_period_s=1.0, duration_s=5.0)))
+        assert list(ticks) == [("custom", rep, repr(float(t)))
+                               for rep in ("0", "1") for t in range(6)]
+        assert all(len(nodes) == 8 and sum(nodes.values()) == 6 for nodes in ticks.values())
+
+    def test_tick_times_are_multiples_of_the_period(self):
+        """`0.0 + k * period`: a running sum of 0.1 drifts from it in 91 of 101 ticks."""
+        res = run_scenario(small_scenario(sample_period_s=0.1, duration_s=10.0,
+                                          repetitions=1))
+        assert [row[2] for row in res.timeseries] == [repr(0.0 + k * 0.1)
+                                                      for k in range(101) for _ in range(8)]
+
+
 def request_scenario(rate_hz: float, count: int) -> ScenarioConfig:
     return small_scenario(
         workload=(WorkloadEvent(0.0, "deploy", (("web",), None)),
