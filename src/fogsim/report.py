@@ -24,7 +24,7 @@ from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 
-from .simulator import ResultSet
+from .simulator import ResultSet, collector_paused
 
 CSV_FILES = {
     "placements": ResultSet.PLACEMENT_FIELDS,
@@ -36,6 +36,7 @@ CDF_STEP = 0.01
 BLOCK_ROWS = 1024  # rows per write: fewer calls, and no whole-table string
 
 
+@collector_paused
 def write_results(results: ResultSet, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -57,6 +58,7 @@ def write_results(results: ResultSet, outdir) -> list[Path]:
     return written
 
 
+@collector_paused
 def load_results(directory) -> dict[str, list[list[str]]]:
     """The four tables of a result directory.  Raises FileNotFoundError on a
     missing file and ValueError on a wrong header or a row of the wrong length."""

@@ -18,16 +18,18 @@ once per window.  Samples rank after every kind at their time, so the
 ticks due strictly before an event are written once its due SCHEDs have
 run, from one pod count per window.  Every source of randomness derives
 from the scenario seed, so a (config, seed) pair reproduces byte-identical
-results.
+results.  A run makes no reference cycles, so it pauses the cyclic collector.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
 from bisect import bisect_left, bisect_right
 from enum import IntEnum
+from functools import wraps
 from itertools import count, islice
 from operator import itemgetter
 from typing import Optional
@@ -440,18 +442,30 @@ class _Run:
 
     def collect(self):
         arm, rep = self.arm.name, self.rep
-        placements = []
-        for pod_id in sorted(self.state.pods):
-            pod = self.state.pods[pod_id]
-            placements.append((arm, rep, pod_id, pod.service,
-                               pod.assignment or "-", pod.status.value,
-                               repr(pod.start_time if pod.assignment else 0.0)))
+        pods = self.state.pods
+        placements = [(arm, rep, p.id, p.service, p.assignment or "-", p.status.value,
+                       repr(p.start_time if p.assignment else 0.0))
+                      for p in map(pods.__getitem__, sorted(pods))]
         evictions = [(arm, rep, repr(e.time), e.pod, e.from_node,
                       e.target_node or "-", e.reason)
                      for e in self.state.eviction_log]
         return placements, self.timeseries, self.requests, evictions
 
 
+def collector_paused(fn):
+    """`fn` run with the cyclic collector paused, restoring the caller's setting."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+    return paused
+
+
+@collector_paused
 def _run_rep(config: ScenarioConfig, seed: int, rep: int, timeline):
     rows = ([], [], [], [])
     for arm in config.arms:
@@ -461,6 +475,7 @@ def _run_rep(config: ScenarioConfig, seed: int, rep: int, timeline):
     return rows
 
 
+@collector_paused
 def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                  repetitions: Optional[int] = None, profile: str = "paper",
                  jobs: int = 1) -> ResultSet:
@@ -480,15 +495,14 @@ def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     timeline = request_timeline(config)
     sinks = (results.placements, results.timeseries, results.requests,
              results.evictions)
+    args = ([config] * reps, [seed] * reps, range(reps), [timeline] * reps)
     if jobs > 1 and reps > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: slow to import
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(_run_rep, [config] * reps, [seed] * reps,
-                                 range(reps), [timeline] * reps):
-                for sink, new in zip(sinks, rows):
-                    sink.extend(new)
+        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:  # all start at once
+            per_rep = list(pool.map(_run_rep, *args))
     else:
-        for rep in range(reps):
-            for sink, new in zip(sinks, _run_rep(config, seed, rep, timeline)):
-                sink.extend(new)
+        per_rep = map(_run_rep, *args)
+    for rows in per_rep:
+        for sink, new in zip(sinks, rows):
+            sink.extend(new)
     return results

@@ -61,6 +61,35 @@ class TestDeterminism:
             assert ((tmp_path / "jobs1" / name).read_bytes()
                     == (tmp_path / "jobs2" / name).read_bytes())
 
+    def test_the_pool_asks_for_no_more_workers_than_repetitions(self, monkeypatch):
+        """A process pool starts all its workers at once, so `jobs` above the
+        repetition count would start idle ones.  The recorder maps in this
+        process, so the test starts none."""
+        import concurrent.futures
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = small_scenario()
+        serial = run_scenario(cfg, repetitions=3, jobs=1)
+        for jobs in (2, 3, 4, 500):
+            pooled = run_scenario(cfg, repetitions=3, jobs=jobs)
+            assert (pooled.placements, pooled.timeseries) == (serial.placements,
+                                                              serial.timeseries)
+        assert asked == [2, 3, 3, 3]
+
     def test_arms_share_workload_order(self):
         # identical plugin configs in both arms must give identical results
         cfg = small_scenario(arms=(
